@@ -39,15 +39,11 @@ type benchBaseline struct {
 		Speedup      float64 `json:"speedup"`
 	} `json:"baseline"`
 	// Kernels compares one serial BaseMatrix build across kernel layouts:
-	// the seed's AoS []complex128 arithmetic, the SoA default, the opt-in
-	// scalar unrolled variants (4- and 8-accumulator — both measured
-	// regressions on scalar FP ports, recorded honestly and bounded by
-	// the guard), and the vector (lag-sweep, AVX2+FMA) kernel.
+	// the seed's AoS []complex128 arithmetic, the SoA default, and the
+	// vector (lag-sweep, AVX2+FMA) kernel.
 	Kernels struct {
 		AoSNsOp       float64 `json:"aos_ns_op"`
 		SoANsOp       float64 `json:"soa_ns_op"`
-		UnrolledNsOp  float64 `json:"unrolled_ns_op"`
-		Unrolled8NsOp float64 `json:"unrolled8_ns_op"`
 		VectorNsOp    float64 `json:"vector_ns_op"`
 		SoASpeedup    float64 `json:"soa_speedup"`
 		VectorSpeedup float64 `json:"vector_speedup"`
@@ -84,8 +80,8 @@ type benchBaseline struct {
 		Speedup   float64 `json:"speedup"`
 	} `json:"symmetric"`
 	// Hop is one steady-state streaming hop (append W, drop W, refresh the
-	// pair matrix) at Parallelism 1. AllocsOp must be 0: the hot path runs
-	// entirely in ring- and matrix-owned storage.
+	// pair matrix), which always runs serially. AllocsOp must be 0: the
+	// hot path runs entirely in ring- and matrix-owned storage.
 	Hop struct {
 		NsOp     float64 `json:"ns_op"`
 		AllocsOp float64 `json:"allocs_op"`
@@ -229,7 +225,6 @@ func guardHop(tb testing.TB, s *csi.Series, w int) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	inc.SetParallelism(1)
 	snaps := make([][][][]complex128, s.NumSlots())
 	for ti := range snaps {
 		snap := make([][][]complex128, s.NumAnts)
@@ -269,20 +264,16 @@ func guardHop(tb testing.TB, s *csi.Series, w int) func() {
 }
 
 // benchNote documents the committed baseline's machine and the honest
-// reading of each section — most importantly that the scalar unrolled
-// kernels are measured regressions-to-parity (a representative run: 3.51 ms unrolled4 vs 3.34 ms
-// sequential when recorded), kept as bounded opt-ins, while the vector
-// kernel and float32 planes are the real levers.
-const benchNote = "Recorded on a 1-core CI container (Intel Xeon ~2.1 GHz AVX2+FMA, go1.24); on 1 core the worker pool degenerates to the serial loop so the parallel speedup is ~1x. kernels compares one serial build: AoS []complex128 reference vs the SoA default (bit-exact) vs the opt-in unrolled4/unrolled8 scalar kernels vs the vector (lag-sweep AVX2) kernel. The scalar unrolled kernels are measured regressions-to-parity on this FP-bound CPU class (a representative run recorded 3.51ms unrolled4 vs 3.34ms sequential; run-to-run noise can land them at parity, never ahead) — they stay opt-in and the guard bounds unrolled4 at 1.15x of sequential; the vector kernel must hold >=1.5x. batch builds the three distinct pairs {(0,1),(0,2),(1,2)} per-pair vs one cross-pair batched pass on one core: layout_speedup isolates the block-major schedule with the sequential kernel (floor 0.9x), speedup is the batched+vector fast path (floor 1.25x). precision is one serial build on float32 planes vs float64 (both vector-shaped), floor 1.3x with max element error <= 1e-5. symmetric is the Hermitian-reflection dedup of {(0,2),(2,0),(1,1)} on one core (floor 1.5x). hop is one steady-state incremental hop (append W, drop W, refresh) at Parallelism 1 and must stay at 0 allocs/op. TestBenchGuard re-measures all ratios live (vector/batch/precision floors apply only where sigproc.VecSupported and outside -race). Regenerate with: go test -run TestBenchGuard -update-bench ."
+// reading of each section: the vector kernel and float32 planes are the
+// real levers.
+const benchNote = "Recorded on a 1-core CI container (Intel Xeon ~2.1 GHz AVX2+FMA, go1.24); on 1 core the worker pool degenerates to the serial loop so the parallel speedup is ~1x. kernels compares one serial build: AoS []complex128 reference vs the SoA default (bit-exact) vs the vector (lag-sweep AVX2) kernel; the vector kernel must hold >=1.5x. batch builds the three distinct pairs {(0,1),(0,2),(1,2)} per-pair vs one cross-pair batched pass on one core: layout_speedup isolates the block-major schedule with the sequential kernel (floor 0.9x), speedup is the batched+vector fast path (floor 1.25x). precision is one serial build on float32 planes vs float64 (both vector-shaped), floor 1.3x with max element error <= 1e-5. symmetric is the Hermitian-reflection dedup of {(0,2),(2,0),(1,1)} on one core (floor 1.5x). hop is one steady-state incremental hop (append W, drop W, refresh), which always runs serially, and must stay at 0 allocs/op. TestBenchGuard re-measures all ratios live (vector/batch/precision floors apply only where sigproc.VecSupported and outside -race). Regenerate with: go test -run TestBenchGuard -update-bench ."
 
 // TestBenchGuard is the benchmark regression guard of the TRRS engine. On
 // the committed Fast-scale fixture it measures, live:
 //
 //   - parallel vs serial BaseMatrix (the pool must not lose to one core),
 //   - the SoA kernel vs the seed's AoS arithmetic (no regression),
-//   - the opt-in kernels: unrolled4 bounded at 1.15x of sequential (a
-//     documented scalar-port regression), the vector kernel at ≥1.5x
-//     where AVX2 is available,
+//   - the opt-in vector kernel at ≥1.5x where AVX2 is available,
 //   - the cross-pair batched bulk build vs per-pair serial builds
 //     (layout floor 0.9x; with the vector kernel ≥1.25x),
 //   - float32 planes vs float64 (≥1.3x, max element error ≤1e-5),
@@ -353,45 +344,19 @@ func TestBenchGuard(t *testing.T) {
 	ref := newAoSGuard(s)
 	aos := measure(reps, func() { sinkRows = ref.matrix(0, 2, w) })
 	e.SetParallelism(1)
-	e.SetKernel(trrs.KernelUnrolled4)
-	unrolled := measure(reps, func() { sinkM = e.BaseMatrixSerial(0, 2, w) })
-	e.SetKernel(trrs.KernelUnrolled8)
-	unrolled8 := measure(reps, func() { sinkM = e.BaseMatrixSerial(0, 2, w) })
 	e.SetKernel(trrs.KernelVector)
 	vector := measure(reps, func() { sinkM = e.BaseMatrixSerial(0, 2, w) })
 	e.SetKernel(trrs.KernelSequential)
 	soaSpeedup := float64(aos) / float64(serial)
 	vecSpeedup := float64(serial) / float64(vector)
-	t.Logf("kernels: aos=%v soa=%v unrolled=%v unrolled8=%v vector=%v soa_speedup=%.2fx vector_speedup=%.2fx",
-		aos, serial, unrolled, unrolled8, vector, soaSpeedup, vecSpeedup)
+	t.Logf("kernels: aos=%v soa=%v vector=%v soa_speedup=%.2fx vector_speedup=%.2fx",
+		aos, serial, vector, soaSpeedup, vecSpeedup)
 	// Race instrumentation taxes the flat-plane kernels far more than the
 	// AoS loop, so the cross-layout ratio is only meaningful without it
 	// (the CI guard step runs un-instrumented).
 	if !raceEnabled && soaSpeedup < 0.85 {
 		t.Errorf("SoA kernel regressed to %.2fx of the AoS reference (aos %v, soa %v), floor 0.85x",
 			soaSpeedup, aos, serial)
-	}
-	// The scalar unrolled kernels are measured REGRESSIONS on this CPU
-	// class (register spills + saturated scalar FP ports), kept as honest
-	// opt-ins — bounded so they never quietly rot past "slightly slower".
-	// Both sides are scalar and slow enough that separately-measured
-	// timings drift apart under machine noise, so the ceiling re-judges
-	// them through guardRatio (inverted: the favorable-high seq/unrolled
-	// estimate is the favorable-low unrolled/seq ratio the ceiling wants).
-	if !raceEnabled {
-		inv, _, _ := guardRatio(1.0/1.10, 4, reps,
-			func() {
-				e.SetKernel(trrs.KernelSequential)
-				sinkM = e.BaseMatrixSerial(0, 2, w)
-			},
-			func() {
-				e.SetKernel(trrs.KernelUnrolled4)
-				sinkM = e.BaseMatrixSerial(0, 2, w)
-			})
-		if ratio := 1 / inv; ratio > 1.15 {
-			t.Errorf("unrolled4 kernel at %.2fx of sequential, ceiling 1.15x", ratio)
-		}
-		e.SetKernel(trrs.KernelSequential)
 	}
 	// The vector kernel is the perf lever; on AVX2 hardware it must hold
 	// a clear win (measured ~3.3-3.8x; floor leaves noise headroom).
@@ -522,8 +487,6 @@ func TestBenchGuard(t *testing.T) {
 		bl.Baseline.Speedup = speedup
 		bl.Kernels.AoSNsOp = float64(aos.Nanoseconds())
 		bl.Kernels.SoANsOp = float64(serial.Nanoseconds())
-		bl.Kernels.UnrolledNsOp = float64(unrolled.Nanoseconds())
-		bl.Kernels.Unrolled8NsOp = float64(unrolled8.Nanoseconds())
 		bl.Kernels.VectorNsOp = float64(vector.Nanoseconds())
 		bl.Kernels.SoASpeedup = soaSpeedup
 		bl.Kernels.VectorSpeedup = vecSpeedup
@@ -568,8 +531,7 @@ func TestBenchBaselineFixtureShape(t *testing.T) {
 	if bl.Fixture.W != 50 || bl.Fixture.Slots < 2*bl.Fixture.W {
 		t.Fatalf("fixture shape drifted: %+v", bl.Fixture)
 	}
-	if bl.Kernels.AoSNsOp <= 0 || bl.Kernels.SoANsOp <= 0 || bl.Kernels.UnrolledNsOp <= 0 ||
-		bl.Kernels.Unrolled8NsOp <= 0 || bl.Kernels.VectorNsOp <= 0 {
+	if bl.Kernels.AoSNsOp <= 0 || bl.Kernels.SoANsOp <= 0 || bl.Kernels.VectorNsOp <= 0 {
 		t.Errorf("kernel rows must be recorded: %+v", bl.Kernels)
 	}
 	if bl.Batch.PerPairNsOp <= 0 || bl.Batch.BatchedNsOp <= 0 || bl.Batch.BatchedVecNsOp <= 0 {

@@ -70,17 +70,18 @@ type Config struct {
 	// NaivePeakPicking replaces the dynamic-programming tracker with the
 	// per-column argmax (ablation).
 	NaivePeakPicking bool
-	// Parallelism is the worker count for TRRS base-matrix computation:
-	// 0 (default) uses GOMAXPROCS, 1 forces the serial reference path —
-	// the oracle the parallel and incremental engines are tested against —
-	// and n > 1 uses exactly n workers. All settings produce bit-for-bit
-	// identical matrices.
+	// Parallelism is the worker count for batch TRRS base-matrix builds
+	// (ProcessSeries, NewPipeline, and a Streamer in Recompute mode):
+	// 0 (default) uses GOMAXPROCS, n ≥ 1 uses exactly n workers, and 1
+	// runs the same block-major batch plan and symmetry dedup on the
+	// calling goroutine. All settings produce bit-for-bit identical
+	// matrices. Incremental streaming hops ignore it: they always run on
+	// the goroutine that pushes the frame.
 	Parallelism int
 	// Kernel selects the TRRS inner-product kernel (see trrs.Kernel). The
 	// zero value, trrs.KernelSequential, is bit-for-bit identical to the
-	// reference arithmetic; trrs.KernelUnrolled4 opts into the pipelined
-	// 4-accumulator kernel (1e-12-relative agreement); trrs.KernelVector
-	// opts into the lag-sweep kernel (AVX2+FMA where supported).
+	// reference arithmetic; trrs.KernelVector opts into the lag-sweep
+	// kernel (AVX2+FMA where supported, 1e-12-relative agreement).
 	Kernel trrs.Kernel
 	// Precision selects the TRRS plane storage precision (see
 	// trrs.Precision). The zero value, trrs.PrecisionFloat64, is the

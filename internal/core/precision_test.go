@@ -130,7 +130,6 @@ func TestFloat32Streaming(t *testing.T) {
 
 	mk := func(prec trrs.Precision) StreamConfig {
 		cfg := StreamConfig{Core: fastConfig(arr)}
-		cfg.Core.Parallelism = 1
 		cfg.Core.Precision = prec
 		return cfg
 	}

@@ -45,10 +45,11 @@ type StreamConfig struct {
 	DegradedMissFrac float64
 	// Recompute disables the incremental TRRS engine and rebuilds the
 	// whole analysis window from scratch on every hop — the seed's
-	// behavior, kept as the reference oracle. Combined with
-	// Core.Parallelism = 1 it reproduces the fully serial pipeline; the
-	// incremental default is bit-for-bit equivalent and much cheaper per
-	// hop (see DESIGN.md, "Parallel & incremental TRRS engine").
+	// behavior, kept as the reference oracle (its batch builds honor
+	// Core.Parallelism). The incremental default is bit-for-bit
+	// equivalent, runs each hop on the pushing goroutine and is much
+	// cheaper per hop (see DESIGN.md, "Parallel & incremental TRRS
+	// engine").
 	Recompute bool
 	// HopDeadline bounds one sliding-window analysis hop. A hop that
 	// exhausts its budget stops at the next stage boundary and emits
@@ -349,7 +350,6 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 		if err != nil {
 			return nil, err
 		}
-		inc.SetParallelism(cfg.Core.Parallelism)
 		inc.SetKernel(cfg.Core.Kernel)
 		inc.SetObs(cfg.Core.Obs)
 		inc.SetTrace(cfg.Core.Trace)

@@ -64,7 +64,7 @@ func BenchmarkStreamerRecompute(b *testing.B) {
 	benchReplay(b, s, cfg)
 }
 
-// BenchmarkStreamerIncremental replays the same walk through the parallel
+// BenchmarkStreamerIncremental replays the same walk through the serial
 // incremental engine (the default).
 func BenchmarkStreamerIncremental(b *testing.B) {
 	s := benchStreamSeries(b)

@@ -48,7 +48,7 @@ type PerfResult struct {
 	// planes over float64, both on the vector-shaped sweep path.
 	Float32Speedup float64 `json:"float32_speedup"`
 	// HopNs and HopAllocsPerOp are one steady-state incremental hop
-	// (append W, drop W, refresh the pair matrix) at Parallelism 1. The
+	// (append W, drop W, refresh the pair matrix), run serially. The
 	// hot path runs in ring- and matrix-owned storage, so allocs/op is 0
 	// once the window geometry has settled.
 	HopNs          float64 `json:"hop_ns"`
@@ -96,7 +96,7 @@ func timeBest(reps int, f func()) time.Duration {
 	return best
 }
 
-// hopStats measures one steady-state incremental hop at Parallelism 1:
+// hopStats measures one steady-state (serial) incremental hop:
 // best-of-reps wall time plus the malloc count per hop (via the runtime's
 // cumulative Mallocs counter, averaged over a settled run).
 func hopStats(s *csi.Series, w, reps int) (time.Duration, float64) {
@@ -104,7 +104,6 @@ func hopStats(s *csi.Series, w, reps int) (time.Duration, float64) {
 	if err != nil {
 		panic(err)
 	}
-	inc.SetParallelism(1)
 	snaps := make([][][][]complex128, s.NumSlots())
 	for ti := range snaps {
 		snap := make([][][]complex128, s.NumAnts)

@@ -11,10 +11,13 @@ import (
 // StreamFactory for production daemons running core.Streamer sessions.
 type CoreFactoryConfig struct {
 	// Template is the stream configuration every session starts from —
-	// analysis knobs (window, span, hop, deadline), engine knobs
-	// (Parallelism, Kernel, Precision) and observability wiring are all
-	// shared fleet-wide. Template.Core.Array is ignored; each session's
-	// geometry comes from ArrayFor.
+	// analysis knobs (window, span, hop, deadline), engine knobs (Kernel,
+	// Precision) and observability wiring are all shared fleet-wide.
+	// Core.Parallelism reaches only Recompute-mode sessions (batch
+	// builds): incremental hops run on the session's own goroutine, and
+	// the fleet's parallelism comes from running sessions side by side.
+	// Template.Core.Array is ignored; each session's geometry comes from
+	// ArrayFor.
 	Template core.StreamConfig
 	// ArrayFor maps a session's antenna count to its receive geometry
 	// (required): the wire protocol carries only the CSI shape, so the

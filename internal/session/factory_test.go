@@ -28,7 +28,6 @@ func TestNewCoreFactory(t *testing.T) {
 	}
 	tmpl := core.StreamConfig{SpanSeconds: 2, HopSeconds: 0.25}
 	tmpl.Core.WindowSeconds = 0.3
-	tmpl.Core.Parallelism = 1
 	tmpl.Core.Kernel = trrs.KernelVector
 	tmpl.Core.Precision = trrs.PrecisionFloat32
 	factory, err := NewCoreFactory(CoreFactoryConfig{Template: tmpl, ArrayFor: testArrayFor})

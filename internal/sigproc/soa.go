@@ -38,99 +38,6 @@ func DotSqSoA(ar, ai, br, bi []float64) float64 {
 	return re*re + im*im
 }
 
-// DotSqSoA4 is the 4-accumulator unrolled variant of DotSqSoA. Splitting
-// the dependency chain over four partial sums lets the FPU pipeline
-// overlap independent adds; the price is a fixed but different reduction
-// order, so results agree with DotSqSoA only to rounding (callers select
-// it explicitly via trrs.Kernel; the equivalence suite bounds the
-// difference at 1e-12 relative). The partial sums are reduced pairwise —
-// (s0+s1) + (s2+s3) — and the scalar tail is folded into s0 last, so the
-// result is deterministic for a given length.
-func DotSqSoA4(ar, ai, br, bi []float64) float64 {
-	n := len(ar)
-	if len(ai) != n || len(br) != n || len(bi) != n {
-		panic("sigproc: DotSqSoA4 length mismatch")
-	}
-	if n == 0 {
-		return 0
-	}
-	ai = ai[:n]
-	br = br[:n]
-	bi = bi[:n]
-	var re0, re1, re2, re3 float64
-	var im0, im1, im2, im3 float64
-	k := 0
-	for ; k+4 <= n; k += 4 {
-		re0 += ar[k]*br[k] + ai[k]*bi[k]
-		im0 += ar[k]*bi[k] - ai[k]*br[k]
-		re1 += ar[k+1]*br[k+1] + ai[k+1]*bi[k+1]
-		im1 += ar[k+1]*bi[k+1] - ai[k+1]*br[k+1]
-		re2 += ar[k+2]*br[k+2] + ai[k+2]*bi[k+2]
-		im2 += ar[k+2]*bi[k+2] - ai[k+2]*br[k+2]
-		re3 += ar[k+3]*br[k+3] + ai[k+3]*bi[k+3]
-		im3 += ar[k+3]*bi[k+3] - ai[k+3]*br[k+3]
-	}
-	for ; k < n; k++ {
-		re0 += ar[k]*br[k] + ai[k]*bi[k]
-		im0 += ar[k]*bi[k] - ai[k]*br[k]
-	}
-	re := (re0 + re1) + (re2 + re3)
-	im := (im0 + im1) + (im2 + im3)
-	return re*re + im*im
-}
-
-// DotSqSoA8 is the 8-accumulator unrolled variant of DotSqSoA, the widest
-// accumulation shape a 256-bit FMA unit could consume directly (the
-// trrs.KernelUnrolled8 selector). The partial sums are reduced pairwise in
-// two rounds — ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) — with the scalar
-// tail folded into s0 last, so the result is deterministic for a given
-// length and agrees with DotSqSoA to rounding (the equivalence suite
-// bounds it at 1e-12 relative). Note the measured caveat: on scalar FP
-// ports the 16 live accumulators spill, so this kernel is *slower* than
-// the sequential one on current hardware (see BENCH_trrs.json); it exists
-// as the vector-shaped reference the assembly sweep kernels are derived
-// from and is gated opt-in.
-func DotSqSoA8(ar, ai, br, bi []float64) float64 {
-	n := len(ar)
-	if len(ai) != n || len(br) != n || len(bi) != n {
-		panic("sigproc: DotSqSoA8 length mismatch")
-	}
-	if n == 0 {
-		return 0
-	}
-	ai = ai[:n]
-	br = br[:n]
-	bi = bi[:n]
-	var re0, re1, re2, re3, re4, re5, re6, re7 float64
-	var im0, im1, im2, im3, im4, im5, im6, im7 float64
-	k := 0
-	for ; k+8 <= n; k += 8 {
-		re0 += ar[k]*br[k] + ai[k]*bi[k]
-		im0 += ar[k]*bi[k] - ai[k]*br[k]
-		re1 += ar[k+1]*br[k+1] + ai[k+1]*bi[k+1]
-		im1 += ar[k+1]*bi[k+1] - ai[k+1]*br[k+1]
-		re2 += ar[k+2]*br[k+2] + ai[k+2]*bi[k+2]
-		im2 += ar[k+2]*bi[k+2] - ai[k+2]*br[k+2]
-		re3 += ar[k+3]*br[k+3] + ai[k+3]*bi[k+3]
-		im3 += ar[k+3]*bi[k+3] - ai[k+3]*br[k+3]
-		re4 += ar[k+4]*br[k+4] + ai[k+4]*bi[k+4]
-		im4 += ar[k+4]*bi[k+4] - ai[k+4]*br[k+4]
-		re5 += ar[k+5]*br[k+5] + ai[k+5]*bi[k+5]
-		im5 += ar[k+5]*bi[k+5] - ai[k+5]*br[k+5]
-		re6 += ar[k+6]*br[k+6] + ai[k+6]*bi[k+6]
-		im6 += ar[k+6]*bi[k+6] - ai[k+6]*br[k+6]
-		re7 += ar[k+7]*br[k+7] + ai[k+7]*bi[k+7]
-		im7 += ar[k+7]*bi[k+7] - ai[k+7]*br[k+7]
-	}
-	for ; k < n; k++ {
-		re0 += ar[k]*br[k] + ai[k]*bi[k]
-		im0 += ar[k]*bi[k] - ai[k]*br[k]
-	}
-	re := ((re0 + re1) + (re2 + re3)) + ((re4 + re5) + (re6 + re7))
-	im := ((im0 + im1) + (im2 + im3)) + ((im4 + im5) + (im6 + im7))
-	return re*re + im*im
-}
-
 // EnergySoA returns <a, a> for a complex vector given as separate re/im
 // slices, in Energy's element order (re²+im² per element, summed in
 // index order). The slices must have equal length.

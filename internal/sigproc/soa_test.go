@@ -37,53 +37,6 @@ func TestDotSqSoAMatchesInnerProductBitwise(t *testing.T) {
 	}
 }
 
-// TestDotSqSoA4Tolerance bounds the unrolled kernel's reassociation error:
-// 1e-12 relative against the sequential kernel across lengths covering
-// every remainder class, plus exactness on vectors where reassociation
-// cannot round (powers of two).
-func TestDotSqSoA4Tolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for n := 0; n <= 130; n++ {
-		a, b := randVec(rng, n), randVec(rng, n)
-		ar, ai := splitSoA(a)
-		br, bi := splitSoA(b)
-		want := DotSqSoA(ar, ai, br, bi)
-		got := DotSqSoA4(ar, ai, br, bi)
-		tol := 1e-12 * math.Max(math.Abs(want), 1)
-		if math.Abs(got-want) > tol {
-			t.Fatalf("n=%d: unrolled %v vs sequential %v (diff %g > %g)",
-				n, got, want, got-want, tol)
-		}
-	}
-	// Exactness sanity: all-ones inputs sum without rounding.
-	for _, n := range []int{1, 3, 4, 7, 8, 64, 114} {
-		ones := make([]float64, n)
-		zero := make([]float64, n)
-		for k := range ones {
-			ones[k] = 1
-		}
-		want := float64(n) * float64(n)
-		if got := DotSqSoA4(ones, zero, ones, zero); got != want {
-			t.Fatalf("n=%d: DotSqSoA4 on ones = %v, want %v", n, got, want)
-		}
-	}
-}
-
-// TestDotSqSoA4Deterministic verifies the unrolled reduction order is
-// fixed: repeated calls on the same input return identical bits.
-func TestDotSqSoA4Deterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a, b := randVec(rng, 113), randVec(rng, 113)
-	ar, ai := splitSoA(a)
-	br, bi := splitSoA(b)
-	first := DotSqSoA4(ar, ai, br, bi)
-	for r := 0; r < 10; r++ {
-		if got := DotSqSoA4(ar, ai, br, bi); math.Float64bits(got) != math.Float64bits(first) {
-			t.Fatalf("run %d: %x != %x", r, got, first)
-		}
-	}
-}
-
 // TestNormalizeSoAMatchesNormalizeBitwise pins the SoA normalization to
 // the seed's complex-scalar multiply, including the returned norm and the
 // zero-vector no-op.

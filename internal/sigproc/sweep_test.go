@@ -194,23 +194,6 @@ func TestDotSqSweepBoundsPanic(t *testing.T) {
 	}()
 }
 
-// TestDotSqSoA8Tolerance bounds the 8-way unrolled kernel at the same
-// 1e-12 relative gate as DotSqSoA4, across every remainder class.
-func TestDotSqSoA8Tolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	for n := 0; n <= 130; n++ {
-		a, b := randVec(rng, n), randVec(rng, n)
-		ar, ai := splitSoA(a)
-		br, bi := splitSoA(b)
-		want := DotSqSoA(ar, ai, br, bi)
-		got := DotSqSoA8(ar, ai, br, bi)
-		tol := 1e-12 * math.Max(math.Abs(want), 1)
-		if math.Abs(got-want) > tol {
-			t.Fatalf("n=%d: unrolled8 %v vs sequential %v", n, got, want)
-		}
-	}
-}
-
 // TestDotSqSoA32Tolerance bounds the scalar float32 kernel on normalized
 // inputs and checks the shape contract.
 func TestDotSqSoA32Tolerance(t *testing.T) {

@@ -7,15 +7,31 @@ package trrs
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
+
+// mallocsAtTwoProcs runs f hops times with GOMAXPROCS 2 and returns the
+// process-wide malloc count over the run. testing.AllocsPerRun pins
+// GOMAXPROCS to 1, under which a goroutine fan-out inside the hop would
+// degenerate and hide its allocations; two Ps is the daemon's real
+// configuration on a 2-core host.
+func mallocsAtTwoProcs(hops int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := 0; n < hops; n++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
 
 // TestIncrementalHopAllocFree pins the zero-allocation contract of the
 // streaming hot path: once the window geometry has stabilized, a full hop
 // — append hop slots, drop hop slots, refresh the pair matrix — performs
-// no allocation at Parallelism 1 (the single-core hot path; the worker
-// pool's goroutine fan-out inherently allocates). This is what lets the
-// 200 Hz steady state run GC-quiet.
+// no allocation, at GOMAXPROCS 1 and 2 alike (the hop runs on the calling
+// goroutine). This is what lets the 200 Hz steady state run GC-quiet.
 func TestIncrementalHopAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s := randomSeries(rng, 3, 2, 30, 400)
@@ -24,7 +40,6 @@ func TestIncrementalHopAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc.SetParallelism(1)
 
 	// Pre-extract the snapshots: the harness must not allocate either.
 	snaps := make([][][][]complex128, s.NumSlots())
@@ -61,6 +76,9 @@ func TestIncrementalHopAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, hopOnce); avg != 0 {
 		t.Fatalf("steady-state hop allocates %.1f times per op, want 0", avg)
 	}
+	if n := mallocsAtTwoProcs(20, hopOnce); n != 0 {
+		t.Fatalf("20 steady-state hops at GOMAXPROCS 2 malloc %d times, want 0", n)
+	}
 }
 
 // TestExtendMatrixReusesBacking pins the satellite contract directly: with
@@ -75,7 +93,6 @@ func TestExtendMatrixReusesBacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc.SetParallelism(1)
 	for ti := 0; ti < s.NumSlots(); ti++ {
 		if err := inc.Append(seriesSnapshot(s, ti)); err != nil {
 			t.Fatal(err)
@@ -123,7 +140,7 @@ func TestExtendMatrixReusesBacking(t *testing.T) {
 // TestExtendMatricesAllocFree extends the zero-allocation contract to the
 // cross-pair batched refresh: once the window geometry and the batch
 // scratch have warmed up, a hop that refreshes all three pairs through
-// ExtendMatrices performs no allocation at Parallelism 1.
+// ExtendMatrices performs no allocation, at GOMAXPROCS 1 and 2 alike.
 func TestExtendMatricesAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	s := randomSeries(rng, 3, 2, 30, 400)
@@ -132,7 +149,6 @@ func TestExtendMatricesAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc.SetParallelism(1)
 	pairs := []PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}}
 
 	snaps := make([][][][]complex128, s.NumSlots())
@@ -166,5 +182,8 @@ func TestExtendMatricesAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20, hopOnce); avg != 0 {
 		t.Fatalf("steady-state batched hop allocates %.1f times per op, want 0", avg)
+	}
+	if n := mallocsAtTwoProcs(20, hopOnce); n != 0 {
+		t.Fatalf("20 steady-state batched hops at GOMAXPROCS 2 malloc %d times, want 0", n)
 	}
 }

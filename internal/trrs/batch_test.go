@@ -12,8 +12,8 @@ import (
 // Tests for the cross-pair batched build, the opt-in vector-shaped
 // kernels, and float32 plane mode. The contracts, in order of strictness:
 // the batched schedule is a pure reordering (bit-exact, pinned here and
-// by the golden suites); the vector and unrolled8 kernels agree with the
-// sequential kernel to 1e-12 relative; float32 planes agree with float64
+// by the golden suites); the vector kernel agrees with the sequential
+// kernel to 1e-12 relative; float32 planes agree with float64
 // to 1e-5 relative at matrix level, with matched argmax lags on
 // non-degenerate rows.
 
@@ -75,7 +75,6 @@ func TestVectorKernelTolerance(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc.SetKernel(KernelVector)
-	inc.SetParallelism(1)
 	for ti := 0; ti < s.NumSlots(); ti++ {
 		if err := inc.Append(seriesSnapshot(s, ti)); err != nil {
 			t.Fatal(err)
@@ -90,31 +89,10 @@ func TestVectorKernelTolerance(t *testing.T) {
 	requireIdentical(t, "incremental-vector", vec.BaseMatrixSerial(0, 2, w), got)
 }
 
-// TestUnrolled8KernelTolerance verifies the 8-accumulator kernel at the
-// same 1e-12 relative gate.
-func TestUnrolled8KernelTolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	const w = 12
-	for _, tc := range []struct {
-		name string
-		s    *csi.Series
-	}{
-		{"random30", randomSeries(rng, 3, 2, 30, 70)},
-		{"random13", randomSeries(rng, 2, 1, 13, 50)}, // tones%8 != 0: scalar tail
-	} {
-		seq := NewEngine(tc.s)
-		unr := NewEngine(tc.s)
-		unr.SetKernel(KernelUnrolled8)
-		want := seq.BaseMatrixSerial(0, 1, w)
-		got := unr.BaseMatrixSerial(0, 1, w)
-		requireTolerance(t, tc.name+"-unrolled8", want, got, 1e-12)
-	}
-}
-
 // TestKernelPrecisionParseRoundTrip pins the flag-string surface: every
 // selector round-trips through Parse(String()), and junk is rejected.
 func TestKernelPrecisionParseRoundTrip(t *testing.T) {
-	for _, k := range []Kernel{KernelSequential, KernelUnrolled4, KernelUnrolled8, KernelVector} {
+	for _, k := range []Kernel{KernelSequential, KernelVector} {
 		got, err := ParseKernel(k.String())
 		if err != nil || got != k {
 			t.Fatalf("ParseKernel(%q) = %v, %v", k.String(), got, err)
@@ -205,7 +183,6 @@ func TestPrecisionFloat32Incremental(t *testing.T) {
 	if inc.Precision() != PrecisionFloat32 {
 		t.Fatal("precision did not stick")
 	}
-	inc.SetParallelism(1)
 	next, start := 0, 0
 	for _, step := range []struct{ app, drop int }{{60, 0}, {30, 25}, {30, 28}} {
 		for k := 0; k < step.app; k++ {
@@ -266,7 +243,6 @@ func TestExtendMatricesMatchesPerPair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc.SetParallelism(1)
 		return inc
 	}
 	batched, perPair := mk(), mk()

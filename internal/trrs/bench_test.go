@@ -39,18 +39,6 @@ func BenchmarkTRRSMatrixAoSRef(b *testing.B) {
 	}
 }
 
-// BenchmarkTRRSMatrixUnrolled is the serial build with the opt-in
-// 4-accumulator kernel (1e-12-equivalent, not bit-exact).
-func BenchmarkTRRSMatrixUnrolled(b *testing.B) {
-	s, w := benchFixture(b)
-	e := NewEngine(s)
-	e.SetKernel(KernelUnrolled4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkMatrix = e.BaseMatrixSerial(0, 2, w)
-	}
-}
-
 // BenchmarkTRRSMatrixParallel is the same computation through the worker
 // pool at GOMAXPROCS.
 func BenchmarkTRRSMatrixParallel(b *testing.B) {
@@ -110,10 +98,9 @@ func BenchmarkTRRSMatricesSymmetricNaive(b *testing.B) {
 }
 
 // BenchmarkTRRSIncrementalHop measures one steady-state streaming hop:
-// append hop slots, drop hop slots, refresh the pair matrix — at
-// Parallelism 1, the single-core hot path whose allocs/op must be 0
-// (snapshots are pre-extracted so the harness stays out of the
-// measurement). Compare with BenchmarkTRRSRecomputeHop, the per-hop cost
+// append hop slots, drop hop slots, refresh the pair matrix — the
+// serial hot path whose allocs/op must be 0 (snapshots are
+// pre-extracted so the harness stays out of the measurement). Compare with BenchmarkTRRSRecomputeHop, the per-hop cost
 // the seed paid.
 func BenchmarkTRRSIncrementalHop(b *testing.B) {
 	s, w := benchFixture(b)
@@ -122,7 +109,6 @@ func BenchmarkTRRSIncrementalHop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inc.SetParallelism(1)
 	snaps := make([][][][]complex128, s.NumSlots())
 	for ti := range snaps {
 		snaps[ti] = seriesSnapshot(s, ti)
@@ -184,19 +170,6 @@ func BenchmarkTRRSMatrixVector(b *testing.B) {
 	s, w := benchFixture(b)
 	e := NewEngine(s)
 	e.SetKernel(KernelVector)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkMatrix = e.BaseMatrixSerial(0, 2, w)
-	}
-}
-
-// BenchmarkTRRSMatrixUnrolled8 is the serial build with the 8-accumulator
-// scalar kernel (the vector-shaped reference; measured slower than
-// sequential on scalar FP ports — kept honest in BENCH_trrs.json).
-func BenchmarkTRRSMatrixUnrolled8(b *testing.B) {
-	s, w := benchFixture(b)
-	e := NewEngine(s)
-	e.SetKernel(KernelUnrolled8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkMatrix = e.BaseMatrixSerial(0, 2, w)
@@ -272,8 +245,8 @@ func BenchmarkTRRSMatricesBatchedFloat32(b *testing.B) {
 }
 
 // BenchmarkTRRSIncrementalHopBatched is the steady-state hop refreshing
-// all three pairs through the batched ExtendMatrices (Parallelism 1,
-// zero allocs — see TestExtendMatricesAllocFree).
+// all three pairs through the batched ExtendMatrices (serial, zero
+// allocs — see TestExtendMatricesAllocFree).
 func BenchmarkTRRSIncrementalHopBatched(b *testing.B) {
 	s, w := benchFixture(b)
 	const hop = 50
@@ -281,7 +254,6 @@ func BenchmarkTRRSIncrementalHopBatched(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inc.SetParallelism(1)
 	snaps := make([][][][]complex128, s.NumSlots())
 	for ti := range snaps {
 		snaps[ti] = seriesSnapshot(s, ti)

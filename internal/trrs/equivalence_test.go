@@ -148,7 +148,6 @@ func TestGoldenIncrementalEqualsSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc.SetParallelism(2)
 		pairs := [][2]int{{0, 1}, {0, 2}, {1, 2}}
 		start, next := 0, 0
 		// Alternating appends and drops, with matrix queries interleaved

@@ -38,9 +38,12 @@ import (
 // the front instead of growing. Each maintained pair matrix ping-pongs
 // between two preallocated backings: a refresh copies carried rows from
 // the previous generation's buffer and recomputes the stale ones, so once
-// the window geometry stabilizes no hop allocates (measured at 0 allocs/op
-// by the bench guard with Parallelism 1; the worker pool's goroutine
-// fan-out allocates by nature).
+// the window geometry stabilizes no hop allocates (pinned at 0 mallocs per
+// hop by the allocation tests and the bench guard).
+//
+// Refreshes run on the calling goroutine: a streaming session is the unit
+// of concurrency (the daemon runs sessions side by side), so one hop is
+// never fanned out over a worker pool.
 //
 // Consequently a matrix returned by ExtendMatrix stays valid only until
 // the pair's next refresh-producing call (the generation after next
@@ -52,7 +55,6 @@ type Incremental struct {
 	numTx  int
 	numAnt int
 	w      int
-	par    int
 	kernel Kernel
 	// tones is the uniform per-snapshot vector length, learned from the
 	// first Append (-1 before).
@@ -72,16 +74,14 @@ type Incremental struct {
 
 	// view is the cached full-array engine ExtendMatrix refreshes in
 	// place every call (EngineView allocates fresh ones for external
-	// callers); viewAnts is its identity antenna list. staleScratch is
-	// the reused stale-row index buffer.
-	view         *Engine
-	viewAnts     []int
-	staleScratch []int
+	// callers); viewAnts is its identity antenna list.
+	view     *Engine
+	viewAnts []int
 
-	// ExtendMatrices scratch, reused across hops so the batched refresh
-	// stays allocation-free in steady state: the returned matrices, the
-	// pair-major stale work list with per-pair segment offsets, and the
-	// row-major interleaved fill order.
+	// Refresh scratch, reused across hops so refreshes stay
+	// allocation-free in steady state: the matrices ExtendMatrices
+	// returns, the pair-major stale work list with per-pair segment
+	// offsets, and the row-major interleaved fill order.
 	batchOut   []*Matrix
 	batchWork  []batchItem
 	batchSeg   []int
@@ -89,10 +89,9 @@ type Incremental struct {
 
 	// Observability handles (nil = unobserved): per-ExtendMatrix rows
 	// carried over untouched vs invalidated-and-recomputed, plus the
-	// engine-level handles propagated into every EngineView.
+	// rows-filled counter propagated into every EngineView.
 	rowsReused, rowsStale *obs.Counter
 	rowsFilled            *obs.Counter
-	poolGauge             *obs.Gauge
 	// trc/hop feed per-ExtendMatrix reuse/stale decisions into the causal
 	// trace (propagated into every EngineView); nil = no tracing.
 	trc *trace.Recorder
@@ -164,15 +163,6 @@ func NewIncrementalPrecision(rate float64, numAnts, numTx, w int, prec Precision
 // Precision returns the ring-plane precision.
 func (inc *Incremental) Precision() Precision { return inc.prec }
 
-// SetParallelism sets the worker count used when refreshing matrices
-// (same semantics as Engine.SetParallelism).
-func (inc *Incremental) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	inc.par = n
-}
-
 // SetKernel selects the inner-product kernel used by matrix refreshes and
 // every EngineView (same semantics as Engine.SetKernel).
 func (inc *Incremental) SetKernel(k Kernel) { inc.kernel = k }
@@ -183,11 +173,11 @@ func (inc *Incremental) Kernel() Kernel { return inc.kernel }
 // SetObs points the incremental engine's utilization counters at a
 // registry: rows reused vs invalidated per ExtendMatrix
 // (rim_trrs_rows_reused_total / rim_trrs_rows_stale_total) plus the
-// engine-level fill/pool handles inherited by every EngineView. A nil
-// registry detaches them.
+// rows-filled counter inherited by every EngineView. A nil registry
+// detaches them.
 func (inc *Incremental) SetObs(reg *obs.Registry) {
 	if reg == nil {
-		inc.rowsReused, inc.rowsStale, inc.rowsFilled, inc.poolGauge = nil, nil, nil, nil
+		inc.rowsReused, inc.rowsStale, inc.rowsFilled = nil, nil, nil
 		return
 	}
 	inc.rowsReused = reg.Counter("rim_trrs_rows_reused_total",
@@ -196,8 +186,6 @@ func (inc *Incremental) SetObs(reg *obs.Registry) {
 		"base-matrix rows invalidated (head drop / tail extension) and recomputed")
 	inc.rowsFilled = reg.Counter("rim_trrs_rows_filled_total",
 		"TRRS base-matrix rows computed from scratch")
-	inc.poolGauge = reg.Gauge("rim_trrs_pool_workers",
-		"worker count of the most recent TRRS pool build")
 }
 
 // SetTrace attaches an event recorder: every ExtendMatrix emits a
@@ -366,7 +354,8 @@ func (inc *Incremental) DropFront(n int) {
 }
 
 // viewInto points e at the current window: plane slices covering slots
-// [head, head+n), plus the incremental engine's rate/shape/tuning.
+// [head, head+n), plus the incremental engine's rate/shape/tuning. Views
+// are serial (Parallelism 1), like the incremental engine itself.
 func (inc *Incremental) viewInto(e *Engine, ants []int) error {
 	tones := inc.tones
 	if tones < 0 {
@@ -379,9 +368,8 @@ func (inc *Incremental) viewInto(e *Engine, ants []int) error {
 	e.tones = tones
 	e.prec = inc.prec
 	e.kernel = inc.kernel
-	e.par = inc.par
+	e.par = 1
 	e.rowsFilled = inc.rowsFilled
-	e.poolGauge = inc.poolGauge
 	e.trc = inc.trc
 	e.hop = inc.hop
 	lo, hi := inc.head*tones, (inc.head+e.slots)*tones
@@ -476,10 +464,9 @@ func (inc *Incremental) ExtendMatrix(i, j int) (*Matrix, error) {
 	if im.m != nil && im.start == inc.start && im.end == inc.end {
 		return im.m, nil
 	}
-	stale := inc.staleScratch[:0]
-	m, stale := inc.carry(im, i, j, stale)
-	inc.staleScratch = stale
-	inc.fullView().fillRowsSharded(m, stale)
+	m, work := inc.carry(im, i, j, inc.batchWork[:0])
+	inc.batchWork = work
+	inc.fullView().fillRows(work, trace.PairCode(i, j), 0)
 	return m, nil
 }
 
@@ -496,12 +483,11 @@ func (inc *Incremental) matFor(i, j int) *incMat {
 
 // carry advances pair (i, j)'s maintained matrix to the current window:
 // it sizes the next-generation backing, copies every row still valid from
-// the previous generation, appends the local indices of the stale rows to
-// stale, commits the generation swap and the reuse/stale accounting, and
-// returns the new matrix with its stale rows NOT yet computed — the
-// caller fills them (fillRowsSharded for a single pair, fillRowsBatch for
-// a cross-pair batch).
-func (inc *Incremental) carry(im *incMat, i, j int, stale []int) (*Matrix, []int) {
+// the previous generation, appends one work item per stale row to work,
+// commits the generation swap and the reuse/stale accounting, and returns
+// the new matrix with its stale rows NOT yet computed — the caller fills
+// them with Engine.fillRows.
+func (inc *Incremental) carry(im *incMat, i, j int, work []batchItem) (*Matrix, []batchItem) {
 	tSlots := inc.NumSlots()
 	width := 2*inc.w + 1
 	nxt := 1 - im.cur
@@ -515,8 +501,9 @@ func (inc *Incremental) carry(im *incMat, i, j int, stale []int) (*Matrix, []int
 		rows = make([][]float64, tSlots)
 	}
 	rows = rows[:tSlots]
+	m := &im.hdr[nxt]
 
-	nPrev := len(stale)
+	nPrev := len(work)
 	for t := 0; t < tSlots; t++ {
 		row := flat[t*width : (t+1)*width]
 		rows[t] = row
@@ -534,12 +521,11 @@ func (inc *Incremental) carry(im *incMat, i, j int, stale []int) (*Matrix, []int
 		if valid {
 			copy(row, im.m.Vals[r-im.start])
 		} else {
-			stale = append(stale, t)
+			work = append(work, batchItem{m: m, t: t})
 		}
 	}
-	nStale := len(stale) - nPrev
+	nStale := len(work) - nPrev
 
-	m := &im.hdr[nxt]
 	*m = Matrix{I: i, J: j, W: inc.w, Rate: inc.rate, Vals: rows}
 	inc.rowsReused.Add(uint64(tSlots - nStale))
 	inc.rowsStale.Add(uint64(nStale))
@@ -551,7 +537,7 @@ func (inc *Incremental) carry(im *incMat, i, j int, stale []int) (*Matrix, []int
 	im.rows[nxt] = rows
 	im.cur = nxt
 	im.m, im.start, im.end = m, inc.start, inc.end
-	return m, stale
+	return m, work
 }
 
 // ExtendMatrices is the cross-pair batched form of ExtendMatrix: it
@@ -582,13 +568,9 @@ func (inc *Incremental) ExtendMatrices(pairs []PairSpec) ([]*Matrix, error) {
 			seg = append(seg, len(work))
 			continue
 		}
-		stale := inc.staleScratch[:0]
-		m, stale := inc.carry(im, p.I, p.J, stale)
-		inc.staleScratch = stale
+		var m *Matrix
+		m, work = inc.carry(im, p.I, p.J, work)
 		touched++
-		for _, t := range stale {
-			work = append(work, batchItem{m: m, t: t})
-		}
 		out = append(out, m)
 		seg = append(seg, len(work))
 	}
@@ -604,7 +586,7 @@ func (inc *Incremental) ExtendMatrices(pairs []PairSpec) ([]*Matrix, error) {
 		}
 	}
 	if len(order) > 0 {
-		inc.fullView().fillRowsBatch(order, touched)
+		inc.fullView().fillRows(order, -1, int64(touched))
 	}
 	inc.batchOut, inc.batchWork, inc.batchSeg, inc.batchOrder = out, work, seg, order
 	return out, nil

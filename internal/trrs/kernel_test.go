@@ -136,73 +136,24 @@ func TestSoAEngineMatchesSeedArithmetic(t *testing.T) {
 	}
 }
 
-// TestUnrolledKernelTolerance verifies the opt-in unrolled kernel against
-// the sequential serial oracle to 1e-12 relative tolerance, over full
-// matrices on random and simulated-walk CSI (tone counts 30 and covering
-// the remainder loop), and that the unrolled incremental engine is
-// bit-identical to the unrolled batch engine (same arithmetic, different
-// bookkeeping).
-func TestUnrolledKernelTolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	const w = 15
-	for _, tc := range []struct {
-		name string
-		s    *csi.Series
-	}{
-		{"random30", randomSeries(rng, 3, 2, 30, 90)},
-		{"random7", randomSeries(rng, 2, 1, 7, 60)}, // tones%4 != 0: remainder tail
-		{"walk", walkSeries(t, false)},
-	} {
-		seq := NewEngine(tc.s)
-		unr := NewEngine(tc.s)
-		unr.SetKernel(KernelUnrolled4)
-		if unr.Kernel() != KernelUnrolled4 {
-			t.Fatal("SetKernel did not stick")
-		}
-		want := seq.BaseMatrixSerial(0, 1, w)
-		got := unr.BaseMatrixSerial(0, 1, w)
-		for ti := range want.Vals {
-			for c := range want.Vals[ti] {
-				wv, gv := want.Vals[ti][c], got.Vals[ti][c]
-				tol := 1e-12 * math.Max(math.Abs(wv), 1)
-				if math.Abs(wv-gv) > tol {
-					t.Fatalf("%s: [%d][%d] unrolled %v vs sequential %v (|diff| %g > %g)",
-						tc.name, ti, c, gv, wv, math.Abs(wv-gv), tol)
-				}
-			}
-		}
-	}
-
-	// Incremental with the unrolled kernel: bit-identical to the unrolled
-	// batch engine over the same window.
-	s := randomSeries(rng, 3, 2, 30, 80)
-	inc, err := NewIncremental(s.Rate, s.NumAnts, s.NumTx, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc.SetKernel(KernelUnrolled4)
-	if inc.Kernel() != KernelUnrolled4 {
-		t.Fatal("Incremental.SetKernel did not stick")
-	}
-	inc.SetParallelism(1)
-	for ti := 0; ti < s.NumSlots(); ti++ {
-		if err := inc.Append(seriesSnapshot(s, ti)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := inc.ExtendMatrix(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unr := NewEngine(s)
-	unr.SetKernel(KernelUnrolled4)
-	requireIdentical(t, "incremental-unrolled", unr.BaseMatrixSerial(0, 2, w), got)
-}
-
-// TestKernelString covers the Stringer (used in bench/report labels).
+// TestKernelString pins the kernel names the -kernel flags accept: ""
+// and every selector's String() round-trip through ParseKernel, the
+// removed 4- and 8-accumulator scalar kernels are rejected, and an
+// unknown selector still renders.
 func TestKernelString(t *testing.T) {
-	if KernelSequential.String() != "sequential" || KernelUnrolled4.String() != "unrolled4" {
-		t.Fatalf("kernel names drifted: %v, %v", KernelSequential, KernelUnrolled4)
+	for name, want := range map[string]Kernel{"": KernelSequential, "sequential": KernelSequential, "vector": KernelVector} {
+		k, err := ParseKernel(name)
+		if err != nil || k != want {
+			t.Fatalf("ParseKernel(%q) = %v, %v; want %v", name, k, err, want)
+		}
+		if name != "" && k.String() != name {
+			t.Fatalf("kernel name drifted: %v.String() = %q, want %q", want, k.String(), name)
+		}
+	}
+	for _, acc := range []string{"4", "8"} {
+		if _, err := ParseKernel("unrolled" + acc); err == nil {
+			t.Fatalf("ParseKernel(%q) must fail: the kernel was removed", "unrolled"+acc)
+		}
 	}
 	if Kernel(9).String() == "" {
 		t.Fatal("unknown kernel must still render")

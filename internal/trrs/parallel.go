@@ -141,8 +141,9 @@ func (e *Engine) newFlatMatrix(i, j, w int) *Matrix {
 // row range of a preallocated buffer, so the output is deterministic and
 // bit-for-bit identical to BaseMatrixSerial regardless of worker count,
 // scheduling, or which of the symmetry paths produced it. With one worker
-// (Parallelism = 1, or a single-CPU GOMAXPROCS) the fill degenerates to
-// the serial loop.
+// (Parallelism = 1, or a single-CPU GOMAXPROCS) the same plan runs on the
+// calling goroutine. This is the only goroutine fan-out in the package:
+// incremental refreshes are serial (see fillRows).
 func (e *Engine) BaseMatrices(pairs []PairSpec, w int) []*Matrix {
 	out := make([]*Matrix, len(pairs))
 	if len(pairs) == 0 {
@@ -230,87 +231,23 @@ func (e *Engine) BaseMatrices(pairs []PairSpec, w int) []*Matrix {
 	return out
 }
 
-// fillRowsSharded recomputes an explicit set of rows of one pair's matrix
-// using the engine's worker pool (the incremental engine's refresh path).
-// rows holds local row indices into m.Vals; every listed row must already
-// be allocated at width 2W+1.
-func (e *Engine) fillRowsSharded(m *Matrix, rows []int) {
-	e.rowsFilled.Add(uint64(len(rows)))
-	if e.trc != nil {
-		e.trc.Emit(trace.KindTRRSFill, e.hop, trace.PairCode(m.I, m.J), int64(len(rows)), 0)
-	}
-	workers := e.workers()
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	if workers <= 1 {
-		for _, t := range rows {
-			e.fillRow(m.Vals[t], m.I, m.J, m.W, t)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(rows) {
-					return
-				}
-				t := rows[n]
-				e.fillRow(m.Vals[t], m.I, m.J, m.W, t)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// batchItem is one row fill of a multi-pair batched refresh.
+// batchItem is one row fill of an incremental refresh.
 type batchItem struct {
 	m *Matrix
 	t int
 }
 
-// fillRowsBatch recomputes an explicit set of (matrix, row) items using
-// the engine's worker pool — the cross-pair batched counterpart of
-// fillRowsSharded, used by Incremental.ExtendMatrices. The caller orders
-// the items row-major across pairs so consecutive items sweep the same
-// slot range of the CSI planes; with one worker that order is executed
-// exactly, with more it is the pool's pickup order. Emits one bulk
-// trace.KindTRRSFill event (Frame −1) like a multi-pair build.
-func (e *Engine) fillRowsBatch(items []batchItem, pairsTouched int) {
+// fillRows recomputes an explicit list of (matrix, row) items, in order,
+// on the calling goroutine — the incremental engine's refresh path. The
+// caller orders the items so consecutive fills sweep the same slot range
+// of the CSI planes (see Incremental.ExtendMatrices). Emits one
+// trace.KindTRRSFill event with the given Frame and B fields.
+func (e *Engine) fillRows(items []batchItem, frame, b int64) {
 	e.rowsFilled.Add(uint64(len(items)))
 	if e.trc != nil {
-		e.trc.Emit(trace.KindTRRSFill, e.hop, -1, int64(len(items)), int64(pairsTouched))
+		e.trc.Emit(trace.KindTRRSFill, e.hop, frame, int64(len(items)), b)
 	}
-	workers := e.workers()
-	if workers > len(items) {
-		workers = len(items)
+	for _, it := range items {
+		e.fillRow(it.m.Vals[it.t], it.m.I, it.m.J, it.m.W, it.t)
 	}
-	if workers <= 1 {
-		for _, it := range items {
-			e.fillRow(it.m.Vals[it.t], it.m.I, it.m.J, it.m.W, it.t)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(items) {
-					return
-				}
-				it := items[n]
-				e.fillRow(it.m.Vals[it.t], it.m.I, it.m.J, it.m.W, it.t)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -40,20 +40,6 @@ const (
 	// order: results are bit-for-bit identical to the reference
 	// implementation and therefore to every committed golden suite.
 	KernelSequential Kernel = iota
-	// KernelUnrolled4 splits the accumulation over four partial sums to
-	// overlap FPU latency (sigproc.DotSqSoA4). Its fixed reduction order
-	// differs from the sequential kernel, so results agree only to
-	// rounding — the equivalence suite bounds the difference at 1e-12
-	// relative. Opt-in via Config.Kernel or SetKernel.
-	KernelUnrolled4
-	// KernelUnrolled8 widens the accumulation to eight partial sums —
-	// the vector-shaped reference the assembly sweep kernels mirror
-	// (sigproc.DotSqSoA8). Measured caveat: with 16 live accumulators the
-	// scalar register file spills, so on current hardware this kernel is
-	// slower than the sequential one (see BENCH_trrs.json); it exists for
-	// shape documentation and as a portable stand-in where the real
-	// vector path is unavailable. Same 1e-12-relative gate as unrolled4.
-	KernelUnrolled8
 	// KernelVector evaluates whole base-matrix rows through the lag-sweep
 	// kernels (sigproc.DotSqSweepSoA): AVX2+FMA assembly on supporting
 	// amd64 hardware, scalar sweep elsewhere (sigproc.VecSupported
@@ -68,10 +54,6 @@ func (k Kernel) String() string {
 	switch k {
 	case KernelSequential:
 		return "sequential"
-	case KernelUnrolled4:
-		return "unrolled4"
-	case KernelUnrolled8:
-		return "unrolled8"
 	case KernelVector:
 		return "vector"
 	default:
@@ -85,14 +67,10 @@ func ParseKernel(s string) (Kernel, error) {
 	switch s {
 	case "sequential", "":
 		return KernelSequential, nil
-	case "unrolled4":
-		return KernelUnrolled4, nil
-	case "unrolled8":
-		return KernelUnrolled8, nil
 	case "vector":
 		return KernelVector, nil
 	default:
-		return 0, fmt.Errorf("trrs: unknown kernel %q (want sequential, unrolled4, unrolled8 or vector)", s)
+		return 0, fmt.Errorf("trrs: unknown kernel %q (want sequential or vector)", s)
 	}
 }
 
@@ -116,8 +94,8 @@ type Engine struct {
 	prec Precision
 	// kernel selects the inner-product kernel (see Kernel).
 	kernel Kernel
-	// par is the worker count for matrix computation: 0 means GOMAXPROCS,
-	// 1 means the serial reference path (see SetParallelism).
+	// par is the worker count of BaseMatrix/BaseMatrices: 0 means
+	// GOMAXPROCS (see SetParallelism).
 	par int
 	// Observability handles (nil = unobserved, every use a no-op): rows of
 	// base matrices computed from scratch, and the pool's effective worker
@@ -130,11 +108,13 @@ type Engine struct {
 	hop int64
 }
 
-// SetParallelism sets the worker count used by BaseMatrix/BaseMatrices:
-// 0 (the default) uses GOMAXPROCS workers, 1 forces the serial reference
-// path, n > 1 uses exactly n workers. Every entry of a base matrix is an
-// independent pure function of the normalized snapshots, so the sharded
-// computation is bit-for-bit identical to the serial one at any setting.
+// SetParallelism sets the worker count of the batch builds
+// BaseMatrix/BaseMatrices: 0 (the default) uses GOMAXPROCS workers, n ≥ 1
+// uses exactly n. At 1 the build still runs the block-major batch plan
+// and the symmetry dedup, just on the calling goroutine; it does not
+// select BaseMatrixSerial. Every entry of a base matrix is an independent
+// pure function of the normalized snapshots, so the result is
+// bit-for-bit identical to BaseMatrixSerial at any setting.
 func (e *Engine) SetParallelism(n int) {
 	if n < 0 {
 		n = 0
@@ -147,7 +127,7 @@ func (e *Engine) Parallelism() int { return e.par }
 
 // SetKernel selects the inner-product kernel. The default
 // KernelSequential is bit-for-bit identical to the reference arithmetic;
-// KernelUnrolled4 trades that for pipelined accumulation (1e-12-relative
+// KernelVector trades that for the lag-sweep row kernels (1e-12-relative
 // agreement).
 func (e *Engine) SetKernel(k Kernel) { e.kernel = k }
 
@@ -296,29 +276,14 @@ func (e *Engine) base(i, j, ti, tj int) float64 {
 	oi, oj := ti*e.tones, tj*e.tones
 	ri, ii := e.re[i], e.im[i]
 	rj, ij := e.re[j], e.im[j]
+	// KernelSequential, and KernelVector's point queries: the sweep only
+	// pays off across a row, so single-entry evaluation keeps the
+	// bit-exact sequential arithmetic.
 	var sum float64
-	switch e.kernel {
-	case KernelUnrolled4:
-		for tx := 0; tx < e.numTx; tx++ {
-			sum += sigproc.DotSqSoA4(
-				ri[tx][oi:oi+e.tones], ii[tx][oi:oi+e.tones],
-				rj[tx][oj:oj+e.tones], ij[tx][oj:oj+e.tones])
-		}
-	case KernelUnrolled8:
-		for tx := 0; tx < e.numTx; tx++ {
-			sum += sigproc.DotSqSoA8(
-				ri[tx][oi:oi+e.tones], ii[tx][oi:oi+e.tones],
-				rj[tx][oj:oj+e.tones], ij[tx][oj:oj+e.tones])
-		}
-	default:
-		// KernelSequential, and KernelVector's point queries: the sweep
-		// only pays off across a row, so single-entry evaluation keeps the
-		// bit-exact sequential arithmetic.
-		for tx := 0; tx < e.numTx; tx++ {
-			sum += sigproc.DotSqSoA(
-				ri[tx][oi:oi+e.tones], ii[tx][oi:oi+e.tones],
-				rj[tx][oj:oj+e.tones], ij[tx][oj:oj+e.tones])
-		}
+	for tx := 0; tx < e.numTx; tx++ {
+		sum += sigproc.DotSqSoA(
+			ri[tx][oi:oi+e.tones], ii[tx][oi:oi+e.tones],
+			rj[tx][oj:oj+e.tones], ij[tx][oj:oj+e.tones])
 	}
 	return sum / float64(e.numTx)
 }
@@ -462,9 +427,10 @@ func (e *Engine) sweepRow32(band []float64, i, j, t, tjFirst int) {
 
 // BaseMatrixSerial computes the single-snapshot TRRS matrix between
 // antennas i and j over lags [−W, W] — base[t][l+W] = κ̄(H_i(t), H_j(t−l))
-// — on one goroutine, row by row, with no symmetry shortcuts. This is the
-// reference oracle the parallel, incremental and symmetry-deduplicated
-// paths are tested against; select it pipeline-wide with Parallelism = 1.
+// — on one goroutine, row by row, with no batch plan and no symmetry
+// shortcuts. This is the reference oracle the parallel, incremental and
+// symmetry-deduplicated paths are tested against; no pipeline setting
+// selects it (Parallelism 1 still runs BaseMatrices' batch plan).
 func (e *Engine) BaseMatrixSerial(i, j, w int) *Matrix {
 	m := &Matrix{I: i, J: j, W: w, Rate: e.rate}
 	m.Vals = make([][]float64, e.slots)
