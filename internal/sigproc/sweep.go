@@ -48,8 +48,10 @@ func checkSweep(name string, count, na, nai, nbr, nbi, off, stride, tones int) {
 // DotSqSweepSoA accumulates out[k] += |<a, b_k>|² for k in [0, len(out)),
 // where a is (ar, ai)[0:tones] and b_k is (br, bi)[off+k*stride :
 // off+k*stride+tones]. stride may be negative (the TRRS lag sweep walks
-// earlier slots as the lag grows). Out-of-bounds geometry panics.
-func DotSqSweepSoA(out, ar, ai, br, bi []float64, off, stride, tones int) {
+// earlier slots as the lag grows). Each inner product accumulates in the
+// element type (4 float64 or 8 float32 lanes on AVX2) and adds its
+// float64 |·|² into out. Out-of-bounds geometry panics.
+func DotSqSweepSoA[T Float](out []float64, ar, ai, br, bi []T, off, stride, tones int) {
 	checkSweep("DotSqSweepSoA", len(out), len(ar), len(ai), len(br), len(bi), off, stride, tones)
 	if len(out) == 0 || tones == 0 {
 		return
@@ -57,33 +59,22 @@ func DotSqSweepSoA(out, ar, ai, br, bi []float64, off, stride, tones int) {
 	dotSqSweep(out, ar, ai, br, bi, off, stride, tones)
 }
 
-// DotSqSweepSoA32 is DotSqSweepSoA over float32 planes, accumulating each
-// inner product in float32 (8 lanes on AVX2) and adding the float64 |·|²
-// into out.
-func DotSqSweepSoA32(out []float64, ar, ai, br, bi []float32, off, stride, tones int) {
-	checkSweep("DotSqSweepSoA32", len(out), len(ar), len(ai), len(br), len(bi), off, stride, tones)
-	if len(out) == 0 || tones == 0 {
-		return
-	}
-	dotSqSweep32(out, ar, ai, br, bi, off, stride, tones)
-}
-
 // dotSqSweepGeneric is the portable sweep: one scalar kernel call per
 // slot. It is the non-amd64 implementation and the oracle the assembly is
-// tested against (to rounding; the lane reduction differs).
-func dotSqSweepGeneric(out, ar, ai, br, bi []float64, off, stride, tones int) {
-	ar, ai = ar[:tones], ai[:tones]
-	for k := range out {
-		o := off + k*stride
-		out[k] += DotSqSoA(ar, ai, br[o:o+tones], bi[o:o+tones])
+// tested against (to rounding; the lane reduction differs). The explicit
+// length checks (which checkSweep has already passed) let the compiler
+// drop the bounds checks of the reslices.
+func dotSqSweepGeneric[T Float](out []float64, ar, ai, br, bi []T, off, stride, tones int) {
+	if tones < 0 || tones > len(ar) || tones > len(ai) {
+		panic("sigproc: sweep a-plane shorter than tones")
 	}
-}
-
-// dotSqSweep32Generic is the portable float32 sweep.
-func dotSqSweep32Generic(out []float64, ar, ai, br, bi []float32, off, stride, tones int) {
 	ar, ai = ar[:tones], ai[:tones]
 	for k := range out {
 		o := off + k*stride
-		out[k] += DotSqSoA32(ar, ai, br[o:o+tones], bi[o:o+tones])
+		hi := o + tones
+		if o < 0 || hi < o || hi > len(br) || hi > len(bi) {
+			panic("sigproc: sweep b-plane range out of bounds")
+		}
+		out[k] += DotSqSoA(ar, ai, br[o:hi], bi[o:hi])
 	}
 }

@@ -37,9 +37,10 @@ func detectVec() bool {
 	return b&avx2 != 0
 }
 
-// The assembly entry points. The Go wrappers in sweep.go have already
-// bounds-checked the full strided range, so the kernels receive raw base
-// pointers; noescape keeps the hot path allocation-free.
+// The assembly entry points, one per element type (assembly cannot be
+// generic). The Go wrappers in sweep.go have already bounds-checked the
+// full strided range, so the kernels receive raw base pointers; noescape
+// keeps the hot path allocation-free.
 
 //go:noescape
 func dotSqSweepAVX2(out, ar, ai, br, bi *float64, tones, count, stride int)
@@ -47,18 +48,19 @@ func dotSqSweepAVX2(out, ar, ai, br, bi *float64, tones, count, stride int)
 //go:noescape
 func dotSqSweep32AVX2(out *float64, ar, ai, br, bi *float32, tones, count, stride int)
 
-func dotSqSweep(out, ar, ai, br, bi []float64, off, stride, tones int) {
+// dotSqSweep picks the assembly entry point for the element type, once
+// per call.
+func dotSqSweep[T Float](out []float64, ar, ai, br, bi []T, off, stride, tones int) {
 	if !vecSupported {
 		dotSqSweepGeneric(out, ar, ai, br, bi, off, stride, tones)
 		return
 	}
-	dotSqSweepAVX2(&out[0], &ar[0], &ai[0], &br[off], &bi[off], tones, len(out), stride)
-}
-
-func dotSqSweep32(out []float64, ar, ai, br, bi []float32, off, stride, tones int) {
-	if !vecSupported {
-		dotSqSweep32Generic(out, ar, ai, br, bi, off, stride, tones)
-		return
+	switch a := any(&ar[0]).(type) {
+	case *float64:
+		dotSqSweepAVX2(&out[0], a, any(&ai[0]).(*float64),
+			any(&br[off]).(*float64), any(&bi[off]).(*float64), tones, len(out), stride)
+	case *float32:
+		dotSqSweep32AVX2(&out[0], a, any(&ai[0]).(*float32),
+			any(&br[off]).(*float32), any(&bi[off]).(*float32), tones, len(out), stride)
 	}
-	dotSqSweep32AVX2(&out[0], &ar[0], &ai[0], &br[off], &bi[off], tones, len(out), stride)
 }

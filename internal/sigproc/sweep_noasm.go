@@ -6,10 +6,6 @@ package sigproc
 // sweeps are the implementation.
 const vecSupported = false
 
-func dotSqSweep(out, ar, ai, br, bi []float64, off, stride, tones int) {
+func dotSqSweep[T Float](out []float64, ar, ai, br, bi []T, off, stride, tones int) {
 	dotSqSweepGeneric(out, ar, ai, br, bi, off, stride, tones)
-}
-
-func dotSqSweep32(out []float64, ar, ai, br, bi []float32, off, stride, tones int) {
-	dotSqSweep32Generic(out, ar, ai, br, bi, off, stride, tones)
 }

@@ -116,7 +116,7 @@ func TestDotSqSweepSoA32Tolerance(t *testing.T) {
 		}
 		out := make([]float64, slots)
 		off := (slots - 1) * tones
-		DotSqSweepSoA32(out, ar32, ai32, br32, bi32, off, -tones, tones)
+		DotSqSweepSoA(out, ar32, ai32, br32, bi32, off, -tones, tones)
 		for k := 0; k < slots; k++ {
 			o := off - k*tones
 			want := DotSqSoA(ar, ai, br[o:o+tones], bi[o:o+tones])
@@ -211,22 +211,22 @@ func TestDotSqSoA32Tolerance(t *testing.T) {
 			br32[k], bi32[k] = float32(br[k]), float32(bi[k])
 		}
 		want := DotSqSoA(ar, ai, br, bi)
-		got := DotSqSoA32(ar32, ai32, br32, bi32)
+		got := DotSqSoA(ar32, ai32, br32, bi32)
 		tol := 1e-5 * math.Max(math.Abs(want), 1)
 		if math.Abs(got-want) > tol {
 			t.Fatalf("n=%d: f32 %v vs f64 %v", n, got, want)
 		}
 	}
-	if DotSqSoA32(nil, nil, nil, nil) != 0 {
+	if DotSqSoA[float32](nil, nil, nil, nil) != 0 {
 		t.Fatal("empty float32 dot must be 0")
 	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("DotSqSoA32 must panic on length mismatch")
+				t.Fatal("float32 DotSqSoA must panic on length mismatch")
 			}
 		}()
-		DotSqSoA32(make([]float32, 3), make([]float32, 3), make([]float32, 3), make([]float32, 2))
+		DotSqSoA(make([]float32, 3), make([]float32, 3), make([]float32, 3), make([]float32, 2))
 	}()
 }
 
@@ -239,19 +239,19 @@ func TestNormalizeSoA32(t *testing.T) {
 		ar, ai := splitSoA(a)
 		ar32, ai32 := splitSoA32(a)
 		wantNorm := NormalizeSoA(ar, ai)
-		gotNorm := NormalizeSoA32(ar32, ai32)
+		gotNorm := NormalizeSoA(ar32, ai32)
 		if math.Abs(gotNorm-wantNorm) > 1e-5*math.Max(wantNorm, 1) {
 			t.Fatalf("n=%d: norm %v vs %v", n, gotNorm, wantNorm)
 		}
-		if e := EnergySoA32(ar32, ai32); math.Abs(e-1) > 1e-5 {
+		if e := EnergySoA(ar32, ai32); math.Abs(e-1) > 1e-5 {
 			t.Fatalf("n=%d: post-normalize energy %v", n, e)
 		}
 	}
 	zr, zi := make([]float32, 5), make([]float32, 5)
-	if NormalizeSoA32(zr, zi) != 0 {
+	if NormalizeSoA(zr, zi) != 0 {
 		t.Fatal("zero vector must return norm 0")
 	}
-	if EnergySoA32(zr, zi) != 0 {
+	if EnergySoA(zr, zi) != 0 {
 		t.Fatal("zero vector energy must stay 0")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"rim/internal/obs"
 	"rim/internal/obs/trace"
-	"rim/internal/sigproc"
 )
 
 // Incremental is the streaming counterpart of Engine: a ring of
@@ -59,18 +58,15 @@ type Incremental struct {
 	// tones is the uniform per-snapshot vector length, learned from the
 	// first Append (-1 before).
 	tones int
-	// prec selects the ring-plane precision; in float32 mode the
-	// rePlane32/imPlane32 planes hold the window and the float64 planes
-	// stay nil (conversion happens once, in Append).
-	prec Precision
-	// rePlane[ant][tx] / imPlane[ant][tx] are the SoA ring planes; the
-	// live window occupies [head·tones, (head+n)·tones) where
-	// n = end − start. len(plane) is always (head+n)·tones.
-	rePlane, imPlane     [][][]float64
-	rePlane32, imPlane32 [][][]float32
-	head                 int
-	start, end           int
-	mats                 map[PairSpec]*incMat
+	// ring holds the SoA ring planes in the element type prec selects
+	// (conversion happens once, in Append); the live window occupies
+	// [head·tones, (head+n)·tones) where n = end − start, and every
+	// slab's length is (head+n)·tones.
+	prec       Precision
+	ring       planeStore
+	head       int
+	start, end int
+	mats       map[PairSpec]*incMat
 
 	// view is the cached full-array engine ExtendMatrix refreshes in
 	// place every call (EngineView allocates fresh ones for external
@@ -133,31 +129,16 @@ func NewIncrementalPrecision(rate float64, numAnts, numTx, w int, prec Precision
 	if w < 0 {
 		return nil, fmt.Errorf("trrs: incremental lag window W=%d must be non-negative", w)
 	}
-	inc := &Incremental{
+	return &Incremental{
 		rate:   rate,
 		numAnt: numAnts,
 		numTx:  numTx,
 		w:      w,
 		prec:   prec,
+		ring:   newStore(prec, numAnts, numTx, 0),
 		tones:  -1,
 		mats:   map[PairSpec]*incMat{},
-	}
-	if prec == PrecisionFloat32 {
-		inc.rePlane32 = make([][][]float32, numAnts)
-		inc.imPlane32 = make([][][]float32, numAnts)
-		for a := 0; a < numAnts; a++ {
-			inc.rePlane32[a] = make([][]float32, numTx)
-			inc.imPlane32[a] = make([][]float32, numTx)
-		}
-		return inc, nil
-	}
-	inc.rePlane = make([][][]float64, numAnts)
-	inc.imPlane = make([][][]float64, numAnts)
-	for a := 0; a < numAnts; a++ {
-		inc.rePlane[a] = make([][]float64, numTx)
-		inc.imPlane[a] = make([][]float64, numTx)
-	}
-	return inc, nil
+	}, nil
 }
 
 // Precision returns the ring-plane precision.
@@ -207,77 +188,6 @@ func (inc *Incremental) W() int { return inc.w }
 // Rate returns the sample rate in Hz.
 func (inc *Incremental) Rate() float64 { return inc.rate }
 
-// ensureTail guarantees every plane has room for one more slot after the
-// current live region of n slots: extend in place when capacity allows,
-// else compact the live region to the front (no allocation), else grow.
-// The planes share one growth history, so a single policy decision (taken
-// from the first plane) applies to all of them.
-func (inc *Incremental) ensureTail(n int) {
-	tones := inc.tones
-	if tones <= 0 || inc.numAnt == 0 || inc.numTx == 0 {
-		return
-	}
-	need := (inc.head + n + 1) * tones
-	var c int
-	if inc.prec == PrecisionFloat32 {
-		c = cap(inc.rePlane32[0][0])
-	} else {
-		c = cap(inc.rePlane[0][0])
-	}
-	if c >= need {
-		return
-	}
-	if inc.head > 0 && (n+1)*tones <= c {
-		// Compact: move the live region to the front of each plane.
-		liveLo, liveHi := inc.head*tones, (inc.head+n)*tones
-		for a := 0; a < inc.numAnt; a++ {
-			for tx := 0; tx < inc.numTx; tx++ {
-				if inc.prec == PrecisionFloat32 {
-					p := inc.rePlane32[a][tx]
-					copy(p[:n*tones], p[liveLo:liveHi])
-					inc.rePlane32[a][tx] = p[:n*tones]
-					p = inc.imPlane32[a][tx]
-					copy(p[:n*tones], p[liveLo:liveHi])
-					inc.imPlane32[a][tx] = p[:n*tones]
-					continue
-				}
-				p := inc.rePlane[a][tx]
-				copy(p[:n*tones], p[liveLo:liveHi])
-				inc.rePlane[a][tx] = p[:n*tones]
-				p = inc.imPlane[a][tx]
-				copy(p[:n*tones], p[liveLo:liveHi])
-				inc.imPlane[a][tx] = p[:n*tones]
-			}
-		}
-		inc.head = 0
-		return
-	}
-	// Grow: ~2× the live window, so steady sliding settles into the
-	// extend/compact cycle and never grows again.
-	newCap := 2 * (n + 1) * tones
-	liveLo, liveHi := inc.head*tones, (inc.head+n)*tones
-	for a := 0; a < inc.numAnt; a++ {
-		for tx := 0; tx < inc.numTx; tx++ {
-			if inc.prec == PrecisionFloat32 {
-				np := make([]float32, n*tones, newCap)
-				copy(np, inc.rePlane32[a][tx][liveLo:liveHi])
-				inc.rePlane32[a][tx] = np
-				np = make([]float32, n*tones, newCap)
-				copy(np, inc.imPlane32[a][tx][liveLo:liveHi])
-				inc.imPlane32[a][tx] = np
-				continue
-			}
-			np := make([]float64, n*tones, newCap)
-			copy(np, inc.rePlane[a][tx][liveLo:liveHi])
-			inc.rePlane[a][tx] = np
-			np = make([]float64, n*tones, newCap)
-			copy(np, inc.imPlane[a][tx][liveLo:liveHi])
-			inc.imPlane[a][tx] = np
-		}
-	}
-	inc.head = 0
-}
-
 // Append ingests one snapshot (shape [ant][tx][tone]); the rows are copied
 // into the SoA ring and normalized with exactly Engine's constructor
 // arithmetic, so later matrix queries match a batch engine built over the
@@ -305,33 +215,13 @@ func (inc *Incremental) Append(snapshot [][][]complex128) error {
 		}
 	}
 	n := inc.NumSlots()
-	inc.ensureTail(n)
+	if inc.ring.addSlot(inc.head*inc.tones, (inc.head+n)*inc.tones, inc.tones) {
+		inc.head = 0
+	}
 	o := (inc.head + n) * inc.tones
 	for a := range snapshot {
-		for tx := 0; tx < inc.numTx; tx++ {
-			if inc.prec == PrecisionFloat32 {
-				reP := inc.rePlane32[a][tx][:o+inc.tones]
-				imP := inc.imPlane32[a][tx][:o+inc.tones]
-				dstRe, dstIm := reP[o:], imP[o:]
-				for k, c := range snapshot[a][tx] {
-					dstRe[k] = float32(real(c))
-					dstIm[k] = float32(imag(c))
-				}
-				sigproc.NormalizeSoA32(dstRe, dstIm)
-				inc.rePlane32[a][tx] = reP
-				inc.imPlane32[a][tx] = imP
-				continue
-			}
-			reP := inc.rePlane[a][tx][:o+inc.tones]
-			imP := inc.imPlane[a][tx][:o+inc.tones]
-			dstRe, dstIm := reP[o:], imP[o:]
-			for k, c := range snapshot[a][tx] {
-				dstRe[k] = real(c)
-				dstIm[k] = imag(c)
-			}
-			sigproc.NormalizeSoA(dstRe, dstIm)
-			inc.rePlane[a][tx] = reP
-			inc.imPlane[a][tx] = imP
+		for tx, src := range snapshot[a] {
+			inc.ring.put(a, tx, o, src)
 		}
 	}
 	inc.end++
@@ -357,13 +247,17 @@ func (inc *Incremental) DropFront(n int) {
 // [head, head+n), plus the incremental engine's rate/shape/tuning. Views
 // are serial (Parallelism 1), like the incremental engine itself.
 func (inc *Incremental) viewInto(e *Engine, ants []int) error {
+	for _, a := range ants {
+		if a < 0 || a >= inc.numAnt {
+			return fmt.Errorf("trrs: EngineView antenna %d out of range [0,%d)", a, inc.numAnt)
+		}
+	}
 	tones := inc.tones
 	if tones < 0 {
 		tones = 0
 	}
 	e.rate = inc.rate
 	e.numAnts = len(ants)
-	e.numTx = inc.numTx
 	e.slots = inc.NumSlots()
 	e.tones = tones
 	e.prec = inc.prec
@@ -372,21 +266,7 @@ func (inc *Incremental) viewInto(e *Engine, ants []int) error {
 	e.rowsFilled = inc.rowsFilled
 	e.trc = inc.trc
 	e.hop = inc.hop
-	lo, hi := inc.head*tones, (inc.head+e.slots)*tones
-	for k, a := range ants {
-		if a < 0 || a >= inc.numAnt {
-			return fmt.Errorf("trrs: EngineView antenna %d out of range [0,%d)", a, inc.numAnt)
-		}
-		for tx := 0; tx < inc.numTx; tx++ {
-			if inc.prec == PrecisionFloat32 {
-				e.re32[k][tx] = inc.rePlane32[a][tx][lo:hi]
-				e.im32[k][tx] = inc.imPlane32[a][tx][lo:hi]
-				continue
-			}
-			e.re[k][tx] = inc.rePlane[a][tx][lo:hi]
-			e.im[k][tx] = inc.imPlane[a][tx][lo:hi]
-		}
-	}
+	inc.ring.viewInto(e.planes, ants, inc.head*tones, (inc.head+e.slots)*tones)
 	return nil
 }
 
@@ -404,40 +284,18 @@ func (inc *Incremental) EngineView(ants []int) (*Engine, error) {
 			ants[a] = a
 		}
 	}
-	e := inc.newViewShell(len(ants))
+	e := &Engine{planes: inc.ring.shell(len(ants))}
 	if err := inc.viewInto(e, ants); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// newViewShell allocates an engine shell with the right plane precision
-// for viewInto to point at the window.
-func (inc *Incremental) newViewShell(numAnts int) *Engine {
-	e := &Engine{}
-	if inc.prec == PrecisionFloat32 {
-		e.re32 = make([][][]float32, numAnts)
-		e.im32 = make([][][]float32, numAnts)
-		for k := range e.re32 {
-			e.re32[k] = make([][]float32, inc.numTx)
-			e.im32[k] = make([][]float32, inc.numTx)
-		}
-		return e
-	}
-	e.re = make([][][]float64, numAnts)
-	e.im = make([][][]float64, numAnts)
-	for k := range e.re {
-		e.re[k] = make([][]float64, inc.numTx)
-		e.im[k] = make([][]float64, inc.numTx)
-	}
-	return e
-}
-
 // fullView refreshes (lazily building) the cached all-antenna view used
 // by ExtendMatrix, so the steady-state hop allocates nothing.
 func (inc *Incremental) fullView() *Engine {
 	if inc.view == nil {
-		inc.view = inc.newViewShell(inc.numAnt)
+		inc.view = &Engine{planes: inc.ring.shell(inc.numAnt)}
 		inc.viewAnts = make([]int, inc.numAnt)
 		for a := range inc.viewAnts {
 			inc.viewAnts[a] = a

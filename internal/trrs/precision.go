@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rim/internal/csi"
-	"rim/internal/sigproc"
 )
 
 // Precision selects the storage precision of the engine's CSI planes.
@@ -63,51 +62,7 @@ func (e *Engine) Precision() Precision { return e.prec }
 // NewEnginePrecision is NewEngine with an explicit plane precision.
 // PrecisionFloat64 is exactly NewEngine; PrecisionFloat32 converts each
 // snapshot to float32 at ingest and normalizes in the float32 planes
-// (norm accumulated in float64, see sigproc.NormalizeSoA32).
+// (norm accumulated in float64, see sigproc.NormalizeSoA).
 func NewEnginePrecision(s *csi.Series, prec Precision) *Engine {
-	if prec != PrecisionFloat32 {
-		return NewEngine(s)
-	}
-	e := newEngineShell32(s)
-	for a := 0; a < e.numAnts; a++ {
-		for tx := 0; tx < e.numTx; tx++ {
-			reP, imP := e.re32[a][tx], e.im32[a][tx]
-			for t := 0; t < e.slots; t++ {
-				src := s.H[a][tx][t]
-				e.checkTones(a, tx, t, len(src))
-				o := t * e.tones
-				for k, c := range src {
-					reP[o+k] = float32(real(c))
-					imP[o+k] = float32(imag(c))
-				}
-				sigproc.NormalizeSoA32(reP[o:o+e.tones], imP[o:o+e.tones])
-			}
-		}
-	}
-	return e
-}
-
-// newEngineShell32 allocates the float32 SoA planes for the series' shape.
-func newEngineShell32(s *csi.Series) *Engine {
-	e := &Engine{
-		rate:    s.Rate,
-		numAnts: s.NumAnts,
-		numTx:   s.NumTx,
-		slots:   s.NumSlots(),
-		prec:    PrecisionFloat32,
-		re32:    make([][][]float32, s.NumAnts),
-		im32:    make([][][]float32, s.NumAnts),
-	}
-	if e.slots > 0 && e.numAnts > 0 && e.numTx > 0 {
-		e.tones = len(s.H[0][0][0])
-	}
-	for a := 0; a < e.numAnts; a++ {
-		e.re32[a] = make([][]float32, e.numTx)
-		e.im32[a] = make([][]float32, e.numTx)
-		for tx := 0; tx < e.numTx; tx++ {
-			e.re32[a][tx] = make([]float32, e.slots*e.tones)
-			e.im32[a][tx] = make([]float32, e.slots*e.tones)
-		}
-	}
-	return e
+	return newEngineFrom(s, prec, nil)
 }

@@ -79,19 +79,15 @@ func ParseKernel(s string) (Kernel, error) {
 type Engine struct {
 	rate    float64
 	numAnts int
-	numTx   int
 	slots   int
 	// tones is the per-snapshot vector length; every slot must share it
 	// (the SoA planes are uniform slabs).
 	tones int
-	// re[ant][tx] / im[ant][tx] are the SoA planes of unit-norm CSI:
-	// slot t occupies [t*tones, (t+1)*tones). In float32 plane mode
-	// (prec == PrecisionFloat32) these are nil and re32/im32 hold the
-	// planes instead — converted once at ingest, never per query.
-	re, im     [][][]float64
-	re32, im32 [][][]float32
-	// prec selects the plane precision (see Precision).
-	prec Precision
+	// planes holds the unit-norm CSI, slot t at [t*tones, (t+1)*tones) of
+	// each (antenna, tx) slab, in the element type prec selects
+	// (converted once at ingest, never per query).
+	planes planeStore
+	prec   Precision
 	// kernel selects the inner-product kernel (see Kernel).
 	kernel Kernel
 	// par is the worker count of BaseMatrix/BaseMatrices: 0 means
@@ -166,60 +162,11 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// newEngineShell allocates the SoA planes for the series' shape. tones is
-// taken from the first snapshot; the fill loops enforce uniformity.
-func newEngineShell(s *csi.Series) *Engine {
-	e := &Engine{
-		rate:    s.Rate,
-		numAnts: s.NumAnts,
-		numTx:   s.NumTx,
-		slots:   s.NumSlots(),
-		re:      make([][][]float64, s.NumAnts),
-		im:      make([][][]float64, s.NumAnts),
-	}
-	if e.slots > 0 && e.numAnts > 0 && e.numTx > 0 {
-		e.tones = len(s.H[0][0][0])
-	}
-	for a := 0; a < e.numAnts; a++ {
-		e.re[a] = make([][]float64, e.numTx)
-		e.im[a] = make([][]float64, e.numTx)
-		for tx := 0; tx < e.numTx; tx++ {
-			e.re[a][tx] = make([]float64, e.slots*e.tones)
-			e.im[a][tx] = make([]float64, e.slots*e.tones)
-		}
-	}
-	return e
-}
-
-// checkTones enforces the uniform-shape requirement of the SoA layout.
-func (e *Engine) checkTones(a, tx, t, got int) {
-	if got != e.tones {
-		panic(fmt.Sprintf("trrs: snapshot (ant %d, tx %d, slot %d) has %d tones, want uniform %d",
-			a, tx, t, got, e.tones))
-	}
-}
-
 // NewEngine precomputes normalized snapshots from a processed CSI series.
 // All snapshots must share one tone count (ragged series panic: the TRRS
 // of differently-shaped snapshots was already a panic in the kernel).
 func NewEngine(s *csi.Series) *Engine {
-	e := newEngineShell(s)
-	for a := 0; a < e.numAnts; a++ {
-		for tx := 0; tx < e.numTx; tx++ {
-			reP, imP := e.re[a][tx], e.im[a][tx]
-			for t := 0; t < e.slots; t++ {
-				src := s.H[a][tx][t]
-				e.checkTones(a, tx, t, len(src))
-				o := t * e.tones
-				for k, c := range src {
-					reP[o+k] = real(c)
-					imP[o+k] = imag(c)
-				}
-				sigproc.NormalizeSoA(reP[o:o+e.tones], imP[o:o+e.tones])
-			}
-		}
-	}
-	return e
+	return NewEnginePrecision(s, PrecisionFloat64)
 }
 
 // NewAmplitudeEngine builds an engine whose similarity discards phase: the
@@ -227,20 +174,38 @@ func NewEngine(s *csi.Series) *Engine {
 // ablation baseline for the TRRS choice — amplitude-only profiles lose the
 // time-reversal focusing effect, so their spatial resolution is far worse.
 func NewAmplitudeEngine(s *csi.Series) *Engine {
-	e := newEngineShell(s)
+	var mag []complex128
+	return newEngineFrom(s, PrecisionFloat64, func(src []complex128) []complex128 {
+		mag = mag[:0]
+		for _, c := range src {
+			re, im := real(c), imag(c)
+			mag = append(mag, complex(math.Sqrt(re*re+im*im), 0))
+		}
+		return mag
+	})
+}
+
+// newEngineFrom allocates the planes for the series' shape and fills
+// each slot with the normalized conv(snapshot) (nil conv = the snapshot
+// itself). tones is taken from the first snapshot; every slot must match.
+func newEngineFrom(s *csi.Series, prec Precision, conv func([]complex128) []complex128) *Engine {
+	e := &Engine{rate: s.Rate, numAnts: s.NumAnts, slots: s.NumSlots(), prec: prec}
+	if e.slots > 0 && e.numAnts > 0 && s.NumTx > 0 {
+		e.tones = len(s.H[0][0][0])
+	}
+	e.planes = newStore(prec, s.NumAnts, s.NumTx, e.slots*e.tones)
 	for a := 0; a < e.numAnts; a++ {
-		for tx := 0; tx < e.numTx; tx++ {
-			reP, imP := e.re[a][tx], e.im[a][tx]
+		for tx := 0; tx < s.NumTx; tx++ {
 			for t := 0; t < e.slots; t++ {
 				src := s.H[a][tx][t]
-				e.checkTones(a, tx, t, len(src))
-				o := t * e.tones
-				for k, c := range src {
-					re, im := real(c), imag(c)
-					reP[o+k] = math.Sqrt(re*re + im*im)
-					imP[o+k] = 0
+				if len(src) != e.tones {
+					panic(fmt.Sprintf("trrs: snapshot (ant %d, tx %d, slot %d) has %d tones, want uniform %d",
+						a, tx, t, len(src), e.tones))
 				}
-				sigproc.NormalizeSoA(reP[o:o+e.tones], imP[o:o+e.tones])
+				if conv != nil {
+					src = conv(src)
+				}
+				e.planes.put(a, tx, t*e.tones, src)
 			}
 		}
 	}
@@ -262,45 +227,7 @@ func (e *Engine) Base(i, j, ti, tj int) float64 {
 	if ti < 0 || tj < 0 || ti >= e.slots || tj >= e.slots {
 		return 0
 	}
-	return e.base(i, j, ti, tj)
-}
-
-// base is Base without the slot-range check — the hot path. fillRow hoists
-// the range test out of its lag sweep and calls this directly, so each
-// matrix entry costs exactly one kernel call (the seed re-validated both
-// slot indices on every entry).
-func (e *Engine) base(i, j, ti, tj int) float64 {
-	if e.prec == PrecisionFloat32 {
-		return e.base32(i, j, ti, tj)
-	}
-	oi, oj := ti*e.tones, tj*e.tones
-	ri, ii := e.re[i], e.im[i]
-	rj, ij := e.re[j], e.im[j]
-	// KernelSequential, and KernelVector's point queries: the sweep only
-	// pays off across a row, so single-entry evaluation keeps the
-	// bit-exact sequential arithmetic.
-	var sum float64
-	for tx := 0; tx < e.numTx; tx++ {
-		sum += sigproc.DotSqSoA(
-			ri[tx][oi:oi+e.tones], ii[tx][oi:oi+e.tones],
-			rj[tx][oj:oj+e.tones], ij[tx][oj:oj+e.tones])
-	}
-	return sum / float64(e.numTx)
-}
-
-// base32 is base over float32 planes: float32 accumulation per tx, tx
-// average in float64 (sigproc.DotSqSoA32 returns float64 |·|²).
-func (e *Engine) base32(i, j, ti, tj int) float64 {
-	oi, oj := ti*e.tones, tj*e.tones
-	ri, ii := e.re32[i], e.im32[i]
-	rj, ij := e.re32[j], e.im32[j]
-	var sum float64
-	for tx := 0; tx < e.numTx; tx++ {
-		sum += sigproc.DotSqSoA32(
-			ri[tx][oi:oi+e.tones], ii[tx][oi:oi+e.tones],
-			rj[tx][oj:oj+e.tones], ij[tx][oj:oj+e.tones])
-	}
-	return sum / float64(e.numTx)
+	return e.planes.base(i, j, ti*e.tones, tj*e.tones, e.tones)
 }
 
 // Matrix is a TRRS (alignment) matrix between one antenna pair: Vals[t][c]
@@ -369,59 +296,11 @@ func (e *Engine) fillRowFrom(row []float64, i, j, w, t, cFrom int) {
 	// opt-in vector kernel hand the whole band to the sigproc sweep
 	// primitives (AVX2+FMA assembly where available) instead of one kernel
 	// call per entry; the default path stays the bit-exact per-entry loop.
-	switch {
-	case e.prec == PrecisionFloat32:
-		e.sweepRow32(row[cLo:cHi], i, j, t, t-(cLo-w))
-	case e.kernel == KernelVector:
-		e.sweepRow(row[cLo:cHi], i, j, t, t-(cLo-w))
-	default:
-		for c := cLo; c < cHi; c++ {
-			row[c] = e.base(i, j, t, t-(c-w))
-		}
-	}
-}
-
-// sweepRow fills band[k] = κ̄(H_i(t), H_j(tjFirst−k)) via the float64 lag
-// sweep: zero the band, accumulate one strided sweep per tx (stride
-// −tones walks earlier slots as the lag grows), then divide by the tx
-// count. tjFirst is the slot the band's first column references; the
-// caller guarantees the whole band lies inside the series.
-func (e *Engine) sweepRow(band []float64, i, j, t, tjFirst int) {
-	for k := range band {
-		band[k] = 0
-	}
-	oi := t * e.tones
-	off := tjFirst * e.tones
-	for tx := 0; tx < e.numTx; tx++ {
-		sigproc.DotSqSweepSoA(band,
-			e.re[i][tx][oi:oi+e.tones], e.im[i][tx][oi:oi+e.tones],
-			e.re[j][tx], e.im[j][tx], off, -e.tones, e.tones)
-	}
-	if e.numTx > 1 {
-		ntx := float64(e.numTx)
-		for k := range band {
-			band[k] /= ntx
-		}
-	}
-}
-
-// sweepRow32 is sweepRow over the float32 planes.
-func (e *Engine) sweepRow32(band []float64, i, j, t, tjFirst int) {
-	for k := range band {
-		band[k] = 0
-	}
-	oi := t * e.tones
-	off := tjFirst * e.tones
-	for tx := 0; tx < e.numTx; tx++ {
-		sigproc.DotSqSweepSoA32(band,
-			e.re32[i][tx][oi:oi+e.tones], e.im32[i][tx][oi:oi+e.tones],
-			e.re32[j][tx], e.im32[j][tx], off, -e.tones, e.tones)
-	}
-	if e.numTx > 1 {
-		ntx := float64(e.numTx)
-		for k := range band {
-			band[k] /= ntx
-		}
+	band, oi, oj := row[cLo:cHi], t*e.tones, (t-(cLo-w))*e.tones
+	if e.prec == PrecisionFloat32 || e.kernel == KernelVector {
+		e.planes.sweepRow(band, i, j, oi, oj, e.tones)
+	} else {
+		e.planes.baseRow(band, i, j, oi, oj, e.tones)
 	}
 }
 
