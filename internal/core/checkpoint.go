@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"rim/internal/trrs"
 )
 
 // StreamCheckpoint is a point-in-time capture of a Streamer's resumable
@@ -149,9 +151,6 @@ func NewStreamerFromCheckpoint(cfg StreamConfig, cp *StreamCheckpoint) (*Streame
 	st.finalized = cp.Finalized
 	st.pending = cp.Pending
 	st.hopFactor = cp.HopFactor
-	if st.hopFactor < 1 {
-		st.hopFactor = 1
-	}
 	st.hopSeq = cp.HopSeq
 	st.samples = cp.Samples
 	st.missTotal = cp.MissTotal
@@ -213,9 +212,9 @@ func NewStreamerFromCheckpoint(cfg StreamConfig, cp *StreamCheckpoint) (*Streame
 // structure present and every buffered slot fully shaped. A checkpoint
 // that fails validation is rejected before any Streamer state exists.
 func (cp *StreamCheckpoint) validate() error {
-	if cp.Rate <= 0 || cp.NumAnts <= 0 || cp.NumTx <= 0 || cp.NumSub <= 0 {
-		return fmt.Errorf("core: checkpoint shape (%v Hz, %d antennas, %d tx, %d tones) must be positive",
-			cp.Rate, cp.NumAnts, cp.NumTx, cp.NumSub)
+	if !trrs.ValidRate(cp.Rate) || cp.NumAnts <= 0 || cp.NumTx <= 0 || cp.NumSub <= 0 {
+		return fmt.Errorf("core: checkpoint shape (%v Hz, %d antennas, %d tx, %d tones) must be positive, at most %g Hz",
+			cp.Rate, cp.NumAnts, cp.NumTx, cp.NumSub, trrs.MaxRate)
 	}
 	if len(cp.Buf) != cp.NumAnts || len(cp.Missing) != cp.NumAnts || len(cp.LastGood) != cp.NumAnts {
 		return fmt.Errorf("core: checkpoint buffers cover %d/%d/%d antennas, want %d",
@@ -261,6 +260,14 @@ func (cp *StreamCheckpoint) validate() error {
 	if cp.Samples < 0 || cp.Dropped < 0 || cp.Dropped+n != cp.Samples {
 		return fmt.Errorf("core: checkpoint frontier inconsistent: %d dropped + %d buffered != %d ingested",
 			cp.Dropped, n, cp.Samples)
+	}
+	// Bounds a live streamer keeps: SetHopFactor clamps to [1, 4], pending
+	// slots are still buffered, and the emit frontier lies between the
+	// trimmed head and the newest slot.
+	if cp.HopFactor < 1 || cp.HopFactor > 4 || cp.Pending < 0 || cp.Pending > n ||
+		cp.Finalized < cp.Dropped || cp.Finalized > cp.Samples {
+		return fmt.Errorf("core: checkpoint frontier out of range: hop factor %d, %d pending of %d buffered, finalized %d outside [%d, %d]",
+			cp.HopFactor, cp.Pending, n, cp.Finalized, cp.Dropped, cp.Samples)
 	}
 	return nil
 }

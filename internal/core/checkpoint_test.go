@@ -168,6 +168,9 @@ func TestCheckpointValidationRejectsTampering(t *testing.T) {
 	}{
 		{"nil", func(cp *StreamCheckpoint) { *cp = StreamCheckpoint{} }},
 		{"negative rate", func(cp *StreamCheckpoint) { cp.Rate = -1 }},
+		{"NaN rate", func(cp *StreamCheckpoint) { cp.Rate = math.NaN() }},
+		{"infinite rate", func(cp *StreamCheckpoint) { cp.Rate = math.Inf(1) }},
+		{"rate past MaxRate", func(cp *StreamCheckpoint) { cp.Rate = 1e300 }},
 		{"antenna mismatch", func(cp *StreamCheckpoint) { cp.NumAnts = 5 }},
 		{"truncated buf row", func(cp *StreamCheckpoint) {
 			if len(cp.Buf) > 0 && len(cp.Buf[0]) > 0 && len(cp.Buf[0][0]) > 0 {
@@ -177,6 +180,15 @@ func TestCheckpointValidationRejectsTampering(t *testing.T) {
 		{"frontier broken", func(cp *StreamCheckpoint) { cp.Dropped += 3 }},
 		{"dead-window mismatch", func(cp *StreamCheckpoint) { cp.DeadWin = 1 }},
 		{"recent index out of range", func(cp *StreamCheckpoint) { cp.RecentIdx = cp.DeadWin + 9 }},
+		// Frontier fields a live streamer never produces. A hop factor of
+		// 1<<40 would restore a stream that never analyzes again.
+		{"hop factor 0", func(cp *StreamCheckpoint) { cp.HopFactor = 0 }},
+		{"hop factor 5", func(cp *StreamCheckpoint) { cp.HopFactor = 5 }},
+		{"hop factor 1<<40", func(cp *StreamCheckpoint) { cp.HopFactor = 1 << 40 }},
+		{"negative pending", func(cp *StreamCheckpoint) { cp.Pending = -1 }},
+		{"pending past buffer", func(cp *StreamCheckpoint) { cp.Pending = cp.Samples - cp.Dropped + 1 }},
+		{"finalized before head", func(cp *StreamCheckpoint) { cp.Finalized = cp.Dropped - 1 }},
+		{"finalized past newest", func(cp *StreamCheckpoint) { cp.Finalized = cp.Samples + 1 }},
 	}
 	for _, tc := range cases {
 		cp := st.Checkpoint()

@@ -13,6 +13,7 @@ import (
 	"rim/internal/geom"
 	"rim/internal/rf"
 	"rim/internal/traj"
+	"rim/internal/trrs"
 )
 
 // buildFaultySeries is buildSeries with a fault model layered on top of the
@@ -100,6 +101,11 @@ func TestStreamerShapeValidation(t *testing.T) {
 	}
 	if _, err := NewStreamer(cfg, -100, 3, 3, 30); err == nil {
 		t.Error("negative rate must error")
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, 2 * trrs.MaxRate} {
+		if _, err := NewStreamer(cfg, rate, 3, 3, 30); err == nil {
+			t.Errorf("rate %v must error", rate)
+		}
 	}
 	if _, err := NewStreamer(cfg, 100, 0, 3, 30); err == nil {
 		t.Error("0 antennas must error")

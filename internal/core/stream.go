@@ -290,8 +290,8 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 	if cfg.Core.Array == nil {
 		return nil, fmt.Errorf("core: StreamConfig.Core.Array is required")
 	}
-	if rate <= 0 {
-		return nil, fmt.Errorf("core: stream rate must be positive, got %v", rate)
+	if !trrs.ValidRate(rate) {
+		return nil, fmt.Errorf("core: stream rate must be in (0, %g] Hz, got %v", trrs.MaxRate, rate)
 	}
 	if numAnts <= 0 || numTx <= 0 || numSub <= 0 {
 		return nil, fmt.Errorf("core: stream shape (%d antennas, %d tx, %d tones) must be positive",

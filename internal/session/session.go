@@ -16,6 +16,7 @@ import (
 	"rim/internal/obs"
 	"rim/internal/obs/quality"
 	"rim/internal/obs/trace"
+	"rim/internal/trrs"
 )
 
 // Spec is the CSI shape of one session's stream.
@@ -27,9 +28,9 @@ type Spec struct {
 }
 
 func (s Spec) validate() error {
-	if s.Rate <= 0 || s.NumAnts <= 0 || s.NumTx <= 0 || s.NumSub <= 0 {
-		return fmt.Errorf("session: spec (%v Hz, %d antennas, %d tx, %d tones) must be positive",
-			s.Rate, s.NumAnts, s.NumTx, s.NumSub)
+	if !trrs.ValidRate(s.Rate) || s.NumAnts <= 0 || s.NumTx <= 0 || s.NumSub <= 0 {
+		return fmt.Errorf("session: spec (%v Hz, %d antennas, %d tx, %d tones) must be positive, at most %g Hz",
+			s.Rate, s.NumAnts, s.NumTx, s.NumSub, trrs.MaxRate)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"rim/internal/core"
 	"rim/internal/obs"
 	"rim/internal/obs/trace"
+	"rim/internal/trrs"
 )
 
 // errInjectedPanic makes the scripted fake panic instead of returning.
@@ -429,4 +431,20 @@ func TestSessionCloseIsGraceful(t *testing.T) {
 	}
 	// close is idempotent.
 	s.close()
+}
+
+// TestSpecRejectsBadRate: a RIMWIRE MsgOpen carries any float64 rate, so
+// spec validation must refuse NaN, ±Inf and rates past trrs.MaxRate before
+// a stream is built.
+func TestSpecRejectsBadRate(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -5, 1e300, 2 * trrs.MaxRate} {
+		spec := testSpec()
+		spec.Rate = rate
+		if err := spec.validate(); err == nil {
+			t.Errorf("rate %v accepted", rate)
+		}
+	}
+	if err := testSpec().validate(); err != nil {
+		t.Errorf("valid spec rejected: %v", err)
+	}
 }

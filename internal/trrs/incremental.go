@@ -108,6 +108,16 @@ type incMat struct {
 	cur        int
 }
 
+// MaxRate is the highest sample rate, in Hz, the streaming engines accept.
+// Real CSI packet rates are a few hundred Hz (the paper streams at
+// 200 Hz); the cap keeps per-second buffers small and every seconds→slots
+// conversion far inside int.
+const MaxRate = 1e5
+
+// ValidRate reports whether rate is a usable sample rate: positive, finite
+// and at most MaxRate. NaN fails.
+func ValidRate(rate float64) bool { return rate > 0 && rate <= MaxRate }
+
 // NewIncremental builds an empty incremental engine for CSI with the given
 // shape. w is the one-sided lag window of the maintained matrices, in
 // slots; it must match the W the analysis will ask for.
@@ -120,8 +130,8 @@ func NewIncremental(rate float64, numAnts, numTx, w int) (*Incremental, error) {
 // Append and runs every row fill through the float32 sweep kernels; see
 // Precision for the error budget.
 func NewIncrementalPrecision(rate float64, numAnts, numTx, w int, prec Precision) (*Incremental, error) {
-	if rate <= 0 {
-		return nil, fmt.Errorf("trrs: incremental rate must be positive, got %v", rate)
+	if !ValidRate(rate) {
+		return nil, fmt.Errorf("trrs: incremental rate must be in (0, %g] Hz, got %v", MaxRate, rate)
 	}
 	if numAnts <= 0 || numTx <= 0 {
 		return nil, fmt.Errorf("trrs: incremental shape (%d antennas, %d tx) must be positive", numAnts, numTx)

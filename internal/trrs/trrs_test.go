@@ -276,3 +276,18 @@ func TestPairMatrixShape(t *testing.T) {
 		t.Error("pair identity lost")
 	}
 }
+
+// TestNewIncrementalRejectsBadRate: NaN, ±Inf and rates past MaxRate are
+// errors, like zero and negative rates.
+func TestNewIncrementalRejectsBadRate(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -5, 1e300, 2 * MaxRate} {
+		if _, err := NewIncrementalPrecision(rate, 3, 1, 10, PrecisionFloat32); err == nil {
+			t.Errorf("rate %v accepted", rate)
+		}
+	}
+	for _, rate := range []float64{1e-3, 200, MaxRate} {
+		if _, err := NewIncremental(rate, 3, 1, 10); err != nil {
+			t.Errorf("rate %v rejected: %v", rate, err)
+		}
+	}
+}
