@@ -11,7 +11,7 @@
 //	          [-shards 8] [-max-sessions 0] [-queue 64]
 //	          [-policy drop-oldest|reject|degrade]
 //	          [-hop-deadline 0] [-span 3] [-hop 0.5]
-//	          [-kernel sequential|vector]
+//	          [-kernel vector|sequential]
 //	          [-precision float64|float32]
 //	          [-checkpoint-dir dir] [-checkpoint-every 5s]
 //	          [-postmortem-out dir] [-fusion off|particle|eskf]
@@ -92,7 +92,7 @@ func main() {
 	span := flag.Float64("span", 3, "streaming analysis span, seconds")
 	hop := flag.Float64("hop", 0.5, "streaming analysis hop, seconds")
 	window := flag.Float64("window", 0.3, "TRRS lag window, seconds")
-	kernelName := flag.String("kernel", "", "TRRS kernel: sequential (default, bit-exact), vector")
+	kernelName := flag.String("kernel", "", "TRRS kernel: vector (default), sequential (bit-exact oracle)")
 	precName := flag.String("precision", "", "TRRS plane precision: float64 (default, bit-exact), float32")
 	maxRestarts := flag.Int("max-restarts", 3, "consecutive supervisor restarts before quarantine")
 	failThresh := flag.Int("failure-threshold", 0, "consecutive analysis failures before a session restart (0 = package default)")

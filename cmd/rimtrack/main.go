@@ -7,7 +7,7 @@
 //
 //	rimtrack [-ap 0] [-seed 1] [-speed 0.5] [-fused] [-backend particle|eskf]
 //	         [-quality] [-loss 0.3] [-dead-ant 2]
-//	         [-kernel sequential|vector] [-precision float64|float32]
+//	         [-kernel vector|sequential] [-precision float64|float32]
 //	         [-debug-addr :6060] [-debug-linger 30s]
 //	         [-trace-out trace.json] [-postmortem-out dir]
 //
@@ -60,7 +60,7 @@ func main() {
 	debugLinger := flag.Duration("debug-linger", 0, "keep the debug server up this long after the run, for scraping (requires -debug-addr)")
 	traceOut := flag.String("trace-out", "", "write the run's causal trace as Chrome trace-event JSON (open in Perfetto or chrome://tracing)")
 	pmOut := flag.String("postmortem-out", "", "directory flight-recorder postmortem bundles are written to on degradation")
-	kernelName := flag.String("kernel", "", "TRRS kernel: sequential (default, bit-exact), vector")
+	kernelName := flag.String("kernel", "", "TRRS kernel: vector (default), sequential (bit-exact oracle)")
 	precName := flag.String("precision", "", "TRRS plane precision: float64 (default, bit-exact), float32")
 	qualityOn := flag.Bool("quality", false, "attach an estimator-consistency monitor to the fusion backend and print its verdict (requires -fused)")
 	flag.Parse()

@@ -174,35 +174,42 @@ func Segments(flags []bool, minLen, maxGap int) [][2]int {
 // survives just outside any reasonable guard and scores near 0. Used by
 // pre-detection (§4.3). guard < 1 defaults to a fifth of the lag window.
 func Prominence(m *trrs.Matrix, guard int) []float64 {
-	if guard < 1 {
-		// The physical peak width is set by the TRRS focusing distance
-		// over the speed, not by the window, so wide windows must not
-		// demand implausibly narrow peaks: clamp the default guard.
-		guard = m.W / 5
-		if guard < 2 {
-			guard = 2
-		}
-		if guard > 10 {
-			guard = 10
-		}
-	}
+	guard = prominenceGuard(m.W, guard)
 	out := make([]float64, m.NumSlots())
 	for t, row := range m.Vals {
-		mx, mi := -1.0, 0
-		for c, v := range row {
-			if v > mx {
-				mx, mi = v, c
-			}
-		}
-		second := 0.0
-		for c, v := range row {
-			if (c < mi-guard || c > mi+guard) && v > second {
-				second = v
-			}
-		}
-		out[t] = mx - second
+		out[t] = rowProminence(row, guard)
 	}
 	return out
+}
+
+// prominenceGuard resolves Prominence's guard argument for a lag window of
+// ±w columns.
+func prominenceGuard(w, guard int) int {
+	if guard >= 1 {
+		return guard
+	}
+	// The physical peak width is set by the TRRS focusing distance over
+	// the speed, not by the window, so wide windows must not demand
+	// implausibly narrow peaks: clamp the default guard.
+	return min(max(w/5, 2), 10)
+}
+
+// rowProminence is one row's Prominence: its maximum minus the best value
+// outside ±guard columns of the argmax.
+func rowProminence(row []float64, guard int) float64 {
+	mx, mi := -1.0, 0
+	for c, v := range row {
+		if v > mx {
+			mx, mi = v, c
+		}
+	}
+	second := 0.0
+	for c, v := range row {
+		if (c < mi-guard || c > mi+guard) && v > second {
+			second = v
+		}
+	}
+	return mx - second
 }
 
 // PreDetectConfig controls candidate-pair screening.
@@ -234,10 +241,12 @@ func PreDetect(m *trrs.Matrix, start, end int, cfg PreDetectConfig) (float64, bo
 	if end <= start {
 		return 0, false
 	}
-	prom := Prominence(m, 0)
+	// Only the window's rows are scored: the pipeline screens many short
+	// windows of one long matrix.
+	guard := prominenceGuard(m.W, 0)
 	peaked := 0
-	for t := start; t < end; t++ {
-		if prom[t] >= cfg.MinProminence {
+	for _, row := range m.Vals[start:end] {
+		if rowProminence(row, guard) >= cfg.MinProminence {
 			peaked++
 		}
 	}

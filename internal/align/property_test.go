@@ -172,3 +172,94 @@ func TestPostCheckRangeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// preDetectReference is PreDetect as the full-matrix screen: Prominence
+// over every row with the documented default guard (a fifth of the lag
+// window, clamped to [2, 10]), then the peaked fraction of [start, end).
+func preDetectReference(m *trrs.Matrix, start, end int, cfg PreDetectConfig) (float64, bool) {
+	start, end = max(start, 0), min(end, m.NumSlots())
+	if end <= start {
+		return 0, false
+	}
+	guard := m.W / 5
+	if guard < 2 {
+		guard = 2
+	}
+	if guard > 10 {
+		guard = 10
+	}
+	prom := Prominence(m, guard)
+	peaked := 0
+	for t := start; t < end; t++ {
+		if prom[t] >= cfg.MinProminence {
+			peaked++
+		}
+	}
+	frac := float64(peaked) / float64(end-start)
+	return frac, frac >= cfg.MinFraction
+}
+
+// Property: PreDetect, which scores only the window's rows, returns the
+// bit-identical fraction and decision of the full-matrix reference on
+// random matrices (with planted peaks, across both guard clamps) and
+// random, partly out-of-range sub-windows.
+func TestPreDetectMatchesFullProminence(t *testing.T) {
+	f := func(seed int64, slotsRaw, wRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		slots := 1 + int(slotsRaw%80)
+		w := 1 + int(wRaw%64) // guard W/5 spans below 2, inside, above 10
+		m := randomMatrix(rng, slots, w)
+		// Plant a peak with a shoulder 1–13 columns away on most rows, so
+		// the guard width decides whether the shoulder counts.
+		for _, row := range m.Vals {
+			if rng.Intn(4) == 0 {
+				continue
+			}
+			for c := range row {
+				row[c] *= 0.3
+			}
+			c := rng.Intn(len(row))
+			row[c] = 1
+			if s := c + (1+rng.Intn(13))*(1-2*rng.Intn(2)); s >= 0 && s < len(row) {
+				row[s] = 0.3 + 0.6*rng.Float64()
+			}
+		}
+		prom := Prominence(m, 0)
+		for k := 0; k < 8; k++ {
+			start := rng.Intn(slots+10) - 5
+			end := start + rng.Intn(slots+10) - 2
+			// Half the thresholds sit exactly on a row's prominence.
+			cfg := PreDetectConfig{MinProminence: rng.Float64() * 0.8, MinFraction: rng.Float64()}
+			if k%2 == 0 {
+				cfg.MinProminence = prom[rng.Intn(slots)]
+			}
+			gf, gok := PreDetect(m, start, end, cfg)
+			wf, wok := preDetectReference(m, start, end, cfg)
+			if math.Float64bits(gf) != math.Float64bits(wf) || gok != wok {
+				t.Logf("seed %d slots %d w %d [%d,%d): got %v/%v, reference %v/%v",
+					seed, slots, w, start, end, gf, gok, wf, wok)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTrackPeaksAllocsIndependentOfLength: the DP keeps its transition
+// scratch and back-pointers in per-call buffers, so a ten-times-longer
+// segment makes exactly as many allocations.
+func TestTrackPeaksAllocsIndependentOfLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := randomMatrix(rng, 400, 15)
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() { TrackPeaks(m, 0, n, DefaultTrackConfig()) })
+	}
+	short, long := allocs(40), allocs(400)
+	t.Logf("TrackPeaks allocations: %v at 40 slots, %v at 400 slots", short, long)
+	if long != short {
+		t.Errorf("TrackPeaks makes %v allocations at 400 slots, %v at 40: per-slot allocation", long, short)
+	}
+}

@@ -110,10 +110,12 @@ func TrackPeaks(m *trrs.Matrix, start, end int, cfg TrackConfig) *Track {
 	width := 2*m.W + 1
 	n := end - start
 	// score[c] is the best path score ending at column c of the current
-	// slot; back[t][c] is the predecessor column.
+	// slot; back[t*width+c] is the predecessor column (row 0 unused). All
+	// scratch is allocated once per call, not per slot.
 	score := make([]float64, width)
 	next := make([]float64, width)
-	back := make([][]int32, n)
+	bestFrom := make([]float64, width)
+	back := make([]int32, n*width)
 	copy(score, m.Vals[start])
 	costUnit := cfg.JumpCost // positive penalty per slot of lag jump
 	if costUnit <= 0 {
@@ -121,13 +123,11 @@ func TrackPeaks(m *trrs.Matrix, start, end int, cfg TrackConfig) *Track {
 	}
 	for t := 1; t < n; t++ {
 		row := m.Vals[start+t]
-		back[t] = make([]int32, width)
+		bestIdx := back[t*width : (t+1)*width]
 		// The transition max_l { score[l] − costUnit·|l−n| } is computed
 		// in O(width) total via two directional passes instead of
 		// O(width²): a forward pass carries the best "from the left"
 		// candidate, a backward pass the best "from the right".
-		bestFrom := make([]float64, width)
-		bestIdx := make([]int32, width)
 		// Left-to-right.
 		run, runIdx := math.Inf(-1), int32(0)
 		for c := 0; c < width; c++ {
@@ -150,7 +150,6 @@ func TrackPeaks(m *trrs.Matrix, start, end int, cfg TrackConfig) *Track {
 		}
 		for c := 0; c < width; c++ {
 			next[c] = bestFrom[c] + row[c]
-			back[t][c] = bestIdx[c]
 		}
 		score, next = next, score
 	}
@@ -168,7 +167,7 @@ func TrackPeaks(m *trrs.Matrix, start, end int, cfg TrackConfig) *Track {
 		lags[t] = int(c) - m.W
 		vals[t] = m.Vals[start+t][c]
 		if t > 0 {
-			c = back[t][c]
+			c = back[t*width+int(c)]
 		}
 	}
 	if cfg.MedianHalf > 0 {

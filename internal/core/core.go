@@ -78,10 +78,12 @@ type Config struct {
 	// matrices. Incremental streaming hops ignore it: they always run on
 	// the goroutine that pushes the frame.
 	Parallelism int
-	// Kernel selects the TRRS inner-product kernel (see trrs.Kernel). The
-	// zero value, trrs.KernelSequential, is bit-for-bit identical to the
-	// reference arithmetic; trrs.KernelVector opts into the lag-sweep
-	// kernel (AVX2+FMA where supported, 1e-12-relative agreement).
+	// Kernel selects the TRRS inner-product kernel (see trrs.Kernel).
+	// DefaultConfig selects trrs.KernelVector, the lag-sweep kernel
+	// (AVX2+FMA where supported, 1e-12-relative agreement, parity with
+	// the oracle pinned by TestVectorDefaultParity). trrs.KernelSequential
+	// — the zero value — is the bit-exact oracle, bit-for-bit identical to
+	// the reference arithmetic.
 	Kernel trrs.Kernel
 	// Precision selects the TRRS plane storage precision (see
 	// trrs.Precision). The zero value, trrs.PrecisionFloat64, is the
@@ -225,6 +227,7 @@ func DefaultConfig(arr *array.Array) Config {
 		MinSegmentSeconds:    0.25,
 		HeadingWindowSeconds: 0.8,
 		RotationMinRingFrac:  0.8,
+		Kernel:               trrs.KernelVector,
 	}
 }
 

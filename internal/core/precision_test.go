@@ -75,9 +75,9 @@ func TestFloat32ErrorBudget(t *testing.T) {
 	}
 }
 
-// TestVectorKernelEndToEnd runs the golden walk with the opt-in vector
-// kernel selected through core.Config: the 1e-12-relative kernel must
-// leave segmentation, distance and heading indistinguishable from the
+// TestVectorKernelEndToEnd runs the golden walk with the vector kernel
+// selected through core.Config: the 1e-12-relative kernel must leave
+// segmentation, distance and heading indistinguishable from the
 // sequential reference at pipeline scale.
 func TestVectorKernelEndToEnd(t *testing.T) {
 	rate := 100.0
@@ -88,7 +88,9 @@ func TestVectorKernelEndToEnd(t *testing.T) {
 	b.Pause(0.5)
 	s := buildSeries(t, b.Build(), arr, 42)
 
-	ref, err := ProcessSeries(s, fastConfig(arr))
+	cfgSeq := fastConfig(arr)
+	cfgSeq.Kernel = trrs.KernelSequential
+	ref, err := ProcessSeries(s, cfgSeq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"rim/internal/array"
@@ -30,6 +31,7 @@ func benchStreamSeries(b *testing.B) *csi.Series {
 
 func benchReplay(b *testing.B, s *csi.Series, cfg StreamConfig) {
 	b.Helper()
+	b.ResetTimer() // exclude the series synthesis
 	for i := 0; i < b.N; i++ {
 		st, err := NewStreamer(cfg, s.Rate, s.NumAnts, s.NumTx, s.NumSub)
 		if err != nil {
@@ -53,6 +55,38 @@ func benchReplay(b *testing.B, s *csi.Series, cfg StreamConfig) {
 	}
 	// Slots per second of wall time: the streaming throughput headline.
 	b.ReportMetric(float64(s.NumSlots())*float64(b.N)/b.Elapsed().Seconds(), "slots/s")
+}
+
+// benchHexaSeries builds two loops of the daemon benchmark's walk (0.5 s
+// still, 0.75 m out and back at 0.5 m/s) on the paper's setup: the
+// hexagonal two-NIC array under a 3-tx AP.
+func benchHexaSeries(b *testing.B) *csi.Series {
+	b.Helper()
+	cfg := rf.FastConfig()
+	cfg.NumTxAntennas = 3
+	env := rf.NewEnvironment(cfg, geom.Vec2{}, geom.Vec2{X: 5}, nil)
+	bld := traj.NewBuilder(100, geom.Pose{Pos: geom.Vec2{X: 4}})
+	for loop := 0; loop < 2; loop++ {
+		bld.Pause(0.5)
+		bld.MoveDir(0, 0.75, 0.5)
+		bld.Pause(0.5)
+		bld.MoveDir(math.Pi, 0.75, 0.5)
+	}
+	s, err := csi.Collect(env, array.NewHexagonal(0.029), bld.Build(), csi.RealisticReceiver(1)).Process(true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkStreamerHexa replays the hexagonal 3-tx walk with the daemon's
+// stream settings (span 3 s, hop 0.5 s, lag window 0.3 s, default kernel
+// and V): the per-walker hop cost of the paper's own setup.
+func BenchmarkStreamerHexa(b *testing.B) {
+	s := benchHexaSeries(b)
+	cfg := StreamConfig{Core: DefaultConfig(array.NewHexagonal(0.029)), SpanSeconds: 3, HopSeconds: 0.5}
+	cfg.Core.WindowSeconds = 0.3
+	benchReplay(b, s, cfg)
 }
 
 // BenchmarkStreamerRecompute replays a walk through the seed's serial

@@ -9,6 +9,7 @@ import (
 	"rim/internal/faults"
 	"rim/internal/geom"
 	"rim/internal/traj"
+	"rim/internal/trrs"
 )
 
 // floatsIdentical treats two floats as equal when bitwise equal or both
@@ -41,16 +42,27 @@ func requireSameEstimates(t *testing.T, want, got []Estimate) {
 }
 
 // equivStreamConfigs returns the incremental config under test and the
-// serial full-recompute oracle config, identical otherwise.
-func equivStreamConfigs(arr *array.Array) (incCfg, oracleCfg StreamConfig) {
+// serial full-recompute oracle config, identical otherwise, both on the
+// given TRRS kernel.
+func equivStreamConfigs(arr *array.Array, k trrs.Kernel) (incCfg, oracleCfg StreamConfig) {
 	core := DefaultConfig(arr)
 	core.WindowSeconds = 0.3
 	core.V = 12
+	core.Kernel = k
 	incCfg = StreamConfig{Core: core, SpanSeconds: 1.5, HopSeconds: 0.25}
 	oracleCfg = incCfg
 	oracleCfg.Recompute = true
 	oracleCfg.Core.Parallelism = 1
 	return incCfg, oracleCfg
+}
+
+// forEachKernel runs f as one subtest per TRRS kernel: the incremental
+// streamer must match the recompute oracle bit for bit under the default
+// vector kernel as well as under the sequential one.
+func forEachKernel(t *testing.T, f func(t *testing.T, k trrs.Kernel)) {
+	for _, k := range []trrs.Kernel{trrs.KernelSequential, trrs.KernelVector} {
+		t.Run(k.String(), func(t *testing.T) { f(t, k) })
+	}
 }
 
 // TestStreamIncrementalMatchesRecomputeClean: on a clean stop-and-go walk
@@ -63,11 +75,12 @@ func TestStreamIncrementalMatchesRecomputeClean(t *testing.T) {
 	b.MoveDir(0, 0.8, 0.4)
 	b.Pause(0.5)
 	s := buildFaultySeries(t, b.Build(), arr, 11, nil)
-	incCfg, oracleCfg := equivStreamConfigs(arr)
-
-	want, _ := replayStream(t, s, oracleCfg)
-	got, _ := replayStream(t, s, incCfg)
-	requireSameEstimates(t, want, got)
+	forEachKernel(t, func(t *testing.T, k trrs.Kernel) {
+		incCfg, oracleCfg := equivStreamConfigs(arr, k)
+		want, _ := replayStream(t, s, oracleCfg)
+		got, _ := replayStream(t, s, incCfg)
+		requireSameEstimates(t, want, got)
+	})
 }
 
 // TestStreamIncrementalMatchesRecomputeFaulty: same equivalence under the
@@ -90,16 +103,17 @@ func TestStreamIncrementalMatchesRecomputeFaulty(t *testing.T) {
 		Seed:    41,
 	}
 	s := buildFaultySeries(t, b.Build(), arr, 23, fm)
-	incCfg, oracleCfg := equivStreamConfigs(arr)
-
-	want, wantHealth := replayStream(t, s, oracleCfg)
-	got, gotHealth := replayStream(t, s, incCfg)
-	requireSameEstimates(t, want, got)
-	if wantHealth.LossRate != gotHealth.LossRate ||
-		wantHealth.CorruptSlots != gotHealth.CorruptSlots ||
-		len(wantHealth.DeadAntennas) != len(gotHealth.DeadAntennas) {
-		t.Fatalf("health diverged:\noracle:      %+v\nincremental: %+v", wantHealth, gotHealth)
-	}
+	forEachKernel(t, func(t *testing.T, k trrs.Kernel) {
+		incCfg, oracleCfg := equivStreamConfigs(arr, k)
+		want, wantHealth := replayStream(t, s, oracleCfg)
+		got, gotHealth := replayStream(t, s, incCfg)
+		requireSameEstimates(t, want, got)
+		if wantHealth.LossRate != gotHealth.LossRate ||
+			wantHealth.CorruptSlots != gotHealth.CorruptSlots ||
+			len(wantHealth.DeadAntennas) != len(gotHealth.DeadAntennas) {
+			t.Fatalf("health diverged:\noracle:      %+v\nincremental: %+v", wantHealth, gotHealth)
+		}
+	})
 }
 
 // TestConcurrentPushAndHealth exercises the streamer's lock under the race
@@ -111,7 +125,7 @@ func TestConcurrentPushAndHealth(t *testing.T) {
 	b.Pause(0.3)
 	b.MoveDir(0, 0.5, 0.4)
 	s := buildFaultySeries(t, b.Build(), arr, 5, nil)
-	incCfg, _ := equivStreamConfigs(arr)
+	incCfg, _ := equivStreamConfigs(arr, trrs.KernelVector)
 	st, err := NewStreamer(incCfg, s.Rate, s.NumAnts, s.NumTx, s.NumSub)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +183,7 @@ func TestConcurrentPushers(t *testing.T) {
 	b := traj.NewBuilder(100, geom.Pose{Pos: geom.Vec2{X: 10, Y: 0}})
 	b.Pause(0.6)
 	s := buildFaultySeries(t, b.Build(), arr, 6, nil)
-	incCfg, _ := equivStreamConfigs(arr)
+	incCfg, _ := equivStreamConfigs(arr, trrs.KernelVector)
 	st, err := NewStreamer(incCfg, s.Rate, s.NumAnts, s.NumTx, s.NumSub)
 	if err != nil {
 		t.Fatal(err)

@@ -149,11 +149,12 @@ func NewFlight(cfg FlightConfig) *Flight {
 // rate-limited, or offered to a nil Flight.
 //
 // Offer must not be called while holding a lock that the configured
-// Health func also takes.
+// Health func also takes. The nil check inlines into the caller.
 func (f *Flight) Offer(reason string, hop int64, detail any) bool {
-	if f == nil {
-		return false
-	}
+	return f != nil && f.offer(reason, hop, detail)
+}
+
+func (f *Flight) offer(reason string, hop int64, detail any) bool {
 	if f.cfg.Trigger != nil && !f.cfg.Trigger(reason) {
 		return false
 	}

@@ -273,11 +273,15 @@ func (r *Recorder) Now() int64 {
 	return time.Since(r.epoch).Nanoseconds()
 }
 
-// Emit records one instant event stamped now.
+// Emit records one instant event stamped now. The nil check inlines into
+// the caller, so a disabled recorder costs no call.
 func (r *Recorder) Emit(k Kind, hop, frame, a, b int64) {
-	if r == nil {
-		return
+	if r != nil {
+		r.emit(k, hop, frame, a, b)
 	}
+}
+
+func (r *Recorder) emit(k Kind, hop, frame, a, b int64) {
 	r.EmitAt(k, hop, frame, a, b, r.Now(), 0)
 }
 
@@ -315,10 +319,15 @@ type Span struct {
 }
 
 // Start begins a span of the given kind (no-op Span on a nil recorder).
+// The nil check inlines into the caller.
 func (r *Recorder) Start(k Kind, hop, frame int64) Span {
 	if r == nil {
 		return Span{}
 	}
+	return r.start(k, hop, frame)
+}
+
+func (r *Recorder) start(k Kind, hop, frame int64) Span {
 	return Span{r: r, k: k, hop: hop, frame: frame, t0: r.Now()}
 }
 
@@ -326,11 +335,14 @@ func (r *Recorder) Start(k Kind, hop, frame int64) Span {
 func (s Span) End() { s.EndArgs(0, 0) }
 
 // EndArgs publishes the span with kind-specific args. Safe on the zero
-// Span.
+// Span; its nil check inlines into the caller.
 func (s Span) EndArgs(a, b int64) {
-	if s.r == nil {
-		return
+	if s.r != nil {
+		s.end(a, b)
 	}
+}
+
+func (s Span) end(a, b int64) {
 	s.r.EmitAt(s.k, s.hop, s.frame, a, b, s.t0, s.r.Now()-s.t0)
 }
 

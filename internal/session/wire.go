@@ -199,9 +199,12 @@ func (wr *WireReader) Read() (*Msg, error) {
 	case MsgFrame:
 		return parseFrame(p)
 	case MsgClose:
-		id, _, err := parseString(p)
+		id, rest, err := parseString(p)
 		if err != nil {
 			return nil, err
+		}
+		if len(rest) != 0 {
+			return nil, fmt.Errorf("session: MsgClose has %d trailing bytes", len(rest))
 		}
 		return &Msg{Type: MsgClose, ID: id}, nil
 	}
@@ -258,6 +261,11 @@ func parseFrame(p []byte) (*Msg, error) {
 	if len(p) != want {
 		return nil, fmt.Errorf("session: MsgFrame payload %d bytes, want %d", len(p), want)
 	}
+	// Bits past the last antenna must be clear, so every frame that
+	// decodes has exactly one encoding.
+	if ants%8 != 0 && p[bm-1]>>(ants%8) != 0 {
+		return nil, fmt.Errorf("session: MsgFrame missing bitmap sets bits past antenna %d", ants)
+	}
 	m := &Msg{Type: MsgFrame, ID: id, Spec: Spec{NumAnts: ants, NumTx: tx, NumSub: tones}}
 	m.Missing = make([]bool, ants)
 	anyMissing := false
@@ -272,7 +280,10 @@ func parseFrame(p []byte) (*Msg, error) {
 	}
 	p = p[bm:]
 	m.Snap = make([][][]complex128, ants)
-	// One backing array for all rows keeps a frame at three allocations.
+	// One backing array holds every row. A frame still costs 6 + ants
+	// allocations (8 for a pair frame): the read header, the Msg, its ID,
+	// the missing flags, the antenna slice, one tx slice per antenna and
+	// the rows.
 	flat := make([]complex128, ants*tx*tones)
 	for a := 0; a < ants; a++ {
 		m.Snap[a] = make([][]complex128, tx)

@@ -14,15 +14,15 @@ package sigproc
 // table so no tail element is ever touched out of bounds. Everywhere else
 // they fall back to the scalar kernels. Both paths accumulate lanewise and
 // reduce pairwise, so they agree with the sequential kernels only to
-// rounding — the trrs vector kernel that consumes them is opt-in and gated
-// at 1e-12 relative (float64) by the equivalence suite, never the
-// bit-exact default.
+// rounding — the trrs vector kernel that consumes them (the pipeline's
+// default) is gated at 1e-12 relative (float64) by the equivalence suite;
+// the sequential kernel stays the bit-exact oracle.
 
 // VecSupported reports whether the vectorized sweep kernels are backed by
 // AVX2+FMA assembly on this machine. When false the sweeps still work
-// (scalar fallback), but trrs.KernelVector buys nothing over the default;
-// callers gating benchmarks or kernel selection on real SIMD should check
-// this.
+// (scalar fallback), but trrs.KernelVector buys nothing over
+// trrs.KernelSequential; callers gating benchmarks or kernel selection on
+// real SIMD should check this.
 func VecSupported() bool { return vecSupported }
 
 // checkSweep validates one sweep call: a must hold tones elements, and

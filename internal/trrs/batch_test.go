@@ -101,8 +101,8 @@ func TestKernelPrecisionParseRoundTrip(t *testing.T) {
 	if _, err := ParseKernel("simd9000"); err == nil {
 		t.Fatal("ParseKernel must reject unknown names")
 	}
-	if k, err := ParseKernel(""); err != nil || k != KernelSequential {
-		t.Fatal("empty kernel must default to sequential")
+	if k, err := ParseKernel(""); err != nil || k != KernelVector {
+		t.Fatal("empty kernel must default to vector")
 	}
 	for _, p := range []Precision{PrecisionFloat64, PrecisionFloat32} {
 		got, err := ParsePrecision(p.String())

@@ -137,11 +137,11 @@ func TestSoAEngineMatchesSeedArithmetic(t *testing.T) {
 }
 
 // TestKernelString pins the kernel names the -kernel flags accept: ""
-// and every selector's String() round-trip through ParseKernel, the
+// (the vector default) and every selector's String() round-trip through ParseKernel, the
 // removed 4- and 8-accumulator scalar kernels are rejected, and an
 // unknown selector still renders.
 func TestKernelString(t *testing.T) {
-	for name, want := range map[string]Kernel{"": KernelSequential, "sequential": KernelSequential, "vector": KernelVector} {
+	for name, want := range map[string]Kernel{"": KernelVector, "sequential": KernelSequential, "vector": KernelVector} {
 		k, err := ParseKernel(name)
 		if err != nil || k != want {
 			t.Fatalf("ParseKernel(%q) = %v, %v; want %v", name, k, err, want)

@@ -15,10 +15,12 @@
 // re plane and one im plane per (antenna, tx), with slot t occupying
 // [t·tones, (t+1)·tones). A base-matrix row's lag sweep walks consecutive
 // slots of one plane, so the kernel streams memory sequentially instead of
-// chasing per-slot []complex128 pointers. The default kernel keeps the
-// seed's summation order exactly (see sigproc.DotSqSoA), so every result
-// is bit-for-bit identical to the original []complex128 arithmetic; see
-// DESIGN.md, "TRRS kernel".
+// chasing per-slot []complex128 pointers. The sequential kernel (an
+// Engine's zero value, the bit-exact oracle) keeps the seed's summation
+// order exactly (see sigproc.DotSqSoA), so every result is bit-for-bit
+// identical to the original []complex128 arithmetic. The pipeline and the
+// daemon default to the vector kernel instead; see DESIGN.md, "TRRS
+// kernel".
 package trrs
 
 import (
@@ -36,9 +38,11 @@ import (
 type Kernel uint8
 
 const (
-	// KernelSequential (the default) accumulates in the seed's element
+	// KernelSequential (the zero value) accumulates in the seed's element
 	// order: results are bit-for-bit identical to the reference
-	// implementation and therefore to every committed golden suite.
+	// implementation and therefore to every committed golden suite. It is
+	// the bit-exact oracle; the daemon and the pipeline default
+	// (ParseKernel(""), core.DefaultConfig) select KernelVector.
 	KernelSequential Kernel = iota
 	// KernelVector evaluates whole base-matrix rows through the lag-sweep
 	// kernels (sigproc.DotSqSweepSoA): AVX2+FMA assembly on supporting
@@ -63,11 +67,12 @@ func (k Kernel) String() string {
 
 // ParseKernel converts a kernel name (as printed by Kernel.String) back to
 // the selector — the flag-parsing hook for rimtrack/rimserved/rimbench.
+// The empty name selects the default, KernelVector.
 func ParseKernel(s string) (Kernel, error) {
 	switch s {
-	case "sequential", "":
+	case "sequential":
 		return KernelSequential, nil
-	case "vector":
+	case "vector", "":
 		return KernelVector, nil
 	default:
 		return 0, fmt.Errorf("trrs: unknown kernel %q (want sequential or vector)", s)
@@ -121,7 +126,7 @@ func (e *Engine) SetParallelism(n int) {
 // Parallelism returns the configured worker count (0 = GOMAXPROCS).
 func (e *Engine) Parallelism() int { return e.par }
 
-// SetKernel selects the inner-product kernel. The default
+// SetKernel selects the inner-product kernel. The zero value
 // KernelSequential is bit-for-bit identical to the reference arithmetic;
 // KernelVector trades that for the lag-sweep row kernels (1e-12-relative
 // agreement).
@@ -293,9 +298,9 @@ func (e *Engine) fillRowFrom(row []float64, i, j, w, t, cFrom int) {
 	}
 	// The in-range band is a lag sweep: column c evaluates slot t against
 	// slot t−(c−w), one slot earlier per column. Float32 plane mode and the
-	// opt-in vector kernel hand the whole band to the sigproc sweep
-	// primitives (AVX2+FMA assembly where available) instead of one kernel
-	// call per entry; the default path stays the bit-exact per-entry loop.
+	// vector kernel hand the whole band to the sigproc sweep primitives
+	// (AVX2+FMA assembly where available) instead of one kernel call per
+	// entry; the sequential kernel stays the bit-exact per-entry loop.
 	band, oi, oj := row[cLo:cHi], t*e.tones, (t-(cLo-w))*e.tones
 	if e.prec == PrecisionFloat32 || e.kernel == KernelVector {
 		e.planes.sweepRow(band, i, j, oi, oj, e.tones)
