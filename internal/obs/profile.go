@@ -40,7 +40,10 @@ type CPUProfiler struct {
 	mu      sync.Mutex
 	last    time.Time
 	running bool
+	closed  bool
 	seq     int
+	stop    chan struct{} // closed by Close: cuts an in-flight capture short
+	wg      sync.WaitGroup
 
 	captures atomic.Uint64
 }
@@ -60,13 +63,13 @@ func NewCPUProfiler(cfg CPUProfilerConfig) *CPUProfiler {
 	if cfg.Log == nil {
 		cfg.Log = Logger()
 	}
-	return &CPUProfiler{cfg: cfg}
+	return &CPUProfiler{cfg: cfg, stop: make(chan struct{})}
 }
 
 // Offer requests a capture tagged with the breach reason (the profile is
 // written as profile-<seq>-<reason>.pprof next to the flight recorder's
 // postmortem-<seq>-<reason>.json). Returns false when the profiler is
-// nil, disabled, already profiling, or inside the rate-limit window; the
+// nil, closed, already profiling, or inside the rate-limit window; the
 // capture itself runs on its own goroutine so the paging path never
 // blocks for the profile duration.
 func (p *CPUProfiler) Offer(reason string) bool {
@@ -75,7 +78,7 @@ func (p *CPUProfiler) Offer(reason string) bool {
 	}
 	p.mu.Lock()
 	now := time.Now()
-	if p.running || (!p.last.IsZero() && now.Sub(p.last) < p.cfg.MinInterval) {
+	if p.closed || p.running || (!p.last.IsZero() && now.Sub(p.last) < p.cfg.MinInterval) {
 		p.mu.Unlock()
 		return false
 	}
@@ -83,12 +86,30 @@ func (p *CPUProfiler) Offer(reason string) bool {
 	p.last = now
 	p.seq++
 	seq := p.seq
+	p.wg.Add(1)
 	p.mu.Unlock()
 	go p.capture(seq, reason)
 	return true
 }
 
+// Close refuses further captures and returns once an in-flight capture,
+// cut short, has written its profile. Safe on the nil profiler and to
+// call more than once.
+func (p *CPUProfiler) Close() {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	if !p.closed {
+		p.closed = true
+		close(p.stop)
+	}
+	p.mu.Unlock()
+	p.wg.Wait()
+}
+
 func (p *CPUProfiler) capture(seq int, reason string) {
+	defer p.wg.Done()
 	defer func() {
 		p.mu.Lock()
 		p.running = false
@@ -108,7 +129,10 @@ func (p *CPUProfiler) capture(seq int, reason string) {
 		os.Remove(path)
 		return
 	}
-	time.Sleep(p.cfg.Duration)
+	select {
+	case <-time.After(p.cfg.Duration):
+	case <-p.stop:
+	}
 	pprof.StopCPUProfile()
 	if err := f.Close(); err != nil {
 		p.cfg.Log.Warn("cpu profile close failed", "path", path, "err", err)

@@ -81,3 +81,31 @@ func TestCPUProfilerDisabled(t *testing.T) {
 		t.Fatalf("nil profiler counted captures")
 	}
 }
+
+// TestCPUProfilerCloseCutsCapture: Close must end an in-flight capture
+// long before its duration, leave its profile written, and refuse later
+// offers, so an owner that closes the profiler leaves no capture running.
+func TestCPUProfilerCloseCutsCapture(t *testing.T) {
+	dir := t.TempDir()
+	p := NewCPUProfiler(CPUProfilerConfig{Dir: dir, Duration: time.Hour})
+	if !p.Offer("slo_breach") {
+		t.Fatalf("first offer refused")
+	}
+	start := time.Now()
+	p.Close()
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("Close took %v", d)
+	}
+	if p.Captures() != 1 {
+		t.Fatalf("captures = %d after Close, want 1", p.Captures())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "profile-1-slo_breach.pprof")); err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	if p.Offer("slo_breach") {
+		t.Fatalf("closed profiler accepted an offer")
+	}
+	p.Close()
+	var nilP *CPUProfiler
+	nilP.Close()
+}

@@ -39,6 +39,9 @@ const (
 	wireMaxPayload = 64 << 20
 	wireMaxID      = 256
 	wireMaxDim     = 1024
+	// wireGrowMin is the smallest payload buffer a reader grows to; a
+	// hexagonal-array frame fits it.
+	wireGrowMin = 16 << 10
 )
 
 // Msg is one decoded wire message.
@@ -186,11 +189,8 @@ func (wr *WireReader) Read() (*Msg, error) {
 	if n > wireMaxPayload {
 		return nil, fmt.Errorf("session: wire payload claims %d bytes, cap is %d", n, wireMaxPayload)
 	}
-	if cap(wr.buf) < int(n) {
-		wr.buf = make([]byte, n)
-	}
-	p := wr.buf[:n]
-	if _, err := io.ReadFull(wr.r, p); err != nil {
+	p, err := wr.payload(int(n))
+	if err != nil {
 		return nil, fmt.Errorf("session: wire payload: %w", err)
 	}
 	switch typ {
@@ -209,6 +209,37 @@ func (wr *WireReader) Read() (*Msg, error) {
 		return &Msg{Type: MsgClose, ID: id}, nil
 	}
 	return nil, fmt.Errorf("session: unknown wire message type %d", typ)
+}
+
+// payload reads the next n payload bytes into the reused buffer. n is the
+// peer's claim, not bytes in hand: past the buffer's capacity the buffer
+// grows (doubling from wireGrowMin) only as the bytes arrive, so a header
+// claiming wireMaxPayload on a connection that then stalls or hangs up
+// costs what was sent, not the claim.
+func (wr *WireReader) payload(n int) ([]byte, error) {
+	if cap(wr.buf) >= n {
+		p := wr.buf[:n]
+		_, err := io.ReadFull(wr.r, p)
+		return p, err
+	}
+	p := wr.buf[:0]
+	for len(p) < n {
+		if len(p) == cap(p) {
+			grown := make([]byte, len(p), min(n, max(2*cap(p), wireGrowMin)))
+			copy(grown, p)
+			p = grown
+		}
+		k, err := io.ReadFull(wr.r, p[len(p):min(n, cap(p))])
+		p = p[:len(p)+k]
+		if err == io.EOF && len(p) > 0 {
+			err = io.ErrUnexpectedEOF // as one ReadFull of n would report
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	wr.buf = p
+	return p, nil
 }
 
 func parseString(p []byte) (string, []byte, error) {

@@ -43,12 +43,14 @@ func wireFuzzSeeds(tb testing.TB) [][]byte {
 }
 
 // wireAllocBudget is the most a decode of data may allocate under the
-// reader's declared caps: the reader's 64 KiB input buffer, plus per
-// message header in data the claimed payload (at most wireMaxPayload,
-// allocated up front and rounded up to the allocator's 8 KiB pages) and
-// a constant factor of the payload bytes actually present.
+// reader's declared caps: the reader's 64 KiB input buffer, its payload
+// buffer (which grows by doubling from wireGrowMin only as payload bytes
+// arrive, so all its allocations sum to at most 2*wireGrowMin plus four
+// times the largest payload present), and per message header in data a
+// constant plus a constant factor of the payload bytes actually present.
+// The length a header claims costs nothing until its bytes arrive.
 func wireAllocBudget(data []byte) uint64 {
-	budget := uint64(1<<16 + 4<<10)
+	budget := uint64(1<<16 + 4<<10 + 2*wireGrowMin)
 	for off := len(wireMagic); off < len(data); {
 		budget += 1 << 10
 		if off+5 > len(data) {
@@ -59,10 +61,29 @@ func wireAllocBudget(data []byte) uint64 {
 			break
 		}
 		present := min(n, uint64(len(data)-off-5))
-		budget += n + 8<<10 + 8*present
+		budget += 8<<10 + 12*present
 		off += 5 + int(n)
 	}
 	return budget
+}
+
+// TestWireReaderAllocatesWhatArrives: a header claiming the 64 MiB cap,
+// followed by 8 payload bytes and a hangup, must cost the reader only
+// its buffers, not the claim.
+func TestWireReaderAllocatesWhatArrives(t *testing.T) {
+	msg := make([]byte, 5+8)
+	msg[0] = MsgFrame
+	binary.LittleEndian.PutUint32(msg[1:], wireMaxPayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewWireReader(bytes.NewReader(msg)).Read()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("truncated payload decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+		t.Fatalf("a %d-byte message claiming %d bytes allocated %d bytes", len(msg), wireMaxPayload, got)
+	}
 }
 
 // FuzzWireReader feeds arbitrary bytes to the RIMWIRE reader: the
