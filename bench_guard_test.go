@@ -309,19 +309,14 @@ func TestBenchGuard(t *testing.T) {
 	var sinkRows [][]float64
 
 	cores := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(cores)
 	parallelTarget := 0.85
 	if cores >= 2 {
 		parallelTarget = 1.6
 	}
 	speedup, serial, parallel := guardRatio(parallelTarget, 4, reps,
-		func() {
-			e.SetParallelism(1)
-			sinkM = e.BaseMatrixSerial(0, 2, w)
-		},
-		func() {
-			e.SetParallelism(0)
-			sinkM = e.BaseMatrix(0, 2, w)
-		})
+		func() { sinkM = e.BaseMatrixSerial(0, 2, w) },
+		func() { sinkM = e.BaseMatrix(0, 2, w) })
 	t.Logf("cores=%d serial=%v parallel=%v speedup=%.2fx (baseline: %.2fx on %d cores)",
 		cores, serial, parallel, speedup, bl.Baseline.Speedup, bl.Baseline.Cores)
 
@@ -343,7 +338,6 @@ func TestBenchGuard(t *testing.T) {
 	// the floor only catches a genuine kernel regression, not run noise.
 	ref := newAoSGuard(s)
 	aos := measure(reps, func() { sinkRows = ref.matrix(0, 2, w) })
-	e.SetParallelism(1)
 	e.SetKernel(trrs.KernelVector)
 	vector := measure(reps, func() { sinkM = e.BaseMatrixSerial(0, 2, w) })
 	e.SetKernel(trrs.KernelSequential)
@@ -365,10 +359,14 @@ func TestBenchGuard(t *testing.T) {
 			vecSpeedup, serial, vector)
 	}
 
+	// The batch, float32 and symmetric sections measure one core: the
+	// engine's batch pool sizes itself from GOMAXPROCS, so pin it to 1
+	// until the hop section.
+	runtime.GOMAXPROCS(1)
+
 	// Cross-pair batched build (one core, three distinct pairs): layout
 	// effect alone (sequential kernel), then the full vector fast path.
 	bulkPairs := []trrs.PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}}
-	e.SetParallelism(1)
 	perPairF := func() {
 		for _, p := range bulkPairs {
 			sinkM = e.BaseMatrixSerial(p.I, p.J, w)
@@ -377,7 +375,6 @@ func TestBenchGuard(t *testing.T) {
 	layoutSpeedup, perPair, batched := guardRatio(1.0, 4, reps, perPairF,
 		func() { sinkMs = e.BaseMatrices(bulkPairs, w) })
 	eBat := trrs.NewEngine(s)
-	eBat.SetParallelism(1)
 	eBat.SetKernel(trrs.KernelVector)
 	batchSpeedup, perPairVec, batchedVec := guardRatio(1.35, 4, reps, perPairF,
 		func() { sinkMs = eBat.BaseMatrices(bulkPairs, w) })
@@ -401,9 +398,7 @@ func TestBenchGuard(t *testing.T) {
 	// machine-level noise — frequency steps, neighbors on a shared CI
 	// container — hits both distributions instead of skewing the ratio.
 	e32 := trrs.NewEnginePrecision(s, trrs.PrecisionFloat32)
-	e32.SetParallelism(1)
 	eVec := trrs.NewEngine(s)
-	eVec.SetParallelism(1)
 	eVec.SetKernel(trrs.KernelVector)
 	var m32 *trrs.Matrix
 	f32Speedup, f64t, f32 := guardRatio(1.4, 4, 3*reps,
@@ -456,7 +451,6 @@ func TestBenchGuard(t *testing.T) {
 			sinkM = e.BaseMatrixSerial(p.I, p.J, w)
 		}
 	})
-	e.SetParallelism(1)
 	dedup := measure(reps, func() { sinkMs = e.BaseMatrices(symPairs, w) })
 	symSpeedup := float64(naive) / float64(dedup)
 	t.Logf("symmetric: naive=%v dedup=%v speedup=%.2fx", naive, dedup, symSpeedup)
@@ -464,6 +458,8 @@ func TestBenchGuard(t *testing.T) {
 		t.Errorf("symmetric-pair dedup speedup %.2fx below the 1.5x floor (naive %v, dedup %v)",
 			symSpeedup, naive, dedup)
 	}
+
+	runtime.GOMAXPROCS(cores)
 
 	// Steady-state hop: timed always; the zero-allocation contract is
 	// checked only without the race detector.

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -15,6 +17,7 @@ import (
 	"rim/internal/csi"
 	"rim/internal/obs"
 	"rim/internal/obs/quality"
+	"rim/internal/obs/trace"
 )
 
 var updateBenchObs = flag.Bool("update-bench-obs", false, "rewrite BENCH_obs.json with this machine's measurements")
@@ -95,7 +98,7 @@ func nilOpCost() time.Duration {
 	var h *obs.Histogram
 	var e *quality.Engine
 	var m *quality.Monitor
-	const n = 1 << 21
+	const n = 1 << 18
 	t0 := time.Now()
 	for i := 0; i < n; i++ {
 		c.Inc()
@@ -108,41 +111,82 @@ func nilOpCost() time.Duration {
 	return time.Since(t0) / n
 }
 
-// replaySlotCost replays the fixture through a streamer and returns the
-// best-of-reps wall time per slot.
-func replaySlotCost(s *csi.Series, reg *obs.Registry, qual *quality.Engine, reps int) time.Duration {
+// replaySlotCost replays the fixture once through a streamer with the
+// given registry, quality engine and trace recorder wired in (each nil =
+// disabled) and returns the wall time per slot.
+func replaySlotCost(s *csi.Series, reg *obs.Registry, qual *quality.Engine, rec *trace.Recorder) time.Duration {
 	cfg := core.StreamConfig{Core: core.DefaultConfig(array.NewLinear3(0.029))}
 	cfg.Core.WindowSeconds = 0.3
 	cfg.Core.V = 16
 	cfg.Core.Obs = reg
 	cfg.Core.Quality = qual
-	best := time.Duration(1<<63 - 1)
-	for r := 0; r < reps; r++ {
-		st, err := core.NewStreamer(cfg, s.Rate, s.NumAnts, s.NumTx, s.NumSub)
-		if err != nil {
+	cfg.Core.Trace = rec
+	st, err := core.NewStreamer(cfg, s.Rate, s.NumAnts, s.NumTx, s.NumSub)
+	if err != nil {
+		panic(err)
+	}
+	snap := make([][][]complex128, s.NumAnts)
+	for a := range snap {
+		snap[a] = make([][]complex128, s.NumTx)
+	}
+	t0 := time.Now()
+	for ti := 0; ti < s.NumSlots(); ti++ {
+		for a := 0; a < s.NumAnts; a++ {
+			for tx := 0; tx < s.NumTx; tx++ {
+				snap[a][tx] = s.H[a][tx][ti]
+			}
+		}
+		if _, err := st.Push(snap); err != nil && !errors.Is(err, core.ErrAnalysis) {
 			panic(err)
 		}
-		snap := make([][][]complex128, s.NumAnts)
-		for a := range snap {
-			snap[a] = make([][]complex128, s.NumTx)
+	}
+	st.Flush()
+	return time.Since(t0) / time.Duration(s.NumSlots())
+}
+
+// overheadRounds is the overhead guards' estimator. A single ~18 ms
+// replay varies by a quarter either way on a shared host, and one ~2 ms
+// timing of a disabled bundle by half, so everything is timed in
+// interleaved rounds: each round times opCost (one disabled bundle) and
+// runs every replay once, each from a collected heap, rotating which
+// replay goes first, and the first round only warms them up. It returns
+// the median of opCost over the rounds; the fastest time of replays[0],
+// the uninstrumented baseline (the strictest denominator for a nil
+// budget); and for each other replay the median over the rounds of its
+// ratio to the baseline's time in the same round, which load that comes
+// or goes mid-test shifts for both sides of a pair alike.
+func overheadRounds(rounds int, opCost func() time.Duration, replays ...func() time.Duration) (perOp, baseBest time.Duration, ratios []float64) {
+	baseBest = time.Duration(math.MaxInt64)
+	ops := make([]float64, 0, rounds)
+	paired := make([][]float64, len(replays)-1)
+	d := make([]time.Duration, len(replays))
+	for r := 0; r <= rounds; r++ {
+		op := opCost()
+		for i := range replays {
+			k := (r + i) % len(replays)
+			runtime.GC()
+			d[k] = replays[k]()
 		}
-		t0 := time.Now()
-		for ti := 0; ti < s.NumSlots(); ti++ {
-			for a := 0; a < s.NumAnts; a++ {
-				for tx := 0; tx < s.NumTx; tx++ {
-					snap[a][tx] = s.H[a][tx][ti]
-				}
-			}
-			if _, err := st.Push(snap); err != nil && !errors.Is(err, core.ErrAnalysis) {
-				panic(err)
-			}
+		if r == 0 {
+			continue
 		}
-		st.Flush()
-		if d := time.Since(t0) / time.Duration(s.NumSlots()); d < best {
-			best = d
+		ops = append(ops, float64(op))
+		baseBest = min(baseBest, d[0])
+		for k := range paired {
+			paired[k] = append(paired[k], float64(d[k+1])/float64(d[0]))
 		}
 	}
-	return best
+	for _, p := range paired {
+		ratios = append(ratios, median(p))
+	}
+	return time.Duration(median(ops)), baseBest, ratios
+}
+
+// median sorts xs in place and returns its median.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	return (xs[(n-1)/2] + xs[n/2]) / 2
 }
 
 // TestObsOverheadGuard is the observability overhead regression guard: on
@@ -151,9 +195,10 @@ func replaySlotCost(s *csi.Series, reg *obs.Registry, qual *quality.Engine, reps
 // exists to diff against, so the bound is constructed: the measured cost
 // of a disabled instrumentation bundle times a generous per-slot call-site
 // budget must stay under 2% of the measured per-slot streaming cost. The
-// live-registry replay is additionally checked against a loose ceiling so
-// switching metrics on can never silently become catastrophic. Run with
-// -update-bench-obs to re-record BENCH_obs.json.
+// live-registry and quality-engine replays are additionally checked
+// against loose ceilings so switching them on can never silently become
+// catastrophic; all three replays share overheadRounds' interleaved
+// rounds. Run with -update-bench-obs to re-record BENCH_obs.json.
 func TestObsOverheadGuard(t *testing.T) {
 	raw, err := os.ReadFile(obsBaselineFile)
 	if err != nil {
@@ -168,16 +213,19 @@ func TestObsOverheadGuard(t *testing.T) {
 	}
 
 	s := obsGuardSeries(&bl)
-	const reps = 3
-	perOp := nilOpCost()
-	nilSlot := replaySlotCost(s, nil, nil, reps)
-	liveSlot := replaySlotCost(s, obs.NewRegistry(), nil, reps)
+	live := obs.NewRegistry()
 	qreg := obs.NewRegistry()
-	qualSlot := replaySlotCost(s, qreg, quality.New(quality.Config{Obs: qreg}), reps)
+	qual := quality.New(quality.Config{Obs: qreg})
+	perOp, nilSlot, ratios := overheadRounds(12, nilOpCost,
+		func() time.Duration { return replaySlotCost(s, nil, nil, nil) },
+		func() time.Duration { return replaySlotCost(s, live, nil, nil) },
+		func() time.Duration { return replaySlotCost(s, qreg, qual, nil) })
+	liveSlot := time.Duration(ratios[0] * float64(nilSlot))
+	qualSlot := time.Duration(ratios[1] * float64(nilSlot))
 
 	nilFrac := float64(perOp) * opsPerSlotBudget / float64(nilSlot)
-	liveFrac := float64(liveSlot)/float64(nilSlot) - 1
-	qualFrac := float64(qualSlot)/float64(nilSlot) - 1
+	liveFrac := ratios[0] - 1
+	qualFrac := ratios[1] - 1
 	t.Logf("cores=%d nil op=%v slot(nil)=%v slot(live)=%v slot(quality)=%v nil-budget overhead=%.3f%% live overhead=%.1f%% quality overhead=%.1f%%",
 		runtime.GOMAXPROCS(0), perOp, nilSlot, liveSlot, qualSlot, nilFrac*100, liveFrac*100, qualFrac*100)
 

@@ -12,6 +12,7 @@ package rim
 // with paper-vs-measured tables.
 
 import (
+	"runtime"
 	"testing"
 
 	"rim/internal/align"
@@ -200,9 +201,8 @@ func BenchmarkExtWiBallComparison(b *testing.B) {
 func BenchmarkPerfEngineThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Perf(experiments.Fast)
-		b.ReportMetric(r.BatchSpeedup, "batch-speedup")
-		b.ReportMetric(r.StreamSpeedup, "stream-speedup")
 		b.ReportMetric(r.IncrementalSlotsPerSec, "slots/s")
+		b.ReportMetric(r.HopNs, "hop-ns")
 	}
 }
 
@@ -237,11 +237,11 @@ func BenchmarkComplexityTRRSBase(b *testing.B) {
 
 // BenchmarkComplexityTRRSMatrix measures building one pair's full alignment
 // matrix (the per-sample cost is m·(m−1)·W TRRS values for an m-antenna
-// array), pinned to the single-threaded path as the historical reference.
+// array), pinned to one worker (GOMAXPROCS 1) as the historical reference.
 func BenchmarkComplexityTRRSMatrix(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := benchSeries(b, 200)
 	e := trrs.NewEngine(s)
-	e.SetParallelism(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.PairMatrix(0, 2, 30, 16)
@@ -254,7 +254,6 @@ func BenchmarkComplexityTRRSMatrix(b *testing.B) {
 func BenchmarkComplexityTRRSMatrixParallel(b *testing.B) {
 	s := benchSeries(b, 200)
 	e := trrs.NewEngine(s)
-	e.SetParallelism(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.PairMatrix(0, 2, 30, 16)

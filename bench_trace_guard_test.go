@@ -2,17 +2,11 @@ package rim
 
 import (
 	"encoding/json"
-	"errors"
-	"math"
 	"os"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
-	"rim/internal/array"
-	"rim/internal/core"
-	"rim/internal/csi"
 	"rim/internal/obs/trace"
 )
 
@@ -23,7 +17,7 @@ import (
 func nilTraceOpCost() time.Duration {
 	var r *trace.Recorder
 	var f *trace.Flight
-	const n = 1 << 21
+	const n = 1 << 18
 	t0 := time.Now()
 	for i := 0; i < n; i++ {
 		r.Emit(trace.KindFrameIngest, -1, int64(i), 0, 0)
@@ -32,38 +26,6 @@ func nilTraceOpCost() time.Duration {
 		f.Offer(trace.ReasonDegradedEstimates, -1, nil)
 	}
 	return time.Since(t0) / n
-}
-
-// replaySlotCostTraced replays the obs-guard fixture once through a
-// streamer with the given recorder wired in (nil = tracing disabled) and
-// returns the wall time per slot. Mirrors replaySlotCost but leaves the
-// metrics registry detached so only the tracing delta is measured.
-func replaySlotCostTraced(s *csi.Series, rec *trace.Recorder) time.Duration {
-	cfg := core.StreamConfig{Core: core.DefaultConfig(array.NewLinear3(0.029))}
-	cfg.Core.WindowSeconds = 0.3
-	cfg.Core.V = 16
-	cfg.Core.Trace = rec
-	st, err := core.NewStreamer(cfg, s.Rate, s.NumAnts, s.NumTx, s.NumSub)
-	if err != nil {
-		panic(err)
-	}
-	snap := make([][][]complex128, s.NumAnts)
-	for a := range snap {
-		snap[a] = make([][]complex128, s.NumTx)
-	}
-	t0 := time.Now()
-	for ti := 0; ti < s.NumSlots(); ti++ {
-		for a := 0; a < s.NumAnts; a++ {
-			for tx := 0; tx < s.NumTx; tx++ {
-				snap[a][tx] = s.H[a][tx][ti]
-			}
-		}
-		if _, err := st.Push(snap); err != nil && !errors.Is(err, core.ErrAnalysis) {
-			panic(err)
-		}
-	}
-	st.Flush()
-	return time.Since(t0) / time.Duration(s.NumSlots())
 }
 
 // TestTraceOverheadGuard is the causal-tracing twin of TestObsOverheadGuard:
@@ -90,39 +52,14 @@ func TestTraceOverheadGuard(t *testing.T) {
 	}
 
 	s := obsGuardSeries(&bl)
-	perOp := nilTraceOpCost()
-	// Interleaved rounds, alternating which side runs first, each replay
-	// from a collected heap: a single ~18 ms replay varies by a quarter
-	// either way on a shared host, so the live overhead is the median of
-	// the rounds' paired live/nil ratios, which load that comes or goes
-	// mid-test shifts for both sides of a pair alike. The nil budget keeps
-	// the fastest nil replay as its (strictest) denominator. The first
-	// round warms both paths up.
-	const rounds = 12
 	rec := trace.NewRecorder(0)
-	nilSlot := time.Duration(math.MaxInt64)
-	ratios := make([]float64, 0, rounds)
-	for r := 0; r <= rounds; r++ {
-		var nilD, liveD time.Duration
-		for i := 0; i < 2; i++ {
-			runtime.GC()
-			if (r+i)%2 == 0 {
-				nilD = replaySlotCostTraced(s, nil)
-			} else {
-				liveD = replaySlotCostTraced(s, rec)
-			}
-		}
-		if r > 0 {
-			nilSlot = min(nilSlot, nilD)
-			ratios = append(ratios, float64(liveD)/float64(nilD))
-		}
-	}
-	sort.Float64s(ratios)
-	liveRatio := (ratios[(rounds-1)/2] + ratios[rounds/2]) / 2
-	liveSlot := time.Duration(liveRatio * float64(nilSlot))
+	perOp, nilSlot, ratios := overheadRounds(12, nilTraceOpCost,
+		func() time.Duration { return replaySlotCost(s, nil, nil, nil) },
+		func() time.Duration { return replaySlotCost(s, nil, nil, rec) })
+	liveSlot := time.Duration(ratios[0] * float64(nilSlot))
 
 	nilFrac := float64(perOp) * opsPerSlotBudget / float64(nilSlot)
-	liveFrac := liveRatio - 1
+	liveFrac := ratios[0] - 1
 	t.Logf("cores=%d nil trace op=%v slot(nil)=%v slot(live)=%v nil-budget overhead=%.3f%% live overhead=%.1f%% events=%d",
 		runtime.GOMAXPROCS(0), perOp, nilSlot, liveSlot, nilFrac*100, liveFrac*100, rec.TotalEmitted())
 

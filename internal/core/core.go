@@ -70,14 +70,6 @@ type Config struct {
 	// NaivePeakPicking replaces the dynamic-programming tracker with the
 	// per-column argmax (ablation).
 	NaivePeakPicking bool
-	// Parallelism is the worker count for batch TRRS base-matrix builds
-	// (ProcessSeries, NewPipeline, and a Streamer in Recompute mode):
-	// 0 (default) uses GOMAXPROCS, n ≥ 1 uses exactly n workers, and 1
-	// runs the same block-major batch plan and symmetry dedup on the
-	// calling goroutine. All settings produce bit-for-bit identical
-	// matrices. Incremental streaming hops ignore it: they always run on
-	// the goroutine that pushes the frame.
-	Parallelism int
 	// Kernel selects the TRRS inner-product kernel (see trrs.Kernel).
 	// DefaultConfig selects trrs.KernelVector, the lag-sweep kernel
 	// (AVX2+FMA where supported, 1e-12-relative agreement, parity with
@@ -406,7 +398,6 @@ func NewPipeline(s *csi.Series, cfg Config) (*Pipeline, error) {
 	}
 	cfg.applyDefaults(s.Rate)
 	eng := trrs.NewEnginePrecision(s, cfg.Precision)
-	eng.SetParallelism(cfg.Parallelism)
 	eng.SetKernel(cfg.Kernel)
 	eng.SetObs(cfg.Obs)
 	eng.SetTrace(cfg.Trace)

@@ -43,14 +43,6 @@ type StreamConfig struct {
 	// fraction of antennas with missing samples at its slot reaches this
 	// level (default 1/3).
 	DegradedMissFrac float64
-	// Recompute disables the incremental TRRS engine and rebuilds the
-	// whole analysis window from scratch on every hop — the seed's
-	// behavior, kept as the reference oracle (its batch builds honor
-	// Core.Parallelism). The incremental default is bit-for-bit
-	// equivalent, runs each hop on the pushing goroutine and is much
-	// cheaper per hop (see DESIGN.md, "Parallel & incremental TRRS
-	// engine").
-	Recompute bool
 	// HopDeadline bounds one sliding-window analysis hop. A hop that
 	// exhausts its budget stops at the next stage boundary and emits
 	// degraded placeholder estimates for the slots it did not resolve —
@@ -60,6 +52,12 @@ type StreamConfig struct {
 	// bound. PushMaskedCtx additionally honors its context's deadline,
 	// whichever is sooner.
 	HopDeadline time.Duration
+	// recompute disables the incremental TRRS engine and rebuilds the
+	// whole analysis window from scratch on every hop: the seed's
+	// behavior, kept as the reference oracle stream_equiv_test.go holds
+	// the incremental engine to, bit for bit. Only this package's tests
+	// set it.
+	recompute bool
 }
 
 // Health is the stream's data-quality surface: instead of silently
@@ -127,7 +125,7 @@ type Streamer struct {
 	// incremental engine maintains matrices at exactly the W the
 	// per-window analysis asks for.
 	wSlots int
-	// inc is the incremental TRRS engine (nil when cfg.Recompute).
+	// inc is the incremental TRRS engine (nil when cfg.recompute).
 	inc *trrs.Incremental
 	// incSnap is the reused per-push snapshot scratch handed to inc.Append
 	// (which copies the rows), and remapHdr the reused per-pair Matrix
@@ -345,7 +343,7 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 	st.qual = cfg.Core.Quality
 	st.t0 = time.Now()
 	st.lagOn = st.trc != nil || st.ob.lagH != nil
-	if !cfg.Recompute {
+	if !cfg.recompute {
 		inc, err := trrs.NewIncrementalPrecision(rate, numAnts, numTx, st.wSlots, cfg.Core.Precision)
 		if err != nil {
 			return nil, err
@@ -917,9 +915,9 @@ func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error)
 // to the given live antennas, re-deriving the pair geometry from the
 // surviving elements when some are dead. With the incremental engine it
 // builds the pipeline from the maintained normalization and base matrices
-// (only the rows invalidated since the last hop are recomputed); with
-// Recompute it rebuilds everything from the raw buffer, the seed's
-// reference behavior.
+// (only the rows invalidated since the last hop are recomputed); the
+// test-only recompute oracle rebuilds everything from the raw buffer, the
+// seed's reference behavior.
 func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl time.Time) (*Result, error) {
 	cfg := st.cfg.Core
 	// Stamp every trace event the per-hop pipeline emits with this hop's

@@ -89,12 +89,11 @@ func BenchmarkStreamerHexa(b *testing.B) {
 	benchReplay(b, s, cfg)
 }
 
-// BenchmarkStreamerRecompute replays a walk through the seed's serial
-// full-window-recompute streamer (the oracle path).
+// BenchmarkStreamerRecompute replays a walk through the seed's
+// full-window-recompute streamer (the test-only oracle path).
 func BenchmarkStreamerRecompute(b *testing.B) {
 	s := benchStreamSeries(b)
-	cfg := StreamConfig{Core: DefaultConfig(array.NewLinear3(0.029)), Recompute: true}
-	cfg.Core.Parallelism = 1
+	cfg := StreamConfig{Core: DefaultConfig(array.NewLinear3(0.029)), recompute: true}
 	benchReplay(b, s, cfg)
 }
 

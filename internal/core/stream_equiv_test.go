@@ -42,8 +42,8 @@ func requireSameEstimates(t *testing.T, want, got []Estimate) {
 }
 
 // equivStreamConfigs returns the incremental config under test and the
-// serial full-recompute oracle config, identical otherwise, both on the
-// given TRRS kernel.
+// full-recompute oracle config, identical otherwise, both on the given
+// TRRS kernel.
 func equivStreamConfigs(arr *array.Array, k trrs.Kernel) (incCfg, oracleCfg StreamConfig) {
 	core := DefaultConfig(arr)
 	core.WindowSeconds = 0.3
@@ -51,8 +51,7 @@ func equivStreamConfigs(arr *array.Array, k trrs.Kernel) (incCfg, oracleCfg Stre
 	core.Kernel = k
 	incCfg = StreamConfig{Core: core, SpanSeconds: 1.5, HopSeconds: 0.25}
 	oracleCfg = incCfg
-	oracleCfg.Recompute = true
-	oracleCfg.Core.Parallelism = 1
+	oracleCfg.recompute = true
 	return incCfg, oracleCfg
 }
 
@@ -66,8 +65,8 @@ func forEachKernel(t *testing.T, f func(t *testing.T, k trrs.Kernel)) {
 }
 
 // TestStreamIncrementalMatchesRecomputeClean: on a clean stop-and-go walk
-// the parallel incremental streamer must emit exactly the estimates of the
-// serial full-recompute oracle.
+// the incremental streamer must emit exactly the estimates of the
+// full-recompute oracle.
 func TestStreamIncrementalMatchesRecomputeClean(t *testing.T) {
 	arr := array.NewLinear3(0.029)
 	b := traj.NewBuilder(100, geom.Pose{Pos: geom.Vec2{X: 10, Y: 0}})

@@ -70,6 +70,9 @@ func (s *Series) ToFile(meta FileMeta) *FileSeries {
 }
 
 // ToSeries converts the portable form back into an analysis-ready Series.
+// The header's shape is checked against every slot before anything is
+// allocated, so a hostile header cannot size the Series beyond the CSI
+// actually present in the file.
 func (ff *FileSeries) ToSeries() (*Series, error) {
 	if ff.Meta.Rate <= 0 {
 		return nil, fmt.Errorf("csi: file meta rate must be positive")
@@ -79,6 +82,25 @@ func (ff *FileSeries) ToSeries() (*Series, error) {
 		return nil, fmt.Errorf("csi: file contains no CSI slots")
 	}
 	na, nt, ns := ff.Meta.NumAnts, ff.Meta.NumTx, ff.Meta.NumSub
+	if na <= 0 || nt <= 0 || ns <= 0 {
+		return nil, fmt.Errorf("csi: file shape (%d antennas, %d tx, %d tones) must be positive", na, nt, ns)
+	}
+	for t, slot := range ff.CSI {
+		if len(slot) != na {
+			return nil, fmt.Errorf("csi: slot %d has %d antennas, want %d", t, len(slot), na)
+		}
+		for a, ant := range slot {
+			if len(ant) != nt {
+				return nil, fmt.Errorf("csi: slot %d antenna %d has %d tx, want %d", t, a, len(ant), nt)
+			}
+			for tx, tones := range ant {
+				if len(tones) != ns {
+					return nil, fmt.Errorf("csi: slot %d antenna %d tx %d has %d tones, want %d",
+						t, a, tx, len(tones), ns)
+				}
+			}
+		}
+	}
 	s := &Series{
 		Rate:    ff.Meta.Rate,
 		NumAnts: na,
@@ -92,24 +114,9 @@ func (ff *FileSeries) ToSeries() (*Series, error) {
 		s.Missing[a] = make([]bool, slots)
 		for tx := 0; tx < nt; tx++ {
 			s.H[a][tx] = make([][]complex128, slots)
-		}
-	}
-	for t := 0; t < slots; t++ {
-		if len(ff.CSI[t]) != na {
-			return nil, fmt.Errorf("csi: slot %d has %d antennas, want %d", t, len(ff.CSI[t]), na)
-		}
-		for a := 0; a < na; a++ {
-			if len(ff.CSI[t][a]) != nt {
-				return nil, fmt.Errorf("csi: slot %d antenna %d has %d tx, want %d", t, a, len(ff.CSI[t][a]), nt)
-			}
-			for tx := 0; tx < nt; tx++ {
-				tones := ff.CSI[t][a][tx]
-				if len(tones) != ns {
-					return nil, fmt.Errorf("csi: slot %d antenna %d tx %d has %d tones, want %d",
-						t, a, tx, len(tones), ns)
-				}
+			for t := 0; t < slots; t++ {
 				v := make([]complex128, ns)
-				for k, c := range tones {
+				for k, c := range ff.CSI[t][a][tx] {
 					v[k] = complex(c[0], c[1])
 				}
 				s.H[a][tx][t] = v

@@ -403,21 +403,14 @@ func TestExtHeadingShape(t *testing.T) {
 
 func TestPerfShape(t *testing.T) {
 	r := Perf(Fast)
-	// 9 throughput rows (batch serial/parallel, stream recompute/
-	// incremental, symmetric dedup, batched bulk build, vector kernel,
-	// float32 planes, incremental hop) plus one row per recorded stage
-	// histogram.
-	if want := 9 + len(r.Stages); len(r.Report.Rows) != want {
+	// 2 throughput rows (stream incremental, incremental hop) plus one
+	// row per recorded stage histogram.
+	if want := 2 + len(r.Stages); len(r.Report.Rows) != want {
 		t.Fatalf("want %d rows, got %d\n%s", want, len(r.Report.Rows), r.Report)
 	}
 	// Timings are machine-dependent; only assert they are measurements.
-	if r.SerialNs <= 0 || r.ParallelNs <= 0 || r.HopNs <= 0 ||
-		r.RecomputeSlotsPerSec <= 0 || r.IncrementalSlotsPerSec <= 0 {
+	if r.HopNs <= 0 || r.IncrementalSlotsPerSec <= 0 {
 		t.Fatalf("non-positive measurement: %+v", r)
-	}
-	if r.BatchSpeedup <= 0 || r.StreamSpeedup <= 0 || r.SymmetricSpeedup <= 0 ||
-		r.BatchedSpeedup <= 0 || r.VectorSpeedup <= 0 || r.Float32Speedup <= 0 {
-		t.Fatalf("non-positive speedup: %+v", r)
 	}
 	// The steady-state hop is allocation-free by contract.
 	if r.HopAllocsPerOp != 0 {

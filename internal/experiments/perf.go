@@ -16,37 +16,17 @@ import (
 	"rim/internal/trrs"
 )
 
-// PerfResult carries the engine-throughput measurements: the batch
-// base-matrix build serial vs parallel, the streaming replay with the
-// seed's full-window recompute vs the incremental engine, and the
-// per-stage latency distribution of the instrumented replay. The struct
-// marshals to the JSON perf row rimbench -json emits.
+// PerfResult carries the streaming-engine measurements no guard test
+// takes: the incremental replay throughput of one simulated walk, one
+// steady-state hop's cost, and the per-stage latency distribution of the
+// instrumented replay. The batch-build comparisons (serial vs pool,
+// kernels, float32 planes, batching, symmetry) live in TestBenchGuard and
+// BENCH_trrs.json. The struct marshals to the JSON perf row rimbench
+// -json emits.
 type PerfResult struct {
 	Report *Report `json:"-"`
-	// SerialNs and ParallelNs are the batch BaseMatrix wall times.
-	SerialNs   float64 `json:"serial_ns"`
-	ParallelNs float64 `json:"parallel_ns"`
-	// RecomputeSlotsPerSec and IncrementalSlotsPerSec are the streaming
-	// replay throughputs.
-	RecomputeSlotsPerSec   float64 `json:"recompute_slots_per_sec"`
+	// IncrementalSlotsPerSec is the streaming replay throughput.
 	IncrementalSlotsPerSec float64 `json:"incremental_slots_per_sec"`
-	// BatchSpeedup and StreamSpeedup are the corresponding ratios.
-	BatchSpeedup  float64 `json:"batch_speedup"`
-	StreamSpeedup float64 `json:"stream_speedup"`
-	// SymmetricSpeedup is the single-core gain from deriving reversed and
-	// self pairs by Hermitian reflection in one BaseMatrices call instead
-	// of computing every matrix from scratch.
-	SymmetricSpeedup float64 `json:"symmetric_speedup"`
-	// BatchedSpeedup is the single-core gain of the cross-pair batched
-	// bulk build with the vector kernel over per-pair sequential builds
-	// (three distinct pairs, no symmetry shortcuts).
-	BatchedSpeedup float64 `json:"batched_speedup"`
-	// VectorSpeedup is the single-pair serial-build gain of the opt-in
-	// vector (lag-sweep) kernel over the sequential reference.
-	VectorSpeedup float64 `json:"vector_speedup"`
-	// Float32Speedup is the single-pair serial-build gain of float32
-	// planes over float64, both on the vector-shaped sweep path.
-	Float32Speedup float64 `json:"float32_speedup"`
 	// HopNs and HopAllocsPerOp are one steady-state incremental hop
 	// (append W, drop W, refresh the pair matrix), run serially. The
 	// hot path runs in ring- and matrix-owned storage, so allocs/op is 0
@@ -198,8 +178,8 @@ var stageHistograms = []string{
 
 // stageLatencies replays the trace once more with a live registry attached
 // and extracts each stage's latency percentiles. The replay is separate
-// from the timed throughput runs so instrumentation cost never pollutes
-// the recompute-vs-incremental comparison.
+// from the timed throughput run so instrumentation cost never pollutes
+// it.
 func stageLatencies(s *csi.Series, cfg core.StreamConfig) []StageLatency {
 	reg := obs.NewRegistry()
 	cfg.Core.Obs = reg
@@ -221,102 +201,36 @@ func stageLatencies(s *csi.Series, cfg core.StreamConfig) []StageLatency {
 	return out
 }
 
-// Perf measures the parallel + incremental TRRS engine against the seed's
-// serial full-recompute paths on one simulated walk: the batch base-matrix
-// build (one pair, full trace) and the end-to-end streaming replay. This is
-// the reproduction's throughput row — the paper's real-time claim (§6.1,
-// 200 Hz on a laptop) needs the streaming hop cost to stay sub-hop.
+// Perf measures the streaming engine on one simulated walk: the
+// end-to-end incremental replay, one steady-state hop and the per-stage
+// latencies. This is the reproduction's throughput row — the paper's
+// real-time claim (§6.1, 200 Hz on a laptop) needs the streaming hop cost
+// to stay sub-hop.
 func Perf(scale Scale) *PerfResult {
-	arr := array.NewLinear3(Spacing)
 	s := perfSeries(scale)
-	cfg := CoreConfig(scale, arr)
-	w := int(math.Round(cfg.WindowSeconds * s.Rate))
-	reps := scale.Pick(3, 5)
-
-	e := trrs.NewEngine(s)
-	e.SetParallelism(1)
-	serial := timeBest(reps, func() { e.BaseMatrixSerial(0, 2, w) })
-	e.SetParallelism(0)
-	parallel := timeBest(reps, func() { e.BaseMatrix(0, 2, w) })
-
-	// Symmetric pair set on one core: reflection dedup vs from-scratch.
-	symPairs := []trrs.PairSpec{{I: 0, J: 2}, {I: 2, J: 0}, {I: 1, J: 1}}
-	e.SetParallelism(1)
-	symNaive := timeBest(reps, func() {
-		for _, p := range symPairs {
-			e.BaseMatrixSerial(p.I, p.J, w)
-		}
-	})
-	symDedup := timeBest(reps, func() { e.BaseMatrices(symPairs, w) })
-
-	// Cross-pair batched build (three distinct pairs, one core): per-pair
-	// sequential builds vs one batched BaseMatrices pass with the vector
-	// kernel — the bulk-construction fast path.
-	bulkPairs := []trrs.PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}}
-	perPair := timeBest(reps, func() {
-		for _, p := range bulkPairs {
-			e.BaseMatrixSerial(p.I, p.J, w)
-		}
-	})
-	eVec := trrs.NewEngine(s)
-	eVec.SetParallelism(1)
-	eVec.SetKernel(trrs.KernelVector)
-	batchedVec := timeBest(reps, func() { eVec.BaseMatrices(bulkPairs, w) })
-	vector := timeBest(reps, func() { eVec.BaseMatrixSerial(0, 2, w) })
-	e32 := trrs.NewEnginePrecision(s, trrs.PrecisionFloat32)
-	e32.SetParallelism(1)
-	f32 := timeBest(reps, func() { e32.BaseMatrixSerial(0, 2, w) })
-
-	hopNs, hopAllocs := hopStats(s, w, reps)
-
-	oracleCfg := core.StreamConfig{Core: cfg, Recompute: true}
-	oracleCfg.Core.Parallelism = 1
-	incCfg := core.StreamConfig{Core: cfg}
-	recompute := replayThroughput(s, oracleCfg)
-	incremental := replayThroughput(s, incCfg)
-
+	cfg := core.StreamConfig{Core: CoreConfig(scale, array.NewLinear3(Spacing))}
+	w := int(math.Round(cfg.Core.WindowSeconds * s.Rate))
+	hopNs, hopAllocs := hopStats(s, w, scale.Pick(3, 5))
+	incremental := replayThroughput(s, cfg)
 	out := &PerfResult{
-		SerialNs:               float64(serial.Nanoseconds()),
-		ParallelNs:             float64(parallel.Nanoseconds()),
-		RecomputeSlotsPerSec:   recompute,
 		IncrementalSlotsPerSec: incremental,
-		BatchSpeedup:           float64(serial) / float64(parallel),
-		StreamSpeedup:          incremental / recompute,
-		SymmetricSpeedup:       float64(symNaive) / float64(symDedup),
-		BatchedSpeedup:         float64(perPair) / float64(batchedVec),
-		VectorSpeedup:          float64(serial) / float64(vector),
-		Float32Speedup:         float64(vector) / float64(f32),
 		HopNs:                  float64(hopNs.Nanoseconds()),
 		HopAllocsPerOp:         hopAllocs,
-		Stages:                 stageLatencies(s, incCfg),
+		Stages:                 stageLatencies(s, cfg),
 	}
 
 	rep := &Report{
 		ID:         "Perf",
-		Title:      "TRRS engine throughput (parallel + incremental vs serial recompute)",
+		Title:      "Streaming engine throughput (incremental replay, steady-state hop, stage latencies)",
 		PaperClaim: "real-time at 200 Hz on a laptop (§6.1); engine must keep per-hop cost below the hop interval",
-		Columns:    []string{"path", "metric", "value", "speedup"},
+		Columns:    []string{"path", "metric", "value", "note"},
 	}
-	rep.AddRow("BaseMatrix serial", "build time", serial.Round(time.Microsecond).String(), "1.00x")
-	rep.AddRow("BaseMatrix parallel", "build time", parallel.Round(time.Microsecond).String(),
-		fmt.Sprintf("%.2fx", out.BatchSpeedup))
-	rep.AddRow("stream recompute", "throughput", fmt.Sprintf("%.0f slots/s", recompute), "1.00x")
 	rep.AddRow("stream incremental", "throughput", fmt.Sprintf("%.0f slots/s", incremental),
-		fmt.Sprintf("%.2fx", out.StreamSpeedup))
-	rep.AddRow("symmetric pairs dedup", "build time (1 core)", symDedup.Round(time.Microsecond).String(),
-		fmt.Sprintf("%.2fx", out.SymmetricSpeedup))
-	rep.AddRow("batched bulk build (vector)", "build time (1 core, 3 pairs)", batchedVec.Round(time.Microsecond).String(),
-		fmt.Sprintf("%.2fx", out.BatchedSpeedup))
-	rep.AddRow("vector kernel", "build time (1 core)", vector.Round(time.Microsecond).String(),
-		fmt.Sprintf("%.2fx", out.VectorSpeedup))
-	rep.AddRow("float32 planes", "build time (1 core)", f32.Round(time.Microsecond).String(),
-		fmt.Sprintf("%.2fx", out.Float32Speedup))
+		fmt.Sprintf("%.1fx real time", incremental/s.Rate))
 	rep.AddRow("incremental hop", "steady-state cost", hopNs.Round(time.Microsecond).String(),
 		fmt.Sprintf("%.0f allocs/op", hopAllocs))
-	rep.AddNote("GOMAXPROCS=%d; trace %d slots at %.0f Hz, W=%d slots; on 1 core the parallel pool degenerates to the serial loop",
+	rep.AddNote("GOMAXPROCS=%d; trace %d slots at %.0f Hz, W=%d slots; batch-build comparisons: TestBenchGuard / BENCH_trrs.json",
 		runtime.GOMAXPROCS(0), s.NumSlots(), s.Rate, w)
-	rep.AddNote("real-time margin: incremental streams %.1fx faster than the %.0f Hz arrival rate",
-		incremental/s.Rate, s.Rate)
 	for _, sl := range out.Stages {
 		rep.AddRow(sl.Stage, "latency P50/P90/P99",
 			fmt.Sprintf("%s / %s / %s", fmtSec(sl.P50), fmtSec(sl.P90), fmtSec(sl.P99)),

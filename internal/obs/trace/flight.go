@@ -204,13 +204,37 @@ func (f *Flight) write(pm *Postmortem) {
 	path := filepath.Join(f.cfg.Dir, fmt.Sprintf("postmortem-%d-%s.json", pm.Seq, pm.Reason))
 	data, err := json.MarshalIndent(pm, "", "  ")
 	if err == nil {
-		err = os.WriteFile(path, data, 0o644)
+		err = writeFileAtomic(path, data)
 	}
 	if err != nil {
 		f.cfg.Log.Error("flight recorder: writing postmortem bundle", "path", path, "err", err)
 		return
 	}
 	f.cfg.Log.Warn("flight recorder wrote postmortem bundle", "path", path)
+}
+
+// writeFileAtomic writes data to a temporary file in path's directory and
+// renames it to path, so a reader of path sees the whole bundle or no
+// file, never a prefix. It does not Sync: a bundle already survives a
+// process crash in the page cache, and an fsync would stall the hop that
+// offered the capture.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".postmortem-*.tmp")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }
 
 // Last returns the most recent capture (nil when none yet, or on a nil

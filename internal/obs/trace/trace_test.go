@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -437,6 +439,60 @@ func TestFlightCaptureAndHandler(t *testing.T) {
 	}
 	if served.Seq != 1 || served.Reason != ReasonDegradedEstimates {
 		t.Errorf("served bundle = %+v", served)
+	}
+}
+
+// TestFlightBundlesAppearWhole reads every postmortem-*.json bundle while
+// captures keep landing in the directory: each read must parse, because a
+// bundle becomes visible under its name only once it is complete.
+func TestFlightBundlesAppearWhole(t *testing.T) {
+	r := NewRecorder(1024)
+	for i := 0; i < r.Cap(); i++ {
+		r.Emit(KindEstimate, int64(i), int64(i), int64(i), 0)
+	}
+	dir := t.TempDir()
+	f := NewFlight(FlightConfig{Recorder: r, Lookback: time.Hour, MinInterval: -1, Dir: dir,
+		Log: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	const captures = 100
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < captures; i++ {
+			f.Offer(ReasonDegradedEstimates, int64(i), nil)
+		}
+	}()
+	// Each bundle is read until it has parsed once; it never changes after.
+	whole := map[string]bool{}
+	readNew := func() {
+		paths, err := filepath.Glob(filepath.Join(dir, "postmortem-*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range paths {
+			if whole[p] {
+				continue
+			}
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatalf("reading %s: %v", p, err)
+			}
+			var pm Postmortem
+			if err := json.Unmarshal(data, &pm); err != nil {
+				t.Fatalf("%s read mid-write (%d bytes): %v", filepath.Base(p), len(data), err)
+			}
+			whole[p] = true
+		}
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		readNew()
+	}
+	if len(whole) != captures {
+		t.Fatalf("%d bundles on disk, want %d", len(whole), captures)
 	}
 }
 

@@ -13,9 +13,8 @@ type CoreFactoryConfig struct {
 	// Template is the stream configuration every session starts from —
 	// analysis knobs (window, span, hop, deadline), engine knobs (Kernel,
 	// Precision) and observability wiring are all shared fleet-wide.
-	// Core.Parallelism reaches only Recompute-mode sessions (batch
-	// builds): incremental hops run on the session's own goroutine, and
-	// the fleet's parallelism comes from running sessions side by side.
+	// Hops run on the session's own goroutine; the fleet's parallelism
+	// comes from running sessions side by side.
 	// Template.Core.Array is ignored; each session's geometry comes from
 	// ArrayFor.
 	Template core.StreamConfig

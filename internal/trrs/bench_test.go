@@ -44,7 +44,6 @@ func BenchmarkTRRSMatrixAoSRef(b *testing.B) {
 func BenchmarkTRRSMatrixParallel(b *testing.B) {
 	s, w := benchFixture(b)
 	e := NewEngine(s)
-	e.SetParallelism(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkMatrix = e.BaseMatrix(0, 2, w)
@@ -56,7 +55,6 @@ func BenchmarkTRRSMatrixParallel(b *testing.B) {
 func BenchmarkTRRSMatricesBulk(b *testing.B) {
 	s, w := benchFixture(b)
 	e := NewEngine(s)
-	e.SetParallelism(0)
 	pairs := []PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -76,7 +74,7 @@ var symmetricPairs = []PairSpec{{I: 0, J: 2}, {I: 2, J: 0}, {I: 1, J: 1}}
 func BenchmarkTRRSMatricesSymmetric(b *testing.B) {
 	s, w := benchFixture(b)
 	e := NewEngine(s)
-	e.SetParallelism(1)
+	e.par = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkMatrices = e.BaseMatrices(symmetricPairs, w)
@@ -197,7 +195,7 @@ var bulkPairs = []PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}}
 func BenchmarkTRRSMatricesPerPair(b *testing.B) {
 	s, w := benchFixture(b)
 	e := NewEngine(s)
-	e.SetParallelism(1)
+	e.par = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range bulkPairs {
@@ -212,7 +210,7 @@ func BenchmarkTRRSMatricesPerPair(b *testing.B) {
 func BenchmarkTRRSMatricesBatched(b *testing.B) {
 	s, w := benchFixture(b)
 	e := NewEngine(s)
-	e.SetParallelism(1)
+	e.par = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkMatrices = e.BaseMatrices(bulkPairs, w)
@@ -224,7 +222,7 @@ func BenchmarkTRRSMatricesBatched(b *testing.B) {
 func BenchmarkTRRSMatricesBatchedVector(b *testing.B) {
 	s, w := benchFixture(b)
 	e := NewEngine(s)
-	e.SetParallelism(1)
+	e.par = 1
 	e.SetKernel(KernelVector)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -237,7 +235,7 @@ func BenchmarkTRRSMatricesBatchedVector(b *testing.B) {
 func BenchmarkTRRSMatricesBatchedFloat32(b *testing.B) {
 	s, w := benchFixture(b)
 	e := NewEnginePrecision(s, PrecisionFloat32)
-	e.SetParallelism(1)
+	e.par = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkMatrices = e.BaseMatrices(bulkPairs, w)

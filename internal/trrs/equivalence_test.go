@@ -75,7 +75,7 @@ func TestGoldenParallelEqualsSerialRandom(t *testing.T) {
 		s := randomSeries(rng, 3, 2, 16, 70)
 		e := NewEngine(s)
 		for _, par := range []int{0, 2, 3, 7} {
-			e.SetParallelism(par)
+			e.par = par
 			for _, w := range []int{3, 11, 80} { // w > slots exercises clipping
 				want := e.BaseMatrixSerial(0, 2, w)
 				requireIdentical(t, "parallel", want, e.BaseMatrix(0, 2, w))
@@ -88,7 +88,7 @@ func TestGoldenParallelEqualsSerialWalk(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
 		s := walkSeries(t, faulty)
 		e := NewEngine(s)
-		e.SetParallelism(4)
+		e.par = 4
 		pairs := []PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}}
 		ms := e.BaseMatrices(pairs, 25)
 		for k, p := range pairs {
@@ -101,7 +101,7 @@ func TestGoldenParallelEqualsSerialWalk(t *testing.T) {
 func TestGoldenAmplitudeEngineParallel(t *testing.T) {
 	s := walkSeries(t, false)
 	e := NewAmplitudeEngine(s)
-	e.SetParallelism(3)
+	e.par = 3
 	requireIdentical(t, "amplitude", e.BaseMatrixSerial(0, 2, 15), e.BaseMatrix(0, 2, 15))
 }
 

@@ -17,10 +17,10 @@ func FuzzBatchPlan(f *testing.F) {
 	f.Add(int64(2), uint8(2), uint8(7), uint8(9), uint8(1), []byte{0x00, 0x10, 0x01})
 	f.Add(int64(3), uint8(4), uint8(70), uint8(3), uint8(2), []byte{0x23, 0x32, 0x23, 0x11})
 	f.Fuzz(func(t *testing.T, seed int64, antsB, slotsB, wB, parB uint8, pairBytes []byte) {
-		ants := 1 + int(antsB%4)     // 1..4 antennas
-		slots := 1 + int(slotsB%80)  // 1..80 slots (covers w > slots clipping)
-		w := int(wB % 12)            // 0..11 lag window
-		par := int(parB % 5)         // 0..4 workers
+		ants := 1 + int(antsB%4)    // 1..4 antennas
+		slots := 1 + int(slotsB%80) // 1..80 slots (covers w > slots clipping)
+		w := int(wB % 12)           // 0..11 lag window
+		par := int(parB % 5)        // 0..4 workers
 		if len(pairBytes) == 0 || len(pairBytes) > 12 {
 			t.Skip()
 		}
@@ -31,7 +31,7 @@ func FuzzBatchPlan(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomSeries(rng, ants, 1, 9, slots)
 		e := NewEngine(s)
-		e.SetParallelism(par)
+		e.par = par
 		got := e.BaseMatrices(pairs, w)
 		for k, p := range pairs {
 			want := e.BaseMatrixSerial(p.I, p.J, w)

@@ -255,7 +255,7 @@ func (inc *Incremental) DropFront(n int) {
 
 // viewInto points e at the current window: plane slices covering slots
 // [head, head+n), plus the incremental engine's rate/shape/tuning. Views
-// are serial (Parallelism 1), like the incremental engine itself.
+// are serial (one worker), like the incremental engine itself.
 func (inc *Incremental) viewInto(e *Engine, ants []int) error {
 	for _, a := range ants {
 		if a < 0 || a >= inc.numAnt {

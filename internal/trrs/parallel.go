@@ -141,7 +141,7 @@ func (e *Engine) newFlatMatrix(i, j, w int) *Matrix {
 // row range of a preallocated buffer, so the output is deterministic and
 // bit-for-bit identical to BaseMatrixSerial regardless of worker count,
 // scheduling, or which of the symmetry paths produced it. With one worker
-// (Parallelism = 1, or a single-CPU GOMAXPROCS) the same plan runs on the
+// (GOMAXPROCS 1, or an incremental engine view) the same plan runs on the
 // calling goroutine. This is the only goroutine fan-out in the package:
 // incremental refreshes are serial (see fillRows).
 func (e *Engine) BaseMatrices(pairs []PairSpec, w int) []*Matrix {

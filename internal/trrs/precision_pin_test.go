@@ -63,7 +63,7 @@ func TestPrecisionFloat32Bits(t *testing.T) {
 		for _, p := range pairs {
 			serial.addMatrices(e.BaseMatrixSerial(p.I, p.J, w))
 		}
-		e.SetParallelism(2)
+		e.par = 2
 		batch.addMatrices(e.BaseMatrices(pairs, w)...)
 		point.add(e.SelfSeries(1, 3, 1)...)
 		point.add(e.Base(0, 2, 40, 37), e.Base(2, 2, 5, 5))

@@ -39,7 +39,7 @@ func TestReflectionIdentityProperty(t *testing.T) {
 		// be bitwise the reversed pair's full serial computation, and the
 		// matrix entries must satisfy base_{j,i}[t][l] == base_{i,j}[t−l][−l].
 		for _, par := range []int{1, 3} {
-			e.SetParallelism(par)
+			e.par = par
 			ms := e.BaseMatrices([]PairSpec{{I: 0, J: 2}, {I: 2, J: 0}}, w)
 			requireIdentical(t, "forward", e.BaseMatrixSerial(0, 2, w), ms[0])
 			requireIdentical(t, "reflected", e.BaseMatrixSerial(2, 0, w), ms[1])
@@ -71,7 +71,7 @@ func TestSelfPairLagSymmetryProperty(t *testing.T) {
 		e := NewEngine(s)
 		w := 4 + rng.Intn(12)
 		for _, par := range []int{1, 3} {
-			e.SetParallelism(par)
+			e.par = par
 			m := e.BaseMatrices([]PairSpec{{I: 1, J: 1}}, w)[0]
 			requireIdentical(t, "self", e.BaseMatrixSerial(1, 1, w), m)
 			for tt := 0; tt < s.NumSlots(); tt++ {

@@ -95,8 +95,10 @@ type Engine struct {
 	prec   Precision
 	// kernel selects the inner-product kernel (see Kernel).
 	kernel Kernel
-	// par is the worker count of BaseMatrix/BaseMatrices: 0 means
-	// GOMAXPROCS (see SetParallelism).
+	// par is the worker count of BaseMatrix/BaseMatrices: 0 (every
+	// NewEngine) means GOMAXPROCS. Incremental views pin it to 1, and the
+	// package's tests sweep it to show the result is bit-for-bit
+	// independent of the worker count.
 	par int
 	// Observability handles (nil = unobserved, every use a no-op): rows of
 	// base matrices computed from scratch, and the pool's effective worker
@@ -108,23 +110,6 @@ type Engine struct {
 	trc *trace.Recorder
 	hop int64
 }
-
-// SetParallelism sets the worker count of the batch builds
-// BaseMatrix/BaseMatrices: 0 (the default) uses GOMAXPROCS workers, n ≥ 1
-// uses exactly n. At 1 the build still runs the block-major batch plan
-// and the symmetry dedup, just on the calling goroutine; it does not
-// select BaseMatrixSerial. Every entry of a base matrix is an independent
-// pure function of the normalized snapshots, so the result is
-// bit-for-bit identical to BaseMatrixSerial at any setting.
-func (e *Engine) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.par = n
-}
-
-// Parallelism returns the configured worker count (0 = GOMAXPROCS).
-func (e *Engine) Parallelism() int { return e.par }
 
 // SetKernel selects the inner-product kernel. The zero value
 // KernelSequential is bit-for-bit identical to the reference arithmetic;
@@ -314,7 +299,7 @@ func (e *Engine) fillRowFrom(row []float64, i, j, w, t, cFrom int) {
 // — on one goroutine, row by row, with no batch plan and no symmetry
 // shortcuts. This is the reference oracle the parallel, incremental and
 // symmetry-deduplicated paths are tested against; no pipeline setting
-// selects it (Parallelism 1 still runs BaseMatrices' batch plan).
+// selects it (one worker still runs BaseMatrices' batch plan).
 func (e *Engine) BaseMatrixSerial(i, j, w int) *Matrix {
 	m := &Matrix{I: i, J: j, W: w, Rate: e.rate}
 	m.Vals = make([][]float64, e.slots)
@@ -330,7 +315,7 @@ func (e *Engine) BaseMatrixSerial(i, j, w int) *Matrix {
 
 // BaseMatrix computes the single-snapshot TRRS matrix between antennas i
 // and j over lags [−W, W], fanning the rows out over the engine's worker
-// pool (see SetParallelism). The result is bit-for-bit identical to
+// pool of GOMAXPROCS workers. The result is bit-for-bit identical to
 // BaseMatrixSerial.
 func (e *Engine) BaseMatrix(i, j, w int) *Matrix {
 	return e.BaseMatrices([]PairSpec{{I: i, J: j}}, w)[0]
