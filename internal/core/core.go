@@ -383,8 +383,9 @@ func newPipelineObs(reg *obs.Registry) pipelineObs {
 }
 
 // degradedMissFrac is the per-slot missing-antenna fraction above which an
-// estimate is flagged degraded: with a third of the array interpolated the
-// TRRS averages lean on fabricated data.
+// estimate is flagged degraded, by the batch pipeline and the streamer
+// alike: with a third of the array interpolated the TRRS averages lean on
+// fabricated data.
 const degradedMissFrac = 1.0 / 3
 
 // NewPipeline builds the pipeline for one CSI series.
@@ -466,13 +467,13 @@ func neededPairs(groups []array.ParallelGroup, ring []array.Pair, disablePairAve
 }
 
 // newPipelineFromEngine assembles a pipeline over an existing TRRS engine.
-// baseFor supplies the per-pair base matrices (antenna indices local to
-// the engine); nil selects the default bulk computation, which fans every
-// needed pair out over one worker pool sharded by pair × time block. The
-// streaming front end passes an incremental-engine source instead. cfg
-// must already have defaults applied and an Array matching the engine's
-// antenna count.
-func newPipelineFromEngine(eng *trrs.Engine, baseFor func(i, j int) *trrs.Matrix, missFrac []float64, cfg Config) (*Pipeline, error) {
+// base supplies the base matrices of the given pairs (antenna indices
+// local to the engine), in order, and runs inside the build stage; nil
+// selects the default bulk computation, which fans every needed pair out
+// over one worker pool sharded by pair × time block. The streaming front
+// end passes an incremental-engine source instead. cfg must already have
+// defaults applied and an Array matching the engine's antenna count.
+func newPipelineFromEngine(eng *trrs.Engine, base func(pairs []trrs.PairSpec) ([]*trrs.Matrix, error), missFrac []float64, cfg Config) (*Pipeline, error) {
 	if cfg.Array.NumAntennas() != eng.NumAntennas() {
 		return nil, fmt.Errorf("core: array has %d antennas but engine has %d",
 			cfg.Array.NumAntennas(), eng.NumAntennas())
@@ -485,21 +486,30 @@ func newPipelineFromEngine(eng *trrs.Engine, baseFor func(i, j int) *trrs.Matrix
 	defer buildTrace.End()
 
 	// Base matrices are shared between translation groups and the
-	// rotation ring; collect the distinct pairs first so the bulk source
-	// computes each exactly once, in one cross-pair batched pool (every
+	// rotation ring; collect the distinct pairs first so the source
+	// computes each exactly once, in one cross-pair batched pass (every
 	// time block's CSI planes are read once and feed all pairs sharing
-	// it — see trrs.BaseMatrices). Reversed pairs and self-pairs need no
-	// handling here: BaseMatrices derives them by the Hermitian
-	// reflection instead of recomputing.
+	// it — see trrs.BaseMatrices and Incremental.ExtendMatrices).
+	// Reversed pairs and self-pairs need no handling here: the engines
+	// derive them by the Hermitian reflection instead of recomputing.
 	groups, ring := pairGeometry(cfg.Array)
-	if baseFor == nil {
-		pairs := neededPairs(groups, ring, cfg.DisablePairAveraging)
-		ms := eng.BaseMatrices(pairs, p.w)
-		cache := make(map[[2]int]*trrs.Matrix, len(pairs))
-		for k, spec := range pairs {
-			cache[[2]int{spec.I, spec.J}] = ms[k]
+	pairs := neededPairs(groups, ring, cfg.DisablePairAveraging)
+	var ms []*trrs.Matrix
+	if base == nil {
+		ms = eng.BaseMatrices(pairs, p.w)
+	} else {
+		var err error
+		if ms, err = base(pairs); err != nil {
+			return nil, err
 		}
-		baseFor = func(i, j int) *trrs.Matrix { return cache[[2]int{i, j}] }
+	}
+	baseFor := func(i, j int) *trrs.Matrix {
+		for k, pr := range pairs {
+			if pr.I == i && pr.J == j {
+				return ms[k]
+			}
+		}
+		return nil
 	}
 
 	for _, g := range groups {

@@ -30,19 +30,6 @@ type StreamConfig struct {
 	// older than the guard region, so output latency is roughly
 	// Core.WindowSeconds + HopSeconds.
 	HopSeconds float64
-	// DeadMissFrac declares an antenna dead when the fraction of its
-	// samples missing/rejected over the trailing detection window reaches
-	// this level (default 0.9); it revives below half of it.
-	DeadMissFrac float64
-	// DeadEnergyFrac declares an antenna dead when its smoothed CSI power
-	// falls below this fraction of the median power of the other antennas
-	// (default 0.02, i.e. -17 dB — far below any AGC step, far above a
-	// noise-only dead RF chain); it revives above 5x it.
-	DeadEnergyFrac float64
-	// DegradedMissFrac marks an emitted estimate degraded when the
-	// fraction of antennas with missing samples at its slot reaches this
-	// level (default 1/3).
-	DegradedMissFrac float64
 	// HopDeadline bounds one sliding-window analysis hop. A hop that
 	// exhausts its budget stops at the next stage boundary and emits
 	// degraded placeholder estimates for the slots it did not resolve —
@@ -133,9 +120,10 @@ type Streamer struct {
 	// steady-state path.
 	incSnap  [][][]complex128
 	remapHdr map[[2]int]*trrs.Matrix
-	// prewarm is the reused absolute-pair scratch of analyzeAlive's
-	// batched ExtendMatrices pre-warm.
-	prewarm []trrs.PairSpec
+	// absPairs and baseMs are the reused absolute-pair and result
+	// scratch of analyzeAlive's batched ExtendMatrices pass.
+	absPairs []trrs.PairSpec
+	baseMs   []*trrs.Matrix
 	// aliveScratch backs aliveAntennas' per-hop result.
 	aliveScratch []int
 	// buf[ant][tx] holds the windowed snapshots.
@@ -304,15 +292,6 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 	}
 	if cfg.HopSeconds <= 0 {
 		cfg.HopSeconds = 0.5
-	}
-	if cfg.DeadMissFrac <= 0 || cfg.DeadMissFrac > 1 {
-		cfg.DeadMissFrac = 0.9
-	}
-	if cfg.DeadEnergyFrac <= 0 {
-		cfg.DeadEnergyFrac = 0.02
-	}
-	if cfg.DegradedMissFrac <= 0 {
-		cfg.DegradedMissFrac = 1.0 / 3
 	}
 	w := cfg.Core.WindowSeconds
 	if w <= 0 {
@@ -598,6 +577,18 @@ func (st *Streamer) rowsShapedAndSane(rows [][]complex128) bool {
 	return true
 }
 
+const (
+	// deadMissFrac declares an antenna dead when the fraction of its
+	// samples missing or rejected over the trailing detection window
+	// reaches it; the antenna revives below half of it.
+	deadMissFrac = 0.9
+	// deadEnergyFrac declares an antenna dead when its smoothed CSI power
+	// falls below this fraction of the median power of the live antennas
+	// (-17 dB: far below any AGC step, far above a noise-only dead RF
+	// chain); the antenna revives above 5x it.
+	deadEnergyFrac = 0.02
+)
+
 // updateDeadDetection maintains the trailing missing-rate ring and the
 // per-antenna power EMA, then applies the dead/revive hysteresis: an
 // antenna is dead when nearly all its recent samples are missing (NIC
@@ -648,17 +639,17 @@ func (st *Streamer) updateDeadDetection(absent []bool, snapshot [][][]complex128
 	for a := 0; a < st.numAnts; a++ {
 		missFrac := float64(st.recentCnt[a]) / float64(st.recentN)
 		starved := medPower > 0 && st.energyEMA[a] >= 0 &&
-			st.energyEMA[a] < st.cfg.DeadEnergyFrac*medPower
-		recovered := medPower > 0 && st.energyEMA[a] >= 5*st.cfg.DeadEnergyFrac*medPower
+			st.energyEMA[a] < deadEnergyFrac*medPower
+		recovered := medPower > 0 && st.energyEMA[a] >= 5*deadEnergyFrac*medPower
 		if !st.dead[a] {
-			if missFrac >= st.cfg.DeadMissFrac || starved {
+			if missFrac >= deadMissFrac || starved {
 				st.dead[a] = true
 				deadChanged = true
 				st.log.Warn("antenna declared dead",
 					"antenna", a, "miss_frac", missFrac, "starved", starved)
 				st.flight.Offer(trace.ReasonDeadAntenna, -1, st.healthLocked())
 			}
-		} else if missFrac < st.cfg.DeadMissFrac/2 && !starved && (recovered || medPower == 0) {
+		} else if missFrac < deadMissFrac/2 && !starved && (recovered || medPower == 0) {
 			st.dead[a] = false
 			deadChanged = true
 			st.log.Info("antenna revived", "antenna", a, "miss_frac", missFrac)
@@ -819,7 +810,7 @@ func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error)
 		if fallback {
 			e.Degraded = true
 		}
-		if st.slotMissFrac(local) >= st.cfg.DegradedMissFrac {
+		if st.slotMissFrac(local) >= degradedMissFrac {
 			e.Degraded = true
 		}
 		st.ob.emitted.Inc()
@@ -964,50 +955,48 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 	if err != nil {
 		return nil, err
 	}
-	// Pre-warm: refresh every pair this hop will request in one batched
-	// ExtendMatrices pass, so the stale rows of all pairs are filled
-	// block-major across pairs (each time block's planes read once) and
-	// the per-pair baseFor lookups below hit the generation fast path.
-	groups, ring := pairGeometry(cfg.Array)
-	abs := st.prewarm[:0]
-	for _, pr := range neededPairs(groups, ring, cfg.DisablePairAveraging) {
-		abs = append(abs, trrs.PairSpec{I: alive[pr.I], J: alive[pr.J]})
-	}
-	st.prewarm = abs
-	if _, err := st.inc.ExtendMatrices(abs); err != nil {
-		return nil, err
-	}
 	// Base matrices come from the incrementally maintained per-pair state,
-	// keyed by absolute antenna index; remap the identity so downstream
-	// consumers see the same local pair indices the recompute path yields.
-	var baseErr error
-	baseFor := func(i, j int) *trrs.Matrix {
-		m, err := st.inc.ExtendMatrix(alive[i], alive[j])
+	// keyed by absolute antenna index: every pair the hop requests is
+	// refreshed in one batched ExtendMatrices pass, so the stale rows of
+	// all pairs are filled block-major across pairs (each time block's
+	// planes read once). The pass runs inside the pipeline's build stage.
+	// Remap the identity so downstream consumers see the same local pair
+	// indices the recompute path yields.
+	base := func(pairs []trrs.PairSpec) ([]*trrs.Matrix, error) {
+		abs := st.absPairs[:0]
+		for _, pr := range pairs {
+			abs = append(abs, trrs.PairSpec{I: alive[pr.I], J: alive[pr.J]})
+		}
+		st.absPairs = abs
+		ms, err := st.inc.ExtendMatrices(abs)
 		if err != nil {
-			baseErr = err
-			return nil
+			return nil, err
 		}
-		if m.I == i && m.J == j {
-			return m
+		out := st.baseMs[:0]
+		for k, m := range ms {
+			i, j := pairs[k].I, pairs[k].J
+			if m.I != i || m.J != j {
+				// Remapped identity: reuse a cached header per local pair
+				// so the steady-state fallback path does not allocate one
+				// every hop.
+				hdr, ok := st.remapHdr[[2]int{i, j}]
+				if !ok {
+					hdr = &trrs.Matrix{}
+					st.remapHdr[[2]int{i, j}] = hdr
+				}
+				*hdr = trrs.Matrix{I: i, J: j, W: m.W, Rate: m.Rate, Vals: m.Vals}
+				m = hdr
+			}
+			out = append(out, m)
 		}
-		// Remapped identity: reuse a cached header per local pair so the
-		// steady-state fallback path does not allocate one every hop.
-		hdr, ok := st.remapHdr[[2]int{i, j}]
-		if !ok {
-			hdr = &trrs.Matrix{}
-			st.remapHdr[[2]int{i, j}] = hdr
-		}
-		*hdr = trrs.Matrix{I: i, J: j, W: m.W, Rate: m.Rate, Vals: m.Vals}
-		return hdr
+		st.baseMs = out
+		return out, nil
 	}
 	missing := make([][]bool, len(alive))
 	for i, a := range alive {
 		missing[i] = st.missing[a]
 	}
-	p, err := newPipelineFromEngine(eng, baseFor, missFracOf(missing, len(alive), st.bufLen()), cfg)
-	if baseErr != nil {
-		return nil, baseErr
-	}
+	p, err := newPipelineFromEngine(eng, base, missFracOf(missing, len(alive), st.bufLen()), cfg)
 	if err != nil {
 		return nil, err
 	}

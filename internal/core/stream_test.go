@@ -155,3 +155,97 @@ func TestStreamEmptyFlush(t *testing.T) {
 		t.Error("flush of an empty stream must be nil")
 	}
 }
+
+// TestStreamMatchesBatchHeadingRotation extends the distance parity above
+// to the paper's other two estimates at fast scale: the body heading of a
+// hexagonal-array walk at non-zero headings (Fig. 12) and the angle of an
+// in-place rotation (Fig. 13), both longer than the stream's span, so
+// several hops finalize each. The streamed estimates are compared with
+// ProcessSeries on the same series. Both gaps measure 0 today; the bounds
+// sit far below the pipeline's own error against the truth, so a stream
+// that drifts from the batch fails while last-bit arithmetic changes
+// pass.
+func TestStreamMatchesBatchHeadingRotation(t *testing.T) {
+	const (
+		rate        = 100.0
+		headingGap  = 0.01 // rad, per slot both sides call a translation
+		kindGapFrac = 0.02 // of the slots, motion kind disagreements
+		rotationGap = 0.01 // rad, integrated rotation
+	)
+	arr := array.NewHexagonal(spacing)
+	start := geom.Pose{Pos: geom.Vec2{X: 10, Y: 0}}
+	run := func(t *testing.T, tr *traj.Trajectory, seed int64, window float64) (batch, stream []Estimate) {
+		s := buildSeries(t, tr, arr, seed)
+		cfg := fastConfig(arr)
+		cfg.WindowSeconds = window
+		res, err := ProcessSeries(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err = StreamSeries(s, StreamConfig{Core: cfg, SpanSeconds: 3, HopSeconds: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stream) != len(res.Estimates) {
+			t.Fatalf("streamed estimates = %d, batch %d", len(stream), len(res.Estimates))
+		}
+		kindGaps := 0
+		for i, se := range stream {
+			if se.Kind != res.Estimates[i].Kind {
+				kindGaps++
+			}
+		}
+		t.Logf("motion kind differs on %d of %d slots", kindGaps, len(stream))
+		if f := float64(kindGaps) / float64(len(stream)); f > kindGapFrac {
+			t.Errorf("motion kind differs on %.1f%% of slots, bound %.0f%%", 100*f, 100*kindGapFrac)
+		}
+		return res.Estimates, stream
+	}
+
+	t.Run("heading", func(t *testing.T) {
+		b := traj.NewBuilder(rate, start)
+		b.Pause(0.5)
+		for _, deg := range []float64{60, 150, 240} {
+			b.MoveDir(geom.Rad(deg), 1.0, 0.4)
+			b.Pause(0.5)
+		}
+		batch, stream := run(t, b.Build(), 3, 0.3)
+		var maxGap float64
+		translate := 0
+		for i, se := range stream {
+			if se.Kind != MotionTranslate || batch[i].Kind != MotionTranslate {
+				continue
+			}
+			translate++
+			maxGap = math.Max(maxGap, math.Abs(geom.AngleDiff(se.HeadingBody, batch[i].HeadingBody)))
+		}
+		t.Logf("%d translating slots, max heading gap %.3g rad", translate, maxGap)
+		if translate == 0 {
+			t.Fatal("no slot translates on both sides: the walk exercises nothing")
+		}
+		if maxGap > headingGap {
+			t.Errorf("streamed heading differs from batch by %.3g rad, bound %g", maxGap, headingGap)
+		}
+	})
+
+	t.Run("rotation", func(t *testing.T) {
+		b := traj.NewBuilder(rate, start)
+		b.Pause(1)
+		b.RotateInPlace(geom.Rad(180), geom.Rad(90))
+		b.Pause(1)
+		batch, stream := run(t, b.Build(), 23, 0.6)
+		dt := 1 / rate
+		var streamRot, batchRot float64
+		for i, se := range stream {
+			streamRot += se.AngVel * dt
+			batchRot += batch[i].AngVel * dt
+		}
+		t.Logf("integrated rotation: stream %.6f rad, batch %.6f rad", streamRot, batchRot)
+		if batchRot < 1 {
+			t.Fatalf("batch rotation %.3f rad: the walk exercises nothing", batchRot)
+		}
+		if d := math.Abs(streamRot - batchRot); d > rotationGap {
+			t.Errorf("streamed rotation differs from batch by %.3g rad, bound %g", d, rotationGap)
+		}
+	})
+}

@@ -179,6 +179,48 @@ func TestStreamTraceLineage(t *testing.T) {
 	if lagCount == 0 {
 		t.Error("rim_stream_lag_seconds recorded no samples")
 	}
+
+	// The build stage covers the incremental TRRS extend: on a stream
+	// whose analysis runs, every extend event of a hop lies inside that
+	// hop's build span.
+	hcfg := streamConfig(arr)
+	hcfg.SpanSeconds = 1
+	hcfg.HopSeconds = 0.1
+	hrec := trace.NewRecorder(1 << 14)
+	hcfg.Core.Trace = hrec
+	hst, err := NewStreamer(hcfg, 100, 3, 3, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pushes; i++ {
+		if _, err := hst.Push(mk()); err != nil {
+			t.Fatalf("healthy push %d: %v", i, err)
+		}
+	}
+	hevents := hrec.Snapshot()
+	builds := map[int64][]trace.Event{}
+	for _, e := range hevents {
+		if e.Kind == trace.KindBuild {
+			builds[e.Hop] = append(builds[e.Hop], e)
+		}
+	}
+	extends := 0
+	for _, e := range hevents {
+		if e.Kind != trace.KindTRRSExtend {
+			continue
+		}
+		extends++
+		inside := false
+		for _, b := range builds[e.Hop] {
+			inside = inside || (e.T >= b.T && e.T <= b.T+b.Dur)
+		}
+		if !inside {
+			t.Errorf("hop %d trrs_extend event at %d ns outside its trrs_build span", e.Hop, e.T)
+		}
+	}
+	if extends == 0 {
+		t.Error("healthy stream recorded no trrs_extend events")
+	}
 }
 
 // TestBatchTraceHopZero verifies the batch pipeline's trace scope: one hop-0

@@ -88,9 +88,6 @@ type Config struct {
 	// InitPosStd / InitThetaStd spread the initial particle cloud.
 	InitPosStd   float64
 	InitThetaStd float64
-	// ResampleFrac triggers systematic resampling when the effective
-	// sample size falls below this fraction (default 0.5).
-	ResampleFrac float64
 	// Seed drives the filter randomness.
 	Seed int64
 	// Backend selects the estimation backend New constructs: the
@@ -138,10 +135,13 @@ func DefaultConfig(seed int64) Config {
 		ThetaStd:     0.01,
 		InitPosStd:   0.1,
 		InitThetaStd: 0.05,
-		ResampleFrac: 0.5,
 		Seed:         seed,
 	}
 }
+
+// resampleFrac triggers systematic resampling when the effective sample
+// size falls below this fraction of the cloud.
+const resampleFrac = 0.5
 
 type particle struct {
 	pos    geom.Vec2
@@ -168,9 +168,6 @@ type Filter struct {
 func NewFilter(plan *floorplan.Plan, initial geom.Pose, cfg Config) *Filter {
 	if cfg.NumParticles <= 0 {
 		cfg.NumParticles = 400
-	}
-	if cfg.ResampleFrac <= 0 {
-		cfg.ResampleFrac = 0.5
 	}
 	f := &Filter{cfg: cfg, plan: plan, rng: rand.New(rand.NewSource(cfg.Seed)), trc: cfg.Trace}
 	if cfg.Obs != nil {
@@ -252,7 +249,7 @@ func (f *Filter) Step(in Input) geom.Pose {
 		}
 		f.cfg.PFStats(f.effectiveFraction(), entFrac)
 	}
-	if f.effectiveFraction() < f.cfg.ResampleFrac {
+	if f.effectiveFraction() < resampleFrac {
 		f.resamples.Inc()
 		f.resample()
 	}

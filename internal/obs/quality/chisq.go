@@ -5,25 +5,20 @@ package quality
 // scalar channel) is chi-square distributed with 1 degree of freedom, and
 // its Normalized Estimation Error Squared against ground truth (NEES =
 // eᵀP⁻¹e) with dim(e) degrees of freedom; a sample above the band bound
-// happens with probability 1−conf under the consistency hypothesis. The
-// monitors need only the 95% and 99% bands at small dof, so the quantiles
-// are tabulated rather than computed.
+// happens with probability 1−bandConf under the consistency hypothesis.
+// The monitors need only the 95% band at small dof, so the quantiles are
+// tabulated rather than computed.
 
 var chisqUpper95 = [...]float64{0, 3.841, 5.991, 7.815, 9.488, 11.070}
-var chisqUpper99 = [...]float64{0, 6.635, 9.210, 11.345, 13.277, 15.086}
 
-// ChiSquareUpper returns the upper conf-quantile of the chi-square
-// distribution with dof degrees of freedom (dof clamped to [1, 5]). conf
-// at or above 0.985 selects the 99% band; anything else the 95% band.
-func ChiSquareUpper(dof int, conf float64) float64 {
+// ChiSquareUpper returns the upper 95% quantile of the chi-square
+// distribution with dof degrees of freedom (dof clamped to [1, 5]).
+func ChiSquareUpper(dof int) float64 {
 	if dof < 1 {
 		dof = 1
 	}
 	if dof > 5 {
 		dof = 5
-	}
-	if conf >= 0.985 {
-		return chisqUpper99[dof]
 	}
 	return chisqUpper95[dof]
 }

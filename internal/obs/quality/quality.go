@@ -48,10 +48,10 @@ const (
 	// band's nominal leak (plus margin), or the window has too few
 	// samples for a verdict.
 	StateOK State = iota
-	// StateWarn: the fraction exceeds WarnFrac — the filter is leaking
+	// StateWarn: the fraction exceeds warnFrac — the filter is leaking
 	// beyond its band but not yet decisively inconsistent.
 	StateWarn
-	// StateAlert: the fraction exceeds AlertFrac — the filter is
+	// StateAlert: the fraction exceeds alertFrac — the filter is
 	// statistically inconsistent with its own covariance.
 	StateAlert
 )
@@ -85,55 +85,34 @@ type Config struct {
 	// Window is the per-channel sliding window length in updates
 	// (default 64).
 	Window int
-	// Conf selects the chi-square acceptance band: the default 0.95, or
-	// 0.99 for a looser band (see ChiSquareUpper).
-	Conf float64
-	// WarnFrac and AlertFrac are the windowed outside-band fractions at
-	// which a channel degrades to warn and alert (defaults 0.2 and 0.5).
-	// Both sit far above the band's nominal 5% leak, so a clean filter's
-	// expected leakage cannot flap the state machine.
-	WarnFrac  float64
-	AlertFrac float64
-	// MinSamples is the window fill required before a verdict (default
-	// Window/4): a handful of early samples must not page anyone.
-	MinSamples int
-	// PFLowESS is the effective-sample-size fraction below which a
-	// particle-filter step counts as outside-band (default 0.1: the
-	// cloud has collapsed to a tenth of its nominal diversity).
-	PFLowESS float64
-	// CalBins is the confidence-calibration bin count (default 10).
-	CalBins int
 	// OnTransition, when non-nil, observes every monitor state change
 	// (after metrics/trace/flight are updated). Called synchronously
 	// with the engine lock NOT held.
 	OnTransition func(entity string, from, to State, channel string, outsideFrac float64)
 }
 
-func (c *Config) applyDefaults() {
-	if c.Window <= 0 {
-		c.Window = 64
-	}
-	if c.Conf <= 0 {
-		c.Conf = 0.95
-	}
-	if c.WarnFrac <= 0 {
-		c.WarnFrac = 0.2
-	}
-	if c.AlertFrac <= 0 {
-		c.AlertFrac = 0.5
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = c.Window / 4
-		if c.MinSamples < 1 {
-			c.MinSamples = 1
-		}
-	}
-	if c.PFLowESS <= 0 {
-		c.PFLowESS = 0.1
-	}
-	if c.CalBins <= 0 {
-		c.CalBins = 10
-	}
+const (
+	// bandConf is the chi-square acceptance band's confidence level (see
+	// ChiSquareUpper).
+	bandConf = 0.95
+	// warnFrac and alertFrac are the windowed outside-band fractions at
+	// which a channel degrades to warn and alert. Both sit far above the
+	// band's nominal 5% leak, so a clean filter's expected leakage cannot
+	// flap the state machine.
+	warnFrac  = 0.2
+	alertFrac = 0.5
+	// pfLowESS is the effective-sample-size fraction below which a
+	// particle-filter step counts as outside-band: the cloud has
+	// collapsed to a tenth of its nominal diversity.
+	pfLowESS = 0.1
+	// calBins is the confidence-calibration bin count.
+	calBins = 10
+)
+
+// minSamples is the window fill required before a verdict, a quarter of
+// the window: a handful of early samples must not page anyone.
+func (e *Engine) minSamples() int {
+	return max(e.cfg.Window/4, 1)
 }
 
 // nisBuckets bound the band-relative NIS/NEES histograms: 1.0 is the band
@@ -176,8 +155,10 @@ type Engine struct {
 // New builds a consistency engine. A nil return is impossible; pass the
 // zero Config for an engine with defaults and no metric surface.
 func New(cfg Config) *Engine {
-	cfg.applyDefaults()
-	e := &Engine{cfg: cfg, mons: map[string]*Monitor{}, cal: NewCalibration(cfg.CalBins)}
+	if cfg.Window <= 0 {
+		cfg.Window = 64
+	}
+	e := &Engine{cfg: cfg, mons: map[string]*Monitor{}, cal: NewCalibration(calBins)}
 	if r := cfg.Obs; r != nil {
 		byChannel := obs.FamilyOpts{Labels: []string{"channel"}, Bounds: nisBuckets}
 		e.nisH = r.HistogramFamily("rim_quality_nis_ratio",
@@ -208,14 +189,6 @@ func New(cfg Config) *Engine {
 			obs.FamilyOpts{Labels: []string{"outcome"}})
 	}
 	return e
-}
-
-// Band returns the configured band confidence level (0 on a nil engine).
-func (e *Engine) Band() float64 {
-	if e == nil {
-		return 0
-	}
-	return e.cfg.Conf
 }
 
 // Calibration returns the engine's confidence-calibration accumulator
@@ -325,7 +298,7 @@ func (e *Engine) transition(m *Monitor, from, to State, channel string, frac flo
 			"entity":       m.entity,
 			"channel":      channel,
 			"outside_frac": frac,
-			"band_conf":    e.cfg.Conf,
+			"band_conf":    bandConf,
 		})
 	}
 	if e.cfg.OnTransition != nil {
@@ -415,11 +388,11 @@ func (m *Monitor) observe(w *chanWindow, outside bool) func() {
 		w.outC.Inc()
 	}
 	st := StateOK
-	if w.n >= m.eng.cfg.MinSamples {
+	if w.n >= m.eng.minSamples() {
 		switch f := w.frac(); {
-		case f >= m.eng.cfg.AlertFrac:
+		case f >= alertFrac:
 			st = StateAlert
-		case f >= m.eng.cfg.WarnFrac:
+		case f >= warnFrac:
 			st = StateWarn
 		}
 	}
@@ -460,7 +433,7 @@ func (m *Monitor) Innovation(ch int, name string, nu, s float64) {
 		return
 	}
 	nis := nu * nu / s
-	bound := ChiSquareUpper(1, m.eng.cfg.Conf)
+	bound := ChiSquareUpper(1)
 	m.mu.Lock()
 	if ch < 0 || ch >= maxInnovChans {
 		ch = maxInnovChans - 1
@@ -485,7 +458,7 @@ func (m *Monitor) NEES(nees float64, dof int) {
 	if m == nil || nees < 0 {
 		return
 	}
-	bound := ChiSquareUpper(dof, m.eng.cfg.Conf)
+	bound := ChiSquareUpper(dof)
 	m.mu.Lock()
 	if m.nees == nil {
 		m.nees = m.window("nees")
@@ -499,7 +472,7 @@ func (m *Monitor) NEES(nees float64, dof int) {
 }
 
 // PFStep records one particle-filter step's effective-sample-size
-// fraction and normalized weight entropy. A step below PFLowESS counts as
+// fraction and normalized weight entropy. A step below pfLowESS counts as
 // outside-band: the cloud has degenerated. The signature matches
 // fusion.Config.PFStats.
 func (m *Monitor) PFStep(essFrac, entropyFrac float64) {
@@ -512,7 +485,7 @@ func (m *Monitor) PFStep(essFrac, entropyFrac float64) {
 	if m.pf == nil {
 		m.pf = m.window("pf_ess")
 	}
-	fire := m.observe(m.pf, essFrac < m.eng.cfg.PFLowESS)
+	fire := m.observe(m.pf, essFrac < pfLowESS)
 	m.mu.Unlock()
 	if fire != nil {
 		fire()
@@ -543,7 +516,7 @@ func (m *Monitor) Summary() (state State, worstFrac float64, samples uint64) {
 			return
 		}
 		samples += w.samples
-		if w.n >= m.eng.cfg.MinSamples && w.frac() > worstFrac {
+		if w.n >= m.eng.minSamples() && w.frac() > worstFrac {
 			worstFrac = w.frac()
 		}
 	}
@@ -618,7 +591,7 @@ func (e *Engine) Snapshot() Snapshot {
 	}
 	e.mu.Unlock()
 	sort.Slice(mons, func(i, j int) bool { return mons[i].entity < mons[j].entity })
-	s := Snapshot{BandConf: e.cfg.Conf}
+	s := Snapshot{BandConf: bandConf}
 	s.Samples, s.Outside = e.Totals()
 	for _, m := range mons {
 		s.Entities = append(s.Entities, m.snapshot())

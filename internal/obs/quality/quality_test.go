@@ -221,17 +221,15 @@ func TestPFDegeneracyTrips(t *testing.T) {
 func TestChiSquareUpper(t *testing.T) {
 	cases := []struct {
 		dof  int
-		conf float64
 		want float64
 	}{
-		{1, 0.95, 3.841}, {2, 0.95, 5.991}, {3, 0.95, 7.815},
-		{4, 0.95, 9.488}, {5, 0.95, 11.070},
-		{1, 0.99, 6.635}, {5, 0.99, 15.086},
-		{0, 0.95, 3.841}, {9, 0.95, 11.070}, // clamped
+		{1, 3.841}, {2, 5.991}, {3, 7.815},
+		{4, 9.488}, {5, 11.070},
+		{0, 3.841}, {9, 11.070}, // clamped
 	}
 	for _, c := range cases {
-		if got := ChiSquareUpper(c.dof, c.conf); got != c.want {
-			t.Errorf("ChiSquareUpper(%d, %v) = %v, want %v", c.dof, c.conf, got, c.want)
+		if got := ChiSquareUpper(c.dof); got != c.want {
+			t.Errorf("ChiSquareUpper(%d) = %v, want %v", c.dof, got, c.want)
 		}
 	}
 }

@@ -78,14 +78,15 @@ type Objective struct {
 	Source Source
 }
 
+// pageBurn and warnBurn are the burn-rate thresholds: an objective pages
+// (warns) when both its short- and long-window burn rates reach them.
+const (
+	pageBurn = 14.4
+	warnBurn = 3
+)
+
 // Config parameterizes the engine.
 type Config struct {
-	// ShortWindow/LongWindow are the burn-rate windows. Defaults:
-	// LongWindow = objective window, ShortWindow = LongWindow / 12
-	// (the 1h/5m shape at a 1h budget window).
-	ShortWindow, LongWindow time.Duration
-	// PageBurn/WarnBurn are the burn-rate thresholds (defaults 14.4, 3).
-	PageBurn, WarnBurn float64
 	// Obs receives the rim_slo_* metric families (nil disables).
 	Obs *obs.Registry
 	// OnPage, when set, is invoked (outside the engine lock) each time an
@@ -140,14 +141,8 @@ type Engine struct {
 	mTrans  *obs.CounterFamily
 }
 
-// New builds an engine. Defaults are applied per Config.
+// New builds an engine.
 func New(cfg Config) *Engine {
-	if cfg.PageBurn <= 0 {
-		cfg.PageBurn = 14.4
-	}
-	if cfg.WarnBurn <= 0 {
-		cfg.WarnBurn = 3
-	}
 	e := &Engine{cfg: cfg, objs: make(map[string]*tracked)}
 	if r := cfg.Obs; r != nil {
 		lbl := obs.FamilyOpts{Labels: []string{"slo"}}
@@ -202,18 +197,14 @@ func (e *Engine) Unregister(name string) {
 	e.mBurn.Forget(name, "long")
 }
 
-// windows resolves the burn windows for one objective.
-func (e *Engine) windows(o Objective) (short, long time.Duration) {
-	long = e.cfg.LongWindow
-	if long <= 0 || long > o.Window {
-		long = o.Window
-	}
-	short = e.cfg.ShortWindow
-	if short <= 0 || short >= long {
-		short = long / 12
-		if short <= 0 {
-			short = long
-		}
+// windows resolves the burn windows for one objective: the long window is
+// the objective's budget window and the short one a twelfth of it (the
+// 1h/5m shape at a 1h budget window).
+func windows(o Objective) (short, long time.Duration) {
+	long = o.Window
+	short = long / 12
+	if short <= 0 {
+		short = long
 	}
 	return short, long
 }
@@ -272,7 +263,7 @@ func (e *Engine) Tick(now time.Time) {
 		}
 		tr.hist = tr.hist[cut:]
 
-		short, long := e.windows(tr.o)
+		short, long := windows(tr.o)
 		goodW, totalW := deltaOver(tr.hist, tr.o.Window)
 		goodS, totalS := deltaOver(tr.hist, short)
 		goodL, totalL := deltaOver(tr.hist, long)
@@ -295,9 +286,9 @@ func (e *Engine) Tick(now time.Time) {
 
 		next := StateOK
 		switch {
-		case st.BurnShort >= e.cfg.PageBurn && st.BurnLong >= e.cfg.PageBurn:
+		case st.BurnShort >= pageBurn && st.BurnLong >= pageBurn:
 			next = StatePage
-		case st.BurnShort >= e.cfg.WarnBurn && st.BurnLong >= e.cfg.WarnBurn:
+		case st.BurnShort >= warnBurn && st.BurnLong >= warnBurn:
 			next = StateWarn
 		}
 		st.State = next.String()

@@ -100,15 +100,6 @@ type Config struct {
 	Queue int
 	// Policy selects the full-queue behavior (default DropOldest).
 	Policy Policy
-	// HighWater/LowWater are queue-occupancy fractions bounding the
-	// Degrade policy's hysteresis: above HighWater the session coarsens
-	// its hop, below LowWater it restores it (defaults 0.75 / 0.25).
-	HighWater float64
-	LowWater  float64
-	// PushDeadline bounds each ingest→hop→emit step through the stream; a
-	// hop that overruns emits degraded placeholders (see
-	// core.StreamConfig.HopDeadline). Zero disables.
-	PushDeadline time.Duration
 	// FailureThreshold restarts the stream after this many consecutive
 	// ErrAnalysis failures (transient failures below it just degrade the
 	// affected windows; default 5).
@@ -162,8 +153,6 @@ type Config struct {
 	Flight *trace.Flight
 	// Log receives supervisor events (nil = no-op logger).
 	Log *slog.Logger
-	// Seed seeds the backoff jitter (0 = fixed default seed).
-	Seed int64
 	// onQuarantine notifies the owning registry that the session retired
 	// itself (set by Registry, not callers).
 	onQuarantine func(s *Session)
@@ -172,12 +161,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Queue <= 0 {
 		c.Queue = 64
-	}
-	if c.HighWater <= 0 || c.HighWater > 1 {
-		c.HighWater = 0.75
-	}
-	if c.LowWater <= 0 || c.LowWater >= c.HighWater {
-		c.LowWater = c.HighWater / 3
 	}
 	if c.FailureThreshold <= 0 {
 		c.FailureThreshold = 5
@@ -253,16 +236,12 @@ func newSession(id string, spec Spec, cfg Config, cp *core.StreamCheckpoint) (*S
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0x52494d // deterministic default
-	}
 	s := &Session{
 		ID:     id,
 		Spec:   spec,
 		cfg:    cfg,
 		q:      newFrameQueue(cfg.Queue),
-		rng:    rand.New(rand.NewSource(seed ^ int64(len(id)))),
+		rng:    rand.New(rand.NewSource(jitterSeed ^ int64(len(id)))),
 		sm:     cfg.Metrics.children(id),
 		state:  StateAdmitted,
 		lastCp: cp,
@@ -403,13 +382,23 @@ func (s *Session) ingest(snap [][][]complex128, missing []bool) error {
 	return nil
 }
 
+const (
+	// highWater and lowWater are the queue-occupancy fractions bounding
+	// the Degrade policy's hysteresis.
+	highWater = 0.75
+	lowWater  = 0.25
+	// jitterSeed seeds every session's backoff jitter, mixed with the
+	// length of its ID.
+	jitterSeed = 0x52494d
+)
+
 // adjustDegrade applies the coarser-hop hysteresis for the Degrade policy:
-// queue above HighWater (or the breaker open) → stretch the hop; below
-// LowWater with the breaker closed → restore it.
+// queue above highWater (or the breaker open) → stretch the hop; below
+// lowWater with the breaker closed → restore it.
 func (s *Session) adjustDegrade() {
 	occ := float64(s.q.depth()) / float64(s.q.capacity())
-	pressured := occ >= s.cfg.HighWater || s.cfg.Breaker.Degraded()
-	relieved := occ <= s.cfg.LowWater && !s.cfg.Breaker.Degraded()
+	pressured := occ >= highWater || s.cfg.Breaker.Degraded()
+	relieved := occ <= lowWater && !s.cfg.Breaker.Degraded()
 
 	s.mu.Lock()
 	stream := s.stream
@@ -597,15 +586,7 @@ func (s *Session) runOnce() (quit bool, err error) {
 		}
 		s.sm.queueWait.Observe(time.Since(f.enq).Seconds())
 
-		ctx := context.Background()
-		var cancel context.CancelFunc
-		if s.cfg.PushDeadline > 0 {
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.PushDeadline)
-		}
-		ests, perr := stream.PushMaskedCtx(ctx, f.snap, f.missing)
-		if cancel != nil {
-			cancel()
-		}
+		ests, perr := stream.PushMaskedCtx(context.Background(), f.snap, f.missing)
 		if len(ests) > 0 {
 			s.recordEstimates(ests)
 		}
