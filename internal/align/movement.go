@@ -5,6 +5,8 @@
 package align
 
 import (
+	"slices"
+
 	"rim/internal/trrs"
 )
 
@@ -49,23 +51,58 @@ func DefaultMovementConfig() MovementConfig {
 // (the slow lag catches slow motions the fast lag cannot resolve) averaged
 // over antennas. Values near 1 mean static; clear drops mean motion.
 func MovementIndicator(e *trrs.Engine, cfg MovementConfig) []float64 {
-	slots := e.NumSlots()
-	lags := []float64{cfg.LagSeconds}
-	if cfg.SlowLagSeconds > cfg.LagSeconds {
-		lags = append(lags, cfg.SlowLagSeconds)
+	return foldLags(e, cfg.V, movementLags(cfg, e.Rate()), ones(e.NumSlots()))
+}
+
+// MovementIndicators returns MovementIndicator(e, cfg) together with the
+// fast-lag indicator, MovementIndicator of cfg with SlowLagSeconds = 0,
+// from one pass over the fast lag: the combined indicator folds the slow
+// lag into a copy of the fast one. The minimum is exact, so both are
+// bit-identical to the two separate calls.
+func MovementIndicators(e *trrs.Engine, cfg MovementConfig) (ind, fast []float64) {
+	fastCfg := cfg
+	fastCfg.SlowLagSeconds = 0
+	fastLags := movementLags(fastCfg, e.Rate())
+	lags := movementLags(cfg, e.Rate())
+	fast = foldLags(e, cfg.V, fastLags, ones(e.NumSlots()))
+	if len(lags) < len(fastLags) || !slices.Equal(lags[:len(fastLags)], fastLags) {
+		// A negative LagSeconds gives the fast config a second lag the
+		// combined one lacks: nothing to share.
+		return MovementIndicator(e, cfg), fast
 	}
-	acc := make([]float64, slots)
+	return foldLags(e, cfg.V, lags[len(fastLags):], slices.Clone(fast)), fast
+}
+
+// movementLags returns MovementIndicator's lags in slots, fast lag first.
+func movementLags(cfg MovementConfig, rate float64) []int {
+	secs := []float64{cfg.LagSeconds}
+	if cfg.SlowLagSeconds > cfg.LagSeconds {
+		secs = append(secs, cfg.SlowLagSeconds)
+	}
+	lags := make([]int, len(secs))
+	for k, s := range secs {
+		lags[k] = max(int(s*rate), 1)
+	}
+	return lags
+}
+
+// ones returns n ones, the indicator before any lag is folded in.
+func ones(n int) []float64 {
+	acc := make([]float64, n)
 	for t := range acc {
 		acc[t] = 1
 	}
-	for _, lagSec := range lags {
-		lag := int(lagSec * e.Rate())
-		if lag < 1 {
-			lag = 1
-		}
+	return acc
+}
+
+// foldLags lowers acc to each lag's antenna-averaged two-sided self-TRRS,
+// lag by lag, and returns it.
+func foldLags(e *trrs.Engine, v int, lags []int, acc []float64) []float64 {
+	slots := e.NumSlots()
+	for _, lag := range lags {
 		perLag := make([]float64, slots)
 		for a := 0; a < e.NumAntennas(); a++ {
-			s := e.SelfSeries(a, lag, cfg.V)
+			s := e.SelfSeries(a, lag, v)
 			for t := range perLag {
 				fwd := s[t]
 				bi := t + lag
@@ -73,11 +110,11 @@ func MovementIndicator(e *trrs.Engine, cfg MovementConfig) []float64 {
 					bi = slots - 1
 				}
 				bwd := s[bi]
-				v := fwd
-				if bwd > v {
-					v = bwd
+				best := fwd
+				if bwd > best {
+					best = bwd
 				}
-				perLag[t] += v
+				perLag[t] += best
 			}
 		}
 		inv := 1 / float64(e.NumAntennas())

@@ -350,9 +350,11 @@ type Pipeline struct {
 // at construction so the processing path never touches the registry map.
 type pipelineObs struct {
 	// buildH times the TRRS base-matrix build/extend during pipeline
-	// construction; movementH the §4.1 movement-detection stage; alignH
-	// the per-segment alignment tracking + reckoning.
-	buildH, movementH, alignH *obs.Histogram
+	// construction and derivedH the derived matrices built from them
+	// (pair average + virtual massive); movementH the §4.1
+	// movement-detection stage; alignH the per-segment alignment
+	// tracking + reckoning.
+	buildH, derivedH, movementH, alignH *obs.Histogram
 	// estimates/degraded count window slots analyzed by Process (the
 	// streamer re-analyzes overlapping windows, so for streams this is a
 	// work measure; finalized emissions are counted by rim_stream_*).
@@ -369,7 +371,9 @@ func newPipelineObs(reg *obs.Registry) pipelineObs {
 		return pipelineObs{}
 	}
 	return pipelineObs{
-		buildH:    reg.Timer("rim_trrs_build_seconds", "TRRS base-matrix build/extend latency per pipeline construction"),
+		buildH: reg.Timer("rim_trrs_build_seconds", "TRRS base-matrix build/extend latency per pipeline construction"),
+		derivedH: reg.Timer("rim_trrs_derived_seconds",
+			"derived-matrix (pair average + virtual massive) latency per pipeline construction"),
 		movementH: reg.Timer("rim_movement_seconds", "movement-detection stage latency per Process"),
 		alignH:    reg.Timer("rim_align_seconds", "alignment tracking + reckoning latency per movement segment"),
 		estimates: reg.Counter("rim_estimates_total", "window slots analyzed by pipeline Process"),
@@ -480,8 +484,10 @@ func newPipelineFromEngine(eng *trrs.Engine, base func(pairs []trrs.PairSpec) ([
 	}
 	p := &Pipeline{cfg: cfg, eng: eng, missFrac: missFrac, po: newPipelineObs(cfg.Obs)}
 	p.w = windowSlots(cfg.WindowSeconds, eng.Rate())
+	// The build histogram times the base matrices and the derived
+	// histogram the matrices built from them; the trrs_build trace span
+	// covers both.
 	buildSpan := obs.StartSpan(p.po.buildH)
-	defer buildSpan.End()
 	buildTrace := cfg.Trace.Start(trace.KindBuild, cfg.traceHop, -1)
 	defer buildTrace.End()
 
@@ -499,10 +505,15 @@ func newPipelineFromEngine(eng *trrs.Engine, base func(pairs []trrs.PairSpec) ([
 		ms = eng.BaseMatrices(pairs, p.w)
 	} else {
 		var err error
-		if ms, err = base(pairs); err != nil {
+		ms, err = base(pairs)
+		if err != nil {
+			buildSpan.End()
 			return nil, err
 		}
 	}
+	buildSpan.End()
+	derivedSpan := obs.StartSpan(p.po.derivedH)
+	defer derivedSpan.End()
 	baseFor := func(i, j int) *trrs.Matrix {
 		for k, pr := range pairs {
 			if pr.I == i && pr.J == j {
@@ -604,7 +615,7 @@ func (p *Pipeline) Process() *Result {
 	} else {
 		movementSpan := obs.StartSpan(p.po.movementH)
 		movementTrace := p.cfg.Trace.Start(trace.KindMovement, hop, -1)
-		res.MovementIndicator = align.MovementIndicator(p.eng, p.cfg.Movement)
+		res.MovementIndicator, p.fastInd = align.MovementIndicators(p.eng, p.cfg.Movement)
 		moving = align.ThresholdWithHysteresis(res.MovementIndicator, p.cfg.Movement)
 		p.moving = moving
 		release := p.cfg.Movement.ReleaseThreshold
@@ -615,9 +626,6 @@ func (p *Pipeline) Process() *Result {
 		for t, v := range res.MovementIndicator {
 			p.movingSoft[t] = v < release
 		}
-		fastCfg := p.cfg.Movement
-		fastCfg.SlowLagSeconds = 0
-		p.fastInd = align.MovementIndicator(p.eng, fastCfg)
 		movementSpan.End()
 		movementTrace.End()
 		res.ZUPTs = p.extractZUPTs(res.MovementIndicator, release,

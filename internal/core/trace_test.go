@@ -188,6 +188,8 @@ func TestStreamTraceLineage(t *testing.T) {
 	hcfg.HopSeconds = 0.1
 	hrec := trace.NewRecorder(1 << 14)
 	hcfg.Core.Trace = hrec
+	hreg := obs.NewRegistry()
+	hcfg.Core.Obs = hreg
 	hst, err := NewStreamer(hcfg, 100, 3, 3, 30)
 	if err != nil {
 		t.Fatal(err)
@@ -220,6 +222,16 @@ func TestStreamTraceLineage(t *testing.T) {
 	}
 	if extends == 0 {
 		t.Error("healthy stream recorded no trrs_extend events")
+	}
+
+	// The derived matrices are timed apart from the extend: one build and
+	// one derived sample per hop.
+	counts := map[string]uint64{}
+	for _, m := range hreg.Snapshot() {
+		counts[m.Name] = m.Count
+	}
+	if b, d := counts["rim_trrs_build_seconds"], counts["rim_trrs_derived_seconds"]; b == 0 || d != b {
+		t.Errorf("healthy stream timed %d builds and %d derived passes, want equal and > 0", b, d)
 	}
 }
 

@@ -167,10 +167,12 @@ func replayThroughput(s *csi.Series, cfg core.StreamConfig) float64 {
 }
 
 // stageHistograms names the latency histograms the pipeline records, in
-// pipeline order (ingest → TRRS build → movement → alignment → whole hop).
+// pipeline order (ingest → TRRS build → derived matrices → movement →
+// alignment → whole hop).
 var stageHistograms = []string{
 	"rim_ingest_seconds",
 	"rim_trrs_build_seconds",
+	"rim_trrs_derived_seconds",
 	"rim_movement_seconds",
 	"rim_align_seconds",
 	"rim_stream_hop_seconds",

@@ -66,11 +66,13 @@ const (
 	// A = end slot (window-local), B = core.MotionKind.
 	KindSegment
 	// KindTRRSFill marks base-matrix rows computed from scratch.
-	// Frame = PairCode (or -1 for a bulk multi-pair build), A = rows.
+	// Frame = PairCode (or -1 for a bulk multi-pair build), A = full
+	// rows filled (an incremental refresh's partly swept rows are not
+	// counted).
 	KindTRRSFill
 	// KindTRRSExtend marks one incremental ExtendMatrix decision.
 	// Frame = PairCode, A = rows reused (carried over), B = rows stale
-	// (invalidated and recomputed).
+	// (invalidated and wholly or partly recomputed).
 	KindTRRSExtend
 	// KindFusionStep marks one fusion-backend dead-reckoning step.
 	// A = input quality in permille; B = particles alive after the step

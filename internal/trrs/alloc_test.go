@@ -64,12 +64,26 @@ func warmSecondP(f func()) {
 	<-done
 }
 
+// selfLags are the self-TRRS lags the allocation tests refresh every hop:
+// the movement detector's fast and slow lags at 100 Hz.
+var selfLags = [...]int{5, 25}
+
+// refreshSelf refreshes the self-TRRS cache of every antenna at selfLags,
+// as a hop's movement detection does through its EngineView.
+func refreshSelf(inc *Incremental) {
+	for a := 0; a < inc.numAnt; a++ {
+		for _, lag := range selfLags {
+			inc.selfWindow(a, lag)
+		}
+	}
+}
+
 // TestIncrementalHopAllocFree pins the zero-allocation contract of the
 // streaming hot path: once the window geometry has stabilized, a full hop
-// — append hop slots, drop hop slots, refresh the pair matrix — performs
-// no allocation, at GOMAXPROCS 1 and 2 alike (the hop runs on the calling
-// goroutine), in both plane precisions. This is what lets the 200 Hz
-// steady state run GC-quiet.
+// — append hop slots, drop hop slots, refresh the pair matrix and the
+// self-TRRS cache — performs no allocation, at GOMAXPROCS 1 and 2 alike
+// (the hop runs on the calling goroutine), in both plane precisions. This
+// is what lets the 200 Hz steady state run GC-quiet.
 func TestIncrementalHopAllocFree(t *testing.T) {
 	for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
 		t.Run(prec.String(), func(t *testing.T) { incrementalHopAllocFree(t, prec) })
@@ -111,6 +125,7 @@ func incrementalHopAllocFree(t *testing.T, prec Precision) {
 		if _, err := inc.ExtendMatrix(0, 2); err != nil {
 			t.Fatal(err)
 		}
+		refreshSelf(inc)
 	}
 	// Warm-up: size both ping-pong generations, the ring's growth, and
 	// the stale-row scratch; run past one ring compaction.
@@ -183,9 +198,9 @@ func TestExtendMatrixReusesBacking(t *testing.T) {
 
 // TestExtendMatricesAllocFree extends the zero-allocation contract to the
 // cross-pair batched refresh: once the window geometry and the batch
-// scratch have warmed up, a hop that refreshes all three pairs through
-// ExtendMatrices performs no allocation, at GOMAXPROCS 1 and 2 alike, in
-// both plane precisions.
+// scratch have warmed up, a hop that refreshes all three pairs and a
+// reversed twin through ExtendMatrices, plus the self-TRRS cache, performs
+// no allocation, at GOMAXPROCS 1 and 2 alike, in both plane precisions.
 func TestExtendMatricesAllocFree(t *testing.T) {
 	for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
 		t.Run(prec.String(), func(t *testing.T) { extendMatricesAllocFree(t, prec) })
@@ -200,7 +215,7 @@ func extendMatricesAllocFree(t *testing.T, prec Precision) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := []PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}}
+	pairs := []PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}, {I: 1, J: 0}}
 
 	snaps := make([][][][]complex128, s.NumSlots())
 	for ti := range snaps {
@@ -227,6 +242,7 @@ func extendMatricesAllocFree(t *testing.T, prec Precision) {
 		if _, err := inc.ExtendMatrices(pairs); err != nil {
 			t.Fatal(err)
 		}
+		refreshSelf(inc)
 	}
 	for n := 0; n < 12; n++ {
 		hopOnce()

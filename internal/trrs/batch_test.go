@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"rim/internal/csi"
+	"rim/internal/obs"
+	"rim/internal/obs/trace"
 )
 
 // Tests for the cross-pair batched build, the opt-in vector-shaped
@@ -213,20 +215,7 @@ func TestPrecisionFloat32Incremental(t *testing.T) {
 
 // windowEngine32 is windowEngine at float32 precision.
 func windowEngine32(s *csi.Series, from, to int) *Engine {
-	sub := &csi.Series{
-		Rate:    s.Rate,
-		NumAnts: s.NumAnts,
-		NumTx:   s.NumTx,
-		NumSub:  s.NumSub,
-		H:       make([][][][]complex128, s.NumAnts),
-	}
-	for a := 0; a < s.NumAnts; a++ {
-		sub.H[a] = make([][][]complex128, s.NumTx)
-		for tx := 0; tx < s.NumTx; tx++ {
-			sub.H[a][tx] = s.H[a][tx][from:to]
-		}
-	}
-	return NewEnginePrecision(sub, PrecisionFloat32)
+	return windowEngineOf(s, from, to, PrecisionFloat32, KernelSequential)
 }
 
 // TestExtendMatricesMatchesPerPair drives two identical Incrementals
@@ -300,5 +289,69 @@ func TestExtendMatricesMatchesPerPair(t *testing.T) {
 	// Out-of-range pair reports an error.
 	if _, err := batched.ExtendMatrices([]PairSpec{{I: 0, J: 99}}); err == nil {
 		t.Fatal("out-of-range pair must error")
+	}
+}
+
+// TestExtendRowCounters pins what the refresh counters and trace events
+// count on a steady hop of h = 20 slots over a T = 100, W = 10 window:
+// per pair, the h new rows are filled in full, the trailing W rows sweep
+// only their forward columns onto the new slots and the leading W rows
+// only clear their columns into the dropped ones, so 2W + h rows are
+// stale and T − 2W − h are reused. A reversed twin is reflected, so it
+// counts as stale and reused like its source but fills no row.
+func TestExtendRowCounters(t *testing.T) {
+	const tSlots, w, h = 100, 10, 20
+	rng := rand.New(rand.NewSource(5))
+	s := randomSeries(rng, 2, 1, 8, tSlots+h)
+	inc, err := NewIncremental(s.Rate, s.NumAnts, s.NumTx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := 0; ti < tSlots; ti++ {
+		if err := inc.Append(seriesSnapshot(s, ti)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pairs := []PairSpec{{I: 0, J: 1}, {I: 1, J: 0}}
+	if _, err := inc.ExtendMatrices(pairs); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	rec := trace.NewRecorder(64)
+	inc.SetObs(reg)
+	inc.SetTrace(rec)
+	for ti := tSlots; ti < tSlots+h; ti++ {
+		if err := inc.Append(seriesSnapshot(s, ti)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inc.DropFront(h)
+	if _, err := inc.ExtendMatrices(pairs); err != nil {
+		t.Fatal(err)
+	}
+	const stale = 2*w + h
+	for name, want := range map[string]uint64{
+		"rim_trrs_rows_filled_total": h,
+		"rim_trrs_rows_stale_total":  2 * stale,
+		"rim_trrs_rows_reused_total": 2 * (tSlots - stale),
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	extends, filled := 0, int64(0)
+	for _, e := range rec.Snapshot() {
+		switch e.Kind {
+		case trace.KindTRRSExtend:
+			extends++
+			if e.A != tSlots-stale || e.B != stale {
+				t.Errorf("trrs_extend pair %d: reused %d stale %d, want %d and %d", e.Frame, e.A, e.B, tSlots-stale, stale)
+			}
+		case trace.KindTRRSFill:
+			filled += e.A
+		}
+	}
+	if extends != 2 || filled != h {
+		t.Errorf("%d trrs_extend events filling %d rows, want 2 filling %d", extends, filled, h)
 	}
 }

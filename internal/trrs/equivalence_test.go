@@ -1,6 +1,8 @@
 package trrs
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -120,6 +122,11 @@ func seriesSnapshot(s *csi.Series, ti int) [][][]complex128 {
 // windowEngine builds a batch engine over the sub-series [from, to) —
 // the serial oracle for an incremental window.
 func windowEngine(s *csi.Series, from, to int) *Engine {
+	return windowEngineOf(s, from, to, PrecisionFloat64, KernelSequential)
+}
+
+// windowEngineOf is windowEngine at the given plane precision and kernel.
+func windowEngineOf(s *csi.Series, from, to int, prec Precision, k Kernel) *Engine {
 	sub := &csi.Series{
 		Rate:    s.Rate,
 		NumAnts: s.NumAnts,
@@ -133,66 +140,156 @@ func windowEngine(s *csi.Series, from, to int) *Engine {
 			sub.H[a][tx] = s.H[a][tx][from:to]
 		}
 	}
-	return NewEngine(sub)
+	e := NewEnginePrecision(sub, prec)
+	e.SetKernel(k)
+	return e
 }
+
+// incQuery selects how one schedule step reads the maintained matrices.
+type incQuery int
+
+const (
+	queryNone  incQuery = iota // no read: the next read catches up across steps
+	queryPair                  // per-pair ExtendMatrix calls
+	queryBatch                 // one ExtendMatrices call, reversed twins included
+)
+
+// incStep is one step of an append/drop schedule.
+type incStep struct {
+	app, drop int
+	query     incQuery
+}
+
+// goldenSteps is the schedule TestGoldenIncrementalEqualsSerial runs with
+// W = 12: hops shorter and longer than W, drops shorter and longer than
+// W, drop-only and append-only steps, and runs of steps with no read.
+var goldenSteps = []incStep{
+	{app: 5, query: queryPair},
+	{app: 30, query: queryBatch},
+	{app: 7},
+	{app: 20, drop: 15, query: queryBatch},
+	{app: 3, drop: 40, query: queryPair}, // drop more than W past last query
+	{app: 25},
+	{app: 10, drop: 9, query: queryBatch}, // drop shorter than W
+	{drop: 5, query: queryBatch},          // drop-only step
+	{app: 4, drop: 4, query: queryBatch},  // hop shorter than W
+	{app: 6, drop: 6},
+	{app: 6, drop: 6},
+	{app: 5, drop: 5, query: queryBatch}, // three hops since the last read
+	{app: 8, drop: 30, query: queryPair},
+	{app: 12, query: queryBatch}, // append-only hop of exactly W
+	{app: 20, drop: 20, query: queryBatch},
+}
+
+// goldenPairs are the per-pair reads; goldenBatch lists reversed twins
+// after the pair they are reflected from, as the hexagonal array's group
+// and ring pairs do.
+var (
+	goldenPairs = []PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}, {I: 1, J: 0}}
+	goldenBatch = []PairSpec{{I: 0, J: 1}, {I: 1, J: 0}, {I: 2, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}}
+)
 
 // TestGoldenIncrementalEqualsSerial drives an Incremental through a
 // schedule of appends and front drops (the Streamer's access pattern) and
-// asserts that after every step the maintained matrices are bit-identical
-// to a serial batch engine built over exactly the current window.
+// asserts that after every read the maintained matrices are bit-identical
+// to a serial batch engine of the same precision and kernel built over
+// exactly the current window — per-pair reads and batched reads with
+// reflected twins alike.
 func TestGoldenIncrementalEqualsSerial(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
 		s := walkSeries(t, faulty)
-		const w = 12
-		inc, err := NewIncremental(s.Rate, s.NumAnts, s.NumTx, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs := [][2]int{{0, 1}, {0, 2}, {1, 2}}
-		start, next := 0, 0
-		// Alternating appends and drops, with matrix queries interleaved
-		// (including steps with no query, so a later query must catch up
-		// across several invalidations at once).
-		steps := []struct {
-			app, drop int
-			query     bool
-		}{
-			{app: 5, query: true},
-			{app: 30, query: true},
-			{app: 7, query: false},
-			{app: 20, drop: 15, query: true},
-			{app: 3, drop: 40, query: true}, // drop more than W past last query
-			{app: 25, query: false},
-			{app: 10, drop: 9, query: true},
-			{drop: 5, query: true}, // drop-only step
-		}
-		for si, step := range steps {
-			for k := 0; k < step.app && next < s.NumSlots(); k++ {
-				if err := inc.Append(seriesSnapshot(s, next)); err != nil {
-					t.Fatal(err)
-				}
-				next++
-			}
-			inc.DropFront(step.drop)
-			start += step.drop
-			if start > next {
-				start = next
-			}
-			if !step.query {
-				continue
-			}
-			oracle := windowEngine(s, start, next)
-			for _, p := range pairs {
-				got, err := inc.ExtendMatrix(p[0], p[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := oracle.BaseMatrixSerial(p[0], p[1], w)
-				requireIdentical(t, "incremental step", want, got)
-				_ = si
+		for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+			for _, k := range []Kernel{KernelSequential, KernelVector} {
+				name := fmt.Sprintf("faulty=%v/%v/%v", faulty, prec, k)
+				t.Run(name, func(t *testing.T) {
+					runIncSchedule(t, s, 12, prec, k, goldenSteps, goldenPairs, goldenBatch)
+				})
 			}
 		}
 	}
+}
+
+// runIncSchedule runs steps on an Incremental over s and checks every
+// read against BaseMatrixSerial on the window's batch engine.
+func runIncSchedule(t *testing.T, s *csi.Series, w int, prec Precision, k Kernel, steps []incStep, pairs, batch []PairSpec) {
+	t.Helper()
+	inc, err := NewIncrementalPrecision(s.Rate, s.NumAnts, s.NumTx, w, prec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc.SetKernel(k)
+	start, next := 0, 0
+	for si, step := range steps {
+		for n := 0; n < step.app && next < s.NumSlots(); n++ {
+			if err := inc.Append(seriesSnapshot(s, next)); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		inc.DropFront(step.drop)
+		start = min(start+step.drop, next)
+		var got []*Matrix
+		var want []PairSpec
+		switch step.query {
+		case queryNone:
+			continue
+		case queryPair:
+			for _, p := range pairs {
+				m, err := inc.ExtendMatrix(p.I, p.J)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, m)
+			}
+			want = pairs
+		case queryBatch:
+			if got, err = inc.ExtendMatrices(batch); err != nil {
+				t.Fatal(err)
+			}
+			want = batch
+		}
+		oracle := windowEngineOf(s, start, next, prec, k)
+		for n, p := range want {
+			if got[n].I != p.I || got[n].J != p.J {
+				t.Fatalf("step %d: matrix %d is pair (%d,%d), want (%d,%d)", si, n, got[n].I, got[n].J, p.I, p.J)
+			}
+			name := fmt.Sprintf("step %d pair (%d,%d)", si, p.I, p.J)
+			requireIdentical(t, name, oracle.BaseMatrixSerial(p.I, p.J, w), got[n])
+		}
+	}
+}
+
+// FuzzIncrementalRefresh drives an Incremental through a fuzzer-chosen
+// schedule of appends, drops and reads (per-pair or batched, over a
+// fuzzer-chosen pair list with duplicates, reversed twins and self-pairs)
+// and requires every read to be bit-identical to BaseMatrixSerial on a
+// batch engine over the window. Each schedule byte is one step: bits 0–2
+// append that many slots times two, bits 3–5 drop that many slots times
+// three, bits 6–7 pick no read, a per-pair read or a batched read.
+func FuzzIncrementalRefresh(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(0), []byte{0x47, 0x87, 0x9a, 0x03, 0x02, 0xb9, 0x4c}, []byte{0x01, 0x10, 0x21, 0x12})
+	f.Add(int64(2), uint8(9), uint8(3), []byte{0x87, 0x87, 0xbf, 0x3f, 0x41, 0x80}, []byte{0x10, 0x01, 0x11, 0x20, 0x02})
+	f.Add(int64(3), uint8(1), uint8(1), []byte{0x45, 0x1d, 0x92, 0x80, 0x7f, 0x86}, []byte{0x12, 0x21, 0x12})
+	f.Add(int64(4), uint8(0), uint8(2), []byte{0x81, 0x89, 0x49, 0x08, 0x88}, []byte{0x00, 0x22})
+	f.Fuzz(func(t *testing.T, seed int64, wB, modeB uint8, sched, pairBytes []byte) {
+		if len(sched) == 0 || len(sched) > 24 || len(pairBytes) == 0 || len(pairBytes) > 8 {
+			t.Skip()
+		}
+		const ants, slots = 3, 24 * 14
+		w := int(wB % 16)
+		prec := []Precision{PrecisionFloat64, PrecisionFloat32}[modeB&1]
+		k := []Kernel{KernelSequential, KernelVector}[modeB>>1&1]
+		pairs := make([]PairSpec, len(pairBytes))
+		for n, b := range pairBytes {
+			pairs[n] = PairSpec{I: int(b>>4) % ants, J: int(b&0xF) % ants}
+		}
+		steps := make([]incStep, len(sched))
+		for n, b := range sched {
+			steps[n] = incStep{app: 2 * int(b&7), drop: 3 * int(b>>3&7), query: incQuery(b>>6) % 3}
+		}
+		s := randomSeries(rand.New(rand.NewSource(seed)), ants, 2, 6, slots)
+		runIncSchedule(t, s, w, prec, k, steps, pairs, pairs)
+	})
 }
 
 // TestGoldenEngineViewEqualsSubsetSeries checks the degraded-antenna
@@ -235,4 +332,73 @@ func TestGoldenEngineViewEqualsSubsetSeries(t *testing.T) {
 		t.Fatalf("absolute-pair matrix disagrees with subset oracle: %v vs %v",
 			got.Vals[20][w], want.Vals[20][w])
 	}
+}
+
+// TestSelfSeriesCacheEqualsBatch checks the self-TRRS cache: SelfSeries
+// on an EngineView, whose raw values come from the Incremental's cache,
+// must be bit-identical to SelfSeries on a batch engine built over the
+// same window and antennas, across an append/drop schedule in which the
+// view cycles between the full array and dead-antenna subsets (so an
+// antenna's cached series goes stale and is picked up again).
+func TestSelfSeriesCacheEqualsBatch(t *testing.T) {
+	s := walkSeries(t, true)
+	views := [][]int{nil, {0, 2}, {2, 1}, {0}}
+	for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+		inc, err := NewIncrementalPrecision(s.Rate, s.NumAnts, s.NumTx, 12, prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start, next := 0, 0
+		for si, step := range goldenSteps {
+			for n := 0; n < step.app && next < s.NumSlots(); n++ {
+				if err := inc.Append(seriesSnapshot(s, next)); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+			inc.DropFront(step.drop)
+			start = min(start+step.drop, next)
+			ants := views[si%len(views)]
+			view, err := inc.EngineView(ants)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ants == nil {
+				ants = []int{0, 1, 2}
+			}
+			oracle := subsetWindowEngine(s, start, next, ants, prec)
+			for a := range ants {
+				for _, lag := range []int{0, 1, 5, 25, 400} {
+					for _, v := range []int{1, 4} {
+						want, got := oracle.SelfSeries(a, lag, v), view.SelfSeries(a, lag, v)
+						if len(got) != len(want) {
+							t.Fatalf("%v step %d: %d slots, want %d", prec, si, len(got), len(want))
+						}
+						for ti := range want {
+							if math.Float64bits(got[ti]) != math.Float64bits(want[ti]) {
+								t.Fatalf("%v step %d antenna %d lag %d v %d: slot %d = %v, want %v",
+									prec, si, ants[a], lag, v, ti, got[ti], want[ti])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// subsetWindowEngine is the batch engine over slots [from, to) of the
+// given antennas of s.
+func subsetWindowEngine(s *csi.Series, from, to int, ants []int, prec Precision) *Engine {
+	sub := &csi.Series{
+		Rate: s.Rate, NumAnts: len(ants), NumTx: s.NumTx, NumSub: s.NumSub,
+		H: make([][][][]complex128, len(ants)),
+	}
+	for k, a := range ants {
+		sub.H[k] = make([][][]complex128, s.NumTx)
+		for tx := range sub.H[k] {
+			sub.H[k][tx] = s.H[a][tx][from:to]
+		}
+	}
+	return NewEnginePrecision(sub, prec)
 }

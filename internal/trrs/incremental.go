@@ -15,20 +15,39 @@ import (
 // The window is a contiguous absolute slot range [start, end): Append
 // grows the tail by one slot, DropFront advances the head. ExtendMatrix
 // returns a pair's base matrix over the current window, recomputing only
-// the rows whose value can have changed since the last call:
+// the entries whose value can have changed since the last call. Entry
+// (r, l) of a row for absolute slot r pairs snapshot r with snapshot r−l,
+// or is 0 when r−l lies outside the window, so across a slide from
+// [s0, e0) to [s1, e1):
 //
-//   - the new rows themselves, plus the trailing W rows, whose forward
-//     references (t − l with l < 0) now land on freshly appended slots
-//     that were out of range — and therefore zero — before;
-//   - after a DropFront, the leading W rows, whose backward references
-//     now fall off the head of the window.
+//   - rows r ≥ e0 are new and filled in full;
+//   - in the trailing W rows the forward columns whose r−l lands on a
+//     freshly appended slot in [e0, e1) turn from 0 into a TRRS value and
+//     are swept; the rest of the row is carried over;
+//   - in the leading W rows the backward columns whose r−l fell off the
+//     head, into [s0, s1), are cleared; the rest is carried over.
 //
-// All other rows are carried over untouched, so a steady-state hop of h
-// slots costs O((2W+h)·(2W+1)) TRRS values per pair instead of the full
-// window's O(T·(2W+1)). Because every row is produced by the same
-// fillRow arithmetic the batch engine uses, the result is bit-for-bit
-// identical to Engine.BaseMatrixSerial over a series holding exactly the
-// window's snapshots.
+// Every other row is carried over untouched, so a steady-state hop of h
+// slots costs O(h·(2W+1) + W²/2) TRRS values per pair (the new rows plus
+// a triangle of forward columns) instead of the full window's
+// O(T·(2W+1)). Each swept entry is an independent function of its two
+// slots in every kernel (the vector sweep vectorizes over tones, not
+// lags), so a partial sweep writes the bits a full one would: the result
+// is bit-for-bit identical to Engine.BaseMatrixSerial over a series
+// holding exactly the window's snapshots.
+//
+// ExtendMatrices also sweeps only one pair of each reversed twin
+// {(i,j), (j,i)} in its list (the first listed, as BaseMatrices'
+// planPairs does) and derives the other's changed entries by the exact κ̄
+// reflection base_ji[t][l] = base_ij[t−l][−l] (see reflectRow).
+//
+// Engine views also serve movement detection from a self-TRRS cache: the
+// raw self-TRRS κ̄(a@r, a@r−lag) of each (antenna, lag) a view was asked
+// for is kept per absolute slot r, so a hop evaluates only the slots
+// appended since the last one (see selfWindow). The moving average and
+// warm-up backfill still run over the view's window, so
+// Engine.SelfSeries returns the bits a batch engine over the same window
+// would.
 //
 // Storage is structure-of-arrays and steady-state allocation-free: the
 // normalized snapshots live in per-(antenna, tx) re/im planes whose live
@@ -36,9 +55,10 @@ import (
 // place and, when the tail reaches capacity, compacts the live region to
 // the front instead of growing. Each maintained pair matrix ping-pongs
 // between two preallocated backings: a refresh copies carried rows from
-// the previous generation's buffer and recomputes the stale ones, so once
-// the window geometry stabilizes no hop allocates (pinned at 0 mallocs per
-// hop by the allocation tests and the bench guard).
+// the previous generation's buffer and recomputes the stale entries, and
+// the self-TRRS cache compacts each series in place, so once the window
+// geometry stabilizes no hop allocates (pinned at 0 mallocs per hop by the
+// allocation tests and the bench guard).
 //
 // Refreshes run on the calling goroutine: a streaming session is the unit
 // of concurrency (the daemon runs sessions side by side), so one hop is
@@ -77,11 +97,17 @@ type Incremental struct {
 	// Refresh scratch, reused across hops so refreshes stay
 	// allocation-free in steady state: the matrices ExtendMatrices
 	// returns, the pair-major stale work list with per-pair segment
-	// offsets, and the row-major interleaved fill order.
+	// offsets, the row-major interleaved fill order, and the reversed
+	// twins' stale entries, reflected once the fill is done.
 	batchOut   []*Matrix
 	batchWork  []batchItem
 	batchSeg   []int
 	batchOrder []batchItem
+	batchTwin  []batchItem
+
+	// selfs is the self-TRRS cache, one series per (antenna, lag) an
+	// EngineView's SelfSeries asked for (see selfWindow).
+	selfs []selfSeries
 
 	// Observability handles (nil = unobserved): per-ExtendMatrix rows
 	// carried over untouched vs invalidated-and-recomputed, plus the
@@ -106,6 +132,15 @@ type incMat struct {
 	rows       [2][][]float64
 	hdr        [2]Matrix
 	cur        int
+}
+
+// selfSeries caches the raw self-TRRS κ̄(ant@r, ant@r−lag) of absolute
+// slots r ∈ [first, first+len(vals)). A value depends only on its two
+// snapshots, so it stays valid for as long as both are in the window.
+type selfSeries struct {
+	ant, lag int
+	first    int
+	vals     []float64
 }
 
 // MaxRate is the highest sample rate, in Hz, the streaming engines accept.
@@ -162,10 +197,11 @@ func (inc *Incremental) SetKernel(k Kernel) { inc.kernel = k }
 func (inc *Incremental) Kernel() Kernel { return inc.kernel }
 
 // SetObs points the incremental engine's utilization counters at a
-// registry: rows reused vs invalidated per ExtendMatrix
-// (rim_trrs_rows_reused_total / rim_trrs_rows_stale_total) plus the
-// rows-filled counter inherited by every EngineView. A nil registry
-// detaches them.
+// registry: rows carried over untouched vs rows with at least one entry
+// cleared or recomputed per ExtendMatrix (rim_trrs_rows_reused_total /
+// rim_trrs_rows_stale_total) plus the rows-filled counter, which counts
+// full-row fills only and is inherited by every EngineView. A nil
+// registry detaches them.
 func (inc *Incremental) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		inc.rowsReused, inc.rowsStale, inc.rowsFilled = nil, nil, nil
@@ -174,7 +210,7 @@ func (inc *Incremental) SetObs(reg *obs.Registry) {
 	inc.rowsReused = reg.Counter("rim_trrs_rows_reused_total",
 		"base-matrix rows carried over untouched by the incremental engine")
 	inc.rowsStale = reg.Counter("rim_trrs_rows_stale_total",
-		"base-matrix rows invalidated (head drop / tail extension) and recomputed")
+		"base-matrix rows invalidated (head drop / tail extension) and wholly or partly recomputed")
 	inc.rowsFilled = reg.Counter("rim_trrs_rows_filled_total",
 		"TRRS base-matrix rows computed from scratch")
 }
@@ -240,8 +276,8 @@ func (inc *Incremental) Append(snapshot [][][]complex128) error {
 
 // DropFront advances the window head by n slots (ring-buffer trim; the
 // slots' storage is reclaimed by a later Append's compaction). The leading
-// W rows of every maintained matrix become stale and are refreshed on the
-// next ExtendMatrix call.
+// W rows of every maintained matrix lose their backward columns into the
+// dropped slots, which the next ExtendMatrix call clears.
 func (inc *Incremental) DropFront(n int) {
 	if n <= 0 {
 		return
@@ -276,6 +312,7 @@ func (inc *Incremental) viewInto(e *Engine, ants []int) error {
 	e.rowsFilled = inc.rowsFilled
 	e.trc = inc.trc
 	e.hop = inc.hop
+	e.src, e.srcAnts, e.srcStart = inc, ants, inc.start
 	inc.ring.viewInto(e.planes, ants, inc.head*tones, (inc.head+e.slots)*tones)
 	return nil
 }
@@ -286,13 +323,16 @@ func (inc *Incremental) viewInto(e *Engine, ants []int) error {
 // by the next Append/DropFront (an Append may compact the ring under it);
 // it exists so window-scoped consumers (movement detection, self-TRRS)
 // run on the incrementally maintained normalization instead of
-// renormalizing the window every hop.
+// renormalizing the window every hop, and its SelfSeries reads the
+// engine's self-TRRS cache.
 func (inc *Incremental) EngineView(ants []int) (*Engine, error) {
 	if ants == nil {
 		ants = make([]int, inc.numAnt)
 		for a := range ants {
 			ants[a] = a
 		}
+	} else {
+		ants = append([]int(nil), ants...)
 	}
 	e := &Engine{planes: inc.ring.shell(len(ants))}
 	if err := inc.viewInto(e, ants); err != nil {
@@ -350,14 +390,17 @@ func (inc *Incremental) matFor(i, j int) *incMat {
 }
 
 // carry advances pair (i, j)'s maintained matrix to the current window:
-// it sizes the next-generation backing, copies every row still valid from
-// the previous generation, appends one work item per stale row to work,
-// commits the generation swap and the reuse/stale accounting, and returns
-// the new matrix with its stale rows NOT yet computed — the caller fills
-// them with Engine.fillRows.
+// it sizes the next-generation backing, copies every carried row from the
+// previous generation, clears the backward columns that fell off the head,
+// appends one work item per new row (all columns) and per carried row
+// with forward columns onto newly appended slots (those columns only) to
+// work, commits the generation swap and the reuse/stale accounting, and
+// returns the new matrix with its work items NOT yet computed — the caller
+// fills them with Engine.fillRows, or reflects them from a reversed twin.
 func (inc *Incremental) carry(im *incMat, i, j int, work []batchItem) (*Matrix, []batchItem) {
 	tSlots := inc.NumSlots()
-	width := 2*inc.w + 1
+	w := inc.w
+	width := 2*w + 1
 	nxt := 1 - im.cur
 	flat := im.flats[nxt]
 	if cap(flat) < tSlots*width {
@@ -371,30 +414,37 @@ func (inc *Incremental) carry(im *incMat, i, j int, work []batchItem) (*Matrix, 
 	rows = rows[:tSlots]
 	m := &im.hdr[nxt]
 
-	nPrev := len(work)
+	nStale := 0
 	for t := 0; t < tSlots; t++ {
 		row := flat[t*width : (t+1)*width]
 		rows[t] = row
 		r := inc.start + t // absolute slot of this row
-		valid := im.m != nil && r < im.end
-		// A head advance zeroes backward references of the leading W rows.
-		if valid && inc.start > im.start && r < inc.start+inc.w {
-			valid = false
+		if im.m == nil || r >= im.end {
+			work = append(work, batchItem{m: m, t: t, c0: 0, c1: width})
+			nStale++
+			continue
 		}
-		// A tail extension unzeroes forward references of rows within W of
-		// the old end.
-		if valid && inc.end > im.end && r >= im.end-inc.w {
-			valid = false
+		copy(row, im.m.Vals[r-im.start])
+		// Column c references slot r−(c−w). Backward references into
+		// [im.start, start) were values and are now out of the window.
+		z0 := r - inc.start + w + 1
+		z1 := min(r-im.start+w+1, width)
+		// Forward references into [im.end, end) were out of range (0) and
+		// now land on appended slots.
+		f0 := max(r-inc.end+w+1, 0)
+		f1 := min(r-im.end+w+1, width)
+		if z0 < z1 {
+			clear(row[z0:z1])
 		}
-		if valid {
-			copy(row, im.m.Vals[r-im.start])
-		} else {
-			work = append(work, batchItem{m: m, t: t})
+		if f0 < f1 {
+			work = append(work, batchItem{m: m, t: t, c0: f0, c1: f1})
+		}
+		if z0 < z1 || f0 < f1 {
+			nStale++
 		}
 	}
-	nStale := len(work) - nPrev
 
-	*m = Matrix{I: i, J: j, W: inc.w, Rate: inc.rate, Vals: rows}
+	*m = Matrix{I: i, J: j, W: w, Rate: inc.rate, Vals: rows}
 	inc.rowsReused.Add(uint64(tSlots - nStale))
 	inc.rowsStale.Add(uint64(nStale))
 	if inc.trc != nil {
@@ -410,24 +460,28 @@ func (inc *Incremental) carry(im *incMat, i, j int, work []batchItem) (*Matrix, 
 
 // ExtendMatrices is the cross-pair batched form of ExtendMatrix: it
 // advances every listed pair's matrix to the current window and fills all
-// their stale rows in one batched pass, interleaved row-major across
+// their stale entries in one batched pass, interleaved row-major across
 // pairs — consecutive fills sweep the same slot range of the CSI planes,
 // so each freshly appended time block is read once and feeds every pair
 // sharing it (in steady state every pair is stale on exactly the same
-// rows, making the interleave a perfect block-major walk). The result
-// slice and the matrices obey ExtendMatrix's ownership rules (valid until
-// the next refresh; the slice itself is reused by the next call).
-// Duplicate pairs are served by the per-pair fast path. Row values are
-// bit-for-bit what per-pair ExtendMatrix calls would produce.
+// rows and columns, making the interleave a perfect block-major walk). A
+// pair whose reverse is listed earlier is not swept: its stale entries
+// are reflected from the earlier pair's refreshed matrix (planPairs'
+// rule, bit-for-bit exact; see reflectRow). The result slice and the
+// matrices obey ExtendMatrix's ownership rules (valid until the next
+// refresh; the slice itself is reused by the next call). Duplicate pairs
+// are served by the per-pair fast path. Values are bit-for-bit what
+// per-pair ExtendMatrix calls would produce.
 func (inc *Incremental) ExtendMatrices(pairs []PairSpec) ([]*Matrix, error) {
 	out := inc.batchOut[:0]
 	work := inc.batchWork[:0]
+	twins := inc.batchTwin[:0]
 	seg := inc.batchSeg[:0]
 	seg = append(seg, 0)
 	touched := 0
-	for _, p := range pairs {
+	for k, p := range pairs {
 		if p.I < 0 || p.I >= inc.numAnt || p.J < 0 || p.J >= inc.numAnt {
-			inc.batchOut, inc.batchWork, inc.batchSeg = out, work, seg
+			inc.batchOut, inc.batchWork, inc.batchSeg, inc.batchTwin = out, work, seg, twins
 			return nil, fmt.Errorf("trrs: ExtendMatrices pair (%d,%d) out of range [0,%d)", p.I, p.J, inc.numAnt)
 		}
 		im := inc.matFor(p.I, p.J)
@@ -436,9 +490,20 @@ func (inc *Incremental) ExtendMatrices(pairs []PairSpec) ([]*Matrix, error) {
 			seg = append(seg, len(work))
 			continue
 		}
-		var m *Matrix
-		m, work = inc.carry(im, p.I, p.J, work)
 		touched++
+		var m *Matrix
+		if src := reversedBefore(pairs, k); src >= 0 {
+			// The earliest reversed pair was swept (or already current)
+			// this call: an earlier twin of it would equal p, and p's
+			// matrix would then be current.
+			n := len(twins)
+			m, twins = inc.carry(im, p.I, p.J, twins)
+			for t := n; t < len(twins); t++ {
+				twins[t].src = out[src]
+			}
+		} else {
+			m, work = inc.carry(im, p.I, p.J, work)
+		}
 		out = append(out, m)
 		seg = append(seg, len(work))
 	}
@@ -456,6 +521,60 @@ func (inc *Incremental) ExtendMatrices(pairs []PairSpec) ([]*Matrix, error) {
 	if len(order) > 0 {
 		inc.fullView().fillRows(order, -1, int64(touched))
 	}
-	inc.batchOut, inc.batchWork, inc.batchSeg, inc.batchOrder = out, work, seg, order
+	for _, it := range twins {
+		reflectRow(it.m.Vals[it.t], it.src.Vals, it.m.W, it.t, it.c0, it.c1)
+	}
+	inc.batchOut, inc.batchWork, inc.batchSeg, inc.batchOrder, inc.batchTwin = out, work, seg, order, twins
 	return out, nil
+}
+
+// reversedBefore returns the index of the first pair before k that is
+// pairs[k] reversed, or -1 (also for a self-pair, its own reverse).
+func reversedBefore(pairs []PairSpec, k int) int {
+	p := pairs[k]
+	if p.I == p.J {
+		return -1
+	}
+	for m, q := range pairs[:k] {
+		if q.I == p.J && q.J == p.I {
+			return m
+		}
+	}
+	return -1
+}
+
+// selfWindow returns the raw self-TRRS κ̄(ant@r, ant@r−lag) of every
+// absolute slot r ∈ [start+lag, end) of the current window (lag ≥ 0,
+// ant absolute), refreshing the antenna's cached series first: values for
+// slots that left the window are dropped and only slots appended since
+// the last call are evaluated, with the sequential point kernel
+// Engine.Base uses. The slice is owned by the engine and overwritten by
+// the next call for the same (ant, lag).
+func (inc *Incremental) selfWindow(ant, lag int) []float64 {
+	var ss *selfSeries
+	for k := range inc.selfs {
+		if inc.selfs[k].ant == ant && inc.selfs[k].lag == lag {
+			ss = &inc.selfs[k]
+			break
+		}
+	}
+	if ss == nil {
+		inc.selfs = append(inc.selfs, selfSeries{ant: ant, lag: lag})
+		ss = &inc.selfs[len(inc.selfs)-1]
+	}
+	lo := inc.start + lag
+	if d := lo - ss.first; d > 0 {
+		if d >= len(ss.vals) {
+			ss.vals = ss.vals[:0]
+		} else {
+			ss.vals = ss.vals[:copy(ss.vals, ss.vals[d:])]
+		}
+		ss.first = lo
+	}
+	tones := inc.tones
+	for r := ss.first + len(ss.vals); r < inc.end; r++ {
+		o := (inc.head + r - inc.start) * tones
+		ss.vals = append(ss.vals, inc.ring.base(ant, ant, o, o-lag*tones, tones))
+	}
+	return ss.vals
 }

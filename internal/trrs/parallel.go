@@ -100,21 +100,25 @@ func planPairs(pairs []PairSpec) (plans []pairPlan, compute []int) {
 
 // reflectInto derives columns [cFrom, cTo) of dst from src by the κ̄
 // reflection base_dst[t][l] = base_src[t−l][−l] (column 2w−c holds lag −l).
-// Rows whose source slot t−l falls outside the series get the same zero
-// fillRow would have written. Self-pair half-band completion passes
-// dst == src with cTo = w: the sweep then only reads columns > w, which
-// phase 1 computed, and only writes columns < w.
+// Self-pair half-band completion passes dst == src with cTo = w: the sweep
+// then only reads columns > w, which phase 1 computed, and only writes
+// columns < w.
 func reflectInto(dst, src [][]float64, w, cFrom, cTo int) {
-	slots := len(dst)
-	for t := 0; t < slots; t++ {
-		row := dst[t]
-		for c := cFrom; c < cTo; c++ {
-			srcT := t - (c - w) // t − l
-			if srcT >= 0 && srcT < slots {
-				row[c] = src[srcT][2*w-c]
-			} else {
-				row[c] = 0
-			}
+	for t, row := range dst {
+		reflectRow(row, src, w, t, cFrom, cTo)
+	}
+}
+
+// reflectRow is reflectInto for columns [c0, c1) of row t. Entries whose
+// source slot t−l falls outside the series get the same zero fillRow
+// would have written.
+func reflectRow(row []float64, src [][]float64, w, t, c0, c1 int) {
+	for c := c0; c < c1; c++ {
+		srcT := t - (c - w) // t − l
+		if srcT >= 0 && srcT < len(src) {
+			row[c] = src[srcT][2*w-c]
+		} else {
+			row[c] = 0
 		}
 	}
 }
@@ -167,7 +171,7 @@ func (e *Engine) BaseMatrices(pairs []PairSpec, w int) []*Matrix {
 	fill := func(k, t int) {
 		p, m := pairs[k], out[k]
 		if p.I == p.J {
-			e.fillRowFrom(m.Vals[t], p.I, p.J, w, t, w)
+			e.fillCols(m.Vals[t], p.I, p.J, w, t, w, 2*w+1)
 		} else {
 			e.fillRow(m.Vals[t], p.I, p.J, w, t)
 		}
@@ -231,23 +235,33 @@ func (e *Engine) BaseMatrices(pairs []PairSpec, w int) []*Matrix {
 	return out
 }
 
-// batchItem is one row fill of an incremental refresh.
+// batchItem is one refresh of an incremental matrix: columns [c0, c1) of
+// row t of m, computed by the kernel or, when src is set, reflected from
+// the reversed twin src.
 type batchItem struct {
-	m *Matrix
-	t int
+	m, src *Matrix
+	t      int
+	c0, c1 int
 }
 
-// fillRows recomputes an explicit list of (matrix, row) items, in order,
-// on the calling goroutine — the incremental engine's refresh path. The
-// caller orders the items so consecutive fills sweep the same slot range
-// of the CSI planes (see Incremental.ExtendMatrices). Emits one
-// trace.KindTRRSFill event with the given Frame and B fields.
+// fillRows computes an explicit list of items, in order, on the calling
+// goroutine — the incremental engine's refresh path. The caller orders
+// the items so consecutive fills sweep the same slot range of the CSI
+// planes (see Incremental.ExtendMatrices). Only full-row items count as
+// rows filled, in rim_trrs_rows_filled_total and in the one
+// trace.KindTRRSFill event emitted with the given Frame and B fields.
 func (e *Engine) fillRows(items []batchItem, frame, b int64) {
-	e.rowsFilled.Add(uint64(len(items)))
+	full := 0
+	for _, it := range items {
+		if it.c0 == 0 && it.c1 == 2*it.m.W+1 {
+			full++
+		}
+	}
+	e.rowsFilled.Add(uint64(full))
 	if e.trc != nil {
-		e.trc.Emit(trace.KindTRRSFill, e.hop, frame, int64(len(items)), b)
+		e.trc.Emit(trace.KindTRRSFill, e.hop, frame, int64(full), b)
 	}
 	for _, it := range items {
-		e.fillRow(it.m.Vals[it.t], it.m.I, it.m.J, it.m.W, it.t)
+		e.fillCols(it.m.Vals[it.t], it.m.I, it.m.J, it.m.W, it.t, it.c0, it.c1)
 	}
 }

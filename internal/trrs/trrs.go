@@ -109,6 +109,12 @@ type Engine struct {
 	// tracing); hop is the causal hop ID stamped on emitted events.
 	trc *trace.Recorder
 	hop int64
+	// src is the Incremental an EngineView aliases (nil otherwise): srcAnts
+	// maps view antennas to its absolute ones and srcStart is the absolute
+	// window start the view was taken at. SelfSeries reads its cache.
+	src      *Incremental
+	srcAnts  []int
+	srcStart int
 }
 
 // SetKernel selects the inner-product kernel. The zero value
@@ -254,30 +260,23 @@ func (m *Matrix) At(t, lag int) float64 {
 // 2w+1): row[c] = κ̄(H_i(t), H_j(t−(c−w))), 0 outside the series. It
 // overwrites every entry, so rows may be reused.
 func (e *Engine) fillRow(row []float64, i, j, w, t int) {
-	e.fillRowFrom(row, i, j, w, t, 0)
+	e.fillCols(row, i, j, w, t, 0, len(row))
 }
 
-// fillRowFrom computes columns c ∈ [cFrom, len(row)) of fillRow's sweep
-// (cFrom = 0 is the full row). The in-range column band is hoisted out of
-// the loop — tj = t−(c−w) lies in [0, slots) iff c ∈ [cLo, cHi) — so the
+// fillCols computes columns c ∈ [cFrom, cTo) of fillRow's sweep and
+// leaves the others alone. The in-range column band is hoisted out of the
+// loop — tj = t−(c−w) lies in [0, slots) iff c ∈ [cLo, cHi) — so the
 // sweep calls the unchecked kernel and the out-of-range fringes are plain
-// zero fills. cFrom = w restricts the sweep to the non-negative lags, the
-// self-pair half-band computation (see BaseMatrices).
-func (e *Engine) fillRowFrom(row []float64, i, j, w, t, cFrom int) {
-	cLo := t + w - e.slots + 1 // first c with t−(c−w) < slots
-	if cLo < cFrom {
-		cLo = cFrom
-	}
-	cHi := t + w + 1 // first c with t−(c−w) < 0
-	if cHi > len(row) {
-		cHi = len(row)
-	}
-	for c := cFrom; c < cLo; c++ {
-		row[c] = 0
-	}
-	for c := cHi; c < len(row); c++ {
-		row[c] = 0
-	}
+// zero fills. Every entry is an independent function of its two slots, so
+// any column range writes the bits the full row would. cFrom = w
+// restricts the sweep to the non-negative lags, the self-pair half-band
+// computation (see BaseMatrices); the incremental engine sweeps the
+// forward columns that land on newly appended slots.
+func (e *Engine) fillCols(row []float64, i, j, w, t, cFrom, cTo int) {
+	cLo := min(max(t+w-e.slots+1, cFrom), cTo) // first c with t−(c−w) < slots
+	cHi := max(min(t+w+1, cTo), cFrom)         // first c with t−(c−w) < 0
+	clear(row[cFrom:cLo])
+	clear(row[cHi:cTo])
 	if cLo >= cHi {
 		return
 	}
@@ -360,15 +359,17 @@ func AverageMatrices(ms ...*Matrix) (*Matrix, error) {
 // SelfSeries returns the movement-detection series of §4.1 for antenna i:
 // s[t] = virtual-massive TRRS between antenna i at slot t and itself
 // lagSlots earlier, averaged over a window of v snapshots. Slots earlier
-// than lagSlots copy the first computable value.
+// than lagSlots copy the first computable value. On a view of an
+// Incremental the raw values come from its self-TRRS cache (the same
+// point kernel on the same snapshots, so the same bits).
 func (e *Engine) SelfSeries(i, lagSlots, v int) []float64 {
 	raw := make([]float64, e.slots)
-	for t := 0; t < e.slots; t++ {
-		if t < lagSlots {
-			raw[t] = math.NaN()
-			continue
+	if cached := e.cachedSelf(i, lagSlots); cached != nil {
+		copy(raw[lagSlots:], cached)
+	} else {
+		for t := max(lagSlots, 0); t < e.slots; t++ {
+			raw[t] = e.Base(i, i, t, t-lagSlots)
 		}
-		raw[t] = e.Base(i, i, t, t-lagSlots)
 	}
 	// Backfill the warm-up region.
 	if lagSlots < e.slots {
@@ -384,6 +385,18 @@ func (e *Engine) SelfSeries(i, lagSlots, v int) []float64 {
 		return sigproc.MovingAverage(raw, v/2)
 	}
 	return raw
+}
+
+// cachedSelf returns the raw self-TRRS of view antenna i at lag lagSlots
+// for window slots [lagSlots, slots) from the aliased Incremental's cache,
+// or nil when e is not a view of the Incremental's current window or the
+// lag leaves nothing to cache.
+func (e *Engine) cachedSelf(i, lagSlots int) []float64 {
+	if e.src == nil || lagSlots < 0 || lagSlots >= e.slots ||
+		e.srcStart != e.src.start || e.slots != e.src.NumSlots() {
+		return nil
+	}
+	return e.src.selfWindow(e.srcAnts[i], lagSlots)
 }
 
 // ColumnMax returns, for each slot, the best lag and TRRS value in the
