@@ -80,15 +80,15 @@ func (f *jsonFloat) UnmarshalJSON(b []byte) error {
 
 // row is one session's joined view across the three endpoints.
 type row struct {
-	ID                     string  `json:"id"`
-	State                  string  `json:"state"`
-	QueueDepth             int     `json:"queue_depth"`
-	Restarts               int     `json:"restarts"`
-	Estimates              int     `json:"estimates"`
-	DegradedRatio          float64 `json:"degraded_ratio"`
+	ID                     string    `json:"id"`
+	State                  string    `json:"state"`
+	QueueDepth             int       `json:"queue_depth"`
+	Restarts               int       `json:"restarts"`
+	Estimates              int       `json:"estimates"`
+	DegradedRatio          float64   `json:"degraded_ratio"`
 	LagP99Seconds          jsonFloat `json:"lag_p99_seconds"`
-	LastEstimateAgeSeconds float64 `json:"last_estimate_age_seconds"`
-	SLOState               string  `json:"slo_state,omitempty"`
+	LastEstimateAgeSeconds float64   `json:"last_estimate_age_seconds"`
+	SLOState               string    `json:"slo_state,omitempty"`
 	BudgetRemaining        jsonFloat `json:"budget_remaining"`
 	QualityState           string    `json:"quality_state,omitempty"`
 	QualityOutsideFrac     float64   `json:"quality_outside_frac,omitempty"`

@@ -130,6 +130,23 @@ type Config struct {
 	// checks. Threaded by core.Streamer per hop.
 	hopDeadline time.Time
 	hopCtx      context.Context
+	// emitLo/emitHi, when emitHi > 0, are the slots the caller keeps, its
+	// emit window [emitLo, emitHi): Process still computes the movement
+	// indicators, ZUPTs and segmentation over the whole span but analyzes
+	// only the segments that overlap the window. A segment writes only its
+	// own slots, so every estimate inside the window is the one a full
+	// pass computes; slots outside it stay static placeholders and
+	// Result.Segments lists only the analyzed segments. Set by
+	// core.Streamer per hop on its incremental path, where the window
+	// always ends past slot 0; the zero values (batch runs, the recompute
+	// oracle) analyze every segment.
+	emitLo, emitHi int
+}
+
+// analyzes reports whether Process should analyze the segment [start, end):
+// always without an emit window, else when the segment overlaps it.
+func (cfg *Config) analyzes(start, end int) bool {
+	return cfg.emitHi <= 0 || (end > cfg.emitLo && start < cfg.emitHi)
 }
 
 // hopExpired reports whether the analysis deadline for this pass is gone:
@@ -315,16 +332,27 @@ type groupMatrix struct {
 	m     *trrs.Matrix
 }
 
-// Pipeline precomputes the expensive pieces (TRRS engine, group matrices)
-// once per CSI series so that segment-level queries stay cheap.
+// Pipeline precomputes the expensive pieces (TRRS engine, base matrices)
+// once per CSI series so that segment-level queries stay cheap; the derived
+// group and ring matrices are built on first need (see derive).
 type Pipeline struct {
-	cfg    Config
-	eng    *trrs.Engine
-	w      int
-	groups []groupMatrix
-	// ring holds per-adjacent-pair matrices for rotation detection
-	// (only for arrays with ≥ 4 antennas arranged in a ring).
-	ring []groupMatrix
+	cfg Config
+	eng *trrs.Engine
+	w   int
+	// groupDefs and ringPairs are the array's pair geometry (see
+	// pairGeometry); pairs are the distinct base-matrix pairs they need and
+	// base the base matrices of pairs, in order.
+	groupDefs []array.ParallelGroup
+	ringPairs []array.Pair
+	pairs     []trrs.PairSpec
+	base      []*trrs.Matrix
+	// derived reports whether groups and ring are built. groups holds one
+	// averaged virtual-massive matrix per parallel group; ring holds the
+	// per-adjacent-pair matrices for rotation detection (only for arrays
+	// with ≥ 4 antennas arranged in a ring).
+	derived bool
+	groups  []groupMatrix
+	ring    []groupMatrix
 	// moving is the per-slot movement flag of the last Process call;
 	// movingSoft is the permissive variant (indicator below the release
 	// level) used to gate per-slot speed: a slot must look genuinely
@@ -351,9 +379,9 @@ type Pipeline struct {
 type pipelineObs struct {
 	// buildH times the TRRS base-matrix build/extend during pipeline
 	// construction and derivedH the derived matrices built from them
-	// (pair average + virtual massive); movementH the §4.1
-	// movement-detection stage; alignH the per-segment alignment
-	// tracking + reckoning.
+	// (pair average + virtual massive) on the passes that need them;
+	// movementH the §4.1 movement-detection stage; alignH the alignment
+	// tracking + reckoning of each analyzed segment.
 	buildH, derivedH, movementH, alignH *obs.Histogram
 	// estimates/degraded count window slots analyzed by Process (the
 	// streamer re-analyzes overlapping windows, so for streams this is a
@@ -373,12 +401,14 @@ func newPipelineObs(reg *obs.Registry) pipelineObs {
 	return pipelineObs{
 		buildH: reg.Timer("rim_trrs_build_seconds", "TRRS base-matrix build/extend latency per pipeline construction"),
 		derivedH: reg.Timer("rim_trrs_derived_seconds",
-			"derived-matrix (pair average + virtual massive) latency per pipeline construction"),
+			"derived-matrix (pair average + virtual massive) latency per pass that analyzes a movement segment"),
 		movementH: reg.Timer("rim_movement_seconds", "movement-detection stage latency per Process"),
-		alignH:    reg.Timer("rim_align_seconds", "alignment tracking + reckoning latency per movement segment"),
+		alignH: reg.Timer("rim_align_seconds",
+			"alignment tracking + reckoning latency per analyzed movement segment (streams: those overlapping the hop's emit window)"),
 		estimates: reg.Counter("rim_estimates_total", "window slots analyzed by pipeline Process"),
 		degraded:  reg.Counter("rim_estimates_degraded_total", "analyzed window slots flagged degraded"),
-		segments:  reg.Counter("rim_segments_total", "movement segments resolved"),
+		segments: reg.Counter("rim_segments_total",
+			"movement segments analyzed (streams: those overlapping the hop's emit window)"),
 		zuptIntervals: reg.Counter("rim_zupt_intervals_total",
 			"zero-velocity (ZUPT) intervals resolved by pipeline Process"),
 		zuptSlots: reg.Counter("rim_zupt_slots_total",
@@ -484,9 +514,9 @@ func newPipelineFromEngine(eng *trrs.Engine, base func(pairs []trrs.PairSpec) ([
 	}
 	p := &Pipeline{cfg: cfg, eng: eng, missFrac: missFrac, po: newPipelineObs(cfg.Obs)}
 	p.w = windowSlots(cfg.WindowSeconds, eng.Rate())
-	// The build histogram times the base matrices and the derived
-	// histogram the matrices built from them; the trrs_build trace span
-	// covers both.
+	// The build histogram and the trrs_build trace span time the base
+	// matrices; the derived matrices built from them are timed by derive,
+	// on the passes that need them.
 	buildSpan := obs.StartSpan(p.po.buildH)
 	buildTrace := cfg.Trace.Start(trace.KindBuild, cfg.traceHop, -1)
 	defer buildTrace.End()
@@ -498,64 +528,98 @@ func newPipelineFromEngine(eng *trrs.Engine, base func(pairs []trrs.PairSpec) ([
 	// it — see trrs.BaseMatrices and Incremental.ExtendMatrices).
 	// Reversed pairs and self-pairs need no handling here: the engines
 	// derive them by the Hermitian reflection instead of recomputing.
-	groups, ring := pairGeometry(cfg.Array)
-	pairs := neededPairs(groups, ring, cfg.DisablePairAveraging)
-	var ms []*trrs.Matrix
+	p.groupDefs, p.ringPairs = pairGeometry(cfg.Array)
+	p.pairs = neededPairs(p.groupDefs, p.ringPairs, cfg.DisablePairAveraging)
 	if base == nil {
-		ms = eng.BaseMatrices(pairs, p.w)
+		p.base = eng.BaseMatrices(p.pairs, p.w)
 	} else {
 		var err error
-		ms, err = base(pairs)
+		p.base, err = base(p.pairs)
 		if err != nil {
 			buildSpan.End()
 			return nil, err
 		}
 	}
 	buildSpan.End()
-	derivedSpan := obs.StartSpan(p.po.derivedH)
-	defer derivedSpan.End()
-	baseFor := func(i, j int) *trrs.Matrix {
-		for k, pr := range pairs {
-			if pr.I == i && pr.J == j {
-				return ms[k]
-			}
-		}
-		return nil
-	}
-
-	for _, g := range groups {
-		var ms []*trrs.Matrix
-		for _, pr := range g.Pairs {
-			ms = append(ms, baseFor(pr.I, pr.J))
-			if cfg.DisablePairAveraging {
-				break
-			}
-		}
-		avg, err := trrs.AverageMatricesInto(cfg.arena, ms...)
-		if err != nil {
+	// Validate the derived matrices' inputs now, so a malformed base
+	// matrix fails construction rather than the pass that first needs it.
+	for _, g := range p.groupDefs {
+		ms := p.groupBase(g)
+		if err := trrs.CheckAverageMatrices(ms...); err != nil {
 			return nil, fmt.Errorf("core: group matrices: %w", err)
 		}
-		vm, err := trrs.VirtualMassiveInto(cfg.arena, avg, cfg.V)
-		if err != nil {
+		if err := trrs.CheckVirtualMassive(ms[0]); err != nil {
 			return nil, fmt.Errorf("core: group matrices: %w", err)
 		}
-		p.groups = append(p.groups, groupMatrix{group: g, m: vm})
 	}
-	for _, pr := range ring {
-		vm, err := trrs.VirtualMassiveInto(cfg.arena, baseFor(pr.I, pr.J), cfg.V)
-		if err != nil {
+	for _, pr := range p.ringPairs {
+		if err := trrs.CheckVirtualMassive(p.baseFor(pr.I, pr.J)); err != nil {
 			return nil, fmt.Errorf("core: ring matrices: %w", err)
 		}
+	}
+	return p, nil
+}
+
+// baseFor returns the base matrix of pair (i, j), or nil.
+func (p *Pipeline) baseFor(i, j int) *trrs.Matrix {
+	for k, pr := range p.pairs {
+		if pr.I == i && pr.J == j {
+			return p.base[k]
+		}
+	}
+	return nil
+}
+
+// groupBase returns the base matrices group g averages: every pair, or the
+// first one only under DisablePairAveraging.
+func (p *Pipeline) groupBase(g array.ParallelGroup) []*trrs.Matrix {
+	ms := make([]*trrs.Matrix, 0, len(g.Pairs))
+	for _, pr := range g.Pairs {
+		ms = append(ms, p.baseFor(pr.I, pr.J))
+		if p.cfg.DisablePairAveraging {
+			break
+		}
+	}
+	return ms
+}
+
+// derive builds the derived alignment matrices once per pipeline: each
+// parallel group's pair average through the virtual-massive box filter,
+// and each ring pair's virtual-massive matrix. Process calls it before the
+// first segment it analyzes, so a pass that analyzes no segment never
+// builds them; the group accessors call it too. Batch and stream share
+// this one path. The inputs were validated at construction, so the
+// builders cannot fail here.
+func (p *Pipeline) derive() {
+	if p.derived {
+		return
+	}
+	p.derived = true
+	span := obs.StartSpan(p.po.derivedH)
+	defer span.End()
+	must := func(m *trrs.Matrix, err error) *trrs.Matrix {
+		if err != nil {
+			panic(fmt.Sprintf("core: derived matrix inputs validated at construction: %v", err))
+		}
+		return m
+	}
+	arena, v := p.cfg.arena, p.cfg.V
+	for _, g := range p.groupDefs {
+		avg := must(trrs.AverageMatricesInto(arena, p.groupBase(g)...))
+		vm := must(trrs.VirtualMassiveInto(arena, avg, v))
+		p.groups = append(p.groups, groupMatrix{group: g, m: vm})
+	}
+	for _, pr := range p.ringPairs {
+		vm := must(trrs.VirtualMassiveInto(arena, p.baseFor(pr.I, pr.J), v))
 		p.ring = append(p.ring, groupMatrix{
 			group: array.ParallelGroup{
 				Pairs:      []array.Pair{pr},
-				Direction:  cfg.Array.Direction(pr),
-				Separation: cfg.Array.Separation(pr),
+				Direction:  p.cfg.Array.Direction(pr),
+				Separation: p.cfg.Array.Separation(pr),
 			},
 			m: vm,
 		})
 	}
-	return p, nil
 }
 
 // Engine exposes the underlying TRRS engine (used by applications that need
@@ -566,17 +630,22 @@ func (p *Pipeline) Engine() *trrs.Engine { return p.eng }
 func (p *Pipeline) Window() int { return p.w }
 
 // NumGroups returns the number of parallel-isometric pair groups.
-func (p *Pipeline) NumGroups() int { return len(p.groups) }
+func (p *Pipeline) NumGroups() int {
+	p.derive()
+	return len(p.groups)
+}
 
 // Group returns the i-th pair group and its averaged alignment matrix
 // (diagnostics and experiments).
 func (p *Pipeline) Group(i int) (array.ParallelGroup, *trrs.Matrix) {
+	p.derive()
 	return p.groups[i].group, p.groups[i].m
 }
 
 // GroupMatrix returns the averaged alignment matrix of the group whose
 // direction is closest to bodyDir (radians, mod π).
 func (p *Pipeline) GroupMatrix(bodyDir float64) (*trrs.Matrix, array.ParallelGroup) {
+	p.derive()
 	best, bi := math.Inf(1), 0
 	for i, gm := range p.groups {
 		d := geom.AbsAngleDiff(gm.group.Direction, bodyDir)
@@ -675,6 +744,11 @@ func (p *Pipeline) Process() *Result {
 		// for long, so a ≥0.4 s run there marks an interior idle.
 		segs = splitAtInteriorIdles(segs, indSm, p.cfg.Movement.Threshold, int(0.4*rate), minLen)
 		for _, seg := range segs {
+			if !p.cfg.analyzes(seg[0], seg[1]) {
+				// Outside the caller's emit window: nothing reads this
+				// segment's slots, so its analysis would be thrown away.
+				continue
+			}
 			if !res.DeadlineExceeded && p.cfg.hopExpired() {
 				res.DeadlineExceeded = true
 			}
@@ -686,6 +760,7 @@ func (p *Pipeline) Process() *Result {
 				}
 				continue
 			}
+			p.derive()
 			alignSpan := obs.StartSpan(p.po.alignH)
 			alignTrace := p.cfg.Trace.Start(trace.KindAlign, hop, int64(seg[0]))
 			sr := p.processSegment(seg[0], seg[1], res)

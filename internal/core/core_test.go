@@ -10,6 +10,7 @@ import (
 	"rim/internal/geom"
 	"rim/internal/rf"
 	"rim/internal/traj"
+	"rim/internal/trrs"
 )
 
 // spacing is λ/2 at 5.18 GHz.
@@ -44,6 +45,43 @@ func TestConfigValidation(t *testing.T) {
 	s := buildSeries(t, tr, array.NewHexagonal(spacing), 1)
 	if _, err := ProcessSeries(s, Config{Array: arr}); err == nil {
 		t.Error("antenna count mismatch must error")
+	}
+}
+
+// TestDerivedInputsValidatedAtConstruction: the derived matrices are built
+// on first need, but a malformed base matrix must still fail pipeline
+// construction, for a parallel group (linear array) and for the rotation
+// ring (hexagonal array).
+func TestDerivedInputsValidatedAtConstruction(t *testing.T) {
+	tr := traj.Line(100, geom.Vec2{X: 10, Y: 0}, 0, 0, 0.3, 0.4)
+	for _, arr := range []*array.Array{array.NewLinear3(spacing), array.NewHexagonal(spacing)} {
+		s := buildSeries(t, tr, arr, 1)
+		cfg := fastConfig(arr)
+		cfg.applyDefaults(s.Rate)
+		eng := trrs.NewEngine(s)
+		w := windowSlots(cfg.WindowSeconds, s.Rate)
+		groups, ring := pairGeometry(arr)
+		// Break the base matrix of the last pair requested: the ring's
+		// last pair on the hexagonal array, a group pair on the linear one.
+		last := len(neededPairs(groups, ring, false)) - 1
+		broken := func(pairs []trrs.PairSpec) ([]*trrs.Matrix, error) {
+			ms := eng.BaseMatrices(pairs, w)
+			ms[last].Vals[3] = ms[last].Vals[3][:1]
+			return ms, nil
+		}
+		if _, err := newPipelineFromEngine(eng, broken, nil, cfg); err == nil {
+			t.Errorf("%s: malformed base matrix built a pipeline", arr.Name)
+		}
+		p, err := newPipelineFromEngine(eng, nil, nil, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", arr.Name, err)
+		}
+		if p.derived {
+			t.Errorf("%s: derived matrices built at construction", arr.Name)
+		}
+		if p.NumGroups() != len(groups) || !p.derived {
+			t.Errorf("%s: NumGroups = %d (derived %v), want %d built", arr.Name, p.NumGroups(), p.derived, len(groups))
+		}
 	}
 }
 

@@ -42,23 +42,34 @@ func (p *Pipeline) tryRotation(start, end int, res *Result) (bool, SegmentResult
 	// adjacent ring elements: a regular m-ring subtends 2π/m per element,
 	// so arc = 2πr/m (π/3·Δd for the hexagon, §4.4).
 	arc := 2 * math.Pi * r / float64(len(p.ring))
-	var medLags, confs []float64
+	// At most the pairs passing the post-check can agree on one lag, so
+	// the test fails as soon as too few can still pass: stop tracking
+	// then, and run the settled-region probes only once enough have
+	// passed. Nothing is written to res before the consistency test, so
+	// the early exits return exactly what the full test would.
+	need := p.cfg.RotationMinRingFrac * float64(len(p.ring))
+	var confs []float64
 	tracks := make([]*align.Track, 0, len(p.ring))
-	settled := start + (end-start)/4 // skip the blind first quarter
-	for _, gm := range p.ring {
+	ringIdx := make([]int, 0, len(p.ring))
+	for k, gm := range p.ring {
 		tr := p.trackMatrix(gm.m, start, end)
-		conf := align.PostCheck(tr, p.cfg.PostCheck)
-		if conf == 0 {
-			continue
+		if conf := align.PostCheck(tr, p.cfg.PostCheck); conf != 0 {
+			tracks = append(tracks, tr)
+			ringIdx = append(ringIdx, k)
+			confs = append(confs, conf)
 		}
-		// Judge lag consistency on the settled region only.
-		probe := p.trackMatrix(gm.m, settled, end)
-		tracks = append(tracks, tr)
-		medLags = append(medLags, probe.MedianLag())
-		confs = append(confs, conf)
+		if float64(len(tracks)+len(p.ring)-1-k) < need {
+			return false, SegmentResult{}
+		}
 	}
 	if len(tracks) == 0 {
 		return false, SegmentResult{}
+	}
+	// Judge lag consistency on the settled region only.
+	settled := start + (end-start)/4 // skip the blind first quarter
+	medLags := make([]float64, len(tracks))
+	for i, k := range ringIdx {
+		medLags[i] = p.trackMatrix(p.ring[k].m, settled, end).MedianLag()
 	}
 	gmed := sigproc.Median(medLags)
 	if math.Abs(gmed) < 2 {

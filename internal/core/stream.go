@@ -729,6 +729,8 @@ func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error)
 	if flush {
 		upTo = n
 	}
+	// The hop emits the local slots [firstLocal, upTo): its emit window.
+	firstLocal := st.finalized - st.dropped
 
 	alive := st.aliveAntennas()
 	fallback := len(alive) < st.numAnts
@@ -753,7 +755,7 @@ func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error)
 	if len(alive) < 2 {
 		err = fmt.Errorf("%w: only %d live antenna(s), need 2 for alignment", ErrAnalysis, len(alive))
 	} else {
-		res, err = st.analyzeAlive(alive, hop, ctx, dl)
+		res, err = st.analyzeAlive(alive, hop, ctx, dl, firstLocal, upTo)
 		if err != nil {
 			err = fmt.Errorf("%w: %v", ErrAnalysis, err)
 		}
@@ -785,7 +787,6 @@ func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error)
 	// hysteresis release level contradicts the zero-velocity evidence
 	// (the static run the ZUPT extractor would trust) and counts as a
 	// bad outcome — and alignment residuals of resolved slots.
-	firstLocal := st.finalized - st.dropped
 	release := st.cfg.Core.Movement.ReleaseThreshold
 	if release < st.cfg.Core.Movement.Threshold {
 		release = st.cfg.Core.Movement.Threshold
@@ -906,10 +907,12 @@ func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error)
 // to the given live antennas, re-deriving the pair geometry from the
 // surviving elements when some are dead. With the incremental engine it
 // builds the pipeline from the maintained normalization and base matrices
-// (only the rows invalidated since the last hop are recomputed); the
-// test-only recompute oracle rebuilds everything from the raw buffer, the
-// seed's reference behavior.
-func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl time.Time) (*Result, error) {
+// (only the rows invalidated since the last hop are recomputed) and
+// analyzes only the movement segments that overlap the hop's emit window
+// [emitLo, emitHi), the local slots analyze keeps; the test-only recompute
+// oracle rebuilds everything from the raw buffer and analyzes every
+// segment, the seed's reference behavior.
+func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl time.Time, emitLo, emitHi int) (*Result, error) {
 	cfg := st.cfg.Core
 	// Stamp every trace event the per-hop pipeline emits with this hop's
 	// causal ID, and keep the incremental engine's row events in sync.
@@ -951,6 +954,7 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 	}
 
 	cfg.applyDefaults(st.rate)
+	cfg.emitLo, cfg.emitHi = emitLo, emitHi
 	eng, err := st.inc.EngineView(alive)
 	if err != nil {
 		return nil, err

@@ -57,36 +57,65 @@ func benchReplay(b *testing.B, s *csi.Series, cfg StreamConfig) {
 	b.ReportMetric(float64(s.NumSlots())*float64(b.N)/b.Elapsed().Seconds(), "slots/s")
 }
 
-// benchHexaSeries builds two loops of the daemon benchmark's walk (0.5 s
-// still, 0.75 m out and back at 0.5 m/s) on the paper's setup: the
-// hexagonal two-NIC array under a 3-tx AP.
-func benchHexaSeries(b *testing.B) *csi.Series {
-	b.Helper()
+// daemonLoopSeries synthesizes loops of the daemon benchmark's walker
+// templates on arr under a numTx-antenna AP (fast RF config, receiver
+// seeded with seed). The walk loop is 0.5 s still, 0.75 m out at 0.5 m/s,
+// 0.5 s still and back; the idle loop is 3.6 s still, a 0.2 m step at
+// 0.5 m/s, 3.6 s still and the step back.
+func daemonLoopSeries(tb testing.TB, arr *array.Array, numTx int, idle bool, loops int, seed int64) *csi.Series {
+	tb.Helper()
 	cfg := rf.FastConfig()
-	cfg.NumTxAntennas = 3
+	cfg.NumTxAntennas = numTx
 	env := rf.NewEnvironment(cfg, geom.Vec2{}, geom.Vec2{X: 5}, nil)
 	bld := traj.NewBuilder(100, geom.Pose{Pos: geom.Vec2{X: 4}})
-	for loop := 0; loop < 2; loop++ {
-		bld.Pause(0.5)
-		bld.MoveDir(0, 0.75, 0.5)
-		bld.Pause(0.5)
-		bld.MoveDir(math.Pi, 0.75, 0.5)
+	pause, dist := 0.5, 0.75
+	if idle {
+		pause, dist = 3.6, 0.2
 	}
-	s, err := csi.Collect(env, array.NewHexagonal(0.029), bld.Build(), csi.RealisticReceiver(1)).Process(true)
+	for loop := 0; loop < loops; loop++ {
+		bld.Pause(pause)
+		bld.MoveDir(0, dist, 0.5)
+		bld.Pause(pause)
+		bld.MoveDir(math.Pi, dist, 0.5)
+	}
+	s, err := csi.Collect(env, arr, bld.Build(), csi.RealisticReceiver(seed)).Process(true)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s
 }
 
-// BenchmarkStreamerHexa replays the hexagonal 3-tx walk with the daemon's
-// stream settings (span 3 s, hop 0.5 s, lag window 0.3 s, default kernel
-// and V): the per-walker hop cost of the paper's own setup.
-func BenchmarkStreamerHexa(b *testing.B) {
-	s := benchHexaSeries(b)
-	cfg := StreamConfig{Core: DefaultConfig(array.NewHexagonal(0.029)), SpanSeconds: 3, HopSeconds: 0.5}
+// daemonStreamConfig is the daemon's stream setting on arr: span 3 s, hop
+// 0.5 s, lag window 0.3 s, default kernel and V.
+func daemonStreamConfig(arr *array.Array) StreamConfig {
+	cfg := StreamConfig{Core: DefaultConfig(arr), SpanSeconds: 3, HopSeconds: 0.5}
 	cfg.Core.WindowSeconds = 0.3
-	benchReplay(b, s, cfg)
+	return cfg
+}
+
+// BenchmarkStreamerHexa replays two walk loops on the paper's setup — the
+// hexagonal two-NIC array under a 3-tx AP — at the daemon's stream
+// settings: the per-walker hop cost of the paper's own setup.
+func BenchmarkStreamerHexa(b *testing.B) {
+	arr := array.NewHexagonal(0.029)
+	benchReplay(b, daemonLoopSeries(b, arr, 3, false, 2, 1), daemonStreamConfig(arr))
+}
+
+// BenchmarkStreamerPair replays two walk loops on the pair array under a
+// 1-tx AP at the daemon's stream settings: fleet-pair-walk's per-walker
+// hop cost, where segment analysis dominates.
+func BenchmarkStreamerPair(b *testing.B) {
+	arr := array.NewPairArray(0.029)
+	benchReplay(b, daemonLoopSeries(b, arr, 1, false, 2, 1), daemonStreamConfig(arr))
+}
+
+// BenchmarkStreamerPairIdle replays two idle loops (long stills, short
+// steps) on the pair array under a 1-tx AP at the daemon's stream
+// settings: fleet-pair-idle-eskf's per-walker hop cost, where most hops
+// emit no moving slot.
+func BenchmarkStreamerPairIdle(b *testing.B) {
+	arr := array.NewPairArray(0.029)
+	benchReplay(b, daemonLoopSeries(b, arr, 1, true, 2, 1), daemonStreamConfig(arr))
 }
 
 // BenchmarkStreamerRecompute replays a walk through the seed's

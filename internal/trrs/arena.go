@@ -97,21 +97,69 @@ func (a *MatrixArena) matrix(i, j, w, slots int, rate float64) *Matrix {
 	return &slab.hdr
 }
 
-// VirtualMassiveInto is VirtualMassive allocating the result from the
-// arena (nil arena = plain allocation, exactly VirtualMassive).
-func VirtualMassiveInto(a *MatrixArena, base *Matrix, v int) (*Matrix, error) {
+// CheckVirtualMassive returns the error VirtualMassive would return for
+// base — nil, a negative window or a row that is not 2W+1 wide — without
+// computing anything, so a caller can validate shapes up front and build
+// the matrix later.
+func CheckVirtualMassive(base *Matrix) error {
 	if base == nil {
-		return nil, fmt.Errorf("trrs: VirtualMassive of nil matrix")
+		return fmt.Errorf("trrs: VirtualMassive of nil matrix")
 	}
 	if base.W < 0 {
-		return nil, fmt.Errorf("trrs: VirtualMassive matrix has negative window W=%d", base.W)
+		return fmt.Errorf("trrs: VirtualMassive matrix has negative window W=%d", base.W)
 	}
 	width := 2*base.W + 1
 	for t, row := range base.Vals {
 		if len(row) != width {
-			return nil, fmt.Errorf("trrs: VirtualMassive matrix row %d has %d columns, want 2W+1 = %d",
+			return fmt.Errorf("trrs: VirtualMassive matrix row %d has %d columns, want 2W+1 = %d",
 				t, len(row), width)
 		}
+	}
+	return nil
+}
+
+// CheckAverageMatrices returns the error AverageMatrices would return for
+// ms — no input, a nil input, or inputs that disagree on W, Rate, slot
+// count or row width — without computing the average.
+func CheckAverageMatrices(ms ...*Matrix) error {
+	if len(ms) == 0 {
+		return fmt.Errorf("trrs: AverageMatrices of no matrices")
+	}
+	first := ms[0]
+	if first == nil {
+		return fmt.Errorf("trrs: AverageMatrices input 0 is nil")
+	}
+	slots := len(first.Vals)
+	width := 2*first.W + 1
+	for k, m := range ms {
+		switch {
+		case m == nil:
+			return fmt.Errorf("trrs: AverageMatrices input %d is nil", k)
+		case m.W != first.W:
+			return fmt.Errorf("trrs: AverageMatrices window mismatch: input %d has W=%d, input 0 has W=%d",
+				k, m.W, first.W)
+		case m.Rate != first.Rate:
+			return fmt.Errorf("trrs: AverageMatrices rate mismatch: input %d has %v Hz, input 0 has %v Hz",
+				k, m.Rate, first.Rate)
+		case len(m.Vals) != slots:
+			return fmt.Errorf("trrs: AverageMatrices slot-count mismatch: input %d has %d slots, input 0 has %d",
+				k, len(m.Vals), slots)
+		}
+		for t, row := range m.Vals {
+			if len(row) != width {
+				return fmt.Errorf("trrs: AverageMatrices input %d row %d has %d columns, want 2W+1 = %d",
+					k, t, len(row), width)
+			}
+		}
+	}
+	return nil
+}
+
+// VirtualMassiveInto is VirtualMassive allocating the result from the
+// arena (nil arena = plain allocation, exactly VirtualMassive).
+func VirtualMassiveInto(a *MatrixArena, base *Matrix, v int) (*Matrix, error) {
+	if err := CheckVirtualMassive(base); err != nil {
+		return nil, err
 	}
 	out := a.matrix(base.I, base.J, base.W, len(base.Vals), base.Rate)
 	// BoxFilterColumns fully overwrites dst, so a recycled dirty backing
@@ -123,36 +171,12 @@ func VirtualMassiveInto(a *MatrixArena, base *Matrix, v int) (*Matrix, error) {
 // AverageMatricesInto is AverageMatrices allocating the result from the
 // arena (nil arena = plain allocation, exactly AverageMatrices).
 func AverageMatricesInto(a *MatrixArena, ms ...*Matrix) (*Matrix, error) {
-	if len(ms) == 0 {
-		return nil, fmt.Errorf("trrs: AverageMatrices of no matrices")
+	if err := CheckAverageMatrices(ms...); err != nil {
+		return nil, err
 	}
 	first := ms[0]
-	if first == nil {
-		return nil, fmt.Errorf("trrs: AverageMatrices input 0 is nil")
-	}
 	slots := len(first.Vals)
 	width := 2*first.W + 1
-	for k, m := range ms {
-		switch {
-		case m == nil:
-			return nil, fmt.Errorf("trrs: AverageMatrices input %d is nil", k)
-		case m.W != first.W:
-			return nil, fmt.Errorf("trrs: AverageMatrices window mismatch: input %d has W=%d, input 0 has W=%d",
-				k, m.W, first.W)
-		case m.Rate != first.Rate:
-			return nil, fmt.Errorf("trrs: AverageMatrices rate mismatch: input %d has %v Hz, input 0 has %v Hz",
-				k, m.Rate, first.Rate)
-		case len(m.Vals) != slots:
-			return nil, fmt.Errorf("trrs: AverageMatrices slot-count mismatch: input %d has %d slots, input 0 has %d",
-				k, len(m.Vals), slots)
-		}
-		for t, row := range m.Vals {
-			if len(row) != width {
-				return nil, fmt.Errorf("trrs: AverageMatrices input %d row %d has %d columns, want 2W+1 = %d",
-					k, t, len(row), width)
-			}
-		}
-	}
 	out := a.matrix(first.I, first.J, first.W, slots, first.Rate)
 	inv := 1 / float64(len(ms))
 	for t := 0; t < slots; t++ {
