@@ -56,34 +56,28 @@ func MovementIndicator(e *trrs.Engine, cfg MovementConfig) []float64 {
 
 // MovementIndicators returns MovementIndicator(e, cfg) together with the
 // fast-lag indicator, MovementIndicator of cfg with SlowLagSeconds = 0,
-// from one pass over the fast lag: the combined indicator folds the slow
-// lag into a copy of the fast one. The minimum is exact, so both are
-// bit-identical to the two separate calls.
+// from one pass over the fast lag: the fast config's lag list is a prefix
+// of cfg's (see movementLags), so the combined indicator folds cfg's
+// remaining lag into a copy of the fast one. The minimum is exact, so both
+// are bit-identical to the two separate calls.
 func MovementIndicators(e *trrs.Engine, cfg MovementConfig) (ind, fast []float64) {
-	fastCfg := cfg
-	fastCfg.SlowLagSeconds = 0
-	fastLags := movementLags(fastCfg, e.Rate())
 	lags := movementLags(cfg, e.Rate())
-	fast = foldLags(e, cfg.V, fastLags, ones(e.NumSlots()))
-	if len(lags) < len(fastLags) || !slices.Equal(lags[:len(fastLags)], fastLags) {
-		// A negative LagSeconds gives the fast config a second lag the
-		// combined one lacks: nothing to share.
-		return MovementIndicator(e, cfg), fast
-	}
-	return foldLags(e, cfg.V, lags[len(fastLags):], slices.Clone(fast)), fast
+	fast = foldLags(e, cfg.V, lags[:1], ones(e.NumSlots()))
+	return foldLags(e, cfg.V, lags[1:], slices.Clone(fast)), fast
 }
 
 // movementLags returns MovementIndicator's lags in slots, fast lag first.
+// The slow lag is kept only when it spans more slots than the fast one.
+// That is the rule SlowLagSeconds > LagSeconds except where both round
+// to the same slot count, and folding the same lag twice is a no-op
+// under the minimum. So SlowLagSeconds = 0 gives [fast], a prefix of
+// every config's list.
 func movementLags(cfg MovementConfig, rate float64) []int {
-	secs := []float64{cfg.LagSeconds}
-	if cfg.SlowLagSeconds > cfg.LagSeconds {
-		secs = append(secs, cfg.SlowLagSeconds)
+	fast := max(int(cfg.LagSeconds*rate), 1)
+	if slow := max(int(cfg.SlowLagSeconds*rate), 1); slow > fast {
+		return []int{fast, slow}
 	}
-	lags := make([]int, len(secs))
-	for k, s := range secs {
-		lags[k] = max(int(s*rate), 1)
-	}
-	return lags
+	return []int{fast}
 }
 
 // ones returns n ones, the indicator before any lag is folded in.

@@ -503,9 +503,10 @@ func neededPairs(groups []array.ParallelGroup, ring []array.Pair, disablePairAve
 // newPipelineFromEngine assembles a pipeline over an existing TRRS engine.
 // base supplies the base matrices of the given pairs (antenna indices
 // local to the engine), in order, and runs inside the build stage; nil
-// selects the default bulk computation, which fans every needed pair out
-// over one worker pool sharded by pair × time block. The streaming front
-// end passes an incremental-engine source instead. cfg must already have
+// selects the default bulk computation, trrs.Engine.BaseMatrices, which
+// fans every needed pair's time blocks out over one worker pool. The
+// streaming front end passes an incremental-engine source instead, which
+// runs the same work list serially. cfg must already have
 // defaults applied and an Array matching the engine's antenna count.
 func newPipelineFromEngine(eng *trrs.Engine, base func(pairs []trrs.PairSpec) ([]*trrs.Matrix, error), missFrac []float64, cfg Config) (*Pipeline, error) {
 	if cfg.Array.NumAntennas() != eng.NumAntennas() {

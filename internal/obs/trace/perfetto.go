@@ -129,10 +129,6 @@ func eventArgs(e Event) map[string]any {
 	case KindZUPT:
 		args["start"], args["end"], args["confidence_permille"] = e.Frame, e.A, e.B
 	case KindTRRSFill:
-		if e.Frame >= 0 {
-			i, j := PairFromCode(e.Frame)
-			args["pair"] = fmt.Sprintf("%d-%d", i, j)
-		}
 		args["rows"] = e.A
 	case KindTRRSExtend:
 		i, j := PairFromCode(e.Frame)

@@ -65,10 +65,12 @@ const (
 	// KindSegment marks one resolved movement segment. Frame = start slot,
 	// A = end slot (window-local), B = core.MotionKind.
 	KindSegment
-	// KindTRRSFill marks base-matrix rows computed from scratch.
-	// Frame = PairCode (or -1 for a bulk multi-pair build), A = full
-	// rows filled (an incremental refresh's partly swept rows are not
-	// counted).
+	// KindTRRSFill marks base-matrix rows computed from scratch, one
+	// event per build (trrs.Engine.BaseMatrices) or incremental refresh
+	// (trrs.Incremental.ExtendMatrices, ExtendMatrix included).
+	// Frame = -1, A = full rows filled (an incremental refresh's partly
+	// swept rows are not counted), B = pairs requested by a build or
+	// refreshed by a refresh.
 	KindTRRSFill
 	// KindTRRSExtend marks one incremental ExtendMatrix decision.
 	// Frame = PairCode, A = rows reused (carried over), B = rows stale
@@ -173,7 +175,7 @@ type Event struct {
 	// (-1 for events recorded before any hop claimed them, e.g. ingest).
 	Hop int64 `json:"hop"`
 	// Frame is the absolute frame/slot ID the event concerns (-1 = n/a).
-	// TRRS events reuse it for the PairCode.
+	// KindTRRSExtend events reuse it for the PairCode.
 	Frame int64 `json:"frame"`
 	// T is the event time in nanoseconds since the recorder's epoch; for
 	// spans it is the start time.

@@ -355,3 +355,80 @@ func TestExtendRowCounters(t *testing.T) {
 		t.Errorf("%d trrs_extend events filling %d rows, want 2 filling %d", extends, filled, h)
 	}
 }
+
+// TestBaseMatricesTelemetry pins what a bulk build reports, at one and
+// two workers: the rows-filled counter grows by the computed pairs' rows
+// only (the twin is reflected, the duplicate aliased, the self-pair's
+// half band counts as its rows), the pool gauge reads the effective
+// worker count, and exactly one trrs_fill event carries the build with
+// Frame −1, A = rows computed and B = pairs requested.
+func TestBaseMatricesTelemetry(t *testing.T) {
+	const slots, w = 90, 7
+	rng := rand.New(rand.NewSource(41))
+	s := randomSeries(rng, 3, 2, 9, slots)
+	pairs := []PairSpec{{I: 0, J: 1}, {I: 1, J: 0}, {I: 0, J: 1}, {I: 2, J: 2}}
+	const computed = 2 // (0,1) and (2,2)
+	for _, par := range []int{1, 2} {
+		e := NewEngine(s)
+		e.par = par
+		reg := obs.NewRegistry()
+		rec := trace.NewRecorder(16)
+		e.SetObs(reg)
+		e.SetTrace(rec)
+		e.BaseMatrices(pairs, w)
+		if got := reg.Counter("rim_trrs_rows_filled_total", "").Value(); got != computed*slots {
+			t.Errorf("par %d: rim_trrs_rows_filled_total = %d, want %d", par, got, computed*slots)
+		}
+		if got := reg.Gauge("rim_trrs_pool_workers", "").Value(); got != float64(par) {
+			t.Errorf("par %d: rim_trrs_pool_workers = %v, want %d", par, got, par)
+		}
+		var fills []trace.Event
+		for _, ev := range rec.Snapshot() {
+			if ev.Kind == trace.KindTRRSFill {
+				fills = append(fills, ev)
+			}
+		}
+		if len(fills) != 1 {
+			t.Fatalf("par %d: %d trrs_fill events, want 1", par, len(fills))
+		}
+		if ev := fills[0]; ev.Frame != -1 || ev.A != computed*slots || ev.B != int64(len(pairs)) {
+			t.Errorf("par %d: trrs_fill frame %d A %d B %d, want -1, %d, %d", par, ev.Frame, ev.A, ev.B, computed*slots, len(pairs))
+		}
+	}
+}
+
+// TestExtendMatricesErrorLeavesStateIntact requires a refresh that fails on
+// an out-of-range pair to leave every listed pair's maintained matrix as
+// it was, so the next refresh of a valid pair still brings it up to the
+// current window instead of returning rows that were never filled.
+func TestExtendMatricesErrorLeavesStateIntact(t *testing.T) {
+	const w = 8
+	rng := rand.New(rand.NewSource(43))
+	s := randomSeries(rng, 3, 1, 9, 120)
+	inc, err := NewIncremental(s.Rate, s.NumAnts, s.NumTx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := 0; ti < 80; ti++ {
+		if err := inc.Append(seriesSnapshot(s, ti)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := inc.ExtendMatrix(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for ti := 80; ti < 120; ti++ {
+		if err := inc.Append(seriesSnapshot(s, ti)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inc.DropFront(20)
+	if _, err := inc.ExtendMatrices([]PairSpec{{I: 0, J: 1}, {I: 0, J: 5}}); err == nil {
+		t.Fatal("out-of-range pair must error")
+	}
+	got, err := inc.ExtendMatrix(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "after-error", windowEngine(s, 20, 120).BaseMatrixSerial(0, 1, w), got)
+}

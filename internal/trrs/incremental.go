@@ -37,9 +37,11 @@ import (
 // holding exactly the window's snapshots.
 //
 // ExtendMatrices also sweeps only one pair of each reversed twin
-// {(i,j), (j,i)} in its list (the first listed, as BaseMatrices'
-// planPairs does) and derives the other's changed entries by the exact κ̄
-// reflection base_ji[t][l] = base_ij[t−l][−l] (see reflectRow).
+// {(i,j), (j,i)} in its list (the first listed, by the rule BaseMatrices
+// follows, see pairSource) and derives the other's changed entries by the
+// exact κ̄ reflection base_ji[t][l] = base_ij[t−l][−l] (see reflectRow).
+// Both express their work as batchItem lists and run them through the
+// same executor, Engine.run.
 //
 // Engine views also serve movement detection from a self-TRRS cache: the
 // raw self-TRRS κ̄(a@r, a@r−lag) of each (antenna, lag) a view was asked
@@ -60,9 +62,10 @@ import (
 // geometry stabilizes no hop allocates (pinned at 0 mallocs per hop by the
 // allocation tests and the bench guard).
 //
-// Refreshes run on the calling goroutine: a streaming session is the unit
-// of concurrency (the daemon runs sessions side by side), so one hop is
-// never fanned out over a worker pool.
+// Refreshes run on the calling goroutine (the executor runs on an engine
+// view, which has one worker): a streaming session is the unit of
+// concurrency (the daemon runs sessions side by side), so one hop is never
+// fanned out over a worker pool.
 //
 // Consequently a matrix returned by ExtendMatrix stays valid only until
 // the pair's next refresh-producing call (the generation after next
@@ -104,6 +107,8 @@ type Incremental struct {
 	batchSeg   []int
 	batchOrder []batchItem
 	batchTwin  []batchItem
+	// onePair is ExtendMatrix's reused one-pair list.
+	onePair [1]PairSpec
 
 	// selfs is the self-TRRS cache, one series per (antenna, lag) an
 	// EngineView's SelfSeries asked for (see selfWindow).
@@ -359,23 +364,17 @@ func (inc *Incremental) fullView() *Engine {
 }
 
 // ExtendMatrix returns the base TRRS matrix of antenna pair (i, j) over
-// the current window, extending the maintained matrix with only the rows
-// invalidated since the last call (see the type comment for the scheme).
-// Antenna indices are absolute. Rows of the returned matrix are owned by
-// the engine: callers must not modify them, and the matrix is overwritten
-// two refreshes later (see the type comment on storage reuse).
+// the current window: ExtendMatrices of the one pair. Antenna indices are
+// absolute. Rows of the returned matrix are owned by the engine: callers
+// must not modify them, and the matrix is overwritten two refreshes later
+// (see the type comment on storage reuse).
 func (inc *Incremental) ExtendMatrix(i, j int) (*Matrix, error) {
-	if i < 0 || i >= inc.numAnt || j < 0 || j >= inc.numAnt {
-		return nil, fmt.Errorf("trrs: ExtendMatrix pair (%d,%d) out of range [0,%d)", i, j, inc.numAnt)
+	inc.onePair[0] = PairSpec{I: i, J: j}
+	ms, err := inc.ExtendMatrices(inc.onePair[:])
+	if err != nil {
+		return nil, err
 	}
-	im := inc.matFor(i, j)
-	if im.m != nil && im.start == inc.start && im.end == inc.end {
-		return im.m, nil
-	}
-	m, work := inc.carry(im, i, j, inc.batchWork[:0])
-	inc.batchWork = work
-	inc.fullView().fillRows(work, trace.PairCode(i, j), 0)
-	return m, nil
+	return ms[0], nil
 }
 
 // matFor returns (creating on first use) the maintained state of a pair.
@@ -395,9 +394,10 @@ func (inc *Incremental) matFor(i, j int) *incMat {
 // appends one work item per new row (all columns) and per carried row
 // with forward columns onto newly appended slots (those columns only) to
 // work, commits the generation swap and the reuse/stale accounting, and
-// returns the new matrix with its work items NOT yet computed — the caller
-// fills them with Engine.fillRows, or reflects them from a reversed twin.
-func (inc *Incremental) carry(im *incMat, i, j int, work []batchItem) (*Matrix, []batchItem) {
+// returns the new matrix with its work items NOT yet computed. The items
+// carry src, so a reversed twin's items are reflected from src instead of
+// swept (see Engine.run).
+func (inc *Incremental) carry(im *incMat, i, j int, src *Matrix, work []batchItem) (*Matrix, []batchItem) {
 	tSlots := inc.NumSlots()
 	w := inc.w
 	width := 2*w + 1
@@ -420,7 +420,7 @@ func (inc *Incremental) carry(im *incMat, i, j int, work []batchItem) (*Matrix, 
 		rows[t] = row
 		r := inc.start + t // absolute slot of this row
 		if im.m == nil || r >= im.end {
-			work = append(work, batchItem{m: m, t: t, c0: 0, c1: width})
+			work = append(work, batchItem{m: m, src: src, t0: t, t1: t + 1, c1: width})
 			nStale++
 			continue
 		}
@@ -437,7 +437,7 @@ func (inc *Incremental) carry(im *incMat, i, j int, work []batchItem) (*Matrix, 
 			clear(row[z0:z1])
 		}
 		if f0 < f1 {
-			work = append(work, batchItem{m: m, t: t, c0: f0, c1: f1})
+			work = append(work, batchItem{m: m, src: src, t0: t, t1: t + 1, c0: f0, c1: f1})
 		}
 		if z0 < z1 || f0 < f1 {
 			nStale++
@@ -458,89 +458,59 @@ func (inc *Incremental) carry(im *incMat, i, j int, work []batchItem) (*Matrix, 
 	return m, work
 }
 
-// ExtendMatrices is the cross-pair batched form of ExtendMatrix: it
-// advances every listed pair's matrix to the current window and fills all
-// their stale entries in one batched pass, interleaved row-major across
-// pairs — consecutive fills sweep the same slot range of the CSI planes,
-// so each freshly appended time block is read once and feeds every pair
-// sharing it (in steady state every pair is stale on exactly the same
-// rows and columns, making the interleave a perfect block-major walk). A
-// pair whose reverse is listed earlier is not swept: its stale entries
-// are reflected from the earlier pair's refreshed matrix (planPairs'
-// rule, bit-for-bit exact; see reflectRow). The result slice and the
-// matrices obey ExtendMatrix's ownership rules (valid until the next
-// refresh; the slice itself is reused by the next call). Duplicate pairs
-// are served by the per-pair fast path. Values are bit-for-bit what
-// per-pair ExtendMatrix calls would produce.
+// ExtendMatrices advances every listed pair's matrix to the current window
+// in one build: the stale entries of all pairs are interleaved row-major
+// across pairs, so consecutive sweeps read the same slot range of the CSI
+// planes and each freshly appended time block is read once and feeds every
+// pair sharing it (in steady state every pair is stale on exactly the same
+// rows and columns, making the interleave a perfect block-major walk). As
+// in BaseMatrices (see pairSource), a pair whose reverse is listed earlier
+// is not swept: its stale entries are reflected from the earlier pair's
+// refreshed matrix (bit-for-bit exact; see reflectRow), and a duplicate
+// pair shares its first occurrence's matrix. A pair whose matrix is
+// already current is returned as is. Every pair is validated before any
+// state changes, so an error leaves every matrix as it was. The result
+// slice and the matrices obey ExtendMatrix's ownership rules (valid until
+// the next refresh; the slice itself is reused by the next call). Values
+// are bit-for-bit what per-pair ExtendMatrix calls would produce.
 func (inc *Incremental) ExtendMatrices(pairs []PairSpec) ([]*Matrix, error) {
+	for _, p := range pairs {
+		if p.I < 0 || p.I >= inc.numAnt || p.J < 0 || p.J >= inc.numAnt {
+			return nil, fmt.Errorf("trrs: ExtendMatrices pair (%d,%d) out of range [0,%d)", p.I, p.J, inc.numAnt)
+		}
+	}
 	out := inc.batchOut[:0]
-	work := inc.batchWork[:0]
-	twins := inc.batchTwin[:0]
-	seg := inc.batchSeg[:0]
-	seg = append(seg, 0)
+	work, twins := inc.batchWork[:0], inc.batchTwin[:0]
+	seg := append(inc.batchSeg[:0], 0)
 	touched := 0
 	for k, p := range pairs {
-		if p.I < 0 || p.I >= inc.numAnt || p.J < 0 || p.J >= inc.numAnt {
-			inc.batchOut, inc.batchWork, inc.batchSeg, inc.batchTwin = out, work, seg, twins
-			return nil, fmt.Errorf("trrs: ExtendMatrices pair (%d,%d) out of range [0,%d)", p.I, p.J, inc.numAnt)
+		src, alias := pairSource(pairs, k)
+		if alias {
+			out = append(out, out[src])
+			continue
 		}
 		im := inc.matFor(p.I, p.J)
 		if im.m != nil && im.start == inc.start && im.end == inc.end {
 			out = append(out, im.m)
-			seg = append(seg, len(work))
 			continue
 		}
 		touched++
 		var m *Matrix
-		if src := reversedBefore(pairs, k); src >= 0 {
-			// The earliest reversed pair was swept (or already current)
-			// this call: an earlier twin of it would equal p, and p's
-			// matrix would then be current.
-			n := len(twins)
-			m, twins = inc.carry(im, p.I, p.J, twins)
-			for t := n; t < len(twins); t++ {
-				twins[t].src = out[src]
-			}
+		if src >= 0 {
+			m, twins = inc.carry(im, p.I, p.J, out[src], twins)
 		} else {
-			m, work = inc.carry(im, p.I, p.J, work)
+			m, work = inc.carry(im, p.I, p.J, nil, work)
+			seg = append(seg, len(work))
 		}
 		out = append(out, m)
-		seg = append(seg, len(work))
 	}
-	// Interleave the pair-major segments row-major: position pos of every
-	// pair's stale list, pair by pair, then pos+1.
 	order := inc.batchOrder[:0]
-	for pos := 0; len(order) < len(work); pos++ {
-		for k := 0; k+1 < len(seg); k++ {
-			s := work[seg[k]:seg[k+1]]
-			if pos < len(s) {
-				order = append(order, s[pos])
-			}
-		}
-	}
-	if len(order) > 0 {
-		inc.fullView().fillRows(order, -1, int64(touched))
-	}
-	for _, it := range twins {
-		reflectRow(it.m.Vals[it.t], it.src.Vals, it.m.W, it.t, it.c0, it.c1)
+	if touched > 0 {
+		order = interleave(order, work, seg)
+		inc.fullView().run(order, twins, touched)
 	}
 	inc.batchOut, inc.batchWork, inc.batchSeg, inc.batchOrder, inc.batchTwin = out, work, seg, order, twins
 	return out, nil
-}
-
-// reversedBefore returns the index of the first pair before k that is
-// pairs[k] reversed, or -1 (also for a self-pair, its own reverse).
-func reversedBefore(pairs []PairSpec, k int) int {
-	p := pairs[k]
-	if p.I == p.J {
-		return -1
-	}
-	for m, q := range pairs[:k] {
-		if q.I == p.J && q.J == p.I {
-			return m
-		}
-	}
-	return -1
 }
 
 // selfWindow returns the raw self-TRRS κ̄(ant@r, ant@r−lag) of every

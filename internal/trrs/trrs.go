@@ -256,22 +256,17 @@ func (m *Matrix) At(t, lag int) float64 {
 	return m.Vals[t][lag+m.W]
 }
 
-// fillRow computes one row of the (i, j, w) base matrix into row (len
-// 2w+1): row[c] = κ̄(H_i(t), H_j(t−(c−w))), 0 outside the series. It
-// overwrites every entry, so rows may be reused.
-func (e *Engine) fillRow(row []float64, i, j, w, t int) {
-	e.fillCols(row, i, j, w, t, 0, len(row))
-}
-
-// fillCols computes columns c ∈ [cFrom, cTo) of fillRow's sweep and
-// leaves the others alone. The in-range column band is hoisted out of the
-// loop — tj = t−(c−w) lies in [0, slots) iff c ∈ [cLo, cHi) — so the
-// sweep calls the unchecked kernel and the out-of-range fringes are plain
-// zero fills. Every entry is an independent function of its two slots, so
-// any column range writes the bits the full row would. cFrom = w
-// restricts the sweep to the non-negative lags, the self-pair half-band
-// computation (see BaseMatrices); the incremental engine sweeps the
-// forward columns that land on newly appended slots.
+// fillCols computes columns c ∈ [cFrom, cTo) of row t of the (i, j, w)
+// base matrix into row (len 2w+1), row[c] = κ̄(H_i(t), H_j(t−(c−w))) or 0
+// outside the series, and leaves the other columns alone. The in-range
+// column band is hoisted out of the loop — tj = t−(c−w) lies in
+// [0, slots) iff c ∈ [cLo, cHi) — so the sweep calls the unchecked kernel
+// and the out-of-range fringes are plain zero fills. Every entry is an
+// independent function of its two slots, so any column range writes the
+// bits the full row would. cFrom = w restricts the sweep to the
+// non-negative lags, the self-pair half-band computation (see
+// BaseMatrices); the incremental engine sweeps the forward columns that
+// land on newly appended slots.
 func (e *Engine) fillCols(row []float64, i, j, w, t, cFrom, cTo int) {
 	cLo := min(max(t+w-e.slots+1, cFrom), cTo) // first c with t−(c−w) < slots
 	cHi := max(min(t+w+1, cTo), cFrom)         // first c with t−(c−w) < 0
@@ -295,19 +290,14 @@ func (e *Engine) fillCols(row []float64, i, j, w, t, cFrom, cTo int) {
 
 // BaseMatrixSerial computes the single-snapshot TRRS matrix between
 // antennas i and j over lags [−W, W] — base[t][l+W] = κ̄(H_i(t), H_j(t−l))
-// — on one goroutine, row by row, with no batch plan and no symmetry
+// — on one goroutine, row by row, with no work list and no symmetry
 // shortcuts. This is the reference oracle the parallel, incremental and
 // symmetry-deduplicated paths are tested against; no pipeline setting
-// selects it (one worker still runs BaseMatrices' batch plan).
+// selects it (one worker still runs BaseMatrices' work list).
 func (e *Engine) BaseMatrixSerial(i, j, w int) *Matrix {
-	m := &Matrix{I: i, J: j, W: w, Rate: e.rate}
-	m.Vals = make([][]float64, e.slots)
-	width := 2*w + 1
-	flat := make([]float64, e.slots*width)
-	for t := 0; t < e.slots; t++ {
-		row := flat[t*width : (t+1)*width]
-		e.fillRow(row, i, j, w, t)
-		m.Vals[t] = row
+	m := e.newFlatMatrix(i, j, w)
+	for t, row := range m.Vals {
+		e.fillCols(row, i, j, w, t, 0, len(row))
 	}
 	return m
 }
