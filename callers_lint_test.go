@@ -1,0 +1,158 @@
+package rim
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// callerlessKeep lists the exported functions and methods under internal/
+// that no non-test file calls by name yet stay, each with its reason. Keys
+// are the package directory under internal/, then the receiver type for a
+// method, then the name.
+var callerlessKeep = map[string]string{
+	"trrs.Engine.BaseMatrixSerial": "reference implementation the pool and incremental tests compare against",
+	"sigproc.Normalize":            "reference implementation NormalizeSoA's tests compare against",
+	"sigproc.InnerProduct":         "reference implementation the SoA kernels' and TRRS tests compare against",
+	"obs.LintMetricNames":          "the metric-naming lint in metrics_lint_test.go runs it",
+	"obs/quality.Monitor.NEES":     "consistency channel for runs with known truth; no simulation feeds it yet, removing it is a separate decision",
+	"sigproc.VecSupported":         "tests gate the AVX2 paths on it",
+	"sigproc.FFT":                  "CIR-tap TRRS (ROADMAP item 1) measures tap energy with it",
+	"sigproc.IFFT":                 "CIR-tap TRRS (ROADMAP item 1) measures tap energy with it",
+	"obs/trace.Lineage":            "reference join behind TestStreamTraceLineage and DESIGN's lineage contract",
+	"traj.StopAndGo":               "fixture the align and core tests build on",
+	"fusion.ESKF.Covariance":       "tests observe the filter's covariance through it",
+	"fusion.ESKF.GyroBias":         "tests observe the estimated gyro bias through it",
+	"fusion.ESKF.SpeedBias":        "tests observe the estimated speed bias through it",
+	"core.Streamer.Latency":        "tests observe a stream's fixed latency through it",
+	"csi.Series.Dt":                "tests observe a series' sample period through it",
+	"trrs.Matrix.Col":              "tests read matrix columns through it",
+	"obs/trace.Recorder.Cap":       "tests observe the ring capacity through it",
+	"obs.CounterFamily.Other":      "tests observe the overflow child's conservation through it",
+	"obs.HistogramFamily.Other":    "tests observe the overflow child's conservation through it",
+	"rf.Environment.Scatterers":    "tests observe the simulated multipath through it",
+}
+
+// implicitMethods are the methods of standard-library interfaces (error,
+// fmt.Stringer, encoding/json, encoding, log/slog.Handler, http.Handler,
+// sort.Interface, io), which the standard library calls without any file
+// here naming them.
+var implicitMethods = map[string]bool{
+	"Error": true, "String": true, "Unwrap": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"Enabled": true, "Handle": true, "WithAttrs": true, "WithGroup": true,
+	"ServeHTTP": true, "Len": true, "Less": true, "Swap": true,
+	"Read": true, "Write": true, "Close": true,
+}
+
+// TestExportedFuncsHaveCallers fails when an exported function or method
+// declared in a non-test file under internal/ is named by no non-test file
+// of the repository (cmd/, examples/ and daemonbench/ included), unless
+// callerlessKeep gives it a reason. Code only its own tests call goes, or
+// earns a keep-list entry; an entry whose name gains a caller, or whose
+// declaration is gone, fails too, so the list stays exact.
+func TestExportedFuncsHaveCallers(t *testing.T) {
+	type decl struct{ key, name, pos string }
+	var decls []decl
+	used := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		declNames := map[*ast.Ident]bool{}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		for _, dd := range f.Decls {
+			fd, ok := dd.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declNames[fd.Name] = true
+			if !fd.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
+				continue
+			}
+			key := strings.TrimPrefix(dir, "internal/") + "."
+			if fd.Recv != nil {
+				recv := receiverType(fd.Recv.List[0].Type)
+				if !ast.IsExported(recv) || implicitMethods[fd.Name.Name] {
+					continue
+				}
+				key += recv + "."
+			}
+			decls = append(decls, decl{key + fd.Name.Name, fd.Name.Name, fset.Position(fd.Pos()).String()})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declNames[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) < 100 {
+		t.Fatalf("only %d exported declarations found under internal/; the walk lost its way", len(decls))
+	}
+
+	var unused []string
+	declared := map[string]bool{}
+	for _, d := range decls {
+		declared[d.key] = true
+		switch kept := callerlessKeep[d.key] != ""; {
+		case !used[d.name] && !kept:
+			unused = append(unused, d.key+" ("+d.pos+")")
+		case used[d.name] && kept:
+			unused = append(unused, d.key+": on the keep-list but named by a non-test file; drop the entry")
+		}
+	}
+	for k := range callerlessKeep {
+		if !declared[k] {
+			unused = append(unused, k+": on the keep-list but not declared")
+		}
+	}
+	if len(unused) > 0 {
+		sort.Strings(unused)
+		t.Fatalf("delete what no non-test file calls, or give it a keep-list reason:\n  %s",
+			strings.Join(unused, "\n  "))
+	}
+}
+
+// receiverType returns the type name of a method receiver expression,
+// stripping pointers and type parameters.
+func receiverType(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}

@@ -143,21 +143,26 @@ func main() {
 	tr := b.Build()
 	tr.AddLateralSway(0.004, 0.9)
 
+	arr := array.NewHexagonal(experiments.Spacing)
+	arr3 := array.NewLinear3(experiments.Spacing)
+	collected := []*array.Array{arr}
+	if *fused {
+		collected = append(collected, arr3)
+	}
+	fm, err := faultModel(*lossFrac, *deadAnt, *deadFrom, *seed, collected...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rimtrack:", err)
+		os.Exit(2)
+	}
 	rcv := csi.RealisticReceiver(*seed)
 	rcv.Obs = reg
 	rcv.Trace = rec
-	if *lossFrac > 0 || *deadAnt >= 0 {
-		fm := &faults.Model{Seed: *seed, Obs: reg, Trace: rec}
-		if *lossFrac > 0 {
-			fm.Loss = faults.NewGilbertElliott(*lossFrac, 20)
-		}
-		if *deadAnt >= 0 {
-			fm.Dropouts = []faults.Dropout{{Antenna: *deadAnt, Start: *deadFrom}}
-		}
+	if fm != nil {
+		fm.Obs = reg
+		fm.Trace = rec
 		rcv.Faults = fm
 	}
 
-	arr := array.NewHexagonal(experiments.Spacing)
 	series, err := csi.Collect(env, arr, tr, rcv).Process(true)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rimtrack:", err)
@@ -187,7 +192,6 @@ func main() {
 		if backend == fusion.BackendESKF {
 			mode = "RIM distance + gyro heading + ESKF (ZUPT-aided)"
 		}
-		arr3 := array.NewLinear3(experiments.Spacing)
 		series, err = csi.Collect(env, arr3, tr, rcv).Process(true)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rimtrack:", err)
@@ -317,6 +321,33 @@ func (s *healthState) ingest(series *csi.Series) {
 	s.mu.Lock()
 	s.h = h
 	s.mu.Unlock()
+}
+
+// faultModel builds the fault model the -loss, -dead-ant and -dead-from
+// flags describe (nil when they inject nothing) and validates it against
+// every array the run collects with, so an antenna index the array does
+// not have is an error rather than a silent fault-free run.
+func faultModel(lossFrac float64, deadAnt int, deadFrom float64, seed int64, arrs ...*array.Array) (*faults.Model, error) {
+	if lossFrac <= 0 && deadAnt < 0 {
+		return nil, nil
+	}
+	fm := &faults.Model{Seed: seed}
+	if lossFrac > 0 {
+		fm.Loss = faults.NewGilbertElliott(lossFrac, 20)
+	}
+	if deadAnt >= 0 {
+		fm.Dropouts = []faults.Dropout{{Antenna: deadAnt, Start: deadFrom}}
+	}
+	for _, arr := range arrs {
+		nics := 0
+		for _, ant := range arr.Antennas {
+			nics = max(nics, ant.NIC+1)
+		}
+		if err := fm.Validate(arr.NumAntennas(), nics); err != nil {
+			return nil, fmt.Errorf("%s array: %w", arr.Name, err)
+		}
+	}
+	return fm, nil
 }
 
 func deg(r float64) float64 { return r * 180 / math.Pi }

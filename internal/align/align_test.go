@@ -29,7 +29,7 @@ func TestMovementDetectionStopAndGo(t *testing.T) {
 	tr := traj.StopAndGo(rate, geom.Vec2{X: 10, Y: 0}, 0, 0.4, 0.5, 1.0, 2)
 	e := buildEngine(t, tr, arr, csi.RealisticReceiver(17))
 	cfg := DefaultMovementConfig()
-	moving := DetectMovement(e, cfg)
+	moving := ThresholdWithHysteresis(MovementIndicator(e, cfg), cfg)
 
 	check := func(slot int, want bool, what string) {
 		t.Helper()

@@ -122,12 +122,6 @@ func foldLags(e *trrs.Engine, v int, lags []int, acc []float64) []float64 {
 	return acc
 }
 
-// DetectMovement thresholds the movement indicator into a per-slot flag
-// with hysteresis (see MovementConfig).
-func DetectMovement(e *trrs.Engine, cfg MovementConfig) []bool {
-	return ThresholdWithHysteresis(MovementIndicator(e, cfg), cfg)
-}
-
 // ThresholdWithHysteresis converts an indicator series into moving flags:
 // trigger when the value drops below Threshold, release when it rises above
 // ReleaseThreshold (which defaults to Threshold when unset or inverted).

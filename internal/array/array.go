@@ -65,34 +65,6 @@ func (a *Array) Direction(p Pair) float64 {
 	return a.Antennas[p.J].Pos.Sub(a.Antennas[p.I].Pos).Angle()
 }
 
-// SupportedDirections returns the distinct body-frame motion directions the
-// array can resolve (two per pair, deduplicated within tol radians), sorted
-// ascending. A hexagonal array returns 12 directions at 30° spacing.
-func (a *Array) SupportedDirections(tol float64) []float64 {
-	var dirs []float64
-	add := func(th float64) {
-		th = geom.NormalizeAngle(th)
-		for _, d := range dirs {
-			if geom.AbsAngleDiff(d, th) < tol {
-				return
-			}
-		}
-		dirs = append(dirs, th)
-	}
-	for _, p := range a.Pairs() {
-		d := a.Direction(p)
-		add(d)
-		add(d + math.Pi)
-	}
-	// Insertion sort; the list is tiny.
-	for i := 1; i < len(dirs); i++ {
-		for j := i; j > 0 && dirs[j] < dirs[j-1]; j-- {
-			dirs[j], dirs[j-1] = dirs[j-1], dirs[j]
-		}
-	}
-	return dirs
-}
-
 // ParallelGroup is a set of pairs sharing direction (mod π) and separation;
 // their alignment matrices carry the same delay and are averaged for
 // robustness (§4.2 of the paper).

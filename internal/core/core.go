@@ -630,36 +630,6 @@ func (p *Pipeline) Engine() *trrs.Engine { return p.eng }
 // Window returns the one-sided lag window in slots.
 func (p *Pipeline) Window() int { return p.w }
 
-// NumGroups returns the number of parallel-isometric pair groups.
-func (p *Pipeline) NumGroups() int {
-	p.derive()
-	return len(p.groups)
-}
-
-// Group returns the i-th pair group and its averaged alignment matrix
-// (diagnostics and experiments).
-func (p *Pipeline) Group(i int) (array.ParallelGroup, *trrs.Matrix) {
-	p.derive()
-	return p.groups[i].group, p.groups[i].m
-}
-
-// GroupMatrix returns the averaged alignment matrix of the group whose
-// direction is closest to bodyDir (radians, mod π).
-func (p *Pipeline) GroupMatrix(bodyDir float64) (*trrs.Matrix, array.ParallelGroup) {
-	p.derive()
-	best, bi := math.Inf(1), 0
-	for i, gm := range p.groups {
-		d := geom.AbsAngleDiff(gm.group.Direction, bodyDir)
-		if d > math.Pi/2 {
-			d = math.Pi - d
-		}
-		if d < best {
-			best, bi = d, i
-		}
-	}
-	return p.groups[bi].m, p.groups[bi].group
-}
-
 // Process runs the full pipeline and returns per-slot and per-segment
 // motion estimates.
 func (p *Pipeline) Process() *Result {

@@ -79,8 +79,15 @@ func TestDerivedInputsValidatedAtConstruction(t *testing.T) {
 		if p.derived {
 			t.Errorf("%s: derived matrices built at construction", arr.Name)
 		}
-		if p.NumGroups() != len(groups) || !p.derived {
-			t.Errorf("%s: NumGroups = %d (derived %v), want %d built", arr.Name, p.NumGroups(), p.derived, len(groups))
+		p.derive()
+		if len(p.groups) != len(groups) || !p.derived {
+			t.Errorf("%s: %d groups (derived %v), want %d built", arr.Name, len(p.groups), p.derived, len(groups))
+		}
+		if p.Window() <= 0 {
+			t.Errorf("%s: window not set", arr.Name)
+		}
+		if p.Engine() != eng {
+			t.Errorf("%s: engine not exposed", arr.Name)
 		}
 	}
 }
@@ -304,26 +311,6 @@ func TestHelpers(t *testing.T) {
 	if MotionNone.String() != "none" || MotionTranslate.String() != "translate" ||
 		MotionRotate.String() != "rotate" || MotionKind(9).String() != "unknown" {
 		t.Error("MotionKind strings wrong")
-	}
-}
-
-func TestGroupMatrixSelection(t *testing.T) {
-	arr := array.NewHexagonal(spacing)
-	tr := traj.Line(100, geom.Vec2{X: 10, Y: 0}, 0, 0, 0.3, 0.4)
-	s := buildSeries(t, tr, arr, 2)
-	p, err := NewPipeline(s, fastConfig(arr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, g := p.GroupMatrix(0)
-	if math.Abs(geom.AngleDiff(g.Direction, 0)) > geom.Rad(5) {
-		t.Errorf("group direction = %v deg, want 0", geom.Deg(g.Direction))
-	}
-	if p.Window() <= 0 {
-		t.Error("window not set")
-	}
-	if p.Engine() == nil {
-		t.Error("engine not exposed")
 	}
 }
 

@@ -101,34 +101,6 @@ func zuptSlotConfidence(ind, release float64) float64 {
 	return c
 }
 
-// ZUPTFromEstimates extracts zero-velocity intervals from an estimate
-// stream: maximal runs of non-moving, non-degraded slots at least
-// minSeconds long. It is the consumer-side mirror of the pipeline's
-// interval emission for callers that only hold finalized estimates (the
-// streaming session fuser); confidence is fixed at 1 because finalized
-// static slots have already passed the hysteresis and degradation gates.
-func ZUPTFromEstimates(ests []Estimate, rate, minSeconds float64) []ZUPTInterval {
-	minLen := int(minSeconds * rate)
-	if minLen < 1 {
-		minLen = 1
-	}
-	var out []ZUPTInterval
-	for t := 0; t < len(ests); {
-		if ests[t].Moving || ests[t].Degraded {
-			t++
-			continue
-		}
-		start := t
-		for t < len(ests) && !ests[t].Moving && !ests[t].Degraded {
-			t++
-		}
-		if t-start >= minLen {
-			out = append(out, ZUPTInterval{Start: start, End: t, Confidence: 1})
-		}
-	}
-	return out
-}
-
 // emitZUPTs publishes one Process pass's intervals to the trace recorder
 // and metric counters. Like rim_estimates_total, the streaming front end
 // re-analyzes overlapping windows, so for streams these counters measure

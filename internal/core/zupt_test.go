@@ -40,35 +40,6 @@ func TestZUPTIntervalSeconds(t *testing.T) {
 	}
 }
 
-func TestZUPTFromEstimates(t *testing.T) {
-	// 30 static, 40 moving, 10 static-but-degraded, 35 static: at 100 Hz
-	// with a 0.2 s minimum, only the clean static runs survive, and the
-	// degraded run neither counts nor merges with its neighbor.
-	ests := make([]Estimate, 115)
-	for i := 30; i < 70; i++ {
-		ests[i].Moving = true
-	}
-	for i := 70; i < 80; i++ {
-		ests[i].Degraded = true
-	}
-	got := ZUPTFromEstimates(ests, 100, 0.2)
-	want := []ZUPTInterval{
-		{Start: 0, End: 30, Confidence: 1},
-		{Start: 80, End: 115, Confidence: 1},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("intervals = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("interval %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if out := ZUPTFromEstimates(nil, 100, 0.2); out != nil {
-		t.Errorf("nil estimates produced %v", out)
-	}
-}
-
 // checkZUPTInvariants enforces the interval contract shared by the batch
 // extractor and the fuzz target: ordered, non-overlapping, at least minLen
 // slots, within [0, slots), confidence in [0, 1].

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"rim/internal/obs"
 	"rim/internal/obs/trace"
@@ -71,16 +70,6 @@ func NewGilbertElliott(meanLoss, burstLen float64) *GilbertElliott {
 		LossGood: lossGood,
 		LossBad:  lossBad,
 	}
-}
-
-// MeanLoss returns the stationary loss rate of the chain.
-func (g *GilbertElliott) MeanLoss() float64 {
-	den := g.PGoodBad + g.PBadGood
-	if den == 0 {
-		return g.LossGood
-	}
-	piBad := g.PGoodBad / den
-	return (1-piBad)*g.LossGood + piBad*g.LossBad
 }
 
 // Dropout models one RF chain (antenna) failure. With PeriodSeconds == 0
@@ -352,24 +341,6 @@ func (in *Injector) CorruptFrame() (corrupt, nan bool) {
 // GarbageSample returns one corrupt sample value (huge amplitude).
 func (in *Injector) GarbageSample() (re, im float64) {
 	return (in.rng.Float64()*2 - 1) * 1e6, (in.rng.Float64()*2 - 1) * 1e6
-}
-
-// DeadAntennaSet returns the sorted antenna indices with any configured
-// dropout (for reporting; whether each is active depends on time).
-func (m *Model) DeadAntennaSet() []int {
-	if m == nil {
-		return nil
-	}
-	seen := map[int]bool{}
-	var out []int
-	for _, d := range m.Dropouts {
-		if !seen[d.Antenna] {
-			seen[d.Antenna] = true
-			out = append(out, d.Antenna)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 func pow10(x float64) float64 { return math.Pow(10, x) }

@@ -8,9 +8,6 @@ import (
 func TestGilbertElliottMeanLoss(t *testing.T) {
 	for _, target := range []float64{0.05, 0.2, 0.3, 0.5} {
 		g := NewGilbertElliott(target, 20)
-		if got := g.MeanLoss(); math.Abs(got-target) > 1e-9 {
-			t.Errorf("MeanLoss(%v) = %v analytically", target, got)
-		}
 		m := &Model{Loss: g, Seed: 7}
 		in := m.NewInjector(1)
 		lost := 0
@@ -162,9 +159,6 @@ func TestNilModelSafety(t *testing.T) {
 	if c, _ := in.CorruptFrame(); c {
 		t.Error("nil injector must not corrupt")
 	}
-	if m.DeadAntennaSet() != nil {
-		t.Error("nil model has no dead antennas")
-	}
 }
 
 func TestValidate(t *testing.T) {
@@ -187,8 +181,5 @@ func TestValidate(t *testing.T) {
 	}
 	if err := ok.Validate(3, 2); err != nil {
 		t.Error(err)
-	}
-	if got := ok.DeadAntennaSet(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("DeadAntennaSet = %v", got)
 	}
 }

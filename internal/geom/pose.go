@@ -13,17 +13,7 @@ func (p Pose) ToWorld(body Vec2) Vec2 {
 	return p.Pos.Add(body.Rotate(p.Theta))
 }
 
-// ToBody maps a world-frame point into the body frame.
-func (p Pose) ToBody(world Vec2) Vec2 {
-	return world.Sub(p.Pos).Rotate(-p.Theta)
-}
-
 // DirToWorld rotates a body-frame direction into the world frame.
 func (p Pose) DirToWorld(theta float64) float64 {
 	return NormalizeAngle(theta + p.Theta)
-}
-
-// DirToBody rotates a world-frame direction into the body frame.
-func (p Pose) DirToBody(theta float64) float64 {
-	return NormalizeAngle(theta - p.Theta)
 }

@@ -13,9 +13,6 @@ func (s Segment) Length() float64 { return s.A.Dist(s.B) }
 // Dir returns the unit direction from A to B.
 func (s Segment) Dir() Vec2 { return s.B.Sub(s.A).Unit() }
 
-// Midpoint returns the segment midpoint.
-func (s Segment) Midpoint() Vec2 { return s.A.Lerp(s.B, 0.5) }
-
 // PointAt returns A + t*(B-A) for t in [0,1].
 func (s Segment) PointAt(t float64) Vec2 { return s.A.Lerp(s.B, t) }
 
@@ -46,25 +43,6 @@ func (s Segment) Intersects(o Segment) bool {
 	return false
 }
 
-// Intersection returns the intersection point of the two segments and true
-// if they cross at a single proper point. For parallel, collinear or
-// non-crossing segments it returns the zero vector and false.
-func (s Segment) Intersection(o Segment) (Vec2, bool) {
-	r := s.B.Sub(s.A)
-	q := o.B.Sub(o.A)
-	den := r.Cross(q)
-	if den == 0 {
-		return Vec2{}, false
-	}
-	diff := o.A.Sub(s.A)
-	t := diff.Cross(q) / den
-	u := diff.Cross(r) / den
-	if t < 0 || t > 1 || u < 0 || u > 1 {
-		return Vec2{}, false
-	}
-	return s.PointAt(t), true
-}
-
 // DistToPoint returns the minimum distance from p to the segment.
 func (s Segment) DistToPoint(p Vec2) float64 {
 	ab := s.B.Sub(s.A)
@@ -75,18 +53,6 @@ func (s Segment) DistToPoint(p Vec2) float64 {
 	t := p.Sub(s.A).Dot(ab) / den
 	t = math.Max(0, math.Min(1, t))
 	return s.PointAt(t).Dist(p)
-}
-
-// ClosestPoint returns the point on the segment closest to p.
-func (s Segment) ClosestPoint(p Vec2) Vec2 {
-	ab := s.B.Sub(s.A)
-	den := ab.NormSq()
-	if den == 0 {
-		return s.A
-	}
-	t := p.Sub(s.A).Dot(ab) / den
-	t = math.Max(0, math.Min(1, t))
-	return s.PointAt(t)
 }
 
 func orient(a, b, c Vec2) float64 { return b.Sub(a).Cross(c.Sub(a)) }

@@ -129,21 +129,6 @@ func IntegrateGyro(readings []Reading, rate float64) []float64 {
 	return out
 }
 
-// AccelDistance double-integrates the accelerometer magnitude along the
-// body X axis into travelled distance — the classical (and notoriously
-// divergent) inertial distance estimate: bias integrates quadratically.
-func AccelDistance(readings []Reading, rate float64) []float64 {
-	out := make([]float64, len(readings))
-	dt := 1 / rate
-	var v, d float64
-	for i, r := range readings {
-		v += r.Accel.X * dt
-		d += math.Abs(v) * dt
-		out[i] = d
-	}
-	return out
-}
-
 // MovementIndicator returns the normalized moving-window standard deviation
 // of the combined accel/gyro energy — the conventional sensor-based
 // movement detector of Fig. 7. windowSeconds is the detection window; MEMS

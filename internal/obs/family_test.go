@@ -336,4 +336,10 @@ func TestFamilyChurnRace(t *testing.T) {
 	if got := cf.Total(); got != want {
 		t.Fatalf("Total = %d, want %d — counts lost under churn", got, want)
 	}
+	// Likewise every observation, across live children and evictions.
+	var observed uint64
+	hf.Each(func(_ []string, h *Histogram) { observed += h.Count() })
+	if observed != writers*iters {
+		t.Fatalf("histogram count = %d, want %d — observations lost under churn", observed, writers*iters)
+	}
 }

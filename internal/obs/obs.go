@@ -56,6 +56,11 @@ func (c *Counter) Add(n uint64) {
 		return
 	}
 	c.v.Add(n)
+	// A fold that redirected this child after the load above may already
+	// have drained it; move what the add left behind into the target.
+	if f := c.fwd.Load(); f != nil {
+		f.v.Add(c.v.Swap(0))
+	}
 }
 
 // Value returns the current count (0 on nil).
@@ -156,6 +161,11 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count.Add(1)
 	h.addSum(v)
+	// As in Counter.Add: a fold racing this observation may have drained
+	// the child before it landed.
+	if f := h.fwd.Load(); f != nil {
+		f.absorb(h)
+	}
 }
 
 // addSum CAS-adds v into the running sum.

@@ -61,15 +61,6 @@ func (e *Engine) Run(interval time.Duration, stop <-chan struct{}) {
 	}
 }
 
-// CounterRatioSource builds a Source from (bad, total) counters: good is
-// total minus bad. Either counter may be nil (reads 0).
-func CounterRatioSource(bad, total *obs.Counter) Source {
-	return func() Sample {
-		t := float64(total.Value())
-		return Sample{Good: t - float64(bad.Value()), Total: t}
-	}
-}
-
 // LatencySource builds a Source from a latency histogram: an observation
 // is good when it lands in a bucket bounded at or below le (so le should
 // be one of the histogram's bucket bounds). Nil-safe.

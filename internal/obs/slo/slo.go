@@ -335,15 +335,3 @@ func (e *Engine) Status(name string) (Status, bool) {
 	}
 	return tr.last, true
 }
-
-// Names returns the registered objective names, sorted.
-func (e *Engine) Names() []string {
-	e.mu.Lock()
-	names := make([]string, 0, len(e.objs))
-	for n := range e.objs {
-		names = append(names, n)
-	}
-	e.mu.Unlock()
-	sort.Strings(names)
-	return names
-}

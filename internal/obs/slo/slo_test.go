@@ -183,7 +183,7 @@ func TestEngineMetricsAndUnregister(t *testing.T) {
 	}
 
 	e.Unregister("lag")
-	if len(e.Names()) != 0 {
+	if len(e.Statuses()) != 0 {
 		t.Fatal("Unregister left the objective")
 	}
 	sb.Reset()
@@ -227,15 +227,6 @@ func TestHandlerAndRollup(t *testing.T) {
 
 func TestSources(t *testing.T) {
 	reg := obs.NewRegistry()
-	total := reg.Counter("t_total", "")
-	bad := reg.Counter("b_total", "")
-	total.Add(10)
-	bad.Add(3)
-	s := CounterRatioSource(bad, total)()
-	if s.Good != 7 || s.Total != 10 {
-		t.Fatalf("CounterRatioSource = %+v, want good 7 total 10", s)
-	}
-
 	h := reg.Histogram("l_seconds", "", []float64{0.1, 0.25, 1})
 	h.Observe(0.05)
 	h.Observe(0.2)
@@ -248,9 +239,6 @@ func TestSources(t *testing.T) {
 	var nilH *obs.Histogram
 	if s := LatencySource(nilH, 1)(); s.Good != 0 || s.Total != 0 {
 		t.Fatalf("nil-histogram source = %+v", s)
-	}
-	if s := CounterRatioSource(nil, nil)(); s.Good != 0 || s.Total != 0 {
-		t.Fatalf("nil-counter source = %+v", s)
 	}
 }
 

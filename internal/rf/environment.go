@@ -116,12 +116,6 @@ func (e *Environment) illumAt(rx geom.Vec2) float64 {
 // Config returns the environment configuration (with defaults filled in).
 func (e *Environment) Config() Config { return e.cfg }
 
-// APPos returns the AP position.
-func (e *Environment) APPos() geom.Vec2 { return e.apPos }
-
-// TxPositions returns the transmit antenna positions.
-func (e *Environment) TxPositions() []geom.Vec2 { return e.txPos }
-
 // Scatterers exposes the scatterer field (read-only by convention).
 func (e *Environment) Scatterers() []Scatterer { return e.scat }
 

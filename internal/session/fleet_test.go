@@ -52,7 +52,7 @@ func newTestRegistry(t *testing.T, m *Metrics, mutate func(*RegistryConfig)) *Re
 
 func TestInfosHandlerEnrichment(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
+	m := NewMetricsCap(reg, 0)
 	r := newTestRegistry(t, m, nil)
 
 	if _, err := r.Open("idle", testSpec()); err != nil {
@@ -111,7 +111,7 @@ func TestInfosHandlerEnrichment(t *testing.T) {
 
 func TestPerSessionMetricsAttributed(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
+	m := NewMetricsCap(reg, 0)
 	r := newTestRegistry(t, m, nil)
 
 	for _, id := range []string{"w1", "w2"} {
@@ -170,7 +170,7 @@ func TestPerSessionMetricsAttributed(t *testing.T) {
 
 func TestShedAttributedByReasonAndShard(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
+	m := NewMetricsCap(reg, 0)
 	r := newTestRegistry(t, m, func(cfg *RegistryConfig) { cfg.MaxSessions = 1 })
 
 	if _, err := r.Open("only", testSpec()); err != nil {

@@ -51,15 +51,11 @@ type Metrics struct {
 	Restores       *obs.Counter // rim_session_restores_total
 }
 
-// NewMetrics registers the session-layer metrics on reg with the default
-// per-family cardinality cap (nil reg yields a fully no-op bundle).
-func NewMetrics(reg *obs.Registry) *Metrics { return NewMetricsCap(reg, 0) }
-
-// NewMetricsCap registers the session-layer metrics with an explicit
-// per-family cardinality cap: at most maxChildren sessions hold live
-// labeled children at once; colder sessions fold into the reserved
-// {session="other"} child (counts are conserved). 0 selects
-// obs.DefMaxChildren.
+// NewMetricsCap registers the session-layer metrics on reg (nil reg yields
+// a fully no-op bundle) with a per-family cardinality cap: at most
+// maxChildren sessions hold live labeled children at once; colder sessions
+// fold into the reserved {session="other"} child (counts are conserved).
+// 0 selects obs.DefMaxChildren.
 func NewMetricsCap(reg *obs.Registry, maxChildren int) *Metrics {
 	bySession := obs.FamilyOpts{Labels: []string{"session"}, MaxChildren: maxChildren}
 	byShard := obs.FamilyOpts{Labels: []string{"shard"}, MaxChildren: maxChildren}

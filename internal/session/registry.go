@@ -64,10 +64,6 @@ type Registry struct {
 	log     *slog.Logger
 	shards  []*shard
 
-	// override pins migrated sessions to a non-hash shard.
-	ovMu     sync.Mutex
-	override map[string]int
-
 	live   atomic.Int64 // admitted/running/backoff sessions
 	closed atomic.Bool
 	stop   chan struct{}
@@ -94,13 +90,12 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		cfg.Session.Breaker = cfg.Breaker
 	}
 	r := &Registry{
-		cfg:      cfg,
-		m:        cfg.Session.Metrics,
-		breaker:  cfg.Breaker,
-		log:      cfg.Log,
-		shards:   make([]*shard, cfg.Shards),
-		override: make(map[string]int),
-		stop:     make(chan struct{}),
+		cfg:     cfg,
+		m:       cfg.Session.Metrics,
+		breaker: cfg.Breaker,
+		log:     cfg.Log,
+		shards:  make([]*shard, cfg.Shards),
+		stop:    make(chan struct{}),
 	}
 	if r.breaker != nil {
 		r.breaker.SetOnChange(func(s BreakerState) {
@@ -124,14 +119,8 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	return r, nil
 }
 
-// shardIndex maps a session ID to its stripe index, honoring migrations.
+// shardIndex maps a session ID to its stripe index.
 func (r *Registry) shardIndex(id string) int {
-	r.ovMu.Lock()
-	if i, ok := r.override[id]; ok {
-		r.ovMu.Unlock()
-		return i
-	}
-	r.ovMu.Unlock()
 	h := fnv.New32a()
 	h.Write([]byte(id))
 	return int(h.Sum32() % uint32(len(r.shards)))
@@ -216,9 +205,6 @@ func (r *Registry) Close(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
-	r.ovMu.Lock()
-	delete(r.override, id)
-	r.ovMu.Unlock()
 	s.close()
 	<-s.Done()
 	if s.takeExit() {
@@ -236,57 +222,6 @@ func (r *Registry) Close(id string) error {
 	// Retire the session's consistency monitor the same way — quality
 	// state is per-incarnation, not per-id.
 	r.cfg.Session.Quality.Forget(id)
-	return nil
-}
-
-// Migrate moves a session to an explicit shard: checkpoint, stop the old
-// incarnation, restore the new one in the target stripe. The session keeps
-// its identity and resumes from the checkpointed frontier (frames queued
-// but not yet analyzed at migration time are flushed through the old
-// incarnation first).
-func (r *Registry) Migrate(id string, targetShard int) error {
-	if targetShard < 0 || targetShard >= len(r.shards) {
-		return fmt.Errorf("session: shard %d out of range [0,%d)", targetShard, len(r.shards))
-	}
-	from := r.shardFor(id)
-	if from == r.shards[targetShard] {
-		return nil
-	}
-	from.mu.Lock()
-	s, ok := from.sessions[id]
-	if ok {
-		delete(from.sessions, id)
-	}
-	from.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownSession, id)
-	}
-	s.close()
-	<-s.Done()
-	cp := s.Checkpoint()
-	var scp *core.StreamCheckpoint
-	if cp != nil {
-		scp = cp.Stream
-	}
-	r.ovMu.Lock()
-	r.override[id] = targetShard
-	r.ovMu.Unlock()
-	ns, err := newSession(id, s.Spec, r.cfg.Session, scp)
-	if err != nil {
-		if s.takeExit() {
-			r.live.Add(-1)
-			r.m.Active.Set(float64(r.live.Load()))
-		}
-		return fmt.Errorf("session: migrate %q: %w", id, err)
-	}
-	if scp != nil {
-		r.m.Restores.Inc()
-	}
-	to := r.shards[targetShard]
-	to.mu.Lock()
-	to.sessions[id] = ns
-	to.mu.Unlock()
-	r.log.Info("session migrated", "session", id, "shard", targetShard)
 	return nil
 }
 

@@ -15,7 +15,7 @@ import (
 
 func testRegistry(t *testing.T, d *fakeDriver, mutate func(*RegistryConfig)) (*Registry, *Metrics) {
 	t.Helper()
-	m := NewMetrics(obs.NewRegistry())
+	m := NewMetricsCap(obs.NewRegistry(), 0)
 	cfg := RegistryConfig{
 		Shards: 4,
 		Session: Config{
@@ -196,57 +196,6 @@ func TestRegistryCheckpointRestoreCycle(t *testing.T) {
 	}
 }
 
-func TestRegistryMigrate(t *testing.T) {
-	d := &fakeDriver{}
-	r, _ := testRegistry(t, d, nil)
-	if _, err := r.Open("mover", testSpec()); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Ingest("mover", testFrame(), nil); err != nil {
-		t.Fatal(err)
-	}
-	// Move it to whichever shard it is NOT on.
-	home := r.shardFor("mover")
-	target := -1
-	for i, sh := range r.shards {
-		if sh != home {
-			target = i
-			break
-		}
-	}
-	if err := r.Migrate("mover", target); err != nil {
-		t.Fatal(err)
-	}
-	if r.shardFor("mover") != r.shards[target] {
-		t.Fatal("override did not pin the migrated session")
-	}
-	s := r.Get("mover")
-	if s == nil {
-		t.Fatal("migrated session unresolvable")
-	}
-	if err := r.Ingest("mover", testFrame(), nil); err != nil {
-		t.Fatalf("ingest after migration = %v", err)
-	}
-	if live := r.live.Load(); live != 1 {
-		t.Errorf("live count = %d after migration, want 1", live)
-	}
-	// Pick a target that is not the ghost's hash shard, so the unknown-ID
-	// path is actually exercised (same-shard migrations are no-ops).
-	ghostTarget := -1
-	for i, sh := range r.shards {
-		if sh != r.shardFor("ghost") {
-			ghostTarget = i
-			break
-		}
-	}
-	if err := r.Migrate("ghost", ghostTarget); !errors.Is(err, ErrUnknownSession) {
-		t.Errorf("migrating a ghost = %v", err)
-	}
-	if err := r.Migrate("mover", 99); err == nil {
-		t.Error("out-of-range shard accepted")
-	}
-}
-
 // TestRegistryChaosSoak is the in-process miniature of the acceptance
 // soak: many concurrent sessions, a fifth of them intentionally flapping,
 // concurrent ingest, one registry "restart" mid-run, and a goroutine-leak
@@ -283,7 +232,7 @@ func TestRegistryChaosSoak(t *testing.T) {
 		return st, nil
 	}
 
-	m := NewMetrics(obs.NewRegistry())
+	m := NewMetricsCap(obs.NewRegistry(), 0)
 	mkRegistry := func() *Registry {
 		r, err := NewRegistry(RegistryConfig{
 			Shards:        8,

@@ -135,7 +135,7 @@ func TestSupervisorRecoversPanicAndRestarts(t *testing.T) {
 		}
 		return nil
 	}
-	m := NewMetrics(obs.NewRegistry())
+	m := NewMetricsCap(obs.NewRegistry(), 0)
 	s, err := newSession("p1", testSpec(), fastSupervisor(d, m), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestSupervisorQuarantinesFlappingSession(t *testing.T) {
 	analysisErr := fmt.Errorf("%w: synthetic hop failure", core.ErrAnalysis)
 	d.script = func(build, push int) error { return analysisErr }
 
-	m := NewMetrics(obs.NewRegistry())
+	m := NewMetricsCap(obs.NewRegistry(), 0)
 	rec := trace.NewRecorder(16)
 	pmDir := t.TempDir()
 	flight := trace.NewFlight(trace.FlightConfig{Recorder: rec, Dir: pmDir})
@@ -261,7 +261,7 @@ func TestSupervisorRestartRestoresFromCheckpoint(t *testing.T) {
 		return nil
 	}
 	base := d.factory
-	m := NewMetrics(obs.NewRegistry())
+	m := NewMetricsCap(obs.NewRegistry(), 0)
 	cfg := fastSupervisor(d, m)
 	cfg.CheckpointEveryFrames = 1 // refresh lastCp on every frame
 	cfg.Factory = func(id string, spec Spec, cp *core.StreamCheckpoint) (Stream, error) {
@@ -303,7 +303,7 @@ func TestSupervisorHealthyRunForgivesRestarts(t *testing.T) {
 		}
 		return nil // second incarnation is clean
 	}
-	m := NewMetrics(obs.NewRegistry())
+	m := NewMetricsCap(obs.NewRegistry(), 0)
 	s, err := newSession("h1", testSpec(), fastSupervisor(d, m), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestSessionRejectPolicyRefusesOverflow(t *testing.T) {
 		<-block // wedge the worker so the queue fills
 		return nil
 	}
-	m := NewMetrics(obs.NewRegistry())
+	m := NewMetricsCap(obs.NewRegistry(), 0)
 	cfg := fastSupervisor(d, m)
 	cfg.Queue = 2
 	cfg.Policy = Reject
@@ -380,7 +380,7 @@ func TestSessionDropOldestEvicts(t *testing.T) {
 		<-block
 		return nil
 	}
-	m := NewMetrics(obs.NewRegistry())
+	m := NewMetricsCap(obs.NewRegistry(), 0)
 	cfg := fastSupervisor(d, m)
 	cfg.Queue = 2
 	cfg.Policy = DropOldest
@@ -412,7 +412,7 @@ func TestSessionDropOldestEvicts(t *testing.T) {
 
 func TestSessionCloseIsGraceful(t *testing.T) {
 	d := &fakeDriver{}
-	m := NewMetrics(obs.NewRegistry())
+	m := NewMetricsCap(obs.NewRegistry(), 0)
 	s, err := newSession("c1", testSpec(), fastSupervisor(d, m), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package sigproc implements the signal-processing kernels used across RIM:
-// complex vector operations, FFT, phase unwrapping and linear detrending,
-// smoothing filters, interpolation, and summary statistics.
+// complex vector operations, FFT, phase ramps, smoothing filters,
+// interpolation, and summary statistics.
 //
 // The package is dependency-free and allocation-conscious: the inner-product
 // kernels here sit on the hot path of the TRRS computation (every CSI sample
@@ -9,13 +9,9 @@
 package sigproc
 
 import (
-	"errors"
 	"math"
 	"math/cmplx"
 )
-
-// ErrLengthMismatch is returned by kernels that require equal-length inputs.
-var ErrLengthMismatch = errors.New("sigproc: vector length mismatch")
 
 // InnerProduct returns the complex inner product <a, b> = sum_i conj(a[i])*b[i].
 // It panics if the lengths differ; on the hot path callers guarantee shape.
@@ -68,64 +64,6 @@ func Conj(a []complex128) []complex128 {
 	return out
 }
 
-// TimeReverseConj returns g with g[k] = conj(a[T-1-k]), the time-reversed
-// conjugate used in the time-domain TRRS definition (Eq. 1 of the paper).
-func TimeReverseConj(a []complex128) []complex128 {
-	n := len(a)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		out[k] = cmplx.Conj(a[n-1-k])
-	}
-	return out
-}
-
-// Convolve returns the full linear convolution of a and b
-// (length len(a)+len(b)-1). Used by the time-domain TRRS reference
-// implementation; the production path works in the frequency domain.
-func Convolve(a, b []complex128) []complex128 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]complex128, len(a)+len(b)-1)
-	for i, av := range a {
-		for j, bv := range b {
-			out[i+j] += av * bv
-		}
-	}
-	return out
-}
-
-// MaxAbs returns the maximum magnitude over a and its index.
-// For an empty slice it returns (0, -1).
-func MaxAbs(a []complex128) (float64, int) {
-	best, idx := 0.0, -1
-	for i, v := range a {
-		m := cmplx.Abs(v)
-		if m > best {
-			best, idx = m, i
-		}
-	}
-	return best, idx
-}
-
-// Phases returns the element-wise phase of a in radians.
-func Phases(a []complex128) []float64 {
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = cmplx.Phase(v)
-	}
-	return out
-}
-
-// Magnitudes returns the element-wise magnitude of a.
-func Magnitudes(a []complex128) []float64 {
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
-}
-
 // ApplyPhaseRamp multiplies a[k] by exp(i*(offset + slope*k)) in place.
 // It is the building block for injecting and removing linear phase errors
 // (CFO/SFO/STO) across subcarriers.
@@ -138,24 +76,4 @@ func ApplyPhaseRamp(a []complex128, offset, slope float64) {
 		a[i] *= rot
 		rot *= step
 	}
-}
-
-// Unwrap returns the phase sequence with 2π jumps removed.
-func Unwrap(ph []float64) []float64 {
-	out := make([]float64, len(ph))
-	if len(ph) == 0 {
-		return out
-	}
-	out[0] = ph[0]
-	for i := 1; i < len(ph); i++ {
-		d := ph[i] - ph[i-1]
-		for d > math.Pi {
-			d -= 2 * math.Pi
-		}
-		for d < -math.Pi {
-			d += 2 * math.Pi
-		}
-		out[i] = out[i-1] + d
-	}
-	return out
 }

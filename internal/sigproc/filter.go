@@ -141,17 +141,3 @@ func BoxFilterColumns(dst, src [][]float64, half int) {
 		}
 	}
 }
-
-// ExponentialSmooth returns the exponentially smoothed series with
-// coefficient alpha in (0, 1]: y[0]=x[0], y[i]=alpha*x[i]+(1-alpha)*y[i-1].
-func ExponentialSmooth(x []float64, alpha float64) []float64 {
-	out := make([]float64, len(x))
-	if len(x) == 0 {
-		return out
-	}
-	out[0] = x[0]
-	for i := 1; i < len(x); i++ {
-		out[i] = alpha*x[i] + (1-alpha)*out[i-1]
-	}
-	return out
-}

@@ -121,22 +121,3 @@ func TestBoxFilterColumnsZeroHalf(t *testing.T) {
 	}
 	BoxFilterColumns(nil, nil, 3) // must not panic on empty input
 }
-
-func TestExponentialSmooth(t *testing.T) {
-	x := []float64{1, 0, 0, 0}
-	got := ExponentialSmooth(x, 0.5)
-	want := []float64{1, 0.5, 0.25, 0.125}
-	for i := range want {
-		if !almostF(got[i], want[i], 1e-12) {
-			t.Errorf("[%d] = %v", i, got[i])
-		}
-	}
-	if len(ExponentialSmooth(nil, 0.5)) != 0 {
-		t.Error("nil input must give empty output")
-	}
-	// alpha=1 is identity.
-	id := ExponentialSmooth([]float64{2, 7, -1}, 1)
-	if id[1] != 7 || id[2] != -1 {
-		t.Error("alpha=1 must be identity")
-	}
-}

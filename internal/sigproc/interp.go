@@ -53,53 +53,3 @@ func cloneC(a []complex128) []complex128 {
 	copy(out, a)
 	return out
 }
-
-// Resample returns x decimated by an integer factor (keeping every factor-th
-// sample starting at index 0). factor <= 1 returns a copy. It models
-// downsampling the CSI stream for the sampling-rate study (Fig. 16).
-func Resample(x []float64, factor int) []float64 {
-	if factor <= 1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out
-	}
-	out := make([]float64, 0, (len(x)+factor-1)/factor)
-	for i := 0; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	return out
-}
-
-// LinearInterpAt evaluates the piecewise-linear function through points
-// (xs[i], ys[i]) at x, clamping outside the domain. xs must be ascending.
-func LinearInterpAt(xs, ys []float64, x float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if n != len(ys) {
-		panic("sigproc: LinearInterpAt length mismatch")
-	}
-	if x <= xs[0] {
-		return ys[0]
-	}
-	if x >= xs[n-1] {
-		return ys[n-1]
-	}
-	// Binary search for the bracketing interval.
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if xs[mid] <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	span := xs[hi] - xs[lo]
-	if span == 0 {
-		return ys[lo]
-	}
-	t := (x - xs[lo]) / span
-	return ys[lo]*(1-t) + ys[hi]*t
-}

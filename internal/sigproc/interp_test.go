@@ -51,36 +51,3 @@ func TestInterpolateMissingAllNilOrAllValid(t *testing.T) {
 		t.Error("fully valid input should pass through")
 	}
 }
-
-func TestResample(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6}
-	got := Resample(x, 3)
-	want := []float64{0, 3, 6}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("[%d] = %v", i, got[i])
-		}
-	}
-	cp := Resample(x, 1)
-	cp[0] = 99
-	if x[0] == 99 {
-		t.Error("factor=1 output aliases input")
-	}
-}
-
-func TestLinearInterpAt(t *testing.T) {
-	xs := []float64{0, 1, 3}
-	ys := []float64{0, 10, 30}
-	if got := LinearInterpAt(xs, ys, 2); !almostF(got, 20, 1e-12) {
-		t.Errorf("mid = %v", got)
-	}
-	if LinearInterpAt(xs, ys, -5) != 0 || LinearInterpAt(xs, ys, 9) != 30 {
-		t.Error("clamping failed")
-	}
-	if LinearInterpAt(nil, nil, 1) != 0 {
-		t.Error("empty interp not 0")
-	}
-}

@@ -84,65 +84,3 @@ func Min(x []float64) float64 {
 	}
 	return best
 }
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value float64 // sample value
-	P     float64 // cumulative probability in (0, 1]
-}
-
-// CDF returns the empirical CDF of x as sorted (value, probability) points.
-func CDF(x []float64) []CDFPoint {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	s := make([]float64, n)
-	copy(s, x)
-	sort.Float64s(s)
-	out := make([]CDFPoint, n)
-	for i, v := range s {
-		out[i] = CDFPoint{Value: v, P: float64(i+1) / float64(n)}
-	}
-	return out
-}
-
-// CDFAt returns the empirical probability P(X <= v) for sample x.
-func CDFAt(x []float64, v float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	count := 0
-	for _, s := range x {
-		if s <= v {
-			count++
-		}
-	}
-	return float64(count) / float64(len(x))
-}
-
-// Summary holds the descriptive statistics the experiment tables report.
-type Summary struct {
-	N         int
-	Mean, Std float64
-	Median    float64
-	P90, P95  float64
-	Min, Max  float64
-}
-
-// Summarize computes a Summary of x.
-func Summarize(x []float64) Summary {
-	if len(x) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      len(x),
-		Mean:   Mean(x),
-		Std:    Std(x),
-		Median: Median(x),
-		P90:    Percentile(x, 90),
-		P95:    Percentile(x, 95),
-		Min:    Min(x),
-		Max:    Max(x),
-	}
-}

@@ -3,7 +3,6 @@ package sigproc
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -72,29 +71,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	x := []float64{3, 1, 2}
-	cdf := CDF(x)
-	if len(cdf) != 3 {
-		t.Fatalf("len = %d", len(cdf))
-	}
-	if !sort.SliceIsSorted(cdf, func(i, j int) bool { return cdf[i].Value < cdf[j].Value }) {
-		t.Error("CDF values not sorted")
-	}
-	if cdf[2].P != 1 {
-		t.Errorf("last P = %v", cdf[2].P)
-	}
-	if CDF(nil) != nil {
-		t.Error("empty CDF not nil")
-	}
-	if got := CDFAt(x, 2); !almostF(got, 2.0/3, 1e-12) {
-		t.Errorf("CDFAt = %v", got)
-	}
-	if CDFAt(nil, 1) != 0 {
-		t.Error("CDFAt(nil) != 0")
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	x := []float64{3, -1, 7}
 	if Min(x) != -1 || Max(x) != 7 {
@@ -102,22 +78,5 @@ func TestMinMax(t *testing.T) {
 	}
 	if !math.IsInf(Max(nil), -1) || !math.IsInf(Min(nil), 1) {
 		t.Error("empty Min/Max not infinite")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s := Summarize(x)
-	if s.N != 10 || !almostF(s.Mean, 5.5, 1e-12) || !almostF(s.Median, 5.5, 1e-12) {
-		t.Errorf("Summary = %+v", s)
-	}
-	if s.Min != 1 || s.Max != 10 {
-		t.Error("Summary min/max wrong")
-	}
-	if s.P90 < s.Median || s.P95 < s.P90 {
-		t.Error("Summary percentiles not ordered")
-	}
-	if Summarize(nil).N != 0 {
-		t.Error("empty Summarize not zero")
 	}
 }

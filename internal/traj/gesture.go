@@ -55,18 +55,6 @@ func (g GestureKind) Angle() float64 {
 	}
 }
 
-// Gesture builds the motion of one gesture: idle, out-stroke of reach
-// meters, tiny dwell, return stroke, idle. speed is the hand speed.
-func Gesture(rate float64, g GestureKind, center geom.Vec2, reach, speed float64) *Trajectory {
-	b := NewBuilder(rate, geom.Pose{Pos: center})
-	b.Pause(0.4)
-	b.MoveDir(g.Angle(), reach, speed)
-	b.Pause(0.15)
-	b.MoveDir(g.Angle()+math.Pi, reach, speed)
-	b.Pause(0.4)
-	return b.Build()
-}
-
 // GestureSession concatenates a sequence of gestures with idle gaps,
 // returning the trajectory and the sample index ranges of each gesture
 // (start inclusive, end exclusive) for labeling.

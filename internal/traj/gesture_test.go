@@ -10,7 +10,7 @@ import (
 func TestGestureReturnsToCenter(t *testing.T) {
 	center := geom.Vec2{X: 1, Y: 1}
 	for _, g := range AllGestures() {
-		tr := Gesture(200, g, center, 0.25, 0.4)
+		tr, _ := GestureSession(200, []GestureKind{g}, center, 0.25, 0.4)
 		last := tr.Samples[len(tr.Samples)-1].Pose.Pos
 		if last.Dist(center) > 0.02 {
 			t.Errorf("%v did not return: %v", g, last)

@@ -151,21 +151,6 @@ func init() {
 	}
 }
 
-// SupportedLetters returns the letters with stroke definitions.
-func SupportedLetters() []rune {
-	out := make([]rune, 0, len(letterStrokes))
-	for r := range letterStrokes {
-		out = append(out, r)
-	}
-	// Stable order for deterministic experiments.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // LetterPolyline returns the polyline of letter r scaled to size meters and
 // translated to origin (lower-left corner of the glyph box).
 func LetterPolyline(r rune, origin geom.Vec2, size float64) ([]geom.Vec2, error) {
@@ -193,22 +178,6 @@ func Letter(rate float64, r rune, origin geom.Vec2, size, writeSpeed float64) (*
 	b.Pause(0.2)
 	b.FollowPolyline(pts[1:], writeSpeed)
 	b.Pause(0.2)
-	return b.Build(), nil
-}
-
-// Word writes consecutive letters left to right with the given spacing,
-// sliding (pen-down) between glyphs, as the physical array must.
-func Word(rate float64, word string, origin geom.Vec2, size, writeSpeed float64) (*Trajectory, error) {
-	b := NewBuilder(rate, geom.Pose{Pos: origin})
-	advance := size * 1.3
-	for i, r := range word {
-		pts, err := LetterPolyline(r, origin.Add(geom.Vec2{X: float64(i) * advance}), size)
-		if err != nil {
-			return nil, err
-		}
-		b.MoveTo(pts[0], writeSpeed)
-		b.FollowPolyline(pts[1:], writeSpeed)
-	}
 	return b.Build(), nil
 }
 

@@ -7,23 +7,6 @@ import (
 	"rim/internal/geom"
 )
 
-func TestSupportedLettersSortedAndNonEmpty(t *testing.T) {
-	letters := SupportedLetters()
-	if len(letters) != 26 {
-		t.Fatalf("want the full A-Z alphabet, got %d letters", len(letters))
-	}
-	for i := 1; i < len(letters); i++ {
-		if letters[i] <= letters[i-1] {
-			t.Fatal("letters not sorted/unique")
-		}
-	}
-	for _, r := range []rune{'R', 'I', 'M', 'O', 'S'} {
-		if _, err := LetterPolyline(r, geom.Vec2{}, 0.2); err != nil {
-			t.Errorf("letter %q missing: %v", r, err)
-		}
-	}
-}
-
 func TestLetterPolylineScaling(t *testing.T) {
 	pts, err := LetterPolyline('I', geom.Vec2{X: 1, Y: 2}, 0.2)
 	if err != nil {
@@ -55,26 +38,6 @@ func TestLetterTrajectory(t *testing.T) {
 			s.Pose.Pos.Y < -0.1 || s.Pose.Pos.Y > 0.3 {
 			t.Fatalf("stroke escaped glyph box: %v", s.Pose.Pos)
 		}
-	}
-}
-
-func TestWordAdvances(t *testing.T) {
-	tr, err := Word(100, "IM", geom.Vec2{}, 0.2, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second glyph must reach beyond the first glyph's box.
-	maxX := 0.0
-	for _, s := range tr.Samples {
-		if s.Pose.Pos.X > maxX {
-			maxX = s.Pose.Pos.X
-		}
-	}
-	if maxX < 0.25 {
-		t.Errorf("word did not advance: maxX = %v", maxX)
-	}
-	if _, err := Word(100, "A@", geom.Vec2{}, 0.2, 0.2); err == nil {
-		t.Error("unsupported letter in word should error")
 	}
 }
 

@@ -64,19 +64,6 @@ func (tr *Trajectory) Positions() []geom.Vec2 {
 	return out
 }
 
-// HeadingAt returns the ground-truth heading (direction of motion) at
-// sample i and whether the device is moving there.
-func (tr *Trajectory) HeadingAt(i int) (float64, bool) {
-	if i < 0 || i >= len(tr.Samples) {
-		return 0, false
-	}
-	v := tr.Samples[i].Vel
-	if v.Norm() < 1e-6 {
-		return 0, false
-	}
-	return v.Angle(), true
-}
-
 // AddLateralSway perturbs positions with a sinusoidal sway perpendicular to
 // the instantaneous velocity: amplitude meters at freq Hz. It models the
 // hand/cart wobble that makes real retracing deviate from a perfect line

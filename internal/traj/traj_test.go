@@ -17,9 +17,8 @@ func TestLineDistanceAndHeading(t *testing.T) {
 	if !almost(tr.Duration(), 4.0, 0.05) {
 		t.Errorf("duration = %v", tr.Duration())
 	}
-	h, moving := tr.HeadingAt(len(tr.Samples) / 2)
-	if !moving || !almost(h, geom.Rad(30), 1e-9) {
-		t.Errorf("heading = %v moving=%v", geom.Deg(h), moving)
+	if v := tr.Samples[len(tr.Samples)/2].Vel; v.Norm() < 1e-6 || !almost(v.Angle(), geom.Rad(30), 1e-9) {
+		t.Errorf("mid-line velocity = %v, want heading 30 deg", v)
 	}
 	// Orientation never changes on a sideway-capable move.
 	for _, s := range tr.Samples {
@@ -40,9 +39,6 @@ func TestBuilderPause(t *testing.T) {
 		if s.Vel.Norm() != 0 || s.Pose.Pos != (geom.Vec2{}) {
 			t.Fatal("pause must not move")
 		}
-	}
-	if _, moving := tr.HeadingAt(3); moving {
-		t.Error("paused sample reported moving")
 	}
 }
 

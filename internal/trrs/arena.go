@@ -118,8 +118,8 @@ func CheckVirtualMassive(base *Matrix) error {
 	return nil
 }
 
-// CheckAverageMatrices returns the error AverageMatrices would return for
-// ms — no input, a nil input, or inputs that disagree on W, Rate, slot
+// CheckAverageMatrices returns the error AverageMatricesInto would return
+// for ms — no input, a nil input, or inputs that disagree on W, Rate, slot
 // count or row width — without computing the average.
 func CheckAverageMatrices(ms ...*Matrix) error {
 	if len(ms) == 0 {
@@ -168,8 +168,13 @@ func VirtualMassiveInto(a *MatrixArena, base *Matrix, v int) (*Matrix, error) {
 	return out, nil
 }
 
-// AverageMatricesInto is AverageMatrices allocating the result from the
-// arena (nil arena = plain allocation, exactly AverageMatrices).
+// AverageMatricesInto returns the element-wise mean of several equal-shape
+// matrices — the §4.2 augmentation that merges parallel isometric antenna
+// pairs, whose alignment delays are identical — allocated from the arena
+// (nil arena = plain allocation). The result borrows the identity of the
+// first matrix. Matrices that disagree on W, Rate or slot count would
+// silently misindex (or average physically incomparable lags), so any
+// mismatch is reported as an error; an empty input is an error too.
 func AverageMatricesInto(a *MatrixArena, ms ...*Matrix) (*Matrix, error) {
 	if err := CheckAverageMatrices(ms...); err != nil {
 		return nil, err

@@ -115,7 +115,7 @@ func TestVirtualMassiveRangeProperty(t *testing.T) {
 	}
 }
 
-// Property: AverageMatrices of k copies of one matrix is that matrix.
+// Property: AverageMatricesInto of k copies of one matrix is that matrix.
 func TestAverageIdempotentProperty(t *testing.T) {
 	f := func(seed int64, copies uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -127,7 +127,7 @@ func TestAverageIdempotentProperty(t *testing.T) {
 		for i := range ms {
 			ms[i] = m
 		}
-		avg, err := AverageMatrices(ms...)
+		avg, err := AverageMatricesInto(nil, ms...)
 		if err != nil {
 			return false
 		}

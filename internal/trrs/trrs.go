@@ -331,21 +331,6 @@ func (e *Engine) PairMatrix(i, j, w, v int) *Matrix {
 	return m
 }
 
-// AverageMatrices returns the element-wise mean of several equal-shape
-// matrices — the §4.2 augmentation that merges parallel isometric antenna
-// pairs, whose alignment delays are identical. The result borrows the
-// identity of the first matrix. Matrices that disagree on W, Rate or slot
-// count would silently misindex (or average physically incomparable lags),
-// so any mismatch is reported as an error; an empty input is an error too.
-func AverageMatrices(ms ...*Matrix) (*Matrix, error) {
-	// Delegation note: AverageMatricesInto initializes each output row by
-	// copying the first input instead of accumulating onto zeros. For the
-	// non-negative values TRRS matrices hold, x and 0+x are bit-identical,
-	// so the two formulations produce the same matrices (pinned by the
-	// golden suites).
-	return AverageMatricesInto(nil, ms...)
-}
-
 // SelfSeries returns the movement-detection series of §4.1 for antenna i:
 // s[t] = virtual-massive TRRS between antenna i at slot t and itself
 // lagSlots earlier, averaged over a window of v snapshots. Slots earlier

@@ -167,7 +167,7 @@ func TestVirtualMassiveVLE1IsCopy(t *testing.T) {
 func TestAverageMatrices(t *testing.T) {
 	a := &Matrix{W: 1, Rate: 10, Vals: [][]float64{{1, 2, 3}}}
 	b := &Matrix{W: 1, Rate: 10, Vals: [][]float64{{3, 4, 5}}}
-	avg, err := AverageMatrices(a, b)
+	avg, err := AverageMatricesInto(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestAverageMatrices(t *testing.T) {
 			t.Errorf("avg[0][%d] = %v", c, avg.Vals[0][c])
 		}
 	}
-	if _, err := AverageMatrices(); err == nil {
+	if _, err := AverageMatricesInto(nil); err == nil {
 		t.Error("empty average must error")
 	}
 }
@@ -194,11 +194,11 @@ func TestAverageMatricesValidation(t *testing.T) {
 		"nil input":           nil,
 	}
 	for name, bad := range cases {
-		if _, err := AverageMatrices(ok, bad); err == nil {
+		if _, err := AverageMatricesInto(nil, ok, bad); err == nil {
 			t.Errorf("%s: want error, got none", name)
 		}
 	}
-	if _, err := AverageMatrices(ok, ok); err != nil {
+	if _, err := AverageMatricesInto(nil, ok, ok); err != nil {
 		t.Errorf("matching inputs must not error: %v", err)
 	}
 }

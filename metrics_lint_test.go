@@ -45,7 +45,7 @@ func TestRepoMetricNamesLint(t *testing.T) {
 
 	// Session layer: plain handles plus labeled families; resolve one child
 	// per family so each renders into the snapshot.
-	m := session.NewMetrics(reg)
+	m := session.NewMetricsCap(reg, 0)
 	m.Shed.With("breaker", "0").Add(0)
 	for _, f := range []*obs.CounterFamily{
 		m.Restarts, m.Quarantined, m.Frames, m.Dropped, m.Rejected,
