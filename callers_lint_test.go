@@ -20,7 +20,6 @@ var callerlessKeep = map[string]string{
 	"sigproc.Normalize":            "reference implementation NormalizeSoA's tests compare against",
 	"sigproc.InnerProduct":         "reference implementation the SoA kernels' and TRRS tests compare against",
 	"obs.LintMetricNames":          "the metric-naming lint in metrics_lint_test.go runs it",
-	"obs/quality.Monitor.NEES":     "consistency channel for runs with known truth; no simulation feeds it yet, removing it is a separate decision",
 	"sigproc.VecSupported":         "tests gate the AVX2 paths on it",
 	"sigproc.FFT":                  "CIR-tap TRRS (ROADMAP item 1) measures tap energy with it",
 	"sigproc.IFFT":                 "CIR-tap TRRS (ROADMAP item 1) measures tap energy with it",
@@ -61,26 +60,8 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 	var decls []decl
 	used := map[string]bool{}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	walkNonTestGo(t, fset, func(dir string, f *ast.File) {
 		declNames := map[*ast.Ident]bool{}
-		dir := filepath.ToSlash(filepath.Dir(path))
 		for _, dd := range f.Decls {
 			fd, ok := dd.(*ast.FuncDecl)
 			if !ok {
@@ -106,11 +87,7 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(decls) < 100 {
 		t.Fatalf("only %d exported declarations found under internal/; the walk lost its way", len(decls))
 	}
@@ -135,6 +112,124 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 		sort.Strings(unused)
 		t.Fatalf("delete what no non-test file calls, or give it a keep-list reason:\n  %s",
 			strings.Join(unused, "\n  "))
+	}
+}
+
+// setterlessKeep lists the exported fields of core.Config and
+// core.StreamConfig that no non-test file outside internal/core sets yet
+// stay, each with its reason. Keys are the type, then the field.
+var setterlessKeep = map[string]string{
+	"Config.Movement": "daemonbench reads it from DefaultConfig; it goes once the benchmark runs the daemon's own assembly (ROADMAP item 7)",
+}
+
+// TestConfigFieldsHaveSetters fails when an exported field of core.Config
+// or core.StreamConfig is set by no non-test file outside internal/core —
+// neither as a composite-literal key nor as the selector on the left of an
+// assignment — unless setterlessKeep gives it a reason: a knob only the
+// package's own defaults and tests set is a constant. Like
+// TestExportedFuncsHaveCallers it matches by identifier, so a same-named
+// field of another struct counts as a setter. A keep-list entry whose
+// field gains a setter, or is gone, fails too.
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	fields := map[string]string{} // "Type.Field" → field name
+	set := map[string]bool{}
+	walkNonTestGo(t, token.NewFileSet(), func(dir string, f *ast.File) {
+		if dir == "internal/core" {
+			for _, dd := range f.Decls {
+				gd, ok := dd.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, sp := range gd.Specs {
+					ts, ok := sp.(*ast.TypeSpec)
+					if !ok || (ts.Name.Name != "Config" && ts.Name.Name != "StreamConfig") {
+						continue
+					}
+					for _, fl := range ts.Type.(*ast.StructType).Fields.List {
+						for _, id := range fl.Names {
+							if id.IsExported() {
+								fields[ts.Name.Name+"."+id.Name] = id.Name
+							}
+						}
+					}
+				}
+			}
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CompositeLit:
+				for _, el := range x.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set[id.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	})
+	if fields["Config.WindowSeconds"] == "" || fields["StreamConfig.HopSeconds"] == "" {
+		t.Fatal("core.Config or core.StreamConfig not found; the walk lost its way")
+	}
+
+	var bad []string
+	for key, name := range fields {
+		switch kept := setterlessKeep[key] != ""; {
+		case !set[name] && !kept:
+			bad = append(bad, key)
+		case set[name] && kept:
+			bad = append(bad, key+": on the keep-list but set outside internal/core; drop the entry")
+		}
+	}
+	for k := range setterlessKeep {
+		if fields[k] == "" {
+			bad = append(bad, k+": on the keep-list but not declared")
+		}
+	}
+	if len(bad) > 0 {
+		sort.Strings(bad)
+		t.Fatalf("make a config field no caller sets a constant, or give it a keep-list reason:\n  %s",
+			strings.Join(bad, "\n  "))
+	}
+}
+
+// walkNonTestGo parses every non-test Go file of the repository (cmd/,
+// examples/ and daemonbench/ included; hidden, underscore and testdata
+// directories skipped) and hands it to visit with its slash-separated
+// directory.
+func walkNonTestGo(t *testing.T, fset *token.FileSet, visit func(dir string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(filepath.Dir(path)), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

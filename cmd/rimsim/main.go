@@ -206,11 +206,11 @@ func analyze(path string, dbg *debugState) {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := core.DefaultConfig(arr)
+	scale := experiments.Full
 	if series.Rate <= 120 {
-		cfg.WindowSeconds = 0.3
-		cfg.V = 16
+		scale = experiments.Fast
 	}
+	cfg := experiments.CoreConfig(scale, arr)
 	cfg.Obs = dbg.reg
 	cfg.Trace = dbg.rec
 	res, err := core.ProcessSeries(series, cfg)

@@ -169,9 +169,7 @@ func main() {
 		os.Exit(1)
 	}
 	health.ingest(series)
-	cfg := core.DefaultConfig(arr)
-	cfg.WindowSeconds = 0.3
-	cfg.V = 16
+	cfg := experiments.CoreConfig(experiments.Fast, arr)
 	cfg.Kernel = kernel
 	cfg.Precision = precision
 	cfg.Obs = reg
@@ -198,9 +196,7 @@ func main() {
 			os.Exit(1)
 		}
 		health.ingest(series)
-		cfg = core.DefaultConfig(arr3)
-		cfg.WindowSeconds = 0.3
-		cfg.V = 16
+		cfg = experiments.CoreConfig(experiments.Fast, arr3)
 		cfg.Kernel = kernel
 		cfg.Precision = precision
 		cfg.Obs = reg

@@ -35,29 +35,17 @@ type Config struct {
 	// V is the number of virtual massive antennas (default 30; the paper
 	// recommends ≥30 at 200 Hz).
 	V int
-	// Movement, Track, PreDetect and PostCheck tune the §4.1–4.3 stages.
-	Movement  align.MovementConfig
-	Track     align.TrackConfig
-	PreDetect align.PreDetectConfig
-	PostCheck align.PostCheckConfig
+	// Movement tunes the §4.1 movement detector. The §4.2–4.3 tracking,
+	// pre-detection and post-check use align's defaults.
+	Movement align.MovementConfig
 	// MinSegmentSeconds discards movement segments shorter than this.
 	MinSegmentSeconds float64
-	// ZUPTMinSeconds discards zero-velocity intervals shorter than this
-	// (default 0.2 s): a static run must persist before it is trusted as a
-	// zero-velocity pseudo-measurement (see zupt.go).
-	ZUPTMinSeconds float64
 	// HeadingWindowSeconds is the duration of the sub-windows within a
 	// movement segment over which the winning pair group (and hence the
 	// heading) is re-selected. Curved strokes and sideway course changes
 	// switch aligned pairs mid-segment; shorter windows track them at the
 	// cost of less DP context (default 0.8 s).
 	HeadingWindowSeconds float64
-	// SpeedSmoothHalf is the half-width (slots) of the speed moving
-	// average (default rate/20).
-	SpeedSmoothHalf int
-	// RotationMinRingFrac is the fraction of adjacent-ring pairs that must
-	// pass pre-detection simultaneously to declare an in-place rotation.
-	RotationMinRingFrac float64
 	// ContinuousHeading enables the §7 "angle resolution" extension: the
 	// winning direction is refined between the array's discrete direction
 	// set by comparing the alignment quality of the angularly adjacent
@@ -67,9 +55,6 @@ type Config struct {
 	// DisablePairAveraging turns off the §4.2 parallel-pair matrix
 	// averaging (ablation).
 	DisablePairAveraging bool
-	// NaivePeakPicking replaces the dynamic-programming tracker with the
-	// per-column argmax (ablation).
-	NaivePeakPicking bool
 	// Kernel selects the TRRS inner-product kernel (see trrs.Kernel).
 	// DefaultConfig selects trrs.KernelVector, the lag-sweep kernel
 	// (AVX2+FMA where supported, 1e-12-relative agreement, parity with
@@ -172,9 +157,10 @@ func (cfg *Config) logger() *slog.Logger {
 }
 
 // applyDefaults fills unset tuning fields with the paper's operating
-// point. Both the batch and the streaming constructors run it, so the two
-// paths analyze with identical parameters.
-func (cfg *Config) applyDefaults(rate float64) {
+// point; it is the one table of that point. The batch pipeline, the
+// streamer and DefaultConfig all run it, so every path analyzes with
+// identical parameters.
+func (cfg *Config) applyDefaults() {
 	if cfg.WindowSeconds <= 0 {
 		cfg.WindowSeconds = 0.5
 	}
@@ -184,35 +170,38 @@ func (cfg *Config) applyDefaults(rate float64) {
 	if cfg.MinSegmentSeconds <= 0 {
 		cfg.MinSegmentSeconds = 0.25
 	}
-	if cfg.ZUPTMinSeconds <= 0 {
-		cfg.ZUPTMinSeconds = 0.2
-	}
 	if cfg.HeadingWindowSeconds <= 0 {
 		cfg.HeadingWindowSeconds = 0.8
 	}
-	if cfg.RotationMinRingFrac <= 0 {
-		cfg.RotationMinRingFrac = 0.8
-	}
-	if cfg.SpeedSmoothHalf <= 0 {
-		cfg.SpeedSmoothHalf = int(rate / 20)
-	}
-	// The align-layer sub-configs must not stay zero: a zero
-	// MovementConfig.Threshold makes the movement trigger unreachable, so
-	// every slot reads static and downstream consumers (ZUPT extraction,
-	// fusion backends) see a device that never moves.
+	// A zero MovementConfig.Threshold makes the movement trigger
+	// unreachable, so every slot reads static and downstream consumers
+	// (ZUPT extraction, fusion backends) see a device that never moves.
 	if cfg.Movement == (align.MovementConfig{}) {
 		cfg.Movement = align.DefaultMovementConfig()
 	}
-	if cfg.Track == (align.TrackConfig{}) {
-		cfg.Track = align.DefaultTrackConfig()
-	}
-	if cfg.PreDetect == (align.PreDetectConfig{}) {
-		cfg.PreDetect = align.DefaultPreDetectConfig()
-	}
-	if cfg.PostCheck == (align.PostCheckConfig{}) {
-		cfg.PostCheck = align.DefaultPostCheckConfig()
-	}
 }
+
+// releaseLevel is the movement indicator level at or above which a slot
+// reads static: the hysteresis release level, never below the trigger.
+// cfg must have defaults applied.
+func (cfg *Config) releaseLevel() float64 {
+	return max(cfg.Movement.ReleaseThreshold, cfg.Movement.Threshold)
+}
+
+// Fixed reckoning parameters of the paper's operating point.
+const (
+	// zuptMinSeconds discards zero-velocity intervals shorter than this:
+	// a static run must persist before it is trusted as a zero-velocity
+	// pseudo-measurement (see zupt.go).
+	zuptMinSeconds = 0.2
+	// rotationMinRingFrac is the fraction of adjacent-ring pairs that must
+	// agree on one alignment lag to declare an in-place rotation.
+	rotationMinRingFrac = 0.8
+)
+
+// speedSmoothHalf is the half-width (slots) of the speed moving average:
+// 50 ms either side.
+func speedSmoothHalf(rate float64) int { return int(rate / 20) }
 
 // windowSlots converts the one-sided lag window to slots (min 3).
 func windowSlots(windowSeconds, rate float64) int {
@@ -223,21 +212,12 @@ func windowSlots(windowSeconds, rate float64) int {
 	return w
 }
 
-// DefaultConfig returns the paper's operating point for the given array.
+// DefaultConfig returns the paper's operating point for the given array,
+// with the vector TRRS kernel.
 func DefaultConfig(arr *array.Array) Config {
-	return Config{
-		Array:                arr,
-		WindowSeconds:        0.5,
-		V:                    30,
-		Movement:             align.DefaultMovementConfig(),
-		Track:                align.DefaultTrackConfig(),
-		PreDetect:            align.DefaultPreDetectConfig(),
-		PostCheck:            align.DefaultPostCheckConfig(),
-		MinSegmentSeconds:    0.25,
-		HeadingWindowSeconds: 0.8,
-		RotationMinRingFrac:  0.8,
-		Kernel:               trrs.KernelVector,
-	}
+	cfg := Config{Array: arr, Kernel: trrs.KernelVector}
+	cfg.applyDefaults()
+	return cfg
 }
 
 // MotionKind classifies a movement segment.
@@ -431,7 +411,7 @@ func NewPipeline(s *csi.Series, cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("core: array has %d antennas but series has %d",
 			cfg.Array.NumAntennas(), s.NumAnts)
 	}
-	cfg.applyDefaults(s.Rate)
+	cfg.applyDefaults()
 	eng := trrs.NewEnginePrecision(s, cfg.Precision)
 	eng.SetKernel(cfg.Kernel)
 	eng.SetObs(cfg.Obs)
@@ -658,18 +638,14 @@ func (p *Pipeline) Process() *Result {
 		res.MovementIndicator, p.fastInd = align.MovementIndicators(p.eng, p.cfg.Movement)
 		moving = align.ThresholdWithHysteresis(res.MovementIndicator, p.cfg.Movement)
 		p.moving = moving
-		release := p.cfg.Movement.ReleaseThreshold
-		if release < p.cfg.Movement.Threshold {
-			release = p.cfg.Movement.Threshold
-		}
+		release := p.cfg.releaseLevel()
 		p.movingSoft = make([]bool, len(res.MovementIndicator))
 		for t, v := range res.MovementIndicator {
 			p.movingSoft[t] = v < release
 		}
 		movementSpan.End()
 		movementTrace.End()
-		res.ZUPTs = p.extractZUPTs(res.MovementIndicator, release,
-			int(p.cfg.ZUPTMinSeconds*rate))
+		res.ZUPTs = p.extractZUPTs(res.MovementIndicator, release, int(zuptMinSeconds*rate))
 		p.emitZUPTs(res.ZUPTs, hop)
 	}
 	res.Estimates = make([]Estimate, slots)

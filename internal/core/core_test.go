@@ -57,7 +57,7 @@ func TestDerivedInputsValidatedAtConstruction(t *testing.T) {
 	for _, arr := range []*array.Array{array.NewLinear3(spacing), array.NewHexagonal(spacing)} {
 		s := buildSeries(t, tr, arr, 1)
 		cfg := fastConfig(arr)
-		cfg.applyDefaults(s.Rate)
+		cfg.applyDefaults()
 		eng := trrs.NewEngine(s)
 		w := windowSlots(cfg.WindowSeconds, s.Rate)
 		groups, ring := pairGeometry(arr)
@@ -315,29 +315,20 @@ func TestHelpers(t *testing.T) {
 }
 
 // TestApplyDefaultsFillsAlignConfigs pins the defaulting of the align-layer
-// sub-configs: a caller that hand-rolls Config{Array: ...} (as the daemon
+// movement config: a caller that hand-rolls Config{Array: ...} (as the daemon
 // factory does) must still analyze at the paper's operating point. A zero
 // MovementConfig in particular has Threshold 0, which makes the movement
 // trigger unreachable — every slot reads static and fusion never moves.
 func TestApplyDefaultsFillsAlignConfigs(t *testing.T) {
 	var cfg Config
-	cfg.applyDefaults(100)
+	cfg.applyDefaults()
 	if cfg.Movement != align.DefaultMovementConfig() {
 		t.Errorf("Movement = %+v, want defaults", cfg.Movement)
-	}
-	if cfg.Track != align.DefaultTrackConfig() {
-		t.Errorf("Track = %+v, want defaults", cfg.Track)
-	}
-	if cfg.PreDetect != align.DefaultPreDetectConfig() {
-		t.Errorf("PreDetect = %+v, want defaults", cfg.PreDetect)
-	}
-	if cfg.PostCheck != align.DefaultPostCheckConfig() {
-		t.Errorf("PostCheck = %+v, want defaults", cfg.PostCheck)
 	}
 
 	// Explicit settings survive: only the fully-zero structs are filled.
 	tuned := Config{Movement: align.MovementConfig{Threshold: 0.7, LagSeconds: 0.05}}
-	tuned.applyDefaults(100)
+	tuned.applyDefaults()
 	if tuned.Movement.Threshold != 0.7 {
 		t.Errorf("explicit Movement overwritten: %+v", tuned.Movement)
 	}

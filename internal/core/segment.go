@@ -6,7 +6,6 @@ import (
 	"rim/internal/align"
 	"rim/internal/geom"
 	"rim/internal/sigproc"
-	"rim/internal/trrs"
 )
 
 // processSegment classifies and measures one movement segment, filling the
@@ -31,7 +30,7 @@ func (p *Pipeline) tryRotation(start, end int, res *Result) (bool, SegmentResult
 	// all of them share one consistent alignment delay (the time to
 	// rotate by 2π/m). So: track every ring pair over the settled part of
 	// the segment, keep those passing the post-check, and demand that at
-	// least RotationMinRingFrac of the ring agrees on one lag.
+	// least rotationMinRingFrac of the ring agrees on one lag.
 	rate := p.eng.Rate()
 	dt := 1 / rate
 	n := end - start
@@ -47,13 +46,13 @@ func (p *Pipeline) tryRotation(start, end int, res *Result) (bool, SegmentResult
 	// then, and run the settled-region probes only once enough have
 	// passed. Nothing is written to res before the consistency test, so
 	// the early exits return exactly what the full test would.
-	need := p.cfg.RotationMinRingFrac * float64(len(p.ring))
+	need := rotationMinRingFrac * float64(len(p.ring))
 	var confs []float64
 	tracks := make([]*align.Track, 0, len(p.ring))
 	ringIdx := make([]int, 0, len(p.ring))
 	for k, gm := range p.ring {
-		tr := p.trackMatrix(gm.m, start, end)
-		if conf := align.PostCheck(tr, p.cfg.PostCheck); conf != 0 {
+		tr := align.TrackPeaks(gm.m, start, end, align.DefaultTrackConfig())
+		if conf := align.PostCheck(tr, align.DefaultPostCheckConfig()); conf != 0 {
 			tracks = append(tracks, tr)
 			ringIdx = append(ringIdx, k)
 			confs = append(confs, conf)
@@ -69,7 +68,7 @@ func (p *Pipeline) tryRotation(start, end int, res *Result) (bool, SegmentResult
 	settled := start + (end-start)/4 // skip the blind first quarter
 	medLags := make([]float64, len(tracks))
 	for i, k := range ringIdx {
-		medLags[i] = p.trackMatrix(p.ring[k].m, settled, end).MedianLag()
+		medLags[i] = align.TrackPeaks(p.ring[k].m, settled, end, align.DefaultTrackConfig()).MedianLag()
 	}
 	gmed := sigproc.Median(medLags)
 	if math.Abs(gmed) < 2 {
@@ -86,7 +85,7 @@ func (p *Pipeline) tryRotation(start, end int, res *Result) (bool, SegmentResult
 			confSum += confs[i]
 		}
 	}
-	if float64(consistent) < p.cfg.RotationMinRingFrac*float64(len(p.ring)) {
+	if float64(consistent) < rotationMinRingFrac*float64(len(p.ring)) {
 		return false, SegmentResult{}
 	}
 	tracks = keep
@@ -121,7 +120,7 @@ func (p *Pipeline) tryRotation(start, end int, res *Result) (bool, SegmentResult
 		}
 	}
 	angVel = sigproc.MedianFilter(angVel, 3)
-	angVel = sigproc.MovingAverage(angVel, p.cfg.SpeedSmoothHalf)
+	angVel = sigproc.MovingAverage(angVel, speedSmoothHalf(rate))
 	var angle float64
 	for k := range angVel {
 		if p.movingSoft != nil && !p.movingSoft[start+k] {
@@ -150,21 +149,6 @@ func (p *Pipeline) tryRotation(start, end int, res *Result) (bool, SegmentResult
 	}
 }
 
-// trackMatrix runs either the DP tracker or the naive argmax (ablation).
-func (p *Pipeline) trackMatrix(m *trrs.Matrix, start, end int) *align.Track {
-	if !p.cfg.NaivePeakPicking {
-		return align.TrackPeaks(m, start, end, p.cfg.Track)
-	}
-	lags, vals := m.ColumnMax()
-	tr := &align.Track{I: m.I, J: m.J, Start: start, End: end}
-	tr.Lags = append(tr.Lags, lags[start:end]...)
-	tr.Vals = append(tr.Vals, vals[start:end]...)
-	for _, v := range tr.Vals {
-		tr.Score += v
-	}
-	return tr
-}
-
 // candidate is one pair group's tracked alignment over a window.
 type candidate struct {
 	gm    groupMatrix
@@ -177,11 +161,11 @@ type candidate struct {
 func (p *Pipeline) chooseCandidates(w0, w1 int) map[int]*candidate {
 	out := map[int]*candidate{}
 	for gi, gm := range p.groups {
-		if _, ok := align.PreDetect(gm.m, w0, w1, p.cfg.PreDetect); !ok {
+		if _, ok := align.PreDetect(gm.m, w0, w1, align.DefaultPreDetectConfig()); !ok {
 			continue
 		}
-		tr := p.trackMatrix(gm.m, w0, w1)
-		conf := align.PostCheck(tr, p.cfg.PostCheck)
+		tr := align.TrackPeaks(gm.m, w0, w1, align.DefaultTrackConfig())
+		conf := align.PostCheck(tr, align.DefaultPostCheckConfig())
 		if conf == 0 {
 			continue
 		}
@@ -276,8 +260,8 @@ func (p *Pipeline) translate(start, end int, res *Result) SegmentResult {
 			// pre-detection in this window, a solid tracked path counts.
 			dc, ok := win.cands[domGroup]
 			if !ok {
-				tr := p.trackMatrix(p.groups[domGroup].m, w0, w1)
-				if conf := align.PostCheck(tr, p.cfg.PostCheck); conf > 0 {
+				tr := align.TrackPeaks(p.groups[domGroup].m, w0, w1, align.DefaultTrackConfig())
+				if conf := align.PostCheck(tr, align.DefaultPostCheckConfig()); conf > 0 {
 					dc, ok = &candidate{gm: p.groups[domGroup], track: tr, conf: conf}, true
 				}
 			}
@@ -356,7 +340,7 @@ func (p *Pipeline) translate(start, end int, res *Result) SegmentResult {
 			headPos[k] = lagSm[kk] >= 0
 		}
 		speed = sigproc.MedianFilter(speed, 3)
-		speed = sigproc.MovingAverage(speed, p.cfg.SpeedSmoothHalf)
+		speed = sigproc.MovingAverage(speed, speedSmoothHalf(rate))
 		// Gate on the permissive movement flag: Segments bridges short
 		// detector dropouts so tracking stays continuous, but a slot
 		// that looks genuinely static must not accrue distance. Also

@@ -293,13 +293,10 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 	if cfg.HopSeconds <= 0 {
 		cfg.HopSeconds = 0.5
 	}
+	// Default the pipeline config once, so the streamer, the per-hop
+	// analysis and the incremental engine all read the same operating point.
+	cfg.Core.applyDefaults()
 	w := cfg.Core.WindowSeconds
-	if w <= 0 {
-		w = 0.5
-	}
-	// Pin the defaulted window so the streamer, the per-hop analysis and
-	// the incremental engine all agree on W.
-	cfg.Core.WindowSeconds = w
 	if cfg.SpanSeconds < 3*w {
 		cfg.SpanSeconds = 3 * w
 	}
@@ -787,10 +784,7 @@ func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error)
 	// hysteresis release level contradicts the zero-velocity evidence
 	// (the static run the ZUPT extractor would trust) and counts as a
 	// bad outcome — and alignment residuals of resolved slots.
-	release := st.cfg.Core.Movement.ReleaseThreshold
-	if release < st.cfg.Core.Movement.Threshold {
-		release = st.cfg.Core.Movement.Threshold
-	}
+	release := st.cfg.Core.releaseLevel()
 	var kappaSum float64
 	var kappaN, contradictions int
 	dt := 1 / st.rate
@@ -829,8 +823,7 @@ func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error)
 				kappaN++
 			}
 			if e.Moving {
-				contra := release > 0 && local < len(res.MovementIndicator) &&
-					res.MovementIndicator[local] >= release
+				contra := local < len(res.MovementIndicator) && res.MovementIndicator[local] >= release
 				if contra {
 					contradictions++
 				}
@@ -953,7 +946,6 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 		return ProcessSeries(s, cfg)
 	}
 
-	cfg.applyDefaults(st.rate)
 	cfg.emitLo, cfg.emitHi = emitLo, emitHi
 	eng, err := st.inc.EngineView(alive)
 	if err != nil {

@@ -134,18 +134,9 @@ func BenchmarkStreamerIncremental(b *testing.B) {
 	benchReplay(b, s, cfg)
 }
 
-// BenchmarkStreamerHop is the hot-path baseline for the observability
-// overhead guard (TestObsOverheadGuard at the repo root): the default
-// incremental streamer with a nil registry, i.e. every instrumentation
-// hook reduced to its nil check.
-func BenchmarkStreamerHop(b *testing.B) {
-	s := benchStreamSeries(b)
-	cfg := StreamConfig{Core: DefaultConfig(array.NewLinear3(0.029))}
-	benchReplay(b, s, cfg)
-}
-
-// BenchmarkStreamerHopObserved is the same replay with a live metrics
-// registry attached — the cost of observability when it is switched on.
+// BenchmarkStreamerHopObserved is BenchmarkStreamerIncremental's replay with
+// a live metrics registry attached — the cost of observability when it is
+// switched on.
 func BenchmarkStreamerHopObserved(b *testing.B) {
 	s := benchStreamSeries(b)
 	cfg := StreamConfig{Core: DefaultConfig(array.NewLinear3(0.029))}

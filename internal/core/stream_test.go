@@ -7,6 +7,7 @@ import (
 	"rim/internal/array"
 	"rim/internal/geom"
 	"rim/internal/traj"
+	"rim/internal/trrs"
 )
 
 func streamConfig(arr *array.Array) StreamConfig {
@@ -42,6 +43,24 @@ func TestStreamerValidation(t *testing.T) {
 	}
 	if _, err := st.Push(bad); err == nil {
 		t.Error("wrong tone count must error")
+	}
+}
+
+// TestStreamerReleaseLevelDefaulted: a streamer built from the config shape
+// the daemon uses (Array, window and kernel only, no DefaultConfig) judges
+// ZUPT contradictions against the paper's release level, as DefaultConfig
+// does, not against the zero MovementConfig's level 0.
+func TestStreamerReleaseLevelDefaulted(t *testing.T) {
+	arr := array.NewHexagonal(spacing)
+	st, err := NewStreamer(StreamConfig{
+		Core: Config{Array: arr, WindowSeconds: 0.3, Kernel: trrs.KernelVector},
+	}, 100, arr.NumAntennas(), 3, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := DefaultConfig(arr)
+	if got, want := st.cfg.Core.releaseLevel(), def.releaseLevel(); got != want || want != 0.86 {
+		t.Errorf("stream release level = %v, want %v (DefaultConfig) = 0.86", got, want)
 	}
 }
 

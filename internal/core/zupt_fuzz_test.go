@@ -43,7 +43,6 @@ func FuzzZUPTIntervals(f *testing.F) {
 		series := buildFaultySeries(t, tr, arr, seed, fm)
 
 		cfg := fastConfig(arr)
-		cfg.ZUPTMinSeconds = 0.2
 		res, err := ProcessSeries(series, cfg)
 		if err != nil {
 			// A fault combination the pipeline rejects outright is fine —
@@ -51,7 +50,7 @@ func FuzzZUPTIntervals(f *testing.F) {
 			return
 		}
 		checkEstimatesSane(t, res.Estimates)
-		minLen := int(cfg.ZUPTMinSeconds * rate)
+		minLen := int(zuptMinSeconds * rate)
 		checkZUPTInvariants(t, res.ZUPTs, len(res.Estimates), minLen)
 		for _, z := range res.ZUPTs {
 			if math.IsNaN(z.Confidence) {

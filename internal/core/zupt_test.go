@@ -88,10 +88,7 @@ func TestZUPTIntervalsOnPauseWalk(t *testing.T) {
 	}
 
 	slots := len(res.Estimates)
-	minLen := int(cfg.ZUPTMinSeconds * rate)
-	if minLen < 1 {
-		minLen = 20 // applyDefaults: 0.2 s at 100 Hz
-	}
+	minLen := int(zuptMinSeconds * rate)
 	checkZUPTInvariants(t, res.ZUPTs, slots, minLen)
 	if len(res.ZUPTs) < 2 {
 		t.Fatalf("ZUPT intervals = %v, want the two pauses", res.ZUPTs)

@@ -18,9 +18,7 @@
 // trace.ReasonQualityBreach flight-recorder capture, so the statistical
 // breach arrives with the causal trace that explains it.
 //
-// When simulation ground truth is available the same machinery monitors
-// NEES (eᵀP⁻¹e against the true state error, chi-square(dim e)); the
-// particle filter, which has no innovations, is monitored through its
+// The particle filter, which has no innovations, is monitored through its
 // effective sample size and weight entropy. A confidence-calibration
 // accumulator (calibration.go) bins reported estimate Confidence against
 // realized outcomes into a reliability curve.
@@ -115,7 +113,7 @@ func (e *Engine) minSamples() int {
 	return max(e.cfg.Window/4, 1)
 }
 
-// nisBuckets bound the band-relative NIS/NEES histograms: 1.0 is the band
+// nisBuckets bound the band-relative NIS histograms: 1.0 is the band
 // edge, so everything above the 1 bucket is band leakage.
 var nisBuckets = []float64{0.05, 0.1, 0.25, 0.5, 0.75, 1, 2, 5, 10, 25, 100}
 
@@ -167,7 +165,7 @@ func New(cfg Config) *Engine {
 			"consistency samples outside their chi-square acceptance band",
 			obs.FamilyOpts{Labels: []string{"channel"}})
 		e.samplesC = r.Counter("rim_quality_samples_total",
-			"consistency samples (innovations, NEES points, PF steps) checked against a band")
+			"consistency samples (innovations, PF steps) checked against a band")
 		e.stateG = r.GaugeFamily("rim_quality_state",
 			"per-entity consistency verdict: 0 ok, 1 warn, 2 alert",
 			obs.FamilyOpts{Labels: []string{"entity"}})
@@ -362,7 +360,6 @@ type Monitor struct {
 
 	mu    sync.Mutex
 	chans [maxInnovChans]*chanWindow
-	nees  *chanWindow
 	pf    *chanWindow
 	state State
 }
@@ -414,9 +411,6 @@ func (m *Monitor) worstLocked() State {
 			worst = w.state
 		}
 	}
-	if m.nees != nil && m.nees.state > worst {
-		worst = m.nees.state
-	}
 	if m.pf != nil && m.pf.state > worst {
 		worst = m.pf.state
 	}
@@ -445,26 +439,6 @@ func (m *Monitor) Innovation(ch int, name string, nu, s float64) {
 	}
 	w.nisH.Observe(nis / bound)
 	fire := m.observe(w, nis > bound)
-	m.mu.Unlock()
-	if fire != nil {
-		fire()
-	}
-}
-
-// NEES records one Normalized Estimation Error Squared sample against
-// ground truth (eᵀP⁻¹e, chi-square(dof) when the covariance is honest).
-// Only meaningful in simulation, where the true state is known.
-func (m *Monitor) NEES(nees float64, dof int) {
-	if m == nil || nees < 0 {
-		return
-	}
-	bound := ChiSquareUpper(dof)
-	m.mu.Lock()
-	if m.nees == nil {
-		m.nees = m.window("nees")
-	}
-	m.nees.nisH.Observe(nees / bound)
-	fire := m.observe(m.nees, nees > bound)
 	m.mu.Unlock()
 	if fire != nil {
 		fire()
@@ -523,7 +497,6 @@ func (m *Monitor) Summary() (state State, worstFrac float64, samples uint64) {
 	for _, w := range m.chans {
 		each(w)
 	}
-	each(m.nees)
 	each(m.pf)
 	return m.state, worstFrac, samples
 }
@@ -573,7 +546,6 @@ func (m *Monitor) snapshot() EntitySnapshot {
 	for _, w := range m.chans {
 		add(w)
 	}
-	add(m.nees)
 	add(m.pf)
 	return es
 }

@@ -21,7 +21,6 @@ func TestNilEngineNoOps(t *testing.T) {
 		t.Fatalf("nil engine handed out a non-nil monitor")
 	}
 	m.Innovation(0, "zupt_speed", 1, 1)
-	m.NEES(3, 2)
 	m.PFStep(0.5, 0.5)
 	if st := m.State(); st != StateOK {
 		t.Fatalf("nil monitor state = %v", st)
@@ -177,26 +176,6 @@ func TestSlipChannelNeverTrips(t *testing.T) {
 	}
 }
 
-// TestNEESBand: NEES beyond the chi-square(dof) bound trips; within
-// stays quiet.
-func TestNEESBand(t *testing.T) {
-	e := New(Config{})
-	m := e.Monitor("sim")
-	for i := 0; i < 64; i++ {
-		m.NEES(1.0, 2) // well inside the dof-2 bound 5.991
-	}
-	if st := m.State(); st != StateOK {
-		t.Fatalf("in-band NEES tripped to %v", st)
-	}
-	m2 := e.Monitor("sim-bad")
-	for i := 0; i < 64; i++ {
-		m2.NEES(40.0, 2)
-	}
-	if st := m2.State(); st != StateAlert {
-		t.Fatalf("40x NEES state = %v, want alert", st)
-	}
-}
-
 // TestPFDegeneracyTrips: a collapsed particle cloud (ESS below PFLowESS)
 // must alert; a healthy cloud must not.
 func TestPFDegeneracyTrips(t *testing.T) {
@@ -339,7 +318,6 @@ func TestEngineMetricsRegistered(t *testing.T) {
 	e := New(Config{Obs: reg})
 	m := e.Monitor("s1")
 	m.Innovation(0, "zupt_speed", 10, 0.001)
-	m.NEES(2, 2)
 	m.PFStep(0.5, 0.8)
 	e.ObserveKappa(0.9)
 	e.ObserveSharpness(0.7)

@@ -66,7 +66,6 @@ func TestRepoMetricNamesLint(t *testing.T) {
 		qmon.Innovation(0, "zupt_speed", 10, 1) // NIS 100: far outside band
 		qmon.PFStep(0.5, 0.9)
 	}
-	qmon.NEES(1, 2)
 	qeng.ObserveKappa(0.5)
 	qeng.ObserveSharpness(0.8)
 	qeng.ObserveAlignResidual(0.1)
