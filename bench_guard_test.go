@@ -218,7 +218,7 @@ func guardRatio(target float64, rounds, perRound int, oldF, newF func()) (ratio 
 
 // guardHop builds the incremental fixture and returns a closure running one
 // steady-state hop (append W, drop W, refresh), already warmed far enough
-// to have settled both ping-pong generations and one ring compaction.
+// to have settled the matrix ring and one CSI ring compaction.
 func guardHop(tb testing.TB, s *csi.Series, w int) func() {
 	tb.Helper()
 	inc, err := trrs.NewIncremental(s.Rate, s.NumAnts, s.NumTx, w)

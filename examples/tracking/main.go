@@ -39,7 +39,7 @@ func main() {
 
 	// --- Variant 1: pure RIM (hexagonal array) -------------------------
 	hex := rim.NewHexagonalArray()
-	cfgHex := fastCfg(rim.DefaultCoreConfig(hex))
+	cfgHex := rim.FastCoreConfig(hex)
 	sHex, err := rim.Collect(env, hex, tr, rim.RealisticReceiver(11)).Process(true)
 	if err != nil {
 		log.Fatal(err)
@@ -57,7 +57,7 @@ func main() {
 
 	// --- Variant 2: RIM + gyro, with and without the particle filter ---
 	lin := rim.NewLinear3Array()
-	cfgLin := fastCfg(rim.DefaultCoreConfig(lin))
+	cfgLin := rim.FastCoreConfig(lin)
 	sLin, err := rim.Collect(env, lin, tr, rim.RealisticReceiver(12)).Process(true)
 	if err != nil {
 		log.Fatal(err)
@@ -86,10 +86,4 @@ func main() {
 	fmt.Printf("  with map particle filter:  median error %.2f m\n", pf.MedianError)
 	fmt.Println("\nnote: the sideway leg changes heading without turning the body —")
 	fmt.Println("conventional inertial sensors cannot observe it; RIM resolves it directly.")
-}
-
-func fastCfg(cfg rim.CoreConfig) rim.CoreConfig {
-	cfg.WindowSeconds = 0.3
-	cfg.V = 16
-	return cfg
 }

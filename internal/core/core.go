@@ -220,6 +220,16 @@ func DefaultConfig(arr *array.Array) Config {
 	return cfg
 }
 
+// FastConfig returns the fast operating point for the given array: the
+// paper's point with a shorter lag window (W = 0.3 s) and fewer virtual
+// antennas (V = 16), for brisk motions on the coarser fast RF config.
+func FastConfig(arr *array.Array) Config {
+	cfg := DefaultConfig(arr)
+	cfg.WindowSeconds = 0.3
+	cfg.V = 16
+	return cfg
+}
+
 // MotionKind classifies a movement segment.
 type MotionKind int
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"rim/internal/array"
@@ -29,10 +30,29 @@ func benchStreamSeries(b *testing.B) *csi.Series {
 	return s
 }
 
+// liveHeap returns the bytes of live heap objects after two collections
+// (the second empties the sync.Pool victim caches, so pooled hop scratch
+// shared across walkers is not counted).
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// benchReplay streams s through a fresh Streamer per iteration and reports
+// the throughput in slots/s and the streamer's live heap in MB, taken with
+// the timer stopped after the last slot is pushed and before Flush, so
+// while the walker is live.
 func benchReplay(b *testing.B, s *csi.Series, cfg StreamConfig) {
 	b.Helper()
+	var liveMB float64
 	b.ResetTimer() // exclude the series synthesis
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := liveHeap()
+		b.StartTimer()
 		st, err := NewStreamer(cfg, s.Rate, s.NumAnts, s.NumTx, s.NumSub)
 		if err != nil {
 			b.Fatal(err)
@@ -51,23 +71,34 @@ func benchReplay(b *testing.B, s *csi.Series, cfg StreamConfig) {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer()
+		liveMB = (float64(liveHeap()) - float64(before)) / 1e6
+		b.StartTimer()
 		st.Flush()
 	}
 	// Slots per second of wall time: the streaming throughput headline.
 	b.ReportMetric(float64(s.NumSlots())*float64(b.N)/b.Elapsed().Seconds(), "slots/s")
+	b.ReportMetric(liveMB, "live-MB/walker")
 }
 
 // daemonLoopSeries synthesizes loops of the daemon benchmark's walker
-// templates on arr under a numTx-antenna AP (fast RF config, receiver
-// seeded with seed). The walk loop is 0.5 s still, 0.75 m out at 0.5 m/s,
-// 0.5 s still and back; the idle loop is 3.6 s still, a 0.2 m step at
-// 0.5 m/s, 3.6 s still and the step back.
+// templates on arr under a numTx-antenna AP (fast RF config at 100 Hz,
+// receiver seeded with seed): see loopSeries.
 func daemonLoopSeries(tb testing.TB, arr *array.Array, numTx int, idle bool, loops int, seed int64) *csi.Series {
 	tb.Helper()
 	cfg := rf.FastConfig()
 	cfg.NumTxAntennas = numTx
-	env := rf.NewEnvironment(cfg, geom.Vec2{}, geom.Vec2{X: 5}, nil)
-	bld := traj.NewBuilder(100, geom.Pose{Pos: geom.Vec2{X: 4}})
+	return loopSeries(tb, arr, cfg, 100, idle, loops, seed)
+}
+
+// loopSeries synthesizes loops of the daemon benchmark's walker templates
+// on arr under the RF config rfc, sampled at rate Hz. The walk loop is
+// 0.5 s still, 0.75 m out at 0.5 m/s, 0.5 s still and back; the idle loop
+// is 3.6 s still, a 0.2 m step at 0.5 m/s, 3.6 s still and the step back.
+func loopSeries(tb testing.TB, arr *array.Array, rfc rf.Config, rate float64, idle bool, loops int, seed int64) *csi.Series {
+	tb.Helper()
+	env := rf.NewEnvironment(rfc, geom.Vec2{}, geom.Vec2{X: 5}, nil)
+	bld := traj.NewBuilder(rate, geom.Pose{Pos: geom.Vec2{X: 4}})
 	pause, dist := 0.5, 0.75
 	if idle {
 		pause, dist = 3.6, 0.2
@@ -99,6 +130,17 @@ func daemonStreamConfig(arr *array.Array) StreamConfig {
 func BenchmarkStreamerHexa(b *testing.B) {
 	arr := array.NewHexagonal(0.029)
 	benchReplay(b, daemonLoopSeries(b, arr, 3, false, 2, 1), daemonStreamConfig(arr))
+}
+
+// BenchmarkStreamerHexaPaper replays two walk loops on the hexagonal array
+// at the paper's operating point (§6.2.9): 200 Hz, 114 tones on a 3-tx AP
+// (rf.DefaultConfig), W = 0.5 s and V = 30 (DefaultConfig), span 3 s and
+// hop 0.5 s. Its slots/s and live MB per walker are the reference for the
+// paper's per-walker CPU and memory figures.
+func BenchmarkStreamerHexaPaper(b *testing.B) {
+	arr := array.NewHexagonal(0.029)
+	s := loopSeries(b, arr, rf.DefaultConfig(), 200, false, 2, 1)
+	benchReplay(b, s, StreamConfig{Core: DefaultConfig(arr), SpanSeconds: 3, HopSeconds: 0.5})
 }
 
 // BenchmarkStreamerPair replays two walk loops on the pair array under a

@@ -177,15 +177,13 @@ func StressedReceiver(seed int64) csi.ReceiverConfig {
 }
 
 // CoreConfig returns the pipeline configuration for the scale: the paper's
-// operating point at Full, a reduced lag window at Fast (test motions are
-// brisk).
+// operating point at Full, core.FastConfig's reduced lag window at Fast
+// (test motions are brisk).
 func CoreConfig(scale Scale, arr *array.Array) core.Config {
-	cfg := core.DefaultConfig(arr)
 	if scale == Fast {
-		cfg.WindowSeconds = 0.3
-		cfg.V = 16
+		return core.FastConfig(arr)
 	}
-	return cfg
+	return core.DefaultConfig(arr)
 }
 
 // Spacing is the λ/2 element spacing of the prototype arrays.

@@ -117,7 +117,7 @@ func hopStats(s *csi.Series, w, reps int) (time.Duration, float64) {
 		}
 	}
 	for n := 0; n < 12; n++ {
-		hopOnce() // settle the ring and both matrix generations
+		hopOnce() // settle the CSI ring and the matrix ring
 	}
 	best := timeBest(reps, hopOnce)
 	// Mallocs is process-wide, so runtime background work (GC assists,

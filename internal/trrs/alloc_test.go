@@ -127,8 +127,8 @@ func incrementalHopAllocFree(t *testing.T, prec Precision) {
 		}
 		refreshSelf(inc)
 	}
-	// Warm-up: size both ping-pong generations, the ring's growth, and
-	// the stale-row scratch; run past one ring compaction.
+	// Warm-up: size the matrix ring, the CSI ring's growth, and the
+	// stale-row scratch; run past one CSI ring compaction.
 	for n := 0; n < 12; n++ {
 		hopOnce()
 	}
@@ -140,10 +140,11 @@ func incrementalHopAllocFree(t *testing.T, prec Precision) {
 	}
 }
 
-// TestExtendMatrixReusesBacking pins the satellite contract directly: with
-// unchanged geometry ExtendMatrix returns the same matrix (no rebuild),
-// and across a hop the refreshed matrix reuses one of the two ping-pong
-// backings instead of allocating fresh rows.
+// TestExtendMatrixReusesBacking pins the one-backing contract directly:
+// with unchanged geometry ExtendMatrix returns the same matrix (no
+// rebuild); across a hop the row of every carried absolute slot keeps its
+// address, so no row was copied; and every hop's rows lie in the first
+// build's backing under the same Matrix header, so nothing was allocated.
 func TestExtendMatrixReusesBacking(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := randomSeries(rng, 2, 1, 12, 120)
@@ -168,9 +169,21 @@ func TestExtendMatrixReusesBacking(t *testing.T) {
 	if m1 != m1again {
 		t.Fatal("unchanged geometry must return the maintained matrix, not a rebuild")
 	}
+	backing := map[*float64]bool{}
+	for _, row := range m1.Vals {
+		backing[&row[0]] = true
+	}
 
-	// Two hops: generation 2 must land back in generation 0's backing.
-	hopOnce := func() *Matrix {
+	// rowAt maps each absolute slot of the window to its row's address.
+	rowAt := func(m *Matrix) map[int]*float64 {
+		at := map[int]*float64{}
+		for t, row := range m.Vals {
+			at[inc.start+t] = &row[0]
+		}
+		return at
+	}
+	prev := rowAt(m1)
+	for h := 0; h < 8; h++ {
 		for n := 0; n < hop; n++ {
 			if err := inc.Append(seriesSnapshot(s, n)); err != nil {
 				t.Fatal(err)
@@ -181,18 +194,78 @@ func TestExtendMatrixReusesBacking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
+		if m != m1 {
+			t.Fatalf("hop %d: the Matrix header must be reused every hop", h)
+		}
+		cur := rowAt(m)
+		carried := 0
+		for r, addr := range cur {
+			if old, ok := prev[r]; ok {
+				carried++
+				if addr != old {
+					t.Fatalf("hop %d: carried slot %d moved: its row was copied", h, r)
+				}
+			}
+			if !backing[addr] {
+				t.Fatalf("hop %d: slot %d's row lies outside the first build's backing", h, r)
+			}
+		}
+		if want := len(m.Vals) - hop; carried != want {
+			t.Fatalf("hop %d: %d carried slots, want %d", h, carried, want)
+		}
+		prev = cur
 	}
-	m2 := hopOnce()
-	if &m2.Vals[0][0] == &m1.Vals[0][0] {
-		t.Fatal("consecutive generations must not share backing (callers hold the previous one)")
+}
+
+// TestExtendMatricesBackingBytes pins the matrix memory of the daemon's
+// hexagonal walker: 6 antennas, the 18 pairs the pipeline requests (three
+// reversed twins among them), W = 30 and a window that peaks at span +
+// hop = 350 slots. Every pair that owns storage holds exactly one backing
+// of maxSlots rows of 2W+1 lags, grown to the largest window seen and
+// never by doubling.
+func TestExtendMatricesBackingBytes(t *testing.T) {
+	const w, span, hop = 30, 300, 50
+	rng := rand.New(rand.NewSource(11))
+	s := randomSeries(rng, 6, 1, 4, span+hop)
+	inc, err := NewIncremental(s.Rate, s.NumAnts, s.NumTx, w)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m3 := hopOnce()
-	if &m3.Vals[0][0] != &m1.Vals[0][0] {
-		t.Fatal("generation n+2 must reuse generation n's backing (ping-pong)")
+	pairs := []PairSpec{
+		{1, 0}, {3, 4}, {2, 0}, {3, 5}, {3, 0}, {4, 0}, {3, 1}, {5, 0}, {3, 2},
+		{2, 1}, {4, 5}, {4, 1}, {5, 1}, {4, 2}, {2, 5}, {0, 1}, {1, 2}, {2, 3},
 	}
-	if m3 != m1 {
-		t.Fatal("generation n+2 must reuse generation n's Matrix header")
+	k := 0
+	extend := func() {
+		for n := 0; n < hop; n++ {
+			if err := inc.Append(seriesSnapshot(s, k%s.NumSlots())); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		}
+		if _, err := inc.ExtendMatrices(pairs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm-up: the window grows hop by hop up to span + hop, as a
+	// streamer's does; after that each hop trims back to the span first.
+	for inc.NumSlots() < span+hop {
+		extend()
+	}
+	for h := 0; h < 6; h++ {
+		inc.DropFront(hop)
+		extend()
+	}
+	if len(inc.mats) != len(pairs) {
+		t.Fatalf("%d maintained pairs, want %d", len(inc.mats), len(pairs))
+	}
+	held := 0
+	for _, im := range inc.mats {
+		held += cap(im.ring) * 8
+	}
+	if want := len(pairs) * (span + hop) * (2*w + 1) * 8; held != want {
+		t.Fatalf("matrix backings hold %d bytes, want %d (one %d-row backing per pair)",
+			held, want, span+hop)
 	}
 }
 

@@ -119,7 +119,7 @@ func BenchmarkTRRSIncrementalHop(b *testing.B) {
 	if _, err := inc.ExtendMatrix(0, 2); err != nil {
 		b.Fatal(err)
 	}
-	// Settle the ring and both ping-pong generations before timing.
+	// Settle the CSI ring and the matrix ring before timing.
 	k := 0
 	hopOnce := func() {
 		for n := 0; n < hop; n++ {

@@ -55,12 +55,13 @@ import (
 // normalized snapshots live in per-(antenna, tx) re/im planes whose live
 // region is slots [head, head+n); Append normalizes into the tail in
 // place and, when the tail reaches capacity, compacts the live region to
-// the front instead of growing. Each maintained pair matrix ping-pongs
-// between two preallocated backings: a refresh copies carried rows from
-// the previous generation's buffer and recomputes the stale entries, and
-// the self-TRRS cache compacts each series in place, so once the window
-// geometry stabilizes no hop allocates (pinned at 0 mallocs per hop by the
-// allocation tests and the bench guard).
+// the front instead of growing. Each maintained pair matrix keeps its rows
+// in one ring of C rows, C the largest window it has seen, with the row of
+// absolute slot r at ring row r mod C: a refresh re-points the row headers,
+// leaves carried rows where they are and recomputes the stale entries in
+// place, and the self-TRRS cache compacts each series in place, so once
+// the window geometry stabilizes no hop allocates or copies a row (pinned
+// at 0 mallocs per hop by the allocation tests and the bench guard).
 //
 // Refreshes run on the calling goroutine (the executor runs on an engine
 // view, which has one worker): a streaming session is the unit of
@@ -68,10 +69,10 @@ import (
 // fanned out over a worker pool.
 //
 // Consequently a matrix returned by ExtendMatrix stays valid only until
-// the pair's next refresh-producing call (the generation after next
-// overwrites its storage); callers must not modify or retain rows across
-// hops. Incremental is not goroutine-safe; callers serialize access
-// (core.Streamer holds it under its own lock).
+// the pair's next refresh-producing call (which re-points its rows and
+// overwrites the rows that left the window); callers must not modify or
+// retain rows across hops. Incremental is not goroutine-safe; callers
+// serialize access (core.Streamer holds it under its own lock).
 type Incremental struct {
 	rate   float64
 	numTx  int
@@ -126,17 +127,18 @@ type Incremental struct {
 }
 
 // incMat is one maintained pair matrix plus the absolute window
-// [start, end) its rows were computed for. Generations ping-pong between
-// the two flat backings so a refresh never allocates once both are sized:
-// generation g builds in flats[g&1]/rows[g&1] while copying carried rows
-// out of the other buffer, and hdr[g&1] is the reused Matrix header.
+// [start, end) its rows were computed for. Its rows live in one flat ring
+// of C = len(ring)/(2W+1) rows, C the largest window the pair has seen:
+// the row of absolute slot r is ring row r mod C, so a row keeps its
+// storage for as long as it stays in the window and a refresh only
+// re-points the row headers (rows, behind the reused Matrix header hdr)
+// instead of copying rows. built is false until the first refresh.
 type incMat struct {
-	m          *Matrix
+	hdr        Matrix
+	built      bool
 	start, end int
-	flats      [2][]float64
-	rows       [2][][]float64
-	hdr        [2]Matrix
-	cur        int
+	ring       []float64
+	rows       [][]float64
 }
 
 // selfSeries caches the raw self-TRRS κ̄(ant@r, ant@r−lag) of absolute
@@ -366,8 +368,8 @@ func (inc *Incremental) fullView() *Engine {
 // ExtendMatrix returns the base TRRS matrix of antenna pair (i, j) over
 // the current window: ExtendMatrices of the one pair. Antenna indices are
 // absolute. Rows of the returned matrix are owned by the engine: callers
-// must not modify them, and the matrix is overwritten two refreshes later
-// (see the type comment on storage reuse).
+// must not modify them, and the matrix is overwritten by the pair's next
+// refresh (see the type comment on storage reuse).
 func (inc *Incremental) ExtendMatrix(i, j int) (*Matrix, error) {
 	inc.onePair[0] = PairSpec{I: i, J: j}
 	ms, err := inc.ExtendMatrices(inc.onePair[:])
@@ -389,42 +391,45 @@ func (inc *Incremental) matFor(i, j int) *incMat {
 }
 
 // carry advances pair (i, j)'s maintained matrix to the current window:
-// it sizes the next-generation backing, copies every carried row from the
-// previous generation, clears the backward columns that fell off the head,
-// appends one work item per new row (all columns) and per carried row
-// with forward columns onto newly appended slots (those columns only) to
-// work, commits the generation swap and the reuse/stale accounting, and
-// returns the new matrix with its work items NOT yet computed. The items
-// carry src, so a reversed twin's items are reflected from src instead of
-// swept (see Engine.run).
+// it re-points the row headers into the pair's ring (growing it first if
+// the window outgrew it), clears the backward columns that fell off the
+// head, appends one work item per new row (all columns) and per carried
+// row with forward columns onto newly appended slots (those columns only)
+// to work, commits the reuse/stale accounting, and returns the matrix
+// with its work items NOT yet computed. The items carry src, so a reversed
+// twin's items are reflected from src instead of swept (see Engine.run).
 func (inc *Incremental) carry(im *incMat, i, j int, src *Matrix, work []batchItem) (*Matrix, []batchItem) {
 	tSlots := inc.NumSlots()
 	w := inc.w
 	width := 2*w + 1
-	nxt := 1 - im.cur
-	flat := im.flats[nxt]
-	if cap(flat) < tSlots*width {
-		flat = make([]float64, tSlots*width)
+	// Rows of absolute slots [start, kept) are carried; the rest are new.
+	kept := inc.start
+	if im.built {
+		kept = max(im.end, inc.start)
 	}
-	flat = flat[:tSlots*width]
-	rows := im.rows[nxt]
-	if cap(rows) < tSlots {
-		rows = make([][]float64, tSlots)
+	if tSlots*width > len(im.ring) {
+		im.grow(tSlots, width, inc.start, kept)
 	}
-	rows = rows[:tSlots]
-	m := &im.hdr[nxt]
+	rows := im.rows[:tSlots]
+	m := &im.hdr
+	c, p := len(im.ring)/width, 0 // ring rows; ring row of slot start
+	if c > 0 {
+		p = inc.start % c
+	}
 
 	nStale := 0
 	for t := 0; t < tSlots; t++ {
-		row := flat[t*width : (t+1)*width]
-		rows[t] = row
 		r := inc.start + t // absolute slot of this row
-		if im.m == nil || r >= im.end {
+		row := im.ring[p*width : (p+1)*width]
+		rows[t] = row
+		if p++; p == c {
+			p = 0
+		}
+		if r >= kept {
 			work = append(work, batchItem{m: m, src: src, t0: t, t1: t + 1, c1: width})
 			nStale++
 			continue
 		}
-		copy(row, im.m.Vals[r-im.start])
 		// Column c references slot r−(c−w). Backward references into
 		// [im.start, start) were values and are now out of the window.
 		z0 := r - inc.start + w + 1
@@ -451,11 +456,21 @@ func (inc *Incremental) carry(im *incMat, i, j int, src *Matrix, work []batchIte
 		inc.trc.Emit(trace.KindTRRSExtend, inc.hop, trace.PairCode(i, j),
 			int64(tSlots-nStale), int64(nStale))
 	}
-	im.flats[nxt] = flat
-	im.rows[nxt] = rows
-	im.cur = nxt
-	im.m, im.start, im.end = m, inc.start, inc.end
+	im.built, im.start, im.end = true, inc.start, inc.end
 	return m, work
+}
+
+// grow resizes the pair's ring to exactly c rows, never more (the window
+// outgrows it only while warming up or after a geometry change), and lays
+// the carried rows of absolute slots [lo, hi) out at their new ring rows.
+func (im *incMat) grow(c, width, lo, hi int) {
+	ring := make([]float64, c*width)
+	old := len(im.ring) / width
+	for r := lo; r < hi; r++ {
+		copy(ring[(r%c)*width:(r%c+1)*width], im.ring[(r%old)*width:(r%old+1)*width])
+	}
+	im.ring = ring
+	im.rows = make([][]float64, c)
 }
 
 // ExtendMatrices advances every listed pair's matrix to the current window
@@ -490,8 +505,8 @@ func (inc *Incremental) ExtendMatrices(pairs []PairSpec) ([]*Matrix, error) {
 			continue
 		}
 		im := inc.matFor(p.I, p.J)
-		if im.m != nil && im.start == inc.start && im.end == inc.end {
-			out = append(out, im.m)
+		if im.built && im.start == inc.start && im.end == inc.end {
+			out = append(out, &im.hdr)
 			continue
 		}
 		touched++

@@ -168,6 +168,10 @@ const (
 // DefaultCoreConfig returns the paper's operating point for the array.
 func DefaultCoreConfig(arr *Array) CoreConfig { return core.DefaultConfig(arr) }
 
+// FastCoreConfig returns the fast operating point for the array: the
+// paper's point with W = 0.3 s and V = 16, as the demos use.
+func FastCoreConfig(arr *Array) CoreConfig { return core.FastConfig(arr) }
+
 // Process runs the full RIM pipeline on a processed CSI series.
 func Process(s *Series, cfg CoreConfig) (*Result, error) {
 	return core.ProcessSeries(s, cfg)
