@@ -32,8 +32,7 @@ var callerlessKeep = map[string]string{
 	"csi.Series.Dt":                "tests observe a series' sample period through it",
 	"trrs.Matrix.Col":              "tests read matrix columns through it",
 	"obs/trace.Recorder.Cap":       "tests observe the ring capacity through it",
-	"obs.CounterFamily.Other":      "tests observe the overflow child's conservation through it",
-	"obs.HistogramFamily.Other":    "tests observe the overflow child's conservation through it",
+	"obs.Family.Other":             "tests observe the overflow child's conservation through it",
 	"rf.Environment.Scatterers":    "tests observe the simulated multipath through it",
 }
 

@@ -3,11 +3,9 @@ package obs
 import (
 	"container/list"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // DefMaxChildren is the default per-family cardinality cap: the number of
@@ -32,31 +30,61 @@ type FamilyOpts struct {
 	Bounds []float64
 }
 
-// familyCore is the label-set bookkeeping shared by the three family
-// kinds: a bounded map of children with LRU order, and the reserved
-// overflow child absorbing evictions. The cardinality contract is hard: a
-// family never holds more than MaxChildren live children, whatever label
-// flood hits it, so the registry cannot be grown without bound by
-// adversarial or runaway label values.
-type familyCore struct {
-	name, help string
-	kind       string // "counter" | "gauge" | "histogram"
-	labels     []string
-	bounds     []float64
-	max        int
-	evictions  *Counter // shared rim_obs_family_evictions_total
-
-	mu       sync.Mutex
-	children map[string]*list.Element // key -> element whose Value is *famChild
-	lru      *list.List               // front = most recently resolved
-	other    any                      // *Counter | *Gauge | *Histogram
+// metric is the per-kind behaviour a Family needs from its children;
+// *Counter, *Gauge and *Histogram each carry their own (obs.go).
+type metric[T any] interface {
+	comparable
+	collector
+	// child returns a fresh metric of the same kind and buckets.
+	child() T
+	// foldInto retires the metric into the family's overflow child: its
+	// state moves there and later updates through the handle follow.
+	foldInto(other T)
+	// events is what the metric has counted — a counter's value, a
+	// histogram's observation count, 0 for a gauge. It sums into Total,
+	// and the overflow child renders only once it holds some.
+	events() uint64
 }
 
+// Family is a labeled metric: With(values...) hands out one nil-safe child
+// per label set from a bounded map of children in LRU order, with a
+// reserved overflow child absorbing evictions. The cardinality contract is
+// hard: a family never holds more than MaxChildren live children, whatever
+// label flood hits it, so the registry cannot be grown without bound by
+// adversarial or runaway label values. A nil family (from a nil registry)
+// hands out nil children, keeping disabled instrumentation free.
+type Family[T metric[T]] struct {
+	name      string
+	labels    []string
+	max       int
+	evictions *Counter // shared rim_obs_family_evictions_total
+	other     T        // the overflow child, fixed at construction
+
+	mu       sync.Mutex
+	children map[string]*list.Element // key -> element whose Value is *famChild[T]
+	lru      *list.List               // front = most recently resolved
+}
+
+// CounterFamily is a labeled counter: evicted and Forgot children fold
+// their counts into the overflow child, and their stale handles keep
+// counting there.
+type CounterFamily = Family[*Counter]
+
+// GaugeFamily is a labeled gauge. Evicted gauge children detach (their
+// instantaneous values cannot be merged into the overflow child); the
+// overflow gauge exists only to keep the family shape uniform and is never
+// rendered.
+type GaugeFamily = Family[*Gauge]
+
+// HistogramFamily is a labeled histogram; children share the family's
+// bucket bounds, which is what makes eviction folding exact.
+type HistogramFamily = Family[*Histogram]
+
 // famChild is one live label set.
-type famChild struct {
+type famChild[T any] struct {
 	key    string
 	values []string
-	metric any
+	metric T
 }
 
 // famKey joins label values into the child map key. 0x1f (ASCII unit
@@ -64,7 +92,7 @@ type famChild struct {
 // would only alias two pathological label sets, never corrupt state.
 func famKey(values []string) string { return strings.Join(values, "\x1f") }
 
-func newFamilyCore(name, help, kind string, o FamilyOpts, evictions *Counter) *familyCore {
+func newFamily[T metric[T]](name string, o FamilyOpts, other T, evictions *Counter) *Family[T] {
 	if len(o.Labels) == 0 {
 		panic(fmt.Sprintf("obs: family %q needs at least one label", name))
 	}
@@ -76,39 +104,25 @@ func newFamilyCore(name, help, kind string, o FamilyOpts, evictions *Counter) *f
 	if o.MaxChildren <= 0 {
 		o.MaxChildren = DefMaxChildren
 	}
-	f := &familyCore{
+	return &Family[T]{
 		name:      name,
-		help:      help,
-		kind:      kind,
 		labels:    append([]string(nil), o.Labels...),
-		bounds:    o.Bounds,
 		max:       o.MaxChildren,
 		evictions: evictions,
+		other:     other,
 		children:  make(map[string]*list.Element),
 		lru:       list.New(),
 	}
-	f.other = f.newMetric()
-	return f
 }
 
-// newMetric builds one child of the family's kind.
-func (f *familyCore) newMetric() any {
-	switch f.kind {
-	case "counter":
-		return &Counter{name: f.name, help: f.help}
-	case "gauge":
-		return &Gauge{name: f.name, help: f.help}
-	default:
-		h := &Histogram{name: f.name, help: f.help, bounds: f.bounds}
-		h.counts = make([]atomic.Uint64, len(f.bounds))
-		return h
+// With returns the child for the given label values (one value per family
+// label, same order), creating it — and evicting the LRU child into the
+// overflow when at the cap — on first use. Resolve once per entity and
+// hold the handle; With locks the family.
+func (f *Family[T]) With(values ...string) (m T) {
+	if f == nil {
+		return m
 	}
-}
-
-// with returns the child for the given label values, creating it (and
-// evicting the LRU child into the overflow when at the cap) on first use.
-// Resolve children once and hold the handle — with takes the family lock.
-func (f *familyCore) with(values []string) any {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: family %q got %d label values, want %d", f.name, len(values), len(f.labels)))
 	}
@@ -117,68 +131,55 @@ func (f *familyCore) with(values []string) any {
 	defer f.mu.Unlock()
 	if el, ok := f.children[key]; ok {
 		f.lru.MoveToFront(el)
-		return el.Value.(*famChild).metric
+		return el.Value.(*famChild[T]).metric
 	}
 	for len(f.children) >= f.max {
 		f.evictLocked()
 	}
-	ch := &famChild{key: key, values: append([]string(nil), values...), metric: f.newMetric()}
+	ch := &famChild[T]{key: key, values: append([]string(nil), values...), metric: f.other.child()}
 	f.children[key] = f.lru.PushFront(ch)
 	return ch.metric
 }
 
-// get returns the live child for the given label values without creating
-// one or touching the LRU order (read-side lookups must not churn the
-// eviction order or fabricate children for dead label sets).
-func (f *familyCore) get(values []string) (any, bool) {
-	key := famKey(values)
+// Get returns the live child for the label values without creating one or
+// touching the LRU order (read-side lookups must not churn the eviction
+// order or fabricate children for dead label sets).
+func (f *Family[T]) Get(values ...string) (m T, ok bool) {
+	if f == nil {
+		return m, false
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	el, ok := f.children[key]
+	el, ok := f.children[famKey(values)]
 	if !ok {
-		return nil, false
+		return m, false
 	}
-	return el.Value.(*famChild).metric, true
+	return el.Value.(*famChild[T]).metric, true
 }
 
 // evictLocked folds the least-recently-resolved child into the overflow
 // child and redirects its live handles there, so a handle resolved before
 // the eviction keeps counting — into "other" — instead of into a series
 // nobody renders.
-func (f *familyCore) evictLocked() {
+func (f *Family[T]) evictLocked() {
 	el := f.lru.Back()
 	if el == nil {
 		return
 	}
 	f.lru.Remove(el)
-	ch := el.Value.(*famChild)
+	ch := el.Value.(*famChild[T])
 	delete(f.children, ch.key)
-	f.foldIntoOther(ch.metric)
+	ch.metric.foldInto(f.other)
 	f.evictions.Inc()
 }
 
-// foldIntoOther moves a child's accumulated state into the overflow child
-// and redirects the handle. Gauges are the exception: an instantaneous
-// value cannot be merged, so the handle is detached instead.
-func (f *familyCore) foldIntoOther(metric any) {
-	switch m := metric.(type) {
-	case *Counter:
-		o := f.other.(*Counter)
-		m.fwd.Store(o)
-		o.v.Add(m.v.Swap(0))
-	case *Gauge:
-		m.detached.Store(true)
-	case *Histogram:
-		o := f.other.(*Histogram)
-		m.fwd.Store(o)
-		o.absorb(m)
-	}
-}
-
-// forget retires one label set deliberately (e.g. a session closed): its
-// counts fold into the overflow child — totals stay monotone across the
+// Forget retires one label set deliberately (e.g. a session closed): its
+// state folds into the overflow child — totals stay monotone across the
 // scrape — and the slot frees up without counting as a cap eviction.
-func (f *familyCore) forget(values []string) {
+func (f *Family[T]) Forget(values ...string) {
+	if f == nil {
+		return
+	}
 	key := famKey(values)
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -188,18 +189,21 @@ func (f *familyCore) forget(values []string) {
 	}
 	f.lru.Remove(el)
 	delete(f.children, key)
-	f.foldIntoOther(el.Value.(*famChild).metric)
+	el.Value.(*famChild[T]).metric.foldInto(f.other)
 }
 
-// each calls fn for every live child, key-sorted, the overflow child last
-// (with every label value OverflowLabel). fn runs outside the family lock.
-func (f *familyCore) each(fn func(values []string, metric any)) {
-	f.mu.Lock()
-	kids := make([]*famChild, 0, len(f.children))
-	for _, el := range f.children {
-		kids = append(kids, el.Value.(*famChild))
+// Each visits every live child, key-sorted, and then the overflow child,
+// whose label values are all OverflowLabel. fn runs outside the family
+// lock.
+func (f *Family[T]) Each(fn func(values []string, m T)) {
+	if f == nil {
+		return
 	}
-	other := f.other
+	f.mu.Lock()
+	kids := make([]*famChild[T], 0, len(f.children))
+	for _, el := range f.children {
+		kids = append(kids, el.Value.(*famChild[T]))
+	}
 	f.mu.Unlock()
 	sort.Slice(kids, func(i, j int) bool { return kids[i].key < kids[j].key })
 	for _, ch := range kids {
@@ -209,326 +213,96 @@ func (f *familyCore) each(fn func(values []string, metric any)) {
 	for i := range ov {
 		ov[i] = OverflowLabel
 	}
-	fn(ov, other)
+	fn(ov, f.other)
 }
 
-// lenLocked-free child count.
-func (f *familyCore) size() int {
+// Other returns the reserved overflow child.
+func (f *Family[T]) Other() (m T) {
+	if f != nil {
+		m = f.other
+	}
+	return m
+}
+
+// Total sums the events of every live child plus the overflow: for a
+// counter family, the family-wide reading a fleet dashboard or an
+// unlabeled predecessor metric would report; for a histogram family, its
+// observation count; 0 for a gauge family.
+func (f *Family[T]) Total() uint64 {
+	var t uint64
+	f.Each(func(_ []string, m T) { t += m.events() })
+	return t
+}
+
+// Len returns the live child count (the overflow child excluded).
+func (f *Family[T]) Len() int {
+	if f == nil {
+		return 0
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.children)
 }
 
-// labelMap renders one child's label set for a snapshot.
-func (f *familyCore) labelMap(values []string) map[string]string {
-	m := make(map[string]string, len(f.labels))
-	for i, l := range f.labels {
-		m[l] = values[i]
-	}
-	return m
-}
-
-// snapshotInto appends one Metric per live child (key-sorted, overflow
-// last). The overflow child is rendered only once it has absorbed
-// something, so unflooded families stay clean in the exposition.
-func (f *familyCore) snapshotInto(out []Metric) []Metric {
-	f.each(func(values []string, metric any) {
-		isOther := len(values) > 0 && values[0] == OverflowLabel
-		switch m := metric.(type) {
-		case *Counter:
-			if isOther && m.Value() == 0 {
-				return
-			}
-			out = append(out, Metric{Name: f.name, Help: f.help, Type: "counter",
-				Labels: f.labelMap(values), Value: float64(m.Value())})
-		case *Gauge:
-			if isOther {
-				return // gauges are never folded into other
-			}
-			out = append(out, Metric{Name: f.name, Help: f.help, Type: "gauge",
-				Labels: f.labelMap(values), Value: m.Value()})
-		case *Histogram:
-			if isOther && m.Count() == 0 {
-				return
-			}
-			out = append(out, snapshotHistogram(f.name, f.help, f.labelMap(values), m))
+// collect appends one Metric per live child (key-sorted, overflow last).
+// The overflow child is rendered only once it has absorbed something, so
+// unflooded families stay clean in the exposition.
+func (f *Family[T]) collect(out []Metric, name, help string, _ map[string]string) []Metric {
+	f.Each(func(values []string, m T) {
+		if m == f.other && m.events() == 0 {
+			return
 		}
+		labels := make(map[string]string, len(f.labels))
+		for i, l := range f.labels {
+			labels[l] = values[i]
+		}
+		out = m.collect(out, name, help, labels)
 	})
 	return out
 }
 
-// CounterFamily is a labeled counter: With(values...) hands out one
-// nil-safe *Counter per label set, with the familyCore cardinality
-// contract behind it. A nil family (from a nil registry) hands out nil
-// children, keeping disabled instrumentation free.
-type CounterFamily struct{ f *familyCore }
-
-// With returns the child counter for the given label values (one value per
-// family label, same order), creating it on first use. Resolve once per
-// entity and hold the handle; With locks the family.
-func (cf *CounterFamily) With(values ...string) *Counter {
-	if cf == nil {
-		return nil
-	}
-	return cf.f.with(values).(*Counter)
-}
-
-// Get returns the live child for the label values without creating one.
-func (cf *CounterFamily) Get(values ...string) (*Counter, bool) {
-	if cf == nil {
-		return nil, false
-	}
-	m, ok := cf.f.get(values)
-	if !ok {
-		return nil, false
-	}
-	return m.(*Counter), true
-}
-
-// Forget retires the label set, folding its count into the overflow child.
-func (cf *CounterFamily) Forget(values ...string) {
-	if cf != nil {
-		cf.f.forget(values)
-	}
-}
-
-// Each visits every live child (key-sorted) and then the overflow child,
-// whose label values are all OverflowLabel.
-func (cf *CounterFamily) Each(fn func(values []string, c *Counter)) {
-	if cf == nil {
-		return
-	}
-	cf.f.each(func(v []string, m any) { fn(v, m.(*Counter)) })
-}
-
-// Other returns the reserved overflow child.
-func (cf *CounterFamily) Other() *Counter {
-	if cf == nil {
-		return nil
-	}
-	return cf.f.other.(*Counter)
-}
-
-// Total sums every live child plus the overflow — the family-wide reading
-// a fleet dashboard or an unlabeled predecessor metric would report.
-func (cf *CounterFamily) Total() uint64 {
-	if cf == nil {
-		return 0
-	}
-	var t uint64
-	cf.Each(func(_ []string, c *Counter) { t += c.Value() })
-	return t
-}
-
-// Len returns the live child count (the overflow child excluded).
-func (cf *CounterFamily) Len() int {
-	if cf == nil {
-		return 0
-	}
-	return cf.f.size()
-}
-
-// GaugeFamily is a labeled gauge. Evicted gauge children detach (their
-// instantaneous values cannot be merged into the overflow child); the
-// overflow gauge exists only to keep the family shape uniform and is never
-// rendered.
-type GaugeFamily struct{ f *familyCore }
-
-// With returns the child gauge for the given label values.
-func (gf *GaugeFamily) With(values ...string) *Gauge {
-	if gf == nil {
-		return nil
-	}
-	return gf.f.with(values).(*Gauge)
-}
-
-// Get returns the live child for the label values without creating one.
-func (gf *GaugeFamily) Get(values ...string) (*Gauge, bool) {
-	if gf == nil {
-		return nil, false
-	}
-	m, ok := gf.f.get(values)
-	if !ok {
-		return nil, false
-	}
-	return m.(*Gauge), true
-}
-
-// Forget drops the label set (gauge values are not folded).
-func (gf *GaugeFamily) Forget(values ...string) {
-	if gf != nil {
-		gf.f.forget(values)
-	}
-}
-
-// Each visits every live child (key-sorted) and then the overflow child.
-func (gf *GaugeFamily) Each(fn func(values []string, g *Gauge)) {
-	if gf == nil {
-		return
-	}
-	gf.f.each(func(v []string, m any) { fn(v, m.(*Gauge)) })
-}
-
-// Len returns the live child count.
-func (gf *GaugeFamily) Len() int {
-	if gf == nil {
-		return 0
-	}
-	return gf.f.size()
-}
-
-// HistogramFamily is a labeled histogram; children share the family's
-// bucket bounds, which is what makes eviction folding exact.
-type HistogramFamily struct{ f *familyCore }
-
-// With returns the child histogram for the given label values.
-func (hf *HistogramFamily) With(values ...string) *Histogram {
-	if hf == nil {
-		return nil
-	}
-	return hf.f.with(values).(*Histogram)
-}
-
-// Get returns the live child for the label values without creating one.
-func (hf *HistogramFamily) Get(values ...string) (*Histogram, bool) {
-	if hf == nil {
-		return nil, false
-	}
-	m, ok := hf.f.get(values)
-	if !ok {
-		return nil, false
-	}
-	return m.(*Histogram), true
-}
-
-// Forget retires the label set, folding its distribution into the
-// overflow child.
-func (hf *HistogramFamily) Forget(values ...string) {
-	if hf != nil {
-		hf.f.forget(values)
-	}
-}
-
-// Each visits every live child (key-sorted) and then the overflow child.
-func (hf *HistogramFamily) Each(fn func(values []string, h *Histogram)) {
-	if hf == nil {
-		return
-	}
-	hf.f.each(func(v []string, m any) { fn(v, m.(*Histogram)) })
-}
-
-// Other returns the reserved overflow child.
-func (hf *HistogramFamily) Other() *Histogram {
-	if hf == nil {
-		return nil
-	}
-	return hf.f.other.(*Histogram)
-}
-
-// Len returns the live child count.
-func (hf *HistogramFamily) Len() int {
-	if hf == nil {
-		return 0
-	}
-	return hf.f.size()
-}
-
-// famEvictions lazily registers the shared eviction counter — one per
-// registry, covering every family in it.
-func (r *Registry) famEvictions() *Counter {
-	return r.Counter("rim_obs_family_evictions_total",
+// registerFamily returns the family registered under name, creating it
+// around the overflow child other makes on first use. Like the plain
+// constructors it panics on a kind mismatch; it also panics when
+// re-registered with different labels. A nil registry returns a nil
+// (fully no-op) family.
+func registerFamily[T metric[T]](r *Registry, name, help string, o FamilyOpts, other func() T) *Family[T] {
+	// The shared eviction counter, one per registry covering every family
+	// in it, registers first: register holds the registry lock.
+	ev := r.Counter("rim_obs_family_evictions_total",
 		"family children LRU-evicted into their overflow child at the cardinality cap")
+	f := register(r, name, help, func() *Family[T] { return newFamily(name, o, other(), ev) })
+	if f != nil {
+		f.checkLabels(o.Labels)
+	}
+	return f
 }
 
-// CounterFamily returns the labeled counter family registered under name,
-// creating it on first use. Like the plain constructors it panics on a
-// kind mismatch; it also panics when re-registered with different labels.
-// A nil registry returns a nil (fully no-op) family.
+// CounterFamily returns the labeled counter family registered under name.
 func (r *Registry) CounterFamily(name, help string, o FamilyOpts) *CounterFamily {
-	if r == nil {
-		return nil
-	}
-	ev := r.famEvictions()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.lookup(name); ok {
-		cf, ok := m.(*CounterFamily)
-		if !ok {
-			panic(fmt.Sprintf("obs: metric %q already registered as %T, not counter family", name, m))
-		}
-		cf.f.checkLabels(name, o.Labels)
-		return cf
-	}
-	cf := &CounterFamily{f: newFamilyCore(name, help, "counter", o, ev)}
-	r.metrics[name] = cf
-	return cf
+	return registerFamily(r, name, help, o, func() *Counter { return new(Counter) })
 }
 
 // GaugeFamily returns the labeled gauge family registered under name.
 func (r *Registry) GaugeFamily(name, help string, o FamilyOpts) *GaugeFamily {
-	if r == nil {
-		return nil
-	}
-	ev := r.famEvictions()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.lookup(name); ok {
-		gf, ok := m.(*GaugeFamily)
-		if !ok {
-			panic(fmt.Sprintf("obs: metric %q already registered as %T, not gauge family", name, m))
-		}
-		gf.f.checkLabels(name, o.Labels)
-		return gf
-	}
-	gf := &GaugeFamily{f: newFamilyCore(name, help, "gauge", o, ev)}
-	r.metrics[name] = gf
-	return gf
+	return registerFamily(r, name, help, o, func() *Gauge { return new(Gauge) })
 }
 
 // HistogramFamily returns the labeled histogram family registered under
 // name, creating it with o.Bounds (nil selects DefLatencyBuckets) on first
 // use. Bounds follow the same rules as Registry.Histogram.
 func (r *Registry) HistogramFamily(name, help string, o FamilyOpts) *HistogramFamily {
-	if r == nil {
-		return nil
-	}
-	ev := r.famEvictions()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.lookup(name); ok {
-		hf, ok := m.(*HistogramFamily)
-		if !ok {
-			panic(fmt.Sprintf("obs: metric %q already registered as %T, not histogram family", name, m))
-		}
-		hf.f.checkLabels(name, o.Labels)
-		return hf
-	}
-	bounds := o.Bounds
-	if bounds == nil {
-		bounds = DefLatencyBuckets
-	}
-	if n := len(bounds); n > 0 && math.IsInf(bounds[n-1], 1) {
-		bounds = bounds[:n-1]
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram family %q bucket bounds not ascending at %d", name, i))
-		}
-	}
-	o.Bounds = bounds
-	hf := &HistogramFamily{f: newFamilyCore(name, help, "histogram", o, ev)}
-	r.metrics[name] = hf
-	return hf
+	return registerFamily(r, name, help, o, func() *Histogram { return newHistogram(name, o.Bounds) })
 }
 
 // checkLabels enforces that re-registrations agree on the label schema.
-func (f *familyCore) checkLabels(name string, labels []string) {
+func (f *Family[T]) checkLabels(labels []string) {
 	if len(labels) != len(f.labels) {
-		panic(fmt.Sprintf("obs: family %q re-registered with %d labels, want %d", name, len(labels), len(f.labels)))
+		panic(fmt.Sprintf("obs: family %q re-registered with %d labels, want %d", f.name, len(labels), len(f.labels)))
 	}
 	for i, l := range labels {
 		if l != f.labels[i] {
-			panic(fmt.Sprintf("obs: family %q re-registered with label %q, want %q", name, l, f.labels[i]))
+			panic(fmt.Sprintf("obs: family %q re-registered with label %q, want %q", f.name, l, f.labels[i]))
 		}
 	}
 }
