@@ -208,6 +208,58 @@ func TestMetricsCapBoundsSessionFlood(t *testing.T) {
 	}
 }
 
+// TestOverflowSessionIDRefused pins that a session named like the
+// families' overflow child cannot open, from the wire or from a
+// checkpoint: its series would share a label set with the overflow's.
+func TestOverflowSessionIDRefused(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewMetricsCap(reg, 1)
+	dir := t.TempDir()
+	r := newTestRegistry(t, m, func(cfg *RegistryConfig) {
+		cfg.CheckpointDir = dir
+		cfg.CheckpointEvery = time.Hour // only the checkpoint saved below is on disk
+	})
+	for _, id := range []string{"a", "b"} { // opening b evicts a into the overflow child
+		if _, err := r.Open(id, testSpec()); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Ingest(id, testFrame(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.Open(obs.OverflowLabel, testSpec()); err == nil {
+		t.Fatal("open of a session named like the overflow child accepted")
+	}
+	if _, err := SaveCheckpoint(dir, &Checkpoint{ID: obs.OverflowLabel, Spec: testSpec()}); err != nil {
+		t.Fatal(err)
+	}
+	if n, errs := r.Restore(); n != 0 || len(errs) != 1 {
+		t.Fatalf("restore of a checkpoint named like the overflow child = %d sessions, errors %v", n, errs)
+	}
+	if r.Get(obs.OverflowLabel) != nil {
+		t.Fatal("a session named like the overflow child is live")
+	}
+
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		series := line[:strings.LastIndexByte(line, ' ')]
+		if seen[series] {
+			t.Fatalf("series %s rendered twice:\n%s", series, sb.String())
+		}
+		seen[series] = true
+	}
+	if !seen[`rim_session_frames_total{session="other"}`] {
+		t.Fatalf("evicted session a not folded into the overflow series:\n%s", sb.String())
+	}
+}
+
 // TestSessionChurnScrapeRace opens, drives, and closes sessions from
 // several goroutines while /metrics and /sessions are scraped; run under
 // -race this pins the labeled-family integration.

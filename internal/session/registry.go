@@ -140,8 +140,13 @@ func (r *Registry) open(id string, spec Spec, cp *core.StreamCheckpoint) (*Sessi
 	if r.closed.Load() {
 		return nil, fmt.Errorf("session: registry shut down")
 	}
-	if id == "" {
+	switch id {
+	case "":
 		return nil, fmt.Errorf("session: empty session id")
+	case obs.OverflowLabel:
+		// The per-session families render evicted and closed sessions
+		// under this label; a live session by that name would share it.
+		return nil, fmt.Errorf("session: session id %q is reserved for the metrics' overflow series", id)
 	}
 	si := r.shardIndex(id)
 	sh := r.shards[si]
