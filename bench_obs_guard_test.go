@@ -115,9 +115,7 @@ func nilOpCost() time.Duration {
 // given registry, quality engine and trace recorder wired in (each nil =
 // disabled) and returns the wall time per slot.
 func replaySlotCost(s *csi.Series, reg *obs.Registry, qual *quality.Engine, rec *trace.Recorder) time.Duration {
-	cfg := core.StreamConfig{Core: core.DefaultConfig(array.NewLinear3(0.029))}
-	cfg.Core.WindowSeconds = 0.3
-	cfg.Core.V = 16
+	cfg := core.StreamConfig{Core: core.FastConfig(array.NewLinear3(0.029))}
 	cfg.Core.Obs = reg
 	cfg.Core.Quality = qual
 	cfg.Core.Trace = rec

@@ -266,9 +266,7 @@ func BenchmarkComplexityTRRSMatrixParallel(b *testing.B) {
 func BenchmarkComplexityFullPipeline(b *testing.B) {
 	s := benchSeries(b, 300)
 	arr := array.NewLinear3(0.029)
-	cfg := DefaultCoreConfig(arr)
-	cfg.WindowSeconds = 0.3
-	cfg.V = 16
+	cfg := FastCoreConfig(arr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Process(s, cfg); err != nil {

@@ -196,12 +196,7 @@ func main() {
 			os.Exit(1)
 		}
 		health.ingest(series)
-		cfg = experiments.CoreConfig(experiments.Fast, arr3)
-		cfg.Kernel = kernel
-		cfg.Precision = precision
-		cfg.Obs = reg
-		cfg.Trace = rec
-		cfg.Flight = flight
+		cfg.Array = arr3 // the same operating point and flags, on the fused run's array
 		readings := imu.Simulate(tr, imu.DefaultConfig(*seed))
 		pfCfg := fusion.DefaultConfig(*seed)
 		pfCfg.Backend = backend

@@ -27,13 +27,6 @@ func collectSeries(t *testing.T, tr *traj.Trajectory, arr *array.Array, seed int
 	return s
 }
 
-func trackConfig(arr *array.Array) core.Config {
-	cfg := core.DefaultConfig(arr)
-	cfg.WindowSeconds = 0.3
-	cfg.V = 16
-	return cfg
-}
-
 func TestPureRIMSidewayPath(t *testing.T) {
 	// An L-path with a sideway move (no turning): +X then +Y with fixed
 	// body orientation — the Fig. 20 scenario in miniature.
@@ -49,7 +42,7 @@ func TestPureRIMSidewayPath(t *testing.T) {
 	tr := b.Build()
 	s := collectSeries(t, tr, arr, 61)
 	camCfg := camera.DefaultConfig(1)
-	res, err := PureRIM(s, trackConfig(arr), geom.Pose{Pos: start}, tr, camCfg)
+	res, err := PureRIM(s, core.FastConfig(arr), geom.Pose{Pos: start}, tr, camCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +78,7 @@ func TestFusedDeadReckoning(t *testing.T) {
 	s := collectSeries(t, tr, arr, 67)
 	readings := imu.Simulate(tr, imu.DefaultConfig(3))
 	camCfg := camera.DefaultConfig(2)
-	res, err := Fused(s, trackConfig(arr), readings, FusedConfig{}, geom.Pose{Pos: start}, tr, camCfg)
+	res, err := Fused(s, core.FastConfig(arr), readings, FusedConfig{}, geom.Pose{Pos: start}, tr, camCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +116,11 @@ func TestFusedWithParticleFilterStaysInCorridor(t *testing.T) {
 	readings := imu.Simulate(tr, icfg)
 	camCfg := camera.DefaultConfig(3)
 
-	raw, err := Fused(s, trackConfig(arr), readings, FusedConfig{}, geom.Pose{Pos: start}, tr, camCfg)
+	raw, err := Fused(s, core.FastConfig(arr), readings, FusedConfig{}, geom.Pose{Pos: start}, tr, camCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := Fused(s, trackConfig(arr), readings, FusedConfig{
+	pf, err := Fused(s, core.FastConfig(arr), readings, FusedConfig{
 		UsePF: true,
 		PF:    fusion.DefaultConfig(9),
 		Plan:  &plan,
@@ -193,7 +186,7 @@ func TestFusedBackendsDegradeGracefullyOnFaultyWalk(t *testing.T) {
 	for _, backend := range []fusion.BackendKind{fusion.BackendParticle, fusion.BackendESKF} {
 		fcfg := fusion.DefaultConfig(11)
 		fcfg.Backend = backend
-		res, err := Fused(s, trackConfig(arr), readings, FusedConfig{
+		res, err := Fused(s, core.FastConfig(arr), readings, FusedConfig{
 			UsePF: true,
 			PF:    fcfg,
 		}, geom.Pose{Pos: start}, tr, camCfg)

@@ -27,9 +27,10 @@ func buildSeries(t *testing.T, tr *traj.Trajectory, arr *array.Array, seed int64
 	return s
 }
 
-// fastConfig shrinks the lag window so unit tests stay quick: test motions
-// run at ≥0.3 m/s, so lags stay below 0.25 s.
-func fastConfig(arr *array.Array) Config {
+// testConfigV20 is the unit tests' operating point, W = 0.3 s and V = 20
+// (not FastConfig's V = 16): the short lag window keeps them quick, as
+// test motions run at ≥0.3 m/s, so lags stay below 0.25 s.
+func testConfigV20(arr *array.Array) Config {
 	cfg := DefaultConfig(arr)
 	cfg.WindowSeconds = 0.3
 	cfg.V = 20
@@ -56,7 +57,7 @@ func TestDerivedInputsValidatedAtConstruction(t *testing.T) {
 	tr := traj.Line(100, geom.Vec2{X: 10, Y: 0}, 0, 0, 0.3, 0.4)
 	for _, arr := range []*array.Array{array.NewLinear3(spacing), array.NewHexagonal(spacing)} {
 		s := buildSeries(t, tr, arr, 1)
-		cfg := fastConfig(arr)
+		cfg := testConfigV20(arr)
 		cfg.applyDefaults()
 		eng := trrs.NewEngine(s)
 		w := windowSlots(cfg.WindowSeconds, s.Rate)
@@ -100,7 +101,7 @@ func TestStraightLineDistance(t *testing.T) {
 	b.MoveDir(0, 1.0, 0.4)
 	b.Pause(0.5)
 	s := buildSeries(t, b.Build(), arr, 42)
-	res, err := ProcessSeries(s, fastConfig(arr))
+	res, err := ProcessSeries(s, testConfigV20(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestReverseDirectionHeading(t *testing.T) {
 	b.MoveDir(math.Pi, 0.8, 0.4) // move along body −X
 	b.Pause(0.4)
 	s := buildSeries(t, b.Build(), arr, 7)
-	res, err := ProcessSeries(s, fastConfig(arr))
+	res, err := ProcessSeries(s, testConfigV20(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestHexagonalHeadingResolution(t *testing.T) {
 	b.MoveDir(geom.Rad(60), 0.7, 0.35)
 	b.Pause(0.4)
 	s := buildSeries(t, b.Build(), arr, 3)
-	res, err := ProcessSeries(s, fastConfig(arr))
+	res, err := ProcessSeries(s, testConfigV20(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestStopAndGoSegmentation(t *testing.T) {
 	arr := array.NewLinear3(spacing)
 	tr := traj.StopAndGo(rate, geom.Vec2{X: 10, Y: 0}, 0, 0.5, 0.4, 1.0, 2)
 	s := buildSeries(t, tr, arr, 11)
-	res, err := ProcessSeries(s, fastConfig(arr))
+	res, err := ProcessSeries(s, testConfigV20(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestInPlaceRotationDetected(t *testing.T) {
 	s := buildSeries(t, b.Build(), arr, 23)
 	// Rotation aligns adjacent antennas after arc/(ω·r) = 1/3 s here, so
 	// the lag window must be wider than for brisk translations.
-	cfg := fastConfig(arr)
+	cfg := testConfigV20(arr)
 	cfg.WindowSeconds = 0.6
 	res, err := ProcessSeries(s, cfg)
 	if err != nil {
@@ -237,7 +238,7 @@ func TestRotationSignCW(t *testing.T) {
 	b.RotateInPlace(geom.Rad(-150), geom.Rad(180))
 	b.Pause(0.4)
 	s := buildSeries(t, b.Build(), arr, 29)
-	cfg := fastConfig(arr)
+	cfg := testConfigV20(arr)
 	cfg.WindowSeconds = 0.6
 	res, err := ProcessSeries(s, cfg)
 	if err != nil {
@@ -259,7 +260,7 @@ func TestTranslationNotMistakenForRotation(t *testing.T) {
 	b.MoveDir(0, 0.6, 0.35)
 	b.Pause(0.4)
 	s := buildSeries(t, b.Build(), arr, 31)
-	res, err := ProcessSeries(s, fastConfig(arr))
+	res, err := ProcessSeries(s, testConfigV20(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestReckonStraightLine(t *testing.T) {
 	b.MoveDir(0, 0.8, 0.4)
 	b.Pause(0.4)
 	s := buildSeries(t, b.Build(), arr, 13)
-	res, err := ProcessSeries(s, fastConfig(arr))
+	res, err := ProcessSeries(s, testConfigV20(arr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestBackAndForthDistance(t *testing.T) {
 	arr := array.NewLinear3(spacing)
 	tr := traj.BackAndForth(rate, geom.Vec2{X: 10, Y: 0}, 0, 0.8, 0.4)
 	s := buildSeries(t, tr, arr, 19)
-	res, err := ProcessSeries(s, fastConfig(arr))
+	res, err := ProcessSeries(s, testConfigV20(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestDownsampledSeriesProcessing(t *testing.T) {
 	b.Pause(0.5)
 	s := buildSeries(t, b.Build(), arr, 21)
 	ds := s.Downsample(2) // 100 Hz
-	res, err := ProcessSeries(ds, fastConfig(arr))
+	res, err := ProcessSeries(ds, testConfigV20(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestStaticTraceNoSegments(t *testing.T) {
 	b := traj.NewBuilder(100, geom.Pose{Pos: geom.Vec2{X: 10, Y: 0}})
 	b.Pause(2.0)
 	s := buildSeries(t, b.Build(), arr, 25)
-	res, err := ProcessSeries(s, fastConfig(arr))
+	res, err := ProcessSeries(s, testConfigV20(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestRefineHeadingDegenerate(t *testing.T) {
 	arr := array.NewLinear3(spacing)
 	tr := traj.Line(rate, geom.Vec2{X: 10, Y: 0}, 0, 0, 0.8, 0.4)
 	s := buildSeries(t, tr, arr, 27)
-	cfg := fastConfig(arr)
+	cfg := testConfigV20(arr)
 	cfg.ContinuousHeading = true
 	res, err := ProcessSeries(s, cfg)
 	if err != nil {

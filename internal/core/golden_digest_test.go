@@ -60,7 +60,7 @@ func TestEstimateDigestGolden(t *testing.T) {
 		for _, k := range []trrs.Kernel{trrs.KernelSequential, trrs.KernelVector} {
 			name := w.name + "/" + k.String()
 			t.Run(name, func(t *testing.T) {
-				cfg := fastConfig(w.arr)
+				cfg := testConfigV20(w.arr)
 				cfg.WindowSeconds = w.window
 				cfg.Kernel = k
 				res, err := ProcessSeries(s, cfg)

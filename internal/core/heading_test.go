@@ -24,7 +24,7 @@ func TestContinuousHeadingRefinesOffGridDirections(t *testing.T) {
 			b.MoveDir(geom.Rad(d), 0.8, 0.4)
 			b.Pause(0.4)
 			s := buildSeries(t, b.Build(), arr, 77+int64(i))
-			cfg := fastConfig(arr)
+			cfg := testConfigV20(arr)
 			cfg.ContinuousHeading = continuous
 			res, err := ProcessSeries(s, cfg)
 			if err != nil {
@@ -56,7 +56,7 @@ func TestContinuousHeadingNoopOnGrid(t *testing.T) {
 	b.MoveDir(geom.Rad(60), 0.7, 0.4)
 	b.Pause(0.4)
 	s := buildSeries(t, b.Build(), arr, 3)
-	cfg := fastConfig(arr)
+	cfg := testConfigV20(arr)
 	cfg.ContinuousHeading = true
 	res, err := ProcessSeries(s, cfg)
 	if err != nil {

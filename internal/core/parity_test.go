@@ -87,7 +87,7 @@ func TestVectorDefaultParity(t *testing.T) {
 		t.Run(w.name, func(t *testing.T) {
 			s := buildSeries(t, w.tr, w.arr, w.seed)
 			cfg := func(k trrs.Kernel) Config {
-				c := fastConfig(w.arr)
+				c := testConfigV20(w.arr)
 				c.WindowSeconds = w.window
 				c.Kernel = k
 				return c

@@ -36,11 +36,11 @@ func TestFloat32ErrorBudget(t *testing.T) {
 			b.Pause(0.5)
 			s := buildSeries(t, b.Build(), arr, walk.seed)
 
-			ref, err := ProcessSeries(s, fastConfig(arr))
+			ref, err := ProcessSeries(s, testConfigV20(arr))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg32 := fastConfig(arr)
+			cfg32 := testConfigV20(arr)
 			cfg32.Precision = trrs.PrecisionFloat32
 			got, err := ProcessSeries(s, cfg32)
 			if err != nil {
@@ -88,13 +88,13 @@ func TestVectorKernelEndToEnd(t *testing.T) {
 	b.Pause(0.5)
 	s := buildSeries(t, b.Build(), arr, 42)
 
-	cfgSeq := fastConfig(arr)
+	cfgSeq := testConfigV20(arr)
 	cfgSeq.Kernel = trrs.KernelSequential
 	ref, err := ProcessSeries(s, cfgSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgVec := fastConfig(arr)
+	cfgVec := testConfigV20(arr)
 	cfgVec.Kernel = trrs.KernelVector
 	got, err := ProcessSeries(s, cfgVec)
 	if err != nil {
@@ -131,7 +131,7 @@ func TestFloat32Streaming(t *testing.T) {
 	s := buildSeries(t, b.Build(), arr, 42)
 
 	mk := func(prec trrs.Precision) StreamConfig {
-		cfg := StreamConfig{Core: fastConfig(arr)}
+		cfg := StreamConfig{Core: testConfigV20(arr)}
 		cfg.Core.Precision = prec
 		return cfg
 	}

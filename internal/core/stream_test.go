@@ -11,7 +11,7 @@ import (
 )
 
 func streamConfig(arr *array.Array) StreamConfig {
-	cfg := fastConfig(arr)
+	cfg := testConfigV20(arr)
 	return StreamConfig{Core: cfg, SpanSeconds: 3, HopSeconds: 0.5}
 }
 
@@ -73,7 +73,7 @@ func TestStreamMatchesBatchDistance(t *testing.T) {
 	b.Pause(0.5)
 	s := buildSeries(t, b.Build(), arr, 42)
 
-	batch, err := ProcessSeries(s, fastConfig(arr))
+	batch, err := ProcessSeries(s, testConfigV20(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestStreamMatchesBatchHeadingRotation(t *testing.T) {
 	start := geom.Pose{Pos: geom.Vec2{X: 10, Y: 0}}
 	run := func(t *testing.T, tr *traj.Trajectory, seed int64, window float64) (batch, stream []Estimate) {
 		s := buildSeries(t, tr, arr, seed)
-		cfg := fastConfig(arr)
+		cfg := testConfigV20(arr)
 		cfg.WindowSeconds = window
 		res, err := ProcessSeries(s, cfg)
 		if err != nil {

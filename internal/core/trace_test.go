@@ -247,7 +247,7 @@ func TestBatchTraceHopZero(t *testing.T) {
 	b.Pause(0.5)
 	s := buildSeries(t, b.Build(), arr, 42)
 	rec := trace.NewRecorder(1 << 12)
-	cfg := fastConfig(arr)
+	cfg := testConfigV20(arr)
 	cfg.Trace = rec
 	if _, err := ProcessSeries(s, cfg); err != nil {
 		t.Fatal(err)

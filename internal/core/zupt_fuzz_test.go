@@ -42,7 +42,7 @@ func FuzzZUPTIntervals(f *testing.F) {
 		}
 		series := buildFaultySeries(t, tr, arr, seed, fm)
 
-		cfg := fastConfig(arr)
+		cfg := testConfigV20(arr)
 		res, err := ProcessSeries(series, cfg)
 		if err != nil {
 			// A fault combination the pipeline rejects outright is fine —

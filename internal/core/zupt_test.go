@@ -79,7 +79,7 @@ func TestZUPTIntervalsOnPauseWalk(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	rec := trace.NewRecorder(0)
-	cfg := fastConfig(arr)
+	cfg := testConfigV20(arr)
 	cfg.Obs = reg
 	cfg.Trace = rec
 	res, err := ProcessSeries(s, cfg)

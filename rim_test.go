@@ -9,10 +9,7 @@ import (
 func fastSystem(seed int64) *System {
 	arr := NewHexagonalArray()
 	env := NewFreeSpaceEnvironment(FastRFConfig(), Vec2{}, Vec2{X: 10})
-	cfg := DefaultCoreConfig(arr)
-	cfg.WindowSeconds = 0.3
-	cfg.V = 16
-	return NewSystem(env, arr, RealisticReceiver(seed), cfg)
+	return NewSystem(env, arr, RealisticReceiver(seed), FastCoreConfig(arr))
 }
 
 func TestSystemMeasureStraightMove(t *testing.T) {
