@@ -32,6 +32,7 @@ var callerlessKeep = map[string]string{
 	"csi.Series.Dt":                "tests observe a series' sample period through it",
 	"trrs.Matrix.Col":              "tests read matrix columns through it",
 	"obs/trace.Recorder.Cap":       "tests observe the ring capacity through it",
+	"trrs.Incremental.Capacity":    "tests observe the CSI ring's size through it",
 	"obs.Family.Other":             "tests observe the overflow child's conservation through it",
 	"rf.Environment.Scatterers":    "tests observe the simulated multipath through it",
 }

@@ -151,6 +151,7 @@ func NewStreamerFromCheckpoint(cfg StreamConfig, cp *StreamCheckpoint) (*Streame
 	st.finalized = cp.Finalized
 	st.pending = cp.Pending
 	st.hopFactor = cp.HopFactor
+	st.declarePeak()
 	st.hopSeq = cp.HopSeq
 	st.samples = cp.Samples
 	st.missTotal = cp.MissTotal

@@ -124,9 +124,17 @@ type Streamer struct {
 	// scratch of analyzeAlive's batched ExtendMatrices pass.
 	absPairs []trrs.PairSpec
 	baseMs   []*trrs.Matrix
-	// aliveScratch backs aliveAntennas' per-hop result.
+	// aliveScratch backs aliveAntennas' per-hop result; absent and
+	// liveScratch are the per-push antenna mask and live-power scratch of
+	// ingest and dead detection; zeroRow is the one all-zero row every
+	// never-seen (antenna, tx) is held at. With them a push that completes
+	// no hop allocates nothing.
 	aliveScratch []int
-	// buf[ant][tx] holds the windowed snapshots.
+	absent       []bool
+	liveScratch  []float64
+	zeroRow      []complex128
+	// buf[ant][tx] holds the windowed snapshots. The trim drops slots in
+	// place (see dropFront), so its backing keeps no dropped row alive.
 	buf [][][][]complex128
 	// missing[ant] flags windowed slots whose sample was lost, rejected
 	// or substituted; it trims in lockstep with buf and flows into
@@ -335,6 +343,9 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 		st.remapHdr = map[[2]int]*trrs.Matrix{}
 	}
 	st.aliveScratch = make([]int, 0, numAnts)
+	st.absent = make([]bool, numAnts)
+	st.liveScratch = make([]float64, 0, numAnts)
+	st.zeroRow = make([]complex128, numSub)
 	st.buf = make([][][][]complex128, numAnts)
 	st.missing = make([][]bool, numAnts)
 	st.lastGood = make([][][]complex128, numAnts)
@@ -360,7 +371,18 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 		st.emaAlpha = 1
 	}
 	st.dead = make([]bool, numAnts)
+	st.declarePeak()
 	return st, nil
+}
+
+// declarePeak tells the incremental engine the largest window the stream
+// holds: the window a trim keeps (the span, or three guards if more) plus
+// one stretched hop. The engine sizes its pair-matrix rings and caps its
+// CSI ring by it (see trrs.Incremental.SetPeakWindow).
+func (st *Streamer) declarePeak() {
+	if st.inc != nil {
+		st.inc.SetPeakWindow(max(st.span, 3*st.guard)+st.hopFactor*st.hop, st.hop)
+	}
 }
 
 // Latency returns the worst-case output latency in seconds.
@@ -439,6 +461,7 @@ func (st *Streamer) SetHopFactor(f int) {
 	}
 	st.mu.Lock()
 	st.hopFactor = f
+	st.declarePeak()
 	st.mu.Unlock()
 }
 
@@ -465,7 +488,8 @@ func (st *Streamer) PushMaskedCtx(ctx context.Context, snapshot [][][]complex128
 	if missing != nil && len(missing) != st.numAnts {
 		return nil, fmt.Errorf("core: missing mask has %d antennas, want %d", len(missing), st.numAnts)
 	}
-	absent := make([]bool, st.numAnts)
+	absent := st.absent
+	clear(absent)
 	corrupt := false
 	for a := 0; a < st.numAnts; a++ {
 		if missing != nil && missing[a] {
@@ -518,7 +542,7 @@ func (st *Streamer) PushMaskedCtx(ctx context.Context, snapshot [][][]complex128
 		for tx := 0; tx < st.numTx; tx++ {
 			row := rows[tx]
 			if row == nil {
-				row = make([]complex128, st.numSub) // zero row: TRRS-neutral
+				row = st.zeroRow // TRRS-neutral; no committed row is written
 			}
 			st.buf[a][tx] = append(st.buf[a][tx], row)
 			if incSnap != nil {
@@ -621,16 +645,13 @@ func (st *Streamer) updateDeadDetection(absent []bool, snapshot [][][]complex128
 	}
 
 	// Median power of the currently-live antennas, the reference level.
-	var live []float64
+	live := st.liveScratch[:0]
 	for a := 0; a < st.numAnts; a++ {
 		if !st.dead[a] && st.energyEMA[a] >= 0 {
 			live = append(live, st.energyEMA[a])
 		}
 	}
-	medPower := 0.0
-	if len(live) > 0 {
-		medPower = sigproc.Median(live)
-	}
+	medPower := sigproc.MedianInPlace(live)
 
 	deadChanged := false
 	for a := 0; a < st.numAnts; a++ {
@@ -881,12 +902,12 @@ func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error)
 	if excess > 0 {
 		for a := range st.buf {
 			for tx := range st.buf[a] {
-				st.buf[a][tx] = st.buf[a][tx][excess:]
+				st.buf[a][tx] = dropFront(st.buf[a][tx], excess)
 			}
-			st.missing[a] = st.missing[a][excess:]
+			st.missing[a] = dropFront(st.missing[a], excess)
 		}
 		if st.lagOn && excess <= len(st.ingestNs) {
-			st.ingestNs = st.ingestNs[excess:]
+			st.ingestNs = dropFront(st.ingestNs, excess)
 		}
 		st.dropped += excess
 		if st.inc != nil {
@@ -894,6 +915,17 @@ func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error)
 		}
 	}
 	return out, err
+}
+
+// dropFront removes s's first n elements in place: it moves the rest to
+// the front and clears the vacated tail, so the backing array keeps no
+// dropped element reachable and later appends refill it instead of
+// reallocating. Reslicing s[n:] instead would keep every dropped row
+// alive until an append happened to reallocate the array.
+func dropFront[E any](s []E, n int) []E {
+	m := copy(s, s[n:])
+	clear(s[m:])
+	return s[:m]
 }
 
 // analyzeAlive runs the batch pipeline over the buffered window restricted

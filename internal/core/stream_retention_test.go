@@ -1,0 +1,84 @@
+package core
+
+import (
+	"errors"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"rim/internal/array"
+)
+
+// TestStreamerWindowRetention pins what the window storage keeps alive.
+// Each slot is pushed as a fresh frame with one backing for all its rows,
+// as the wire decoder makes them. The trim drops slots in place, so every
+// frame that left the window is collectable and, past every buffered
+// row's length, the backing array holds nil. The incremental engine's CSI
+// ring doubles during warm-up but stops at span + 2·hop slots (the peak
+// window span + hop plus one hop of room), and SetHopFactor(2) regrows it
+// once, to exactly span + 3·hop.
+func TestStreamerWindowRetention(t *testing.T) {
+	arr := array.NewHexagonal(0.029)
+	s := daemonLoopSeries(t, arr, 3, false, 1, 5)
+	cfg := StreamConfig{Core: FastConfig(arr), SpanSeconds: 3, HopSeconds: 0.5}
+	st, err := NewStreamer(cfg, s.Rate, s.NumAnts, s.NumTx, s.NumSub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var freed atomic.Int64
+	snap := make([][][]complex128, s.NumAnts)
+	for a := range snap {
+		snap[a] = make([][]complex128, s.NumTx)
+	}
+	k := 0
+	push := func() {
+		flat := freshFrame(s, k%s.NumSlots(), snap)
+		runtime.SetFinalizer(&flat[0], func(*complex128) { freed.Add(1) })
+		if _, err := st.Push(snap); err != nil && !errors.Is(err, ErrAnalysis) {
+			t.Fatal(err)
+		}
+		k++
+	}
+	span, hop := st.span, st.hop
+	for k < span+6*hop {
+		push()
+	}
+	if st.dropped == 0 {
+		t.Fatal("the window was never trimmed")
+	}
+	// Every frame the trim dropped is garbage; the window's are not.
+	for i := 0; i < 100 && freed.Load() < int64(st.dropped); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := freed.Load(); n != int64(st.dropped) {
+		t.Fatalf("%d of the %d frames trimmed from the window were collected: the rest are still reachable",
+			n, st.dropped)
+	}
+	for a := range st.buf {
+		for tx, rows := range st.buf[a] {
+			for i, row := range rows[len(rows):cap(rows)] {
+				if row != nil {
+					t.Fatalf("buf[%d][%d][%d] past the window's %d slots still holds a row",
+						a, tx, len(rows)+i, len(rows))
+				}
+			}
+		}
+	}
+	if c := st.inc.Capacity(); c != span+2*hop {
+		t.Fatalf("CSI ring holds %d slots, want span + 2·hop = %d", c, span+2*hop)
+	}
+
+	st.SetHopFactor(2)
+	var caps []int
+	for end := k + 8*hop; k < end; {
+		push()
+		if c := st.inc.Capacity(); len(caps) == 0 || caps[len(caps)-1] != c {
+			caps = append(caps, c)
+		}
+	}
+	if want := []int{span + 2*hop, span + 3*hop}; len(caps) != 2 || caps[0] != want[0] || caps[1] != want[1] {
+		t.Fatalf("after SetHopFactor(2) the CSI ring held %v slots in turn, want %v (one regrow)", caps, want)
+	}
+}

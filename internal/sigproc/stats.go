@@ -37,16 +37,28 @@ func Std(x []float64) float64 { return math.Sqrt(Variance(x)) }
 // Median returns the median of x, or 0 for an empty slice.
 func Median(x []float64) float64 { return Percentile(x, 50) }
 
+// MedianInPlace is Median for a slice the caller owns: it sorts x in
+// place instead of copying it, and returns the same value.
+func MedianInPlace(x []float64) float64 {
+	sort.Float64s(x)
+	return sortedPercentile(x, 50)
+}
+
 // Percentile returns the p-th percentile (0..100) of x using linear
 // interpolation between order statistics. x is not modified.
 func Percentile(x []float64, p float64) float64 {
-	n := len(x)
+	s := make([]float64, len(x))
+	copy(s, x)
+	sort.Float64s(s)
+	return sortedPercentile(s, p)
+}
+
+// sortedPercentile is Percentile of an already sorted s.
+func sortedPercentile(s []float64, p float64) float64 {
+	n := len(s)
 	if n == 0 {
 		return 0
 	}
-	s := make([]float64, n)
-	copy(s, x)
-	sort.Float64s(s)
 	if p <= 0 {
 		return s[0]
 	}

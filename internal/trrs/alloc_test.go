@@ -269,6 +269,82 @@ func TestExtendMatricesBackingBytes(t *testing.T) {
 	}
 }
 
+// TestExtendMatricesRingsSizedOnce pins the declared-peak sizing of a
+// streamer-shaped warm-up: with SetPeakWindow(span + hop, hop) each of
+// the daemon's 18 hexagonal pairs allocates its ring once, at span + hop
+// rows, on its first build, and keeps that backing while the window grows
+// hop by hop and then slides. The CSI ring stops at span + 2·hop slots.
+// Raising the peak to span + 2·hop (a doubled hop) regrows each ring once,
+// to exactly the new peak.
+func TestExtendMatricesRingsSizedOnce(t *testing.T) {
+	const w, span, hop = 30, 300, 50
+	rng := rand.New(rand.NewSource(12))
+	s := randomSeries(rng, 6, 1, 4, span+hop)
+	inc, err := NewIncremental(s.Rate, s.NumAnts, s.NumTx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc.SetPeakWindow(span+hop, hop)
+	pairs := []PairSpec{
+		{1, 0}, {3, 4}, {2, 0}, {3, 5}, {3, 0}, {4, 0}, {3, 1}, {5, 0}, {3, 2},
+		{2, 1}, {4, 5}, {4, 1}, {5, 1}, {4, 2}, {2, 5}, {0, 1}, {1, 2}, {2, 3},
+	}
+	k := 0
+	// backings maps each pair to every distinct ring backing it has held,
+	// in order.
+	backings := map[*incMat][]*float64{}
+	extend := func(slots int) {
+		for n := 0; n < slots; n++ {
+			if err := inc.Append(seriesSnapshot(s, k%s.NumSlots())); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		}
+		if _, err := inc.ExtendMatrices(pairs); err != nil {
+			t.Fatal(err)
+		}
+		for _, im := range inc.mats {
+			if b := backings[im]; len(b) == 0 || b[len(b)-1] != &im.ring[0] {
+				backings[im] = append(b, &im.ring[0])
+			}
+		}
+	}
+	check := func(stage string, allocs, rows int) {
+		t.Helper()
+		for key, im := range inc.mats {
+			if n := len(backings[im]); n != allocs {
+				t.Fatalf("%s: pair %v allocated %d ring backings, want %d", stage, key, n, allocs)
+			}
+			if got := len(im.ring) / (2*w + 1); got != rows {
+				t.Fatalf("%s: pair %v ring holds %d rows, want %d", stage, key, got, rows)
+			}
+		}
+	}
+	for inc.NumSlots() < span+hop {
+		extend(hop)
+	}
+	for h := 0; h < 6; h++ {
+		inc.DropFront(hop)
+		extend(hop)
+	}
+	check("warm-up", 1, span+hop)
+	if c := inc.Capacity(); c != span+2*hop {
+		t.Fatalf("CSI ring holds %d slots, want span + 2·hop = %d", c, span+2*hop)
+	}
+
+	// As a streamer does, each hop trims the window back to the span
+	// first, then the doubled hop arrives.
+	inc.SetPeakWindow(span+2*hop, hop)
+	for h := 0; h < 4; h++ {
+		inc.DropFront(inc.NumSlots() - span)
+		extend(2 * hop)
+	}
+	check("doubled hop", 2, span+2*hop)
+	if c := inc.Capacity(); c != span+3*hop {
+		t.Fatalf("CSI ring holds %d slots after the raised peak, want span + 3·hop = %d", c, span+3*hop)
+	}
+}
+
 // TestExtendMatricesAllocFree extends the zero-allocation contract to the
 // cross-pair batched refresh: once the window geometry and the batch
 // scratch have warmed up, a hop that refreshes all three pairs and a

@@ -56,7 +56,8 @@ import (
 // region is slots [head, head+n); Append normalizes into the tail in
 // place and, when the tail reaches capacity, compacts the live region to
 // the front instead of growing. Each maintained pair matrix keeps its rows
-// in one ring of C rows, C the largest window it has seen, with the row of
+// in one ring of C rows, C the declared peak window (see SetPeakWindow) or
+// the largest window it has seen if that is more, with the row of
 // absolute slot r at ring row r mod C: a refresh re-points the row headers,
 // leaves carried rows where they are and recomputes the stale entries in
 // place, and the self-TRRS cache compacts each series in place, so once
@@ -91,6 +92,10 @@ type Incremental struct {
 	head       int
 	start, end int
 	mats       map[PairSpec]*incMat
+	// peak and ringCap are the storage sizes SetPeakWindow declared, in
+	// slots: each pair matrix's ring rows and the CSI ring's growth cap
+	// (0 until declared: size by the windows seen).
+	peak, ringCap int
 
 	// view is the cached full-array engine ExtendMatrix refreshes in
 	// place every call (EngineView allocates fresh ones for external
@@ -128,7 +133,8 @@ type Incremental struct {
 
 // incMat is one maintained pair matrix plus the absolute window
 // [start, end) its rows were computed for. Its rows live in one flat ring
-// of C = len(ring)/(2W+1) rows, C the largest window the pair has seen:
+// of C = len(ring)/(2W+1) rows, C the declared peak window or the largest
+// window the pair has seen if that is more:
 // the row of absolute slot r is ring row r mod C, so a row keeps its
 // storage for as long as it stays in the window and a refresh only
 // re-points the row headers (rows, behind the reused Matrix header hdr)
@@ -232,6 +238,28 @@ func (inc *Incremental) SetTrace(rec *trace.Recorder) { inc.trc = rec }
 // of the analysis hop driving this engine.
 func (inc *Incremental) SetHop(hop int64) { inc.hop = hop }
 
+// SetPeakWindow declares the largest window, in slots, the caller holds
+// before it drops slots from the front (peak), and the hop it drops them
+// by. Each pair matrix's ring is then allocated at peak rows on its first
+// build instead of regrowing hop by hop, and the CSI ring still grows from
+// a small first slab by doubling but stops at peak + hop slots, compacting
+// from then on. A raised peak regrows each once, when the window next
+// needs it; a lowered one shrinks nothing. A window that outgrows the
+// declaration still fits: it is a sizing hint, not a bound. Without a
+// declaration everything is sized by the windows seen.
+func (inc *Incremental) SetPeakWindow(peak, hop int) {
+	inc.peak, inc.ringCap = peak, peak+hop
+}
+
+// Capacity returns how many slots the CSI ring has room for: the window
+// plus the free slots behind and ahead of it.
+func (inc *Incremental) Capacity() int {
+	if inc.tones <= 0 {
+		return 0
+	}
+	return inc.ring.capacity() / inc.tones
+}
+
 // NumSlots returns the current window length.
 func (inc *Incremental) NumSlots() int { return inc.end - inc.start }
 
@@ -268,7 +296,7 @@ func (inc *Incremental) Append(snapshot [][][]complex128) error {
 		}
 	}
 	n := inc.NumSlots()
-	if inc.ring.addSlot(inc.head*inc.tones, (inc.head+n)*inc.tones, inc.tones) {
+	if inc.ring.addSlot(inc.head*inc.tones, (inc.head+n)*inc.tones, inc.tones, inc.ringCap*inc.tones) {
 		inc.head = 0
 	}
 	o := (inc.head + n) * inc.tones
@@ -391,8 +419,9 @@ func (inc *Incremental) matFor(i, j int) *incMat {
 }
 
 // carry advances pair (i, j)'s maintained matrix to the current window:
-// it re-points the row headers into the pair's ring (growing it first if
-// the window outgrew it), clears the backward columns that fell off the
+// it re-points the row headers into the pair's ring (sizing it first if
+// the window outgrew it: to the declared peak, or to the window if that
+// is larger), clears the backward columns that fell off the
 // head, appends one work item per new row (all columns) and per carried
 // row with forward columns onto newly appended slots (those columns only)
 // to work, commits the reuse/stale accounting, and returns the matrix
@@ -408,7 +437,7 @@ func (inc *Incremental) carry(im *incMat, i, j int, src *Matrix, work []batchIte
 		kept = max(im.end, inc.start)
 	}
 	if tSlots*width > len(im.ring) {
-		im.grow(tSlots, width, inc.start, kept)
+		im.grow(max(tSlots, inc.peak), width, inc.start, kept)
 	}
 	rows := im.rows[:tSlots]
 	m := &im.hdr
@@ -460,9 +489,10 @@ func (inc *Incremental) carry(im *incMat, i, j int, src *Matrix, work []batchIte
 	return m, work
 }
 
-// grow resizes the pair's ring to exactly c rows, never more (the window
-// outgrows it only while warming up or after a geometry change), and lays
-// the carried rows of absolute slots [lo, hi) out at their new ring rows.
+// grow resizes the pair's ring to exactly c rows (the window outgrows it
+// only on the first build, while warming up without a declared peak, or
+// after a geometry change), and lays the carried rows of absolute slots
+// [lo, hi) out at their new ring rows.
 func (im *incMat) grow(c, width, lo, hi int) {
 	ring := make([]float64, c*width)
 	old := len(im.ring) / width

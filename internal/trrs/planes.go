@@ -29,9 +29,14 @@ type planeStore interface {
 	sweepRow(band []float64, i, j, oi, oj, tones int)
 	// addSlot appends one slot of tones values to every plane of a ring
 	// whose live region is [lo, hi): in place when capacity allows, else
-	// by compacting the live region to the front, else by growing. It
-	// reports whether the live region moved to offset 0.
-	addSlot(lo, hi, tones int) (moved bool)
+	// by compacting the live region to the front, else by growing. Growth
+	// roughly doubles the live region, but stops at limit values when
+	// limit holds the region plus the slot (limit 0: no cap), and a ring
+	// below a raised limit grows to it at its next move instead of
+	// compacting. It reports whether the live region moved to offset 0.
+	addSlot(lo, hi, tones, limit int) (moved bool)
+	// capacity is the number of values each slab holds.
+	capacity() int
 	// viewInto points dst (same element type) at offsets [lo, hi) of the
 	// given antennas' planes.
 	viewInto(dst planeStore, ants []int, lo, hi int)
@@ -108,31 +113,42 @@ func (p *planes[T]) sweepRow(band []float64, i, j, oi, oj, tones int) {
 	}
 }
 
-func (p *planes[T]) addSlot(lo, hi, tones int) bool {
+func (p *planes[T]) addSlot(lo, hi, tones, limit int) bool {
 	c := cap(p.re[0][0])
 	moved := c < hi+tones
-	// Compact when the live region plus the new slot fits, else grow to
-	// ~2× the live window, so steady sliding settles into the
-	// extend/compact cycle and never grows again.
-	grow := moved && (lo == 0 || hi-lo+tones > c)
+	// Compact when the live region plus the new slot fits and the ring has
+	// reached its limit, else grow to ~2× the live window, capped at the
+	// limit, so steady sliding settles into the extend/compact cycle and
+	// never grows again.
+	n := hi - lo + tones
+	size := 0
+	if moved && (lo == 0 || n > c || c < limit) {
+		size = 2 * n
+		if limit >= n {
+			size = min(size, limit)
+		}
+	}
 	for a := range p.re {
 		for tx := range p.re[a] {
-			p.re[a][tx] = appendSlot(p.re[a][tx], lo, hi, tones, moved, grow)
-			p.im[a][tx] = appendSlot(p.im[a][tx], lo, hi, tones, moved, grow)
+			p.re[a][tx] = appendSlot(p.re[a][tx], lo, hi, tones, moved, size)
+			p.im[a][tx] = appendSlot(p.im[a][tx], lo, hi, tones, moved, size)
 		}
 	}
 	return moved
 }
 
-// appendSlot extends one ring slab by a slot (see addSlot).
-func appendSlot[T sigproc.Float](s []T, lo, hi, tones int, moved, grow bool) []T {
+func (p *planes[T]) capacity() int { return cap(p.re[0][0]) }
+
+// appendSlot extends one ring slab by a slot, moving the live region into
+// a fresh slab of size values when size > 0 (see addSlot).
+func appendSlot[T sigproc.Float](s []T, lo, hi, tones int, moved bool, size int) []T {
 	if !moved {
 		return s[:hi+tones]
 	}
 	n := hi - lo
 	dst := s[:n]
-	if grow {
-		dst = make([]T, n, 2*(n+tones))
+	if size > 0 {
+		dst = make([]T, n, size)
 	}
 	copy(dst, s[lo:hi])
 	return dst[:n+tones]
