@@ -16,25 +16,26 @@ import (
 // are the package directory under internal/, then the receiver type for a
 // method, then the name.
 var callerlessKeep = map[string]string{
-	"trrs.Engine.BaseMatrixSerial": "reference implementation the pool and incremental tests compare against",
-	"sigproc.Normalize":            "reference implementation NormalizeSoA's tests compare against",
-	"sigproc.InnerProduct":         "reference implementation the SoA kernels' and TRRS tests compare against",
-	"obs.LintMetricNames":          "the metric-naming lint in metrics_lint_test.go runs it",
-	"sigproc.VecSupported":         "tests gate the AVX2 paths on it",
-	"sigproc.FFT":                  "CIR-tap TRRS (ROADMAP item 1) measures tap energy with it",
-	"sigproc.IFFT":                 "CIR-tap TRRS (ROADMAP item 1) measures tap energy with it",
-	"obs/trace.Lineage":            "reference join behind TestStreamTraceLineage and DESIGN's lineage contract",
-	"traj.StopAndGo":               "fixture the align and core tests build on",
-	"fusion.ESKF.Covariance":       "tests observe the filter's covariance through it",
-	"fusion.ESKF.GyroBias":         "tests observe the estimated gyro bias through it",
-	"fusion.ESKF.SpeedBias":        "tests observe the estimated speed bias through it",
-	"core.Streamer.Latency":        "tests observe a stream's fixed latency through it",
-	"csi.Series.Dt":                "tests observe a series' sample period through it",
-	"trrs.Matrix.Col":              "tests read matrix columns through it",
-	"obs/trace.Recorder.Cap":       "tests observe the ring capacity through it",
-	"trrs.Incremental.Capacity":    "tests observe the CSI ring's size through it",
-	"obs.Family.Other":             "tests observe the overflow child's conservation through it",
-	"rf.Environment.Scatterers":    "tests observe the simulated multipath through it",
+	"trrs.Engine.BaseMatrixSerial":  "reference implementation the pool and incremental tests compare against",
+	"sigproc.Normalize":             "reference implementation NormalizeSoA's tests compare against",
+	"sigproc.InnerProduct":          "reference implementation the SoA kernels' and TRRS tests compare against",
+	"obs.LintMetricNames":           "the metric-naming lint in metrics_lint_test.go runs it",
+	"sigproc.VecSupported":          "tests gate the AVX2 paths on it",
+	"sigproc.FFT":                   "CIR-tap TRRS (ROADMAP item 1) measures tap energy with it",
+	"sigproc.IFFT":                  "CIR-tap TRRS (ROADMAP item 1) measures tap energy with it",
+	"obs/trace.Lineage":             "reference join behind TestStreamTraceLineage and DESIGN's lineage contract",
+	"traj.StopAndGo":                "fixture the align and core tests build on",
+	"fusion.ESKF.Covariance":        "tests observe the filter's covariance through it",
+	"fusion.ESKF.GyroBias":          "tests observe the estimated gyro bias through it",
+	"fusion.ESKF.SpeedBias":         "tests observe the estimated speed bias through it",
+	"core.Streamer.Latency":         "tests observe a stream's fixed latency through it",
+	"csi.Series.Dt":                 "tests observe a series' sample period through it",
+	"trrs.Matrix.Col":               "tests read matrix columns through it",
+	"obs/trace.Recorder.Cap":        "tests observe the ring capacity through it",
+	"trrs.Incremental.Capacity":     "tests observe the CSI ring's size through it",
+	"trrs.Incremental.Renormalized": "tests check that a steady-state hop reads nothing below the planes' head",
+	"obs.Family.Other":              "tests observe the overflow child's conservation through it",
+	"rf.Environment.Scatterers":     "tests observe the simulated multipath through it",
 }
 
 // implicitMethods are the methods of standard-library interfaces (error,

@@ -376,12 +376,15 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 }
 
 // declarePeak tells the incremental engine the largest window the stream
-// holds: the window a trim keeps (the span, or three guards if more) plus
-// one stretched hop. The engine sizes its pair-matrix rings and caps its
-// CSI ring by it (see trrs.Incremental.SetPeakWindow).
+// holds — the window a trim keeps (the span, or three guards if more) plus
+// one stretched hop — and the stretched hop between two refreshes, with
+// one plain hop of room. The engine sizes its pair-matrix rings by the
+// window and caps its CSI planes by the hop and the refresh reach (see
+// trrs.Incremental.SetPeakWindow).
 func (st *Streamer) declarePeak() {
 	if st.inc != nil {
-		st.inc.SetPeakWindow(max(st.span, 3*st.guard)+st.hopFactor*st.hop, st.hop)
+		stride := st.hopFactor * st.hop
+		st.inc.SetPeakWindow(max(st.span, 3*st.guard)+stride, stride, st.hop)
 	}
 }
 
@@ -527,7 +530,10 @@ func (st *Streamer) PushMaskedCtx(ctx context.Context, snapshot [][][]complex128
 		st.ob.corrupt.Inc()
 		corruptFlag = 1
 	}
-	incSnap := st.incSnap // reused scratch; inc.Append copies the rows
+	// incSnap is reused scratch: inc.Append copies only its outer slices
+	// and keeps the rows themselves until their slot is dropped, so no row
+	// committed here (the shared zeroRow included) may be modified later.
+	incSnap := st.incSnap
 	for a := 0; a < st.numAnts; a++ {
 		var rows [][]complex128
 		switch {

@@ -15,9 +15,12 @@ import (
 // as the wire decoder makes them. The trim drops slots in place, so every
 // frame that left the window is collectable and, past every buffered
 // row's length, the backing array holds nil. The incremental engine's CSI
-// ring doubles during warm-up but stops at span + 2·hop slots (the peak
-// window span + hop plus one hop of room), and SetHopFactor(2) regrows it
-// once, to exactly span + 3·hop.
+// ring doubles during warm-up but stops at reach + 2·hop slots (the
+// refresh reach — W, the movement lags being shorter at this point — plus
+// the hop between refreshes and one hop of room), and SetHopFactor(2)
+// regrows it once, to exactly reach + 3·hop. No hop, warm-up included and
+// at either hop length, reads below the planes' head, so nothing is
+// re-normalized from the raw rows.
 func TestStreamerWindowRetention(t *testing.T) {
 	arr := array.NewHexagonal(0.029)
 	s := daemonLoopSeries(t, arr, 3, false, 1, 5)
@@ -44,6 +47,9 @@ func TestStreamerWindowRetention(t *testing.T) {
 	for k < span+6*hop {
 		push()
 	}
+	if n := st.inc.Renormalized(); n != 0 {
+		t.Fatalf("the hops re-normalized the window %d times, want none", n)
+	}
 	if st.dropped == 0 {
 		t.Fatal("the window was never trimmed")
 	}
@@ -66,8 +72,9 @@ func TestStreamerWindowRetention(t *testing.T) {
 			}
 		}
 	}
-	if c := st.inc.Capacity(); c != span+2*hop {
-		t.Fatalf("CSI ring holds %d slots, want span + 2·hop = %d", c, span+2*hop)
+	reach := st.wSlots
+	if c := st.inc.Capacity(); c != reach+2*hop {
+		t.Fatalf("CSI ring holds %d slots, want reach + 2·hop = %d", c, reach+2*hop)
 	}
 
 	st.SetHopFactor(2)
@@ -78,7 +85,10 @@ func TestStreamerWindowRetention(t *testing.T) {
 			caps = append(caps, c)
 		}
 	}
-	if want := []int{span + 2*hop, span + 3*hop}; len(caps) != 2 || caps[0] != want[0] || caps[1] != want[1] {
+	if want := []int{reach + 2*hop, reach + 3*hop}; len(caps) != 2 || caps[0] != want[0] || caps[1] != want[1] {
 		t.Fatalf("after SetHopFactor(2) the CSI ring held %v slots in turn, want %v (one regrow)", caps, want)
+	}
+	if n := st.inc.Renormalized(); n != 0 {
+		t.Fatalf("the hops after SetHopFactor(2) re-normalized the window %d times, want none", n)
 	}
 }

@@ -114,10 +114,6 @@ type Config struct {
 	// HealthyAfter resets the consecutive-restart count once a restarted
 	// session has run cleanly this long (default 5s).
 	HealthyAfter time.Duration
-	// CheckpointEveryFrames refreshes the session's in-memory restart
-	// checkpoint every N accepted frames (default 128; the registry's
-	// ticker persists it to disk).
-	CheckpointEveryFrames int
 	// Emit, when non-nil, receives every batch of finalized estimates.
 	Emit func(id string, ests []core.Estimate)
 	// Fusion, when non-nil, runs a fusion backend (fusion.Config.Backend
@@ -176,9 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HealthyAfter <= 0 {
 		c.HealthyAfter = 5 * time.Second
-	}
-	if c.CheckpointEveryFrames <= 0 {
-		c.CheckpointEveryFrames = 128
 	}
 	if c.Metrics == nil {
 		c.Metrics = &Metrics{}
@@ -620,9 +613,12 @@ func (s *Session) runOnce() (quit bool, err error) {
 			}
 			healthySince = time.Now()
 		}
-		// Refresh the in-memory restart point so a failure resumes near
-		// the frontier instead of replaying the whole window.
-		if frames%s.cfg.CheckpointEveryFrames == 0 {
+		// Refresh the in-memory restart point (the registry's ticker
+		// persists it) on every push that completed a hop, so a failure
+		// resumes within a hop of the frontier. The checkpoint shares the
+		// window's rows, and a hop has just trimmed the window: taken
+		// then, it keeps no row alive that the window has dropped.
+		if len(ests) > 0 {
 			if fresh := stream.Checkpoint(); fresh != nil {
 				s.mu.Lock()
 				s.lastCp = fresh

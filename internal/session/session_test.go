@@ -254,6 +254,9 @@ func TestSupervisorRestartRestoresFromCheckpoint(t *testing.T) {
 	d := &fakeDriver{}
 	var restoredMu sync.Mutex
 	restored := false
+	// Every clean push of the fake stream finalizes an estimate, as a
+	// completed hop does, so the first push refreshes the in-memory
+	// checkpoint the restart after the second one must restore from.
 	d.script = func(build, push int) error {
 		if build == 1 && push == 2 {
 			return errInjectedPanic
@@ -263,7 +266,6 @@ func TestSupervisorRestartRestoresFromCheckpoint(t *testing.T) {
 	base := d.factory
 	m := NewMetricsCap(obs.NewRegistry(), 0)
 	cfg := fastSupervisor(d, m)
-	cfg.CheckpointEveryFrames = 1 // refresh lastCp on every frame
 	cfg.Factory = func(id string, spec Spec, cp *core.StreamCheckpoint) (Stream, error) {
 		if cp != nil {
 			restoredMu.Lock()

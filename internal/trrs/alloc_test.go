@@ -270,12 +270,13 @@ func TestExtendMatricesBackingBytes(t *testing.T) {
 }
 
 // TestExtendMatricesRingsSizedOnce pins the declared-peak sizing of a
-// streamer-shaped warm-up: with SetPeakWindow(span + hop, hop) each of
-// the daemon's 18 hexagonal pairs allocates its ring once, at span + hop
-// rows, on its first build, and keeps that backing while the window grows
-// hop by hop and then slides. The CSI ring stops at span + 2·hop slots.
-// Raising the peak to span + 2·hop (a doubled hop) regrows each ring once,
-// to exactly the new peak.
+// streamer-shaped warm-up: with SetPeakWindow(span + hop, hop, hop) each
+// of the daemon's 18 hexagonal pairs allocates its ring once, at span +
+// hop rows, on its first build, and keeps that backing while the window
+// grows hop by hop and then slides. The CSI ring stops at the refresh
+// reach (W here: no self-TRRS lag is asked) plus two hops. Raising the
+// peak to span + 2·hop (a doubled hop) regrows each ring once, to exactly
+// the new peak, and the CSI ring to W + 3·hop.
 func TestExtendMatricesRingsSizedOnce(t *testing.T) {
 	const w, span, hop = 30, 300, 50
 	rng := rand.New(rand.NewSource(12))
@@ -284,7 +285,7 @@ func TestExtendMatricesRingsSizedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc.SetPeakWindow(span+hop, hop)
+	inc.SetPeakWindow(span+hop, hop, hop)
 	pairs := []PairSpec{
 		{1, 0}, {3, 4}, {2, 0}, {3, 5}, {3, 0}, {4, 0}, {3, 1}, {5, 0}, {3, 2},
 		{2, 1}, {4, 5}, {4, 1}, {5, 1}, {4, 2}, {2, 5}, {0, 1}, {1, 2}, {2, 3},
@@ -328,20 +329,20 @@ func TestExtendMatricesRingsSizedOnce(t *testing.T) {
 		extend(hop)
 	}
 	check("warm-up", 1, span+hop)
-	if c := inc.Capacity(); c != span+2*hop {
-		t.Fatalf("CSI ring holds %d slots, want span + 2·hop = %d", c, span+2*hop)
+	if c := inc.Capacity(); c != w+2*hop {
+		t.Fatalf("CSI ring holds %d slots, want W + 2·hop = %d", c, w+2*hop)
 	}
 
 	// As a streamer does, each hop trims the window back to the span
 	// first, then the doubled hop arrives.
-	inc.SetPeakWindow(span+2*hop, hop)
+	inc.SetPeakWindow(span+2*hop, 2*hop, hop)
 	for h := 0; h < 4; h++ {
 		inc.DropFront(inc.NumSlots() - span)
 		extend(2 * hop)
 	}
 	check("doubled hop", 2, span+2*hop)
-	if c := inc.Capacity(); c != span+3*hop {
-		t.Fatalf("CSI ring holds %d slots after the raised peak, want span + 3·hop = %d", c, span+3*hop)
+	if c := inc.Capacity(); c != w+3*hop {
+		t.Fatalf("CSI ring holds %d slots after the raised peak, want W + 3·hop = %d", c, w+3*hop)
 	}
 }
 

@@ -194,31 +194,60 @@ var (
 // asserts that after every read the maintained matrices are bit-identical
 // to a serial batch engine of the same precision and kernel built over
 // exactly the current window — per-pair reads and batched reads with
-// reflected twins alike.
+// reflected twins alike. The below-head runs cap the planes a few slots
+// past the refresh reach and add the pairs one read at a time, so reads
+// land below the planes' head — pairs first requested after the planes
+// were trimmed, stretches of appends longer than the cap, self-TRRS lags
+// beyond W — and must hold the same bits.
 func TestGoldenIncrementalEqualsSerial(t *testing.T) {
+	belowHead := incOpts{peak: 80, stride: 6, slack: 3, late: true, selfLags: []int{3, 15}}
 	for _, faulty := range []bool{false, true} {
 		s := walkSeries(t, faulty)
 		for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
 			for _, k := range []Kernel{KernelSequential, KernelVector} {
 				name := fmt.Sprintf("faulty=%v/%v/%v", faulty, prec, k)
 				t.Run(name, func(t *testing.T) {
-					runIncSchedule(t, s, 12, prec, k, goldenSteps, goldenPairs, goldenBatch)
+					runIncSchedule(t, s, 12, prec, k, goldenSteps, goldenPairs, goldenBatch, incOpts{})
+				})
+				t.Run(name+"/below-head", func(t *testing.T) {
+					if runIncSchedule(t, s, 12, prec, k, goldenSteps, goldenPairs, goldenBatch, belowHead) == 0 {
+						t.Fatal("no read went below the planes' head")
+					}
 				})
 			}
 		}
 	}
 }
 
+// incOpts varies how runIncSchedule drives the engine.
+type incOpts struct {
+	// stride > 0 declares SetPeakWindow(peak, stride, slack), so the
+	// planes hold at most reach + stride slots and a read after a longer
+	// stretch of appends re-normalizes slots below their head.
+	peak, stride, slack int
+	// late makes the n-th read cover only the first n pairs of its list,
+	// so later pairs are first built after the planes were trimmed.
+	late bool
+	// selfLags are self-TRRS lags every read also checks, through a
+	// full-array EngineView's SelfSeries.
+	selfLags []int
+}
+
 // runIncSchedule runs steps on an Incremental over s and checks every
-// read against BaseMatrixSerial on the window's batch engine.
-func runIncSchedule(t *testing.T, s *csi.Series, w int, prec Precision, k Kernel, steps []incStep, pairs, batch []PairSpec) {
+// read against BaseMatrixSerial (and every self-TRRS read against
+// SelfSeries) on the window's batch engine. It returns how many reads
+// went below the planes' head.
+func runIncSchedule(t *testing.T, s *csi.Series, w int, prec Precision, k Kernel, steps []incStep, pairs, batch []PairSpec, opts incOpts) int {
 	t.Helper()
 	inc, err := NewIncrementalPrecision(s.Rate, s.NumAnts, s.NumTx, w, prec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inc.SetKernel(k)
-	start, next := 0, 0
+	if opts.stride > 0 {
+		inc.SetPeakWindow(opts.peak, opts.stride, opts.slack)
+	}
+	start, next, reads, below := 0, 0, 0, 0
 	for si, step := range steps {
 		for n := 0; n < step.app && next < s.NumSlots(); n++ {
 			if err := inc.Append(seriesSnapshot(s, next)); err != nil {
@@ -234,19 +263,23 @@ func runIncSchedule(t *testing.T, s *csi.Series, w int, prec Precision, k Kernel
 		case queryNone:
 			continue
 		case queryPair:
-			for _, p := range pairs {
+			want = pairs
+		case queryBatch:
+			want = batch
+		}
+		if reads++; opts.late {
+			want = want[:min(reads, len(want))]
+		}
+		if step.query == queryPair {
+			for _, p := range want {
 				m, err := inc.ExtendMatrix(p.I, p.J)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got = append(got, m)
 			}
-			want = pairs
-		case queryBatch:
-			if got, err = inc.ExtendMatrices(batch); err != nil {
-				t.Fatal(err)
-			}
-			want = batch
+		} else if got, err = inc.ExtendMatrices(want); err != nil {
+			t.Fatal(err)
 		}
 		oracle := windowEngineOf(s, start, next, prec, k)
 		for n, p := range want {
@@ -255,6 +288,35 @@ func runIncSchedule(t *testing.T, s *csi.Series, w int, prec Precision, k Kernel
 			}
 			name := fmt.Sprintf("step %d pair (%d,%d)", si, p.I, p.J)
 			requireIdentical(t, name, oracle.BaseMatrixSerial(p.I, p.J, w), got[n])
+		}
+		if len(opts.selfLags) > 0 {
+			view, err := inc.EngineView(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a := 0; a < s.NumAnts; a++ {
+				for _, lag := range opts.selfLags {
+					requireSameSeries(t, fmt.Sprintf("step %d self (%d, lag %d)", si, a, lag),
+						oracle.SelfSeries(a, lag, 1), view.SelfSeries(a, lag, 1))
+				}
+			}
+		}
+		if inc.full != nil {
+			below++
+		}
+	}
+	return below
+}
+
+// requireSameSeries fails unless got and want hold the same bits.
+func requireSameSeries(t *testing.T, name string, want, got []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", name, len(got), len(want))
+	}
+	for n := range want {
+		if math.Float64bits(got[n]) != math.Float64bits(want[n]) {
+			t.Fatalf("%s: value %d = %v, want %v", name, n, got[n], want[n])
 		}
 	}
 }
@@ -265,13 +327,20 @@ func runIncSchedule(t *testing.T, s *csi.Series, w int, prec Precision, k Kernel
 // and requires every read to be bit-identical to BaseMatrixSerial on a
 // batch engine over the window. Each schedule byte is one step: bits 0–2
 // append that many slots times two, bits 3–5 drop that many slots times
-// three, bits 6–7 pick no read, a per-pair read or a batched read.
+// three, bits 6–7 pick no read, a per-pair read or a batched read. The
+// reach byte moves reads below the planes' head, where the engine
+// re-normalizes slots from the raw rows: bit 0 declares a peak whose
+// stride (bits 1–3) and slack (bits 4–5) cap the planes, bit 6 adds the
+// pairs one read at a time, and bit 7 also checks self-TRRS series at a
+// lag inside and one beyond W.
 func FuzzIncrementalRefresh(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(0), []byte{0x47, 0x87, 0x9a, 0x03, 0x02, 0xb9, 0x4c}, []byte{0x01, 0x10, 0x21, 0x12})
-	f.Add(int64(2), uint8(9), uint8(3), []byte{0x87, 0x87, 0xbf, 0x3f, 0x41, 0x80}, []byte{0x10, 0x01, 0x11, 0x20, 0x02})
-	f.Add(int64(3), uint8(1), uint8(1), []byte{0x45, 0x1d, 0x92, 0x80, 0x7f, 0x86}, []byte{0x12, 0x21, 0x12})
-	f.Add(int64(4), uint8(0), uint8(2), []byte{0x81, 0x89, 0x49, 0x08, 0x88}, []byte{0x00, 0x22})
-	f.Fuzz(func(t *testing.T, seed int64, wB, modeB uint8, sched, pairBytes []byte) {
+	f.Add(int64(1), uint8(4), uint8(0), uint8(0), []byte{0x47, 0x87, 0x9a, 0x03, 0x02, 0xb9, 0x4c}, []byte{0x01, 0x10, 0x21, 0x12})
+	f.Add(int64(2), uint8(9), uint8(3), uint8(0), []byte{0x87, 0x87, 0xbf, 0x3f, 0x41, 0x80}, []byte{0x10, 0x01, 0x11, 0x20, 0x02})
+	f.Add(int64(3), uint8(1), uint8(1), uint8(0), []byte{0x45, 0x1d, 0x92, 0x80, 0x7f, 0x86}, []byte{0x12, 0x21, 0x12})
+	f.Add(int64(4), uint8(0), uint8(2), uint8(0), []byte{0x81, 0x89, 0x49, 0x08, 0x88}, []byte{0x00, 0x22})
+	f.Add(int64(5), uint8(6), uint8(1), uint8(0xc3), []byte{0x87, 0x86, 0x07, 0x8f, 0x47, 0x8a, 0x87}, []byte{0x01, 0x12, 0x20, 0x10})
+	f.Add(int64(6), uint8(11), uint8(2), uint8(0x40), []byte{0x87, 0x47, 0x06, 0x9f, 0x87, 0x4b}, []byte{0x21, 0x02, 0x11, 0x01})
+	f.Fuzz(func(t *testing.T, seed int64, wB, modeB, reachB uint8, sched, pairBytes []byte) {
 		if len(sched) == 0 || len(sched) > 24 || len(pairBytes) == 0 || len(pairBytes) > 8 {
 			t.Skip()
 		}
@@ -287,8 +356,16 @@ func FuzzIncrementalRefresh(f *testing.F) {
 		for n, b := range sched {
 			steps[n] = incStep{app: 2 * int(b&7), drop: 3 * int(b>>3&7), query: incQuery(b>>6) % 3}
 		}
+		var opts incOpts
+		if reachB&1 != 0 {
+			opts.peak, opts.stride, opts.slack = 40, 1+int(reachB>>1&7), int(reachB>>4&3)*2
+		}
+		opts.late = reachB&0x40 != 0
+		if reachB&0x80 != 0 {
+			opts.selfLags = []int{w/2 + 1, w + 3}
+		}
 		s := randomSeries(rand.New(rand.NewSource(seed)), ants, 2, 6, slots)
-		runIncSchedule(t, s, w, prec, k, steps, pairs, pairs)
+		runIncSchedule(t, s, w, prec, k, steps, pairs, pairs, opts)
 	})
 }
 

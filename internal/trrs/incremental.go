@@ -51,12 +51,22 @@ import (
 // Engine.SelfSeries returns the bits a batch engine over the same window
 // would.
 //
-// Storage is structure-of-arrays and steady-state allocation-free: the
-// normalized snapshots live in per-(antenna, tx) re/im planes whose live
-// region is slots [head, head+n); Append normalizes into the tail in
-// place and, when the tail reaches capacity, compacts the live region to
-// the front instead of growing. Each maintained pair matrix keeps its rows
-// in one ring of C rows, C the declared peak window (see SetPeakWindow) or
+// Storage is structure-of-arrays and steady-state allocation-free. The
+// window's one full copy of the CSI is the raw rows Append receives,
+// kept by reference (not copied) until their slot is dropped. The
+// normalized snapshots are per-(antenna, tx) re/im planes holding slots
+// [lo, end). Without a declared peak lo is the window head. With one (see
+// SetPeakWindow) the planes hold only the last reach + stride slots,
+// reach = max(W, the largest self-TRRS lag asked): a steady-state
+// refresh reads no further back, since a pair's next rows start at its
+// end and sweep W back and a self-TRRS series pairs its next slot with
+// the one its lag back. A read below lo (a pair first built late, a
+// replay after a restore, an external view) re-normalizes the window from
+// the raw rows (see fullPlanes): the same arithmetic on the same rows, so
+// the same bits. Append normalizes into the planes' tail in place and,
+// when the tail reaches capacity, compacts the live region to the front
+// instead of growing. Each maintained pair matrix keeps its rows in one
+// ring of C rows, C the declared peak window (see SetPeakWindow) or
 // the largest window it has seen if that is more, with the row of
 // absolute slot r at ring row r mod C: a refresh re-points the row headers,
 // leaves carried rows where they are and recomputes the stale entries in
@@ -84,18 +94,27 @@ type Incremental struct {
 	// first Append (-1 before).
 	tones int
 	// ring holds the SoA ring planes in the element type prec selects
-	// (conversion happens once, in Append); the live window occupies
-	// [head·tones, (head+n)·tones) where n = end − start, and every
-	// slab's length is (head+n)·tones.
+	// (conversion happens once, in Append): slots [lo, end) of the window
+	// [start, end) occupy [head·tones, (head+end−lo)·tones), and every
+	// slab's length is (head+end−lo)·tones.
 	prec       Precision
 	ring       planeStore
-	head       int
+	head, lo   int
 	start, end int
-	mats       map[PairSpec]*incMat
-	// peak and ringCap are the storage sizes SetPeakWindow declared, in
-	// slots: each pair matrix's ring rows and the CSI ring's growth cap
+	// raw holds the window's rows as Append received them, slot-major:
+	// row (a, tx) of slot s at (s−start)·numAnt·numTx + a·numTx + tx.
+	raw  [][]complex128
+	mats map[PairSpec]*incMat
+	// maxLag is the largest self-TRRS lag asked.
+	maxLag int
+	// peak, stride and slack are what SetPeakWindow declared, in slots
 	// (0 until declared: size by the windows seen).
-	peak, ringCap int
+	peak, stride, slack int
+	// full is the window re-normalized in full from raw for reads below
+	// lo, built on the first such read and dropped by the next Append or
+	// DropFront (nil between); renorms counts the times it was built.
+	full    planeStore
+	renorms int
 
 	// view is the cached full-array engine ExtendMatrix refreshes in
 	// place every call (EngineView allocates fresh ones for external
@@ -239,20 +258,35 @@ func (inc *Incremental) SetTrace(rec *trace.Recorder) { inc.trc = rec }
 func (inc *Incremental) SetHop(hop int64) { inc.hop = hop }
 
 // SetPeakWindow declares the largest window, in slots, the caller holds
-// before it drops slots from the front (peak), and the hop it drops them
-// by. Each pair matrix's ring is then allocated at peak rows on its first
-// build instead of regrowing hop by hop, and the CSI ring still grows from
-// a small first slab by doubling but stops at peak + hop slots, compacting
-// from then on. A raised peak regrows each once, when the window next
-// needs it; a lowered one shrinks nothing. A window that outgrows the
-// declaration still fits: it is a sizing hint, not a bound. Without a
-// declaration everything is sized by the windows seen.
-func (inc *Incremental) SetPeakWindow(peak, hop int) {
-	inc.peak, inc.ringCap = peak, peak+hop
+// before it drops slots from the front (peak), the most slots it appends
+// between two refreshes (stride), and the room the CSI planes keep ahead
+// of their live region (slack). Each pair matrix's ring is then allocated
+// at peak rows on its first build instead of regrowing hop by hop. The
+// planes hold the last reach + stride slots, reach = max(W, the largest
+// self-TRRS lag asked), which is all a refresh after at most stride
+// appends reads; a read further back re-normalizes (see fullPlanes). They
+// grow from a small first slab by doubling but stop at
+// reach + stride + slack slots, compacting from then on. A raised
+// declaration regrows each once, when the window next needs it; a lowered
+// one shrinks nothing. A window that outgrows the peak still fits: it is a
+// sizing hint, not a bound. Without a declaration everything is sized by
+// the windows seen.
+func (inc *Incremental) SetPeakWindow(peak, stride, slack int) {
+	inc.peak, inc.stride, inc.slack = peak, stride, slack
 }
 
-// Capacity returns how many slots the CSI ring has room for: the window
-// plus the free slots behind and ahead of it.
+// planeLimit returns the most slots the planes hold and their capacity
+// limit in slots (both 0 without a declared peak).
+func (inc *Incremental) planeLimit() (live, limit int) {
+	if inc.peak <= 0 {
+		return 0, 0
+	}
+	live = max(inc.w, inc.maxLag) + max(inc.stride, 1)
+	return live, live + inc.slack
+}
+
+// Capacity returns how many slots the CSI planes have room for: the
+// slots they hold plus the free ones behind and ahead of them.
 func (inc *Incremental) Capacity() int {
 	if inc.tones <= 0 {
 		return 0
@@ -269,11 +303,14 @@ func (inc *Incremental) W() int { return inc.w }
 // Rate returns the sample rate in Hz.
 func (inc *Incremental) Rate() float64 { return inc.rate }
 
-// Append ingests one snapshot (shape [ant][tx][tone]); the rows are copied
-// into the SoA ring and normalized with exactly Engine's constructor
+// Append ingests one snapshot (shape [ant][tx][tone]); the rows are
+// normalized into the SoA ring with exactly Engine's constructor
 // arithmetic, so later matrix queries match a batch engine built over the
-// same window. The tone count is learned from the first snapshot; every
-// later snapshot must match it (the SoA planes are uniform slabs).
+// same window. Append keeps the rows themselves (not the outer slices)
+// until their slot is dropped, to re-normalize slots the planes no longer
+// hold: the caller must not modify a row it has appended. The tone count
+// is learned from the first snapshot; every later snapshot must match it
+// (the SoA planes are uniform slabs).
 func (inc *Incremental) Append(snapshot [][][]complex128) error {
 	if len(snapshot) != inc.numAnt {
 		return fmt.Errorf("trrs: incremental snapshot has %d antennas, want %d", len(snapshot), inc.numAnt)
@@ -295,8 +332,15 @@ func (inc *Incremental) Append(snapshot [][][]complex128) error {
 			}
 		}
 	}
-	n := inc.NumSlots()
-	if inc.ring.addSlot(inc.head*inc.tones, (inc.head+n)*inc.tones, inc.tones, inc.ringCap*inc.tones) {
+	inc.full = nil
+	live, limit := inc.planeLimit()
+	// Keep the window, or at most live slots once this one is in.
+	if lo := inc.end + 1 - live; live > 0 && lo > inc.lo {
+		inc.head += lo - inc.lo
+		inc.lo = lo
+	}
+	n := inc.end - inc.lo
+	if inc.ring.addSlot(inc.head*inc.tones, (inc.head+n)*inc.tones, inc.tones, limit*inc.tones) {
 		inc.head = 0
 	}
 	o := (inc.head + n) * inc.tones
@@ -304,15 +348,17 @@ func (inc *Incremental) Append(snapshot [][][]complex128) error {
 		for tx, src := range snapshot[a] {
 			inc.ring.put(a, tx, o, src)
 		}
+		inc.raw = append(inc.raw, snapshot[a]...)
 	}
 	inc.end++
 	return nil
 }
 
 // DropFront advances the window head by n slots (ring-buffer trim; the
-// slots' storage is reclaimed by a later Append's compaction). The leading
-// W rows of every maintained matrix lose their backward columns into the
-// dropped slots, which the next ExtendMatrix call clears.
+// slots' storage is reclaimed by a later Append's compaction, their raw
+// rows released at once). The leading W rows of every maintained matrix
+// lose their backward columns into the dropped slots, which the next
+// ExtendMatrix call clears.
 func (inc *Incremental) DropFront(n int) {
 	if n <= 0 {
 		return
@@ -320,12 +366,57 @@ func (inc *Incremental) DropFront(n int) {
 	if n > inc.NumSlots() {
 		n = inc.NumSlots()
 	}
-	inc.head += n
+	inc.full = nil
 	inc.start += n
+	if inc.lo < inc.start {
+		inc.head += inc.start - inc.lo
+		inc.lo = inc.start
+	}
+	// Move the kept rows to the front and clear the vacated tail, so the
+	// backing keeps no dropped row reachable.
+	m := copy(inc.raw, inc.raw[n*inc.numAnt*inc.numTx:])
+	clear(inc.raw[m:])
+	inc.raw = inc.raw[:m]
 }
 
-// viewInto points e at the current window: plane slices covering slots
-// [head, head+n), plus the incremental engine's rate/shape/tuning. Views
+// fullPlanes returns planes holding the whole window, slot start + t at
+// offset t·tones, re-normalized from the raw rows — the arithmetic Append
+// ran on the same rows, so the same bits. The first call after an Append
+// or DropFront builds them; later calls reuse them until the next Append
+// or DropFront drops them. A steady-state hop never calls it, so these
+// planes are allocated afresh rather than kept or pooled.
+func (inc *Incremental) fullPlanes() planeStore {
+	if inc.full == nil {
+		n, per := inc.NumSlots(), inc.numAnt*inc.numTx
+		inc.full = newStore(inc.prec, inc.numAnt, inc.numTx, n*inc.tones)
+		inc.renorms++
+		for t := 0; t < n; t++ {
+			for a := 0; a < inc.numAnt; a++ {
+				for tx := 0; tx < inc.numTx; tx++ {
+					inc.full.put(a, tx, t*inc.tones, inc.raw[t*per+a*inc.numTx+tx])
+				}
+			}
+		}
+	}
+	return inc.full
+}
+
+// Renormalized returns how many times a read below the planes' head has
+// re-normalized the window from the raw rows (see fullPlanes).
+func (inc *Incremental) Renormalized() int { return inc.renorms }
+
+// coverView points a view of the current window at the full-window
+// planes, for a read below the planes' head (see Engine.cover).
+func (inc *Incremental) coverView(e *Engine) {
+	if e.srcStart != inc.start || e.slots != inc.NumSlots() {
+		panic("trrs: read below the plane head through a stale EngineView")
+	}
+	inc.fullPlanes().viewInto(e.planes, e.srcAnts, 0, e.slots*e.tones)
+	e.lo = 0
+}
+
+// viewInto points e at the current window: plane slices covering its
+// slots [lo, end), plus the incremental engine's rate/shape/tuning. Views
 // are serial (one worker), like the incremental engine itself.
 func (inc *Incremental) viewInto(e *Engine, ants []int) error {
 	for _, a := range ants {
@@ -348,18 +439,20 @@ func (inc *Incremental) viewInto(e *Engine, ants []int) error {
 	e.trc = inc.trc
 	e.hop = inc.hop
 	e.src, e.srcAnts, e.srcStart = inc, ants, inc.start
-	inc.ring.viewInto(e.planes, ants, inc.head*tones, (inc.head+e.slots)*tones)
+	e.lo = inc.lo - inc.start
+	inc.ring.viewInto(e.planes, ants, inc.head*tones, (inc.head+inc.end-inc.lo)*tones)
 	return nil
 }
 
 // EngineView returns a batch Engine aliasing the window's normalized
 // snapshots, restricted to the given antennas (nil means all, in order).
-// The view shares storage with the incremental engine and is invalidated
-// by the next Append/DropFront (an Append may compact the ring under it);
-// it exists so window-scoped consumers (movement detection, self-TRRS)
-// run on the incrementally maintained normalization instead of
-// renormalizing the window every hop, and its SelfSeries reads the
-// engine's self-TRRS cache.
+// The view shares storage with the incremental engine (its first read
+// below the planes' head re-normalizes the window, see fullPlanes) and is
+// invalidated by the next Append/DropFront (an Append may compact the
+// ring under it); it exists so window-scoped consumers (movement
+// detection, self-TRRS) run on the incrementally maintained normalization
+// instead of renormalizing the window every hop, and its SelfSeries reads
+// the engine's self-TRRS cache.
 func (inc *Incremental) EngineView(ants []int) (*Engine, error) {
 	if ants == nil {
 		ants = make([]int, inc.numAnt)
@@ -562,9 +655,9 @@ func (inc *Incremental) ExtendMatrices(pairs []PairSpec) ([]*Matrix, error) {
 // absolute slot r ∈ [start+lag, end) of the current window (lag ≥ 0,
 // ant absolute), refreshing the antenna's cached series first: values for
 // slots that left the window are dropped and only slots appended since
-// the last call are evaluated, with the sequential point kernel
-// Engine.Base uses. The slice is owned by the engine and overwritten by
-// the next call for the same (ant, lag).
+// the last call are evaluated, with Engine.Base on the full-array view.
+// The slice is owned by the engine and overwritten by the next call for
+// the same (ant, lag).
 func (inc *Incremental) selfWindow(ant, lag int) []float64 {
 	var ss *selfSeries
 	for k := range inc.selfs {
@@ -576,6 +669,7 @@ func (inc *Incremental) selfWindow(ant, lag int) []float64 {
 	if ss == nil {
 		inc.selfs = append(inc.selfs, selfSeries{ant: ant, lag: lag})
 		ss = &inc.selfs[len(inc.selfs)-1]
+		inc.maxLag = max(inc.maxLag, lag)
 	}
 	lo := inc.start + lag
 	if d := lo - ss.first; d > 0 {
@@ -586,10 +680,10 @@ func (inc *Incremental) selfWindow(ant, lag int) []float64 {
 		}
 		ss.first = lo
 	}
-	tones := inc.tones
+	e := inc.fullView()
 	for r := ss.first + len(ss.vals); r < inc.end; r++ {
-		o := (inc.head + r - inc.start) * tones
-		ss.vals = append(ss.vals, inc.ring.base(ant, ant, o, o-lag*tones, tones))
+		t := r - inc.start
+		ss.vals = append(ss.vals, e.Base(ant, ant, t, t-lag))
 	}
 	return ss.vals
 }

@@ -30,10 +30,11 @@ type planeStore interface {
 	// addSlot appends one slot of tones values to every plane of a ring
 	// whose live region is [lo, hi): in place when capacity allows, else
 	// by compacting the live region to the front, else by growing. Growth
-	// roughly doubles the live region, but stops at limit values when
-	// limit holds the region plus the slot (limit 0: no cap), and a ring
-	// below a raised limit grows to it at its next move instead of
-	// compacting. It reports whether the live region moved to offset 0.
+	// doubles the live region or the capacity, whichever is more, but
+	// stops at limit values when limit holds the region plus the slot
+	// (limit 0: no cap), and a ring below a raised limit grows toward it
+	// at its next move instead of compacting. It reports whether the live
+	// region moved to offset 0.
 	addSlot(lo, hi, tones, limit int) (moved bool)
 	// capacity is the number of values each slab holds.
 	capacity() int
@@ -117,13 +118,14 @@ func (p *planes[T]) addSlot(lo, hi, tones, limit int) bool {
 	c := cap(p.re[0][0])
 	moved := c < hi+tones
 	// Compact when the live region plus the new slot fits and the ring has
-	// reached its limit, else grow to ~2× the live window, capped at the
-	// limit, so steady sliding settles into the extend/compact cycle and
-	// never grows again.
+	// reached its limit, else grow to 2× the live region or the capacity
+	// (a live region trimmed far below the capacity must not shrink the
+	// ring), capped at the limit, so steady sliding settles into the
+	// extend/compact cycle and never grows again.
 	n := hi - lo + tones
 	size := 0
 	if moved && (lo == 0 || n > c || c < limit) {
-		size = 2 * n
+		size = 2 * max(n, c)
 		if limit >= n {
 			size = min(size, limit)
 		}

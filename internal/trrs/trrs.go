@@ -88,10 +88,13 @@ type Engine struct {
 	// tones is the per-snapshot vector length; every slot must share it
 	// (the SoA planes are uniform slabs).
 	tones int
-	// planes holds the unit-norm CSI, slot t at [t*tones, (t+1)*tones) of
-	// each (antenna, tx) slab, in the element type prec selects
-	// (converted once at ingest, never per query).
+	// planes holds the unit-norm CSI, slot t at [(t−lo)*tones,
+	// (t−lo+1)*tones) of each (antenna, tx) slab, in the element type
+	// prec selects (converted once at ingest, never per query). lo is 0
+	// except on a view of an Incremental whose planes start past its
+	// window head; a read below lo re-points the view first (see cover).
 	planes planeStore
+	lo     int
 	prec   Precision
 	// kernel selects the inner-product kernel (see Kernel).
 	kernel Kernel
@@ -223,7 +226,17 @@ func (e *Engine) Base(i, j, ti, tj int) float64 {
 	if ti < 0 || tj < 0 || ti >= e.slots || tj >= e.slots {
 		return 0
 	}
-	return e.planes.base(i, j, ti*e.tones, tj*e.tones, e.tones)
+	e.cover(min(ti, tj))
+	return e.planes.base(i, j, (ti-e.lo)*e.tones, (tj-e.lo)*e.tones, e.tones)
+}
+
+// cover makes the planes hold slot t. Only a view of an Incremental can
+// miss it; the view is then pointed at the window re-normalized in full
+// (see Incremental.fullPlanes), which holds the same bits.
+func (e *Engine) cover(t int) {
+	if t < e.lo {
+		e.src.coverView(e)
+	}
 }
 
 // Matrix is a TRRS (alignment) matrix between one antenna pair: Vals[t][c]
@@ -280,7 +293,8 @@ func (e *Engine) fillCols(row []float64, i, j, w, t, cFrom, cTo int) {
 	// vector kernel hand the whole band to the sigproc sweep primitives
 	// (AVX2+FMA assembly where available) instead of one kernel call per
 	// entry; the sequential kernel stays the bit-exact per-entry loop.
-	band, oi, oj := row[cLo:cHi], t*e.tones, (t-(cLo-w))*e.tones
+	e.cover(min(t, t-(cHi-1-w)))
+	band, oi, oj := row[cLo:cHi], (t-e.lo)*e.tones, (t-(cLo-w)-e.lo)*e.tones
 	if e.prec == PrecisionFloat32 || e.kernel == KernelVector {
 		e.planes.sweepRow(band, i, j, oi, oj, e.tones)
 	} else {
