@@ -33,6 +33,7 @@ var callerlessKeep = map[string]string{
 	"trrs.Matrix.Col":               "tests read matrix columns through it",
 	"obs/trace.Recorder.Cap":        "tests observe the ring capacity through it",
 	"trrs.Incremental.Capacity":     "tests observe the CSI ring's size through it",
+	"trrs.RawRing.Capacity":         "tests observe the window store's size through it",
 	"trrs.Incremental.Renormalized": "tests check that a steady-state hop reads nothing below the planes' head",
 	"obs.Family.Other":              "tests observe the overflow child's conservation through it",
 	"rf.Environment.Scatterers":     "tests observe the simulated multipath through it",

@@ -91,3 +91,42 @@ func replaySnapshots(s *csi.Series, lost int) ([][][][]complex128, []bool) {
 	}
 	return snaps, miss
 }
+
+// TestStreamerPinAllocFree pins the zero-allocation contract of the
+// session's per-hop restart point: on a warmed-up hexagonal streamer that
+// pins after every hop, as the session does, a Pin allocates nothing, and
+// neither does a push that completes no hop while the pin holds the raw
+// ring's slots.
+func TestStreamerPinAllocFree(t *testing.T) {
+	arr := array.NewHexagonal(0.029)
+	s := daemonLoopSeries(t, arr, 3, false, 1, 5)
+	st, err := NewStreamer(StreamConfig{Core: FastConfig(arr), SpanSeconds: 3, HopSeconds: 0.5},
+		s.Rate, s.NumAnts, s.NumTx, s.NumSub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps, miss := replaySnapshots(s, -1)
+	k := 0
+	push := func() {
+		hops := st.hopSeq
+		if _, err := st.PushMasked(snaps[k%len(snaps)], miss); err != nil && !errors.Is(err, ErrAnalysis) {
+			panic(err)
+		}
+		k++
+		if st.hopSeq != hops {
+			st.Pin()
+		}
+	}
+	for k < st.span+6*st.hop || st.pending != 0 {
+		push()
+	}
+	if avg := testing.AllocsPerRun(20, st.Pin); avg != 0 {
+		t.Fatalf("a steady-state Pin allocates %.2f times, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(st.hop-2, push); avg != 0 {
+		t.Fatalf("a push that completes no hop under a pin allocates %.2f times, want 0", avg)
+	}
+	if st.pin.cp != nil {
+		t.Fatal("a steady-state push copied the pin out of the raw ring")
+	}
+}

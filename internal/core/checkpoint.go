@@ -15,9 +15,9 @@ import (
 // a versioned, checksummed file format.
 //
 // The checkpoint deliberately excludes derived state: the incremental TRRS
-// engine is rebuilt on restore by replaying Buf through it, which PR 2's
-// equivalence guarantee makes bit-for-bit identical to the engine that was
-// running at capture time. Configuration is also excluded — the restoring
+// engine is rebuilt on restore by replaying Buf through it, which the
+// engine's equivalence guarantee makes bit-for-bit identical to the engine
+// that was running at capture time. Configuration is also excluded — the restoring
 // host supplies the StreamConfig, and restore validates the checkpoint's
 // shape against it.
 type StreamCheckpoint struct {
@@ -66,15 +66,92 @@ type StreamCheckpoint struct {
 	Dead       []bool
 }
 
-// Checkpoint captures the streamer's resumable state. The outer slices are
-// deep-copied so the checkpoint stays stable while the stream keeps
-// ingesting; the complex128 row arrays are shared (the streamer never
-// mutates a committed row), keeping a capture cheap enough to run on a
-// periodic ticker. Goroutine-safe.
+// Checkpoint captures the streamer's resumable state as it is now. It
+// copies the window's rows and everything else it holds, so the
+// checkpoint shares nothing with the stream: it stays valid however the
+// stream moves on, and may leave the goroutine that drives the stream.
+// Goroutine-safe.
 func (st *Streamer) Checkpoint() *StreamCheckpoint {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	cp := &StreamCheckpoint{
+	cp := &StreamCheckpoint{}
+	st.captureState(cp, make([]complex128, len(st.lastGood)))
+	st.copyWindow(cp, st.raw.Start(), st.raw.End())
+	return cp
+}
+
+// restartPin is a stream's pinned restart point (see Pin): the window's
+// slots in the raw ring, held there, and the rest of a checkpoint's state
+// in storage reused from one pin to the next.
+type restartPin struct {
+	set bool
+	// first and end are the pinned window's raw-ring slots [first, end).
+	first, end int
+	// state is the checkpoint without its window (Buf and Missing nil);
+	// its LastGood rows alias good. Both are reused from pin to pin.
+	state StreamCheckpoint
+	good  []complex128
+	// cp is the pin copied out with its window (by a ring write that would
+	// have overwritten it, or by PinnedCheckpoint), after which the ring
+	// no longer holds its slots; nil until then.
+	cp *StreamCheckpoint
+}
+
+// Pin makes the stream's current state its restart point, which
+// PinnedCheckpoint returns until the next Pin. The window is not copied:
+// the raw ring keeps the pinned slots from being overwritten, and only a
+// write that would overwrite one (the window having outgrown the ring's
+// peak since the pin) copies the pin out first. The rest — frontier,
+// health counters, dead-antenna detector, held rows — is copied into
+// storage the pin reuses, so a pin taken after every hop allocates
+// nothing once the first one has. Goroutine-safe.
+func (st *Streamer) Pin() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	p := &st.pin
+	if p.good == nil {
+		p.good = make([]complex128, len(st.lastGood))
+	}
+	st.captureState(&p.state, p.good)
+	p.first, p.end = st.raw.Start(), st.raw.End()
+	p.cp = nil
+	p.set = true
+	st.raw.Hold(p.first)
+}
+
+// PinnedCheckpoint returns the restart point Pin captured as a checkpoint
+// that copies its window and shares nothing with the stream (nil before
+// the first Pin). A restore from it resumes the stream exactly where it
+// was when pinned. Goroutine-safe.
+func (st *Streamer) PinnedCheckpoint() *StreamCheckpoint {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !st.pin.set {
+		return nil
+	}
+	return st.materializePin()
+}
+
+// materializePin copies the pin's window out of the ring, once, and
+// releases the ring's hold on its slots. The checkpoint takes over the
+// pin's storage; the next Pin allocates afresh.
+func (st *Streamer) materializePin() *StreamCheckpoint {
+	p := &st.pin
+	if p.cp == nil {
+		cp := p.state
+		st.copyWindow(&cp, p.first, p.end)
+		p.cp = &cp
+		p.state, p.good = StreamCheckpoint{}, nil
+	}
+	st.raw.Release()
+	return p.cp
+}
+
+// captureState fills cp with everything but the window, reusing cp's
+// slices, and copies the held rows into good (len(st.lastGood) values),
+// which cp.LastGood's rows then alias.
+func (st *Streamer) captureState(cp *StreamCheckpoint, good []complex128) {
+	*cp = StreamCheckpoint{
 		Rate:      st.rate,
 		NumAnts:   st.numAnts,
 		NumTx:     st.numTx,
@@ -93,29 +170,61 @@ func (st *Streamer) Checkpoint() *StreamCheckpoint {
 		DeadWin:      st.deadWin,
 		RecentIdx:    st.recentIdx,
 		RecentN:      st.recentN,
-		RecentCnt:    append([]int(nil), st.recentCnt...),
-		EnergyEMA:    append([]float64(nil), st.energyEMA...),
-		Dead:         append([]bool(nil), st.dead...),
+		RecentCnt:    append(cp.RecentCnt[:0], st.recentCnt...),
+		EnergyEMA:    append(cp.EnergyEMA[:0], st.energyEMA...),
+		Dead:         append(cp.Dead[:0], st.dead...),
+		RecentMiss:   cp.RecentMiss[:0],
+		LastGood:     cp.LastGood,
 	}
 	if st.lastErr != nil {
 		cp.LastErr = st.lastErr.Error()
 		cp.LastErrAnalysis = errors.Is(st.lastErr, ErrAnalysis)
 	}
+	for a := range st.recentMiss {
+		cp.RecentMiss = append(cp.RecentMiss, st.recentMiss[a]...)
+	}
+	copy(good, st.lastGood)
+	if cp.LastGood == nil {
+		cp.LastGood = make([][][]complex128, st.numAnts)
+		for a := range cp.LastGood {
+			cp.LastGood[a] = make([][]complex128, st.numTx)
+		}
+	}
+	for a := range cp.LastGood {
+		for tx := range cp.LastGood[a] {
+			k := a*st.numTx + tx
+			cp.LastGood[a][tx] = nil
+			if st.goodSet[k] {
+				cp.LastGood[a][tx] = good[k*st.numSub : (k+1)*st.numSub : (k+1)*st.numSub]
+			}
+		}
+	}
+}
+
+// copyWindow sets cp's Buf and Missing to copies of the raw ring's slots
+// [first, end), the rows in one fresh backing.
+func (st *Streamer) copyWindow(cp *StreamCheckpoint, first, end int) {
+	n := end - first
+	rows := make([]complex128, n*st.numAnts*st.numTx*st.numSub)
 	cp.Buf = make([][][][]complex128, st.numAnts)
 	cp.Missing = make([][]bool, st.numAnts)
-	cp.LastGood = make([][][]complex128, st.numAnts)
-	cp.RecentMiss = make([]bool, st.numAnts*st.deadWin)
-	for a := 0; a < st.numAnts; a++ {
+	o := 0
+	for a := range cp.Buf {
 		cp.Buf[a] = make([][][]complex128, st.numTx)
-		cp.LastGood[a] = make([][]complex128, st.numTx)
-		for tx := 0; tx < st.numTx; tx++ {
-			cp.Buf[a][tx] = append([][]complex128(nil), st.buf[a][tx]...)
-			cp.LastGood[a][tx] = st.lastGood[a][tx]
+		for tx := range cp.Buf[a] {
+			cp.Buf[a][tx] = make([][]complex128, n)
+			for t := range n {
+				row := rows[o : o+st.numSub : o+st.numSub]
+				copy(row, st.raw.Row(first+t, a, tx))
+				cp.Buf[a][tx][t] = row
+				o += st.numSub
+			}
 		}
-		cp.Missing[a] = append([]bool(nil), st.missing[a]...)
-		copy(cp.RecentMiss[a*st.deadWin:(a+1)*st.deadWin], st.recentMiss[a])
+		cp.Missing[a] = make([]bool, n)
+		for t := range n {
+			cp.Missing[a][t] = st.raw.Flags(first + t)[a]
+		}
 	}
-	return cp
 }
 
 // NewStreamerFromCheckpoint rebuilds a Streamer from a checkpoint: the
@@ -168,27 +277,33 @@ func NewStreamerFromCheckpoint(cfg StreamConfig, cp *StreamCheckpoint) (*Streame
 	copy(st.dead, cp.Dead)
 	for a := 0; a < cp.NumAnts; a++ {
 		copy(st.recentMiss[a], cp.RecentMiss[a*cp.DeadWin:(a+1)*cp.DeadWin])
-		for tx := 0; tx < cp.NumTx; tx++ {
-			st.buf[a][tx] = append([][]complex128(nil), cp.Buf[a][tx]...)
-			st.lastGood[a][tx] = cp.LastGood[a][tx]
+		for tx, row := range cp.LastGood[a] {
+			if row != nil {
+				k := a*cp.NumTx + tx
+				copy(st.lastGood[k*cp.NumSub:(k+1)*cp.NumSub], row)
+				st.goodSet[k] = true
+			}
 		}
-		st.missing[a] = append([]bool(nil), cp.Missing[a]...)
 	}
 
-	// Rebuild the incremental engine by replaying the buffered window
-	// through it, slot by slot, exactly as ingest committed it.
+	// Rebuild the window store, and the incremental engine with it, by
+	// replaying the buffered window slot by slot, exactly as ingest
+	// committed it.
 	n := len(cp.Buf[0][0])
-	if st.inc != nil {
-		for s := 0; s < n; s++ {
-			for a := 0; a < cp.NumAnts; a++ {
-				for tx := 0; tx < cp.NumTx; tx++ {
-					st.incSnap[a][tx] = st.buf[a][tx][s]
-				}
+	rows, mask := st.slotRows, st.absent
+	for s := 0; s < n; s++ {
+		for a := 0; a < cp.NumAnts; a++ {
+			for tx := 0; tx < cp.NumTx; tx++ {
+				rows[a][tx] = cp.Buf[a][tx][s]
 			}
-			if err := st.inc.Append(st.incSnap); err != nil {
-				return nil, fmt.Errorf("core: checkpoint replay failed at slot %d: %w", s, err)
-			}
+			mask[a] = cp.Missing[a][s]
 		}
+		if err := st.commit(rows, mask); err != nil {
+			return nil, fmt.Errorf("core: checkpoint replay failed at slot %d: %w", s, err)
+		}
+	}
+	for a := range rows {
+		clear(rows[a])
 	}
 	if st.lagOn {
 		st.ingestNs = make([]int64, n)

@@ -215,12 +215,12 @@ func TestPushRejectsNaNAndGarbage(t *testing.T) {
 	if math.Abs(h.LossRate-want) > 1e-9 {
 		t.Fatalf("LossRate = %v, want %v", h.LossRate, want)
 	}
-	// The committed buffer must contain no NaN (substitution happened).
-	for a := range st.buf {
-		for tx := range st.buf[a] {
-			for _, row := range st.buf[a][tx] {
+	// The committed window must contain no NaN (substitution happened).
+	for _, rows := range st.windowSeries([]int{0, 1, 2}).H {
+		for _, txRows := range rows {
+			for _, row := range txRows {
 				if !csi.RowSane(row) {
-					t.Fatal("insane row committed to the buffer")
+					t.Fatal("insane row committed to the window")
 				}
 			}
 		}

@@ -114,11 +114,11 @@ type Streamer struct {
 	wSlots int
 	// inc is the incremental TRRS engine (nil when cfg.recompute).
 	inc *trrs.Incremental
-	// incSnap is the reused per-push snapshot scratch handed to inc.Append
-	// (which copies the rows), and remapHdr the reused per-pair Matrix
-	// headers of analyzeAlive's index remapping — neither allocates on the
-	// steady-state path.
-	incSnap  [][][]complex128
+	// slotRows is the reused per-push scratch naming the rows a push
+	// commits (the window store copies them), and remapHdr the reused
+	// per-pair Matrix headers of analyzeAlive's index remapping — neither
+	// allocates on the steady-state path.
+	slotRows [][][]complex128
 	remapHdr map[[2]int]*trrs.Matrix
 	// absPairs and baseMs are the reused absolute-pair and result
 	// scratch of analyzeAlive's batched ExtendMatrices pass.
@@ -126,24 +126,30 @@ type Streamer struct {
 	baseMs   []*trrs.Matrix
 	// aliveScratch backs aliveAntennas' per-hop result; absent and
 	// liveScratch are the per-push antenna mask and live-power scratch of
-	// ingest and dead detection; zeroRow is the one all-zero row every
+	// ingest and dead detection; zeroRow is the all-zero row every
 	// never-seen (antenna, tx) is held at. With them a push that completes
 	// no hop allocates nothing.
 	aliveScratch []int
 	absent       []bool
 	liveScratch  []float64
 	zeroRow      []complex128
-	// buf[ant][tx] holds the windowed snapshots. The trim drops slots in
-	// place (see dropFront), so its backing keeps no dropped row alive.
-	buf [][][][]complex128
-	// missing[ant] flags windowed slots whose sample was lost, rejected
-	// or substituted; it trims in lockstep with buf and flows into
-	// csi.Series.Missing instead of being fabricated as all-present.
-	missing [][]bool
-	// lastGood[ant][tx] is the last accepted row, substituted for missing
-	// samples (zero rows before any sample arrived).
-	lastGood [][][]complex128
-	// dropped counts slots discarded from the front of buf.
+	// raw is the window store: every committed row, copied, in one flat
+	// slot-major ring, with each slot's loss mask (the antennas whose
+	// sample was lost, rejected or substituted) as its flags, which flow
+	// into the analysis instead of being fabricated as all-present. With
+	// the incremental engine it is the engine's ring too (see
+	// trrs.Incremental.UseRaw), so the window is held once; window slot t
+	// is the ring's slot raw.Start()+t.
+	raw *trrs.RawRing
+	// lastGood holds a copy of the last accepted row of every (ant, tx),
+	// (ant·numTx + tx)·numSub on, substituted for missing samples;
+	// goodSet[ant·numTx + tx] says whether it has one yet (the zero row
+	// is held before).
+	lastGood []complex128
+	goodSet  []bool
+	// pin is the restart point Pin captured.
+	pin restartPin
+	// dropped counts slots discarded from the front of the window.
 	dropped int
 	// finalized is the absolute slot index up to which estimates have
 	// been emitted.
@@ -182,7 +188,7 @@ type Streamer struct {
 	// Causal tracing state: trc/flight mirror Core.Trace/Core.Flight,
 	// hopSeq numbers the analysis hops (1-based; hop 0 is reserved for
 	// batch runs), and ingestNs records each buffered slot's ingest
-	// timestamp — trimmed in lockstep with buf — so the emit path can
+	// timestamp — trimmed in lockstep with the window — so the emit path can
 	// measure ingest-to-emit lag. t0 anchors the timestamps when no
 	// recorder supplies an epoch. lagOn gates the whole lag path.
 	trc      *trace.Recorder
@@ -327,6 +333,7 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 	st.qual = cfg.Core.Quality
 	st.t0 = time.Now()
 	st.lagOn = st.trc != nil || st.ob.lagH != nil
+	st.raw = trrs.NewRawRing(numAnts, numTx, numSub)
 	if !cfg.recompute {
 		inc, err := trrs.NewIncrementalPrecision(rate, numAnts, numTx, st.wSlots, cfg.Core.Precision)
 		if err != nil {
@@ -335,24 +342,20 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 		inc.SetKernel(cfg.Core.Kernel)
 		inc.SetObs(cfg.Core.Obs)
 		inc.SetTrace(cfg.Core.Trace)
+		inc.UseRaw(st.raw)
 		st.inc = inc
-		st.incSnap = make([][][]complex128, numAnts)
-		for a := range st.incSnap {
-			st.incSnap[a] = make([][]complex128, numTx)
-		}
 		st.remapHdr = map[[2]int]*trrs.Matrix{}
+	}
+	st.slotRows = make([][][]complex128, numAnts)
+	for a := range st.slotRows {
+		st.slotRows[a] = make([][]complex128, numTx)
 	}
 	st.aliveScratch = make([]int, 0, numAnts)
 	st.absent = make([]bool, numAnts)
 	st.liveScratch = make([]float64, 0, numAnts)
 	st.zeroRow = make([]complex128, numSub)
-	st.buf = make([][][][]complex128, numAnts)
-	st.missing = make([][]bool, numAnts)
-	st.lastGood = make([][][]complex128, numAnts)
-	for a := range st.buf {
-		st.buf[a] = make([][][]complex128, numTx)
-		st.lastGood[a] = make([][]complex128, numTx)
-	}
+	st.lastGood = make([]complex128, numAnts*numTx*numSub)
+	st.goodSet = make([]bool, numAnts*numTx)
 	st.deadWin = int(rate)
 	if st.deadWin < 20 {
 		st.deadWin = 20
@@ -375,16 +378,20 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 	return st, nil
 }
 
-// declarePeak tells the incremental engine the largest window the stream
-// holds — the window a trim keeps (the span, or three guards if more) plus
-// one stretched hop — and the stretched hop between two refreshes, with
-// one plain hop of room. The engine sizes its pair-matrix rings by the
-// window and caps its CSI planes by the hop and the refresh reach (see
-// trrs.Incremental.SetPeakWindow).
+// declarePeak tells the window store and the incremental engine the
+// largest window the stream holds — the window a trim keeps (the span, or
+// three guards if more) plus one stretched hop — and the stretched hop
+// between two refreshes, with one plain hop of room. The store caps its
+// ring at the window, the engine sizes its pair-matrix rings by it and
+// caps its CSI planes by the hop and the refresh reach (see
+// trrs.Incremental.SetPeakWindow). A restart point pinned right after a
+// hop's trim (see Pin) fits the same peak until the next hop.
 func (st *Streamer) declarePeak() {
+	stride := st.hopFactor * st.hop
+	peak := max(st.span, 3*st.guard) + stride
+	st.raw.SetPeak(peak)
 	if st.inc != nil {
-		stride := st.hopFactor * st.hop
-		st.inc.SetPeakWindow(max(st.span, 3*st.guard)+stride, stride, st.hop)
+		st.inc.SetPeakWindow(peak, stride, st.hop)
 	}
 }
 
@@ -530,35 +537,21 @@ func (st *Streamer) PushMaskedCtx(ctx context.Context, snapshot [][][]complex128
 		st.ob.corrupt.Inc()
 		corruptFlag = 1
 	}
-	// incSnap is reused scratch: inc.Append copies only its outer slices
-	// and keeps the rows themselves until their slot is dropped, so no row
-	// committed here (the shared zeroRow included) may be modified later.
-	incSnap := st.incSnap
+	// slotRows names the rows this slot commits; the window store copies
+	// them, so nothing here outlives the push.
+	rows := st.slotRows
 	for a := 0; a < st.numAnts; a++ {
-		var rows [][]complex128
 		switch {
 		case !absent[a]:
-			rows = snapshot[a]
+			copy(rows[a], snapshot[a])
 		case snapshot[a] != nil && len(snapshot[a]) == st.numTx && st.rowsShapedAndSane(snapshot[a]):
 			// Caller-side interpolation: usable data, still flagged missing.
-			rows = snapshot[a]
+			copy(rows[a], snapshot[a])
 		default:
-			rows = st.lastGood[a] // may hold nil entries before first sample
-		}
-		for tx := 0; tx < st.numTx; tx++ {
-			row := rows[tx]
-			if row == nil {
-				row = st.zeroRow // TRRS-neutral; no committed row is written
-			}
-			st.buf[a][tx] = append(st.buf[a][tx], row)
-			if incSnap != nil {
-				incSnap[a][tx] = row
-			}
-			if !absent[a] {
-				st.lastGood[a][tx] = row
+			for tx := range rows[a] {
+				rows[a][tx] = st.goodRow(a, tx)
 			}
 		}
-		st.missing[a] = append(st.missing[a], absent[a])
 		if absent[a] {
 			st.missTotal++
 			st.ob.missing.Inc()
@@ -570,12 +563,20 @@ func (st *Streamer) PushMaskedCtx(ctx context.Context, snapshot [][][]complex128
 			absentCnt++
 		}
 	}
-	if st.inc != nil {
-		// Mirror the exact committed rows (including substitutions) into
-		// the incremental engine, so its window always equals buf.
-		if err := st.inc.Append(incSnap); err != nil {
-			return nil, err
+	if err := st.commit(rows, absent); err != nil {
+		return nil, err
+	}
+	for a := 0; a < st.numAnts; a++ {
+		if !absent[a] {
+			for tx := 0; tx < st.numTx; tx++ {
+				k := a*st.numTx + tx
+				copy(st.lastGood[k*st.numSub:(k+1)*st.numSub], rows[a][tx])
+				st.goodSet[k] = true
+			}
 		}
+	}
+	for a := range rows {
+		clear(rows[a])
 	}
 	st.updateDeadDetection(absent, snapshot)
 	ingestSpan.End()
@@ -591,6 +592,36 @@ func (st *Streamer) PushMaskedCtx(ctx context.Context, snapshot [][][]complex128
 	}
 	st.pending = 0
 	return st.analyze(false, ctx)
+}
+
+// goodRow returns the row held for (a, tx) when its antenna is missing:
+// a copy of the last accepted one, or the zero row (TRRS-neutral) before
+// any.
+func (st *Streamer) goodRow(a, tx int) []complex128 {
+	k := a*st.numTx + tx
+	if !st.goodSet[k] {
+		return st.zeroRow
+	}
+	return st.lastGood[k*st.numSub : (k+1)*st.numSub]
+}
+
+// commit copies one slot's rows and loss mask into the window store,
+// through the incremental engine when there is one, so that the engine's
+// window always equals the stream's. A pinned restart point whose slots
+// the write would overwrite is copied out first (see Pin).
+func (st *Streamer) commit(rows [][][]complex128, mask []bool) error {
+	if st.raw.Blocked() {
+		st.materializePin()
+	}
+	if st.inc != nil {
+		if err := st.inc.Append(rows); err != nil {
+			return err
+		}
+	} else {
+		st.raw.Append(rows)
+	}
+	copy(st.raw.Flags(st.raw.End()-1), mask)
+	return nil
 }
 
 // rowsShapedAndSane reports whether a provided substitute has full shape
@@ -703,7 +734,7 @@ func (st *Streamer) Flush() []Estimate {
 	return out
 }
 
-func (st *Streamer) bufLen() int { return len(st.buf[0][0]) }
+func (st *Streamer) bufLen() int { return st.raw.Len() }
 
 // nowNs is the tracing clock: the recorder's epoch when a recorder is
 // wired, so lag samples share the trace's timeline, and the streamer's own
@@ -906,32 +937,17 @@ func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error)
 		excess = keepFrom
 	}
 	if excess > 0 {
-		for a := range st.buf {
-			for tx := range st.buf[a] {
-				st.buf[a][tx] = dropFront(st.buf[a][tx], excess)
-			}
-			st.missing[a] = dropFront(st.missing[a], excess)
-		}
-		if st.lagOn && excess <= len(st.ingestNs) {
-			st.ingestNs = dropFront(st.ingestNs, excess)
-		}
-		st.dropped += excess
 		if st.inc != nil {
 			st.inc.DropFront(excess)
+		} else {
+			st.raw.DropFront(excess)
 		}
+		if st.lagOn && excess <= len(st.ingestNs) {
+			st.ingestNs = st.ingestNs[:copy(st.ingestNs, st.ingestNs[excess:])]
+		}
+		st.dropped += excess
 	}
 	return out, err
-}
-
-// dropFront removes s's first n elements in place: it moves the rest to
-// the front and clears the vacated tail, so the backing array keeps no
-// dropped element reachable and later appends refill it instead of
-// reallocating. Reslicing s[n:] instead would keep every dropped row
-// alive until an append happened to reallocate the array.
-func dropFront[E any](s []E, n int) []E {
-	m := copy(s, s[n:])
-	clear(s[m:])
-	return s[:m]
 }
 
 // analyzeAlive runs the batch pipeline over the buffered window restricted
@@ -969,19 +985,7 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 		cfg.Array = sub
 	}
 	if st.inc == nil {
-		s := &csi.Series{
-			Rate:    st.rate,
-			NumAnts: len(alive),
-			NumTx:   st.numTx,
-			NumSub:  st.numSub,
-			H:       make([][][][]complex128, len(alive)),
-			Missing: make([][]bool, len(alive)),
-		}
-		for i, a := range alive {
-			s.H[i] = st.buf[a]
-			s.Missing[i] = st.missing[a]
-		}
-		return ProcessSeries(s, cfg)
+		return ProcessSeries(st.windowSeries(alive), cfg)
 	}
 
 	cfg.emitLo, cfg.emitHi = emitLo, emitHi
@@ -1026,23 +1030,69 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 		st.baseMs = out
 		return out, nil
 	}
-	missing := make([][]bool, len(alive))
-	for i, a := range alive {
-		missing[i] = st.missing[a]
-	}
-	p, err := newPipelineFromEngine(eng, base, missFracOf(missing, len(alive), st.bufLen()), cfg)
+	p, err := newPipelineFromEngine(eng, base, st.missFrac(alive), cfg)
 	if err != nil {
 		return nil, err
 	}
 	return p.Process(), nil
 }
 
+// windowSeries returns the window restricted to the given antennas as a
+// series whose rows alias the window store: valid until the next push.
+// Only the recompute oracle and tests build one; it allocates the row
+// headers each call.
+func (st *Streamer) windowSeries(ants []int) *csi.Series {
+	n, first := st.bufLen(), st.raw.Start()
+	s := &csi.Series{
+		Rate:    st.rate,
+		NumAnts: len(ants),
+		NumTx:   st.numTx,
+		NumSub:  st.numSub,
+		H:       make([][][][]complex128, len(ants)),
+		Missing: make([][]bool, len(ants)),
+	}
+	for i, a := range ants {
+		s.H[i] = make([][][]complex128, st.numTx)
+		for tx := range s.H[i] {
+			s.H[i][tx] = make([][]complex128, n)
+			for t := range n {
+				s.H[i][tx][t] = st.raw.Row(first+t, a, tx)
+			}
+		}
+		s.Missing[i] = make([]bool, n)
+		for t := range n {
+			s.Missing[i][t] = st.raw.Flags(first + t)[a]
+		}
+	}
+	return s
+}
+
+// missFrac returns, per window slot, the fraction of the given antennas
+// whose sample was missing or rejected.
+func (st *Streamer) missFrac(ants []int) []float64 {
+	out := make([]float64, st.bufLen())
+	for t := range out {
+		fl := st.raw.Flags(st.raw.Start() + t)
+		miss := 0
+		for _, a := range ants {
+			if fl[a] {
+				miss++
+			}
+		}
+		out[t] = float64(miss) / float64(len(ants))
+	}
+	return out
+}
+
 // slotMissFrac returns the fraction of antennas whose sample at the given
 // local slot was missing or rejected.
 func (st *Streamer) slotMissFrac(local int) float64 {
+	if local >= st.bufLen() {
+		return 0
+	}
 	miss := 0
-	for a := 0; a < st.numAnts; a++ {
-		if local < len(st.missing[a]) && st.missing[a][local] {
+	for _, m := range st.raw.Flags(st.raw.Start() + local) {
+		if m {
 			miss++
 		}
 	}

@@ -21,7 +21,7 @@ func requireWindowMatrices(t *testing.T, st *Streamer, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &csi.Series{Rate: st.rate, NumAnts: st.numAnts, NumTx: st.numTx, NumSub: st.numSub, H: st.buf}
+	s := st.windowSeries(allAntennas(st.numAnts))
 	oracle := trrs.NewEnginePrecision(s, st.cfg.Core.Precision)
 	oracle.SetKernel(st.cfg.Core.Kernel)
 	for n, p := range pairs {
@@ -37,6 +37,15 @@ func requireWindowMatrices(t *testing.T, st *Streamer, name string) {
 			}
 		}
 	}
+}
+
+// allAntennas returns the indices 0..n-1.
+func allAntennas(n int) []int {
+	ants := make([]int, n)
+	for a := range ants {
+		ants[a] = a
+	}
+	return ants
 }
 
 // pushSlot pushes slot ti of s with the given antennas reported missing

@@ -12,15 +12,16 @@ import (
 
 // TestStreamerWindowRetention pins what the window storage keeps alive.
 // Each slot is pushed as a fresh frame with one backing for all its rows,
-// as the wire decoder makes them. The trim drops slots in place, so every
-// frame that left the window is collectable and, past every buffered
-// row's length, the backing array holds nil. The incremental engine's CSI
-// ring doubles during warm-up but stops at reach + 2·hop slots (the
-// refresh reach — W, the movement lags being shorter at this point — plus
-// the hop between refreshes and one hop of room), and SetHopFactor(2)
-// regrows it once, to exactly reach + 3·hop. No hop, warm-up included and
-// at either hop length, reads below the planes' head, so nothing is
-// re-normalized from the raw rows.
+// as the wire decoder makes them. The window store copies the rows, so
+// every frame is collectable once its push returns, and its raw ring grows
+// to the declared peak window (the span plus one hop) and no further. The
+// incremental engine's CSI ring doubles during warm-up but stops at
+// reach + 2·hop slots (the refresh reach — W, the movement lags being
+// shorter at this point — plus the hop between refreshes and one hop of
+// room), and SetHopFactor(2) regrows it once, to exactly reach + 3·hop,
+// and the raw ring once, to the span plus two hops. No hop, warm-up
+// included and at either hop length, reads below the planes' head, so
+// nothing is re-normalized from the raw rows.
 func TestStreamerWindowRetention(t *testing.T) {
 	arr := array.NewHexagonal(0.029)
 	s := daemonLoopSeries(t, arr, 3, false, 1, 5)
@@ -53,24 +54,20 @@ func TestStreamerWindowRetention(t *testing.T) {
 	if st.dropped == 0 {
 		t.Fatal("the window was never trimmed")
 	}
-	// Every frame the trim dropped is garbage; the window's are not.
-	for i := 0; i < 100 && freed.Load() < int64(st.dropped); i++ {
+	// Every pushed frame is garbage once the harness forgets the last one:
+	// the window holds copies.
+	for a := range snap {
+		clear(snap[a])
+	}
+	for i := 0; i < 100 && freed.Load() < int64(k); i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	if n := freed.Load(); n != int64(st.dropped) {
-		t.Fatalf("%d of the %d frames trimmed from the window were collected: the rest are still reachable",
-			n, st.dropped)
+	if n := freed.Load(); n != int64(k) {
+		t.Fatalf("%d of the %d pushed frames were collected: the rest are still reachable", n, k)
 	}
-	for a := range st.buf {
-		for tx, rows := range st.buf[a] {
-			for i, row := range rows[len(rows):cap(rows)] {
-				if row != nil {
-					t.Fatalf("buf[%d][%d][%d] past the window's %d slots still holds a row",
-						a, tx, len(rows)+i, len(rows))
-				}
-			}
-		}
+	if c, want := st.raw.Capacity(), span+hop; c != want {
+		t.Fatalf("raw ring holds %d slots, want the span plus one hop = %d", c, want)
 	}
 	reach := st.wSlots
 	if c := st.inc.Capacity(); c != reach+2*hop {
@@ -90,5 +87,8 @@ func TestStreamerWindowRetention(t *testing.T) {
 	}
 	if n := st.inc.Renormalized(); n != 0 {
 		t.Fatalf("the hops after SetHopFactor(2) re-normalized the window %d times, want none", n)
+	}
+	if c, want := st.raw.Capacity(), span+2*hop; c != want {
+		t.Fatalf("after SetHopFactor(2) the raw ring holds %d slots, want the span plus two hops = %d", c, want)
 	}
 }

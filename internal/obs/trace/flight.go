@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -120,7 +121,10 @@ type Flight struct {
 	mu       sync.Mutex
 	lastT    int64 // recorder time of the last accepted capture
 	captured int
-	last     *Postmortem
+	// last is the latest capture without its events, which lastEvents
+	// holds packed (see packEvents) until Last unpacks them.
+	last       *Postmortem
+	lastEvents []byte
 }
 
 // NewFlight builds a flight recorder over cfg.Recorder. Returns nil (a
@@ -188,8 +192,11 @@ func (f *Flight) offer(reason string, hop int64, detail any) bool {
 		Events:    f.cfg.Recorder.Since(now - f.cfg.Lookback.Nanoseconds()),
 	}
 
+	kept := *pm
+	kept.Events = nil
+	packed := packEvents(pm.Events)
 	f.mu.Lock()
-	f.last = pm
+	f.last, f.lastEvents = &kept, packed
 	f.mu.Unlock()
 
 	f.cfg.Log.Warn("flight recorder captured postmortem",
@@ -238,14 +245,85 @@ func writeFileAtomic(path string, data []byte) error {
 }
 
 // Last returns the most recent capture (nil when none yet, or on a nil
-// Flight).
+// Flight), its events unpacked afresh on every call.
 func (f *Flight) Last() *Postmortem {
 	if f == nil {
 		return nil
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.last
+	last, packed := f.last, f.lastEvents
+	f.mu.Unlock()
+	if last == nil {
+		return nil
+	}
+	pm := *last
+	pm.Events = unpackEvents(packed)
+	return &pm
+}
+
+// packEvents encodes events losslessly and compactly: their count, then
+// per event its kind byte and varints of its fields, Seq, Hop, Frame and
+// T as differences from the previous event's, which in a recorder
+// snapshot are small. A retained capture holds its events in this form.
+// A first pass sizes the encoding, so the capture allocates, and keeps,
+// exactly its bytes.
+func packEvents(evs []Event) []byte {
+	var scratch [8 * binary.MaxVarintLen64]byte
+	n := len(binary.AppendUvarint(scratch[:0], uint64(len(evs))))
+	var prev Event
+	for _, e := range evs {
+		n += len(appendEvent(scratch[:0], e, prev))
+		prev = e
+	}
+	b := binary.AppendUvarint(make([]byte, 0, n), uint64(len(evs)))
+	prev = Event{}
+	for _, e := range evs {
+		b = appendEvent(b, e, prev)
+		prev = e
+	}
+	return b
+}
+
+// appendEvent appends e's encoding, relative to the event before it, to b.
+func appendEvent(b []byte, e, prev Event) []byte {
+	b = binary.AppendUvarint(b, e.Seq-prev.Seq)
+	b = append(b, byte(e.Kind))
+	b = binary.AppendVarint(b, e.Hop-prev.Hop)
+	b = binary.AppendVarint(b, e.Frame-prev.Frame)
+	b = binary.AppendVarint(b, e.T-prev.T)
+	b = binary.AppendVarint(b, e.Dur)
+	b = binary.AppendVarint(b, e.A)
+	return binary.AppendVarint(b, e.B)
+}
+
+// unpackEvents decodes what packEvents encoded (a non-nil slice, empty or
+// not, as a snapshot is).
+func unpackEvents(b []byte) []Event {
+	n, k := binary.Uvarint(b)
+	b = b[k:]
+	evs := make([]Event, n)
+	uv := func() uint64 {
+		v, k := binary.Uvarint(b)
+		b = b[k:]
+		return v
+	}
+	sv := func() int64 {
+		v, k := binary.Varint(b)
+		b = b[k:]
+		return v
+	}
+	var prev Event
+	for i := range evs {
+		e := &evs[i]
+		e.Seq = prev.Seq + uv()
+		e.Kind, b = Kind(b[0]), b[1:]
+		e.Hop = prev.Hop + sv()
+		e.Frame = prev.Frame + sv()
+		e.T = prev.T + sv()
+		e.Dur, e.A, e.B = sv(), sv(), sv()
+		prev = *e
+	}
+	return evs
 }
 
 // Captures returns the number of bundles captured so far (0 on nil).

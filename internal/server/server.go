@@ -61,6 +61,11 @@ func DefaultConfig() Config {
 	}
 }
 
+// wrapStream, when non-nil, wraps every session stream New's daemons
+// build, restored ones included. It is nil outside this package's tests,
+// which inject faults through it.
+var wrapStream func(id string, st session.Stream) session.Stream
+
 // Server is a running daemon.
 type Server struct {
 	cfg         Config
@@ -186,6 +191,16 @@ func New(cfg Config, log *slog.Logger) (_ *Server, err error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if hook := wrapStream; hook != nil {
+		inner := factory
+		factory = func(id string, spec session.Spec, cp *core.StreamCheckpoint) (session.Stream, error) {
+			st, err := inner(id, spec, cp)
+			if err != nil {
+				return nil, err
+			}
+			return hook(id, st), nil
+		}
 	}
 	if s.ln, err = net.Listen("tcp", cfg.Listen); err != nil {
 		return nil, err

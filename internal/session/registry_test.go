@@ -349,3 +349,7 @@ func (f *flappingStream) Health() core.Health {
 }
 
 func (f *flappingStream) Checkpoint() *core.StreamCheckpoint { return f.inner.Checkpoint() }
+
+func (f *flappingStream) Pin() { f.inner.Pin() }
+
+func (f *flappingStream) PinnedCheckpoint() *core.StreamCheckpoint { return f.inner.PinnedCheckpoint() }

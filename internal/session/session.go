@@ -36,12 +36,18 @@ func (s Spec) validate() error {
 }
 
 // Stream is the per-session analysis engine the supervisor drives —
-// core.Streamer in production, fakes in the supervisor tests.
+// core.Streamer in production, fakes in the supervisor tests. Checkpoint
+// copies the live state out for persistence. Pin marks the current state
+// as the restart point without copying the window, and PinnedCheckpoint
+// copies that point out when a restart needs it (nil before the first
+// Pin).
 type Stream interface {
 	PushMaskedCtx(ctx context.Context, snapshot [][][]complex128, missing []bool) ([]core.Estimate, error)
 	Flush() []core.Estimate
 	Health() core.Health
 	Checkpoint() *core.StreamCheckpoint
+	Pin()
+	PinnedCheckpoint() *core.StreamCheckpoint
 }
 
 // hopStretcher is the optional degrade-to-coarser-hop hook (implemented by
@@ -198,11 +204,14 @@ type Session struct {
 	qmon *quality.Monitor // per-session consistency monitor (nil = off)
 	sm   sessionMetrics   // per-session metric children, resolved once
 
-	mu        sync.Mutex
-	state     State
-	stream    Stream
-	lastCp    *core.StreamCheckpoint // latest known-good restart point
-	restarts  int                    // consecutive, since last healthy run
+	mu     sync.Mutex
+	state  State
+	stream Stream
+	// lastCp is the restart point while no live stream has pinned one: the
+	// checkpoint the session was restored from, or the one copied out of a
+	// failed stream's pin. A stream's first Pin supersedes it.
+	lastCp    *core.StreamCheckpoint
+	restarts  int // consecutive, since last healthy run
 	totalRst  int
 	health    core.Health // cached last-read stream health
 	estimates int
@@ -332,7 +341,9 @@ func (s *Session) QueueDepth() int { return s.q.depth() }
 
 // Checkpoint captures the session's durable state from the live stream
 // (falling back to the last known-good restart point when the stream is
-// mid-restart). Returns nil when there is nothing to checkpoint yet.
+// mid-restart). Returns nil when there is nothing to checkpoint yet. The
+// copy is the caller's: the session's restart point stays the stream's
+// pin, so persisting does not keep a second copy of the window alive.
 func (s *Session) Checkpoint() *Checkpoint {
 	s.mu.Lock()
 	stream := s.stream
@@ -341,9 +352,6 @@ func (s *Session) Checkpoint() *Checkpoint {
 	if stream != nil {
 		if fresh := stream.Checkpoint(); fresh != nil {
 			cp = fresh
-			s.mu.Lock()
-			s.lastCp = fresh
-			s.mu.Unlock()
 		}
 	}
 	if cp == nil {
@@ -455,8 +463,12 @@ func (s *Session) run() {
 		s.totalRst++
 		s.lastErr = err
 		restarts := s.restarts
+		failed := s.stream
 		s.stream = nil // rebuilt from lastCp on the next runOnce
 		s.mu.Unlock()
+		if failed != nil {
+			s.keepRestartPoint(failed)
+		}
 		s.sm.restarts.Inc()
 		s.cfg.Breaker.Failure()
 
@@ -477,6 +489,26 @@ func (s *Session) run() {
 		if s.State() == StateClosed {
 			return
 		}
+	}
+}
+
+// keepRestartPoint copies a failed stream's pinned restart point out of
+// it, to restore the next incarnation from. When the stream never pinned
+// one, the previous restart point stands; so it does when copying it out
+// panics, which is counted and logged, since the supervisor goroutine has
+// no other recovery.
+func (s *Session) keepRestartPoint(failed Stream) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.cfg.Metrics.Panics.Inc()
+			s.cfg.Log.Error("session kept its previous restart point: copying the failed stream's pin panicked",
+				"session", s.ID, "panic", r)
+		}
+	}()
+	if cp := failed.PinnedCheckpoint(); cp != nil {
+		s.mu.Lock()
+		s.lastCp = cp
+		s.mu.Unlock()
 	}
 }
 
@@ -613,17 +645,15 @@ func (s *Session) runOnce() (quit bool, err error) {
 			}
 			healthySince = time.Now()
 		}
-		// Refresh the in-memory restart point (the registry's ticker
-		// persists it) on every push that completed a hop, so a failure
-		// resumes within a hop of the frontier. The checkpoint shares the
-		// window's rows, and a hop has just trimmed the window: taken
-		// then, it keeps no row alive that the window has dropped.
+		// Move the restart point up to every push that completed a hop,
+		// so a failure resumes within a hop of the frontier. A pin copies
+		// no window, and a hop has just trimmed it, so the pinned slots
+		// fit the stream's ring until the next hop pins again.
 		if len(ests) > 0 {
-			if fresh := stream.Checkpoint(); fresh != nil {
-				s.mu.Lock()
-				s.lastCp = fresh
-				s.mu.Unlock()
-			}
+			stream.Pin()
+			s.mu.Lock()
+			s.lastCp = nil
+			s.mu.Unlock()
 		}
 	}
 }

@@ -53,6 +53,7 @@ type fakeStream struct {
 	mu     sync.Mutex
 	pushes int
 	consec int
+	pinned bool
 }
 
 func (f *fakeStream) PushMaskedCtx(ctx context.Context, snap [][][]complex128, missing []bool) ([]core.Estimate, error) {
@@ -90,6 +91,23 @@ func (f *fakeStream) Health() core.Health {
 
 func (f *fakeStream) Checkpoint() *core.StreamCheckpoint {
 	return &core.StreamCheckpoint{Rate: 100, NumAnts: 3, NumTx: 1, NumSub: 4}
+}
+
+func (f *fakeStream) Pin() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.pinned = true
+}
+
+// PinnedCheckpoint returns a checkpoint once Pin has run, as
+// core.Streamer does.
+func (f *fakeStream) PinnedCheckpoint() *core.StreamCheckpoint {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.pinned {
+		return nil
+	}
+	return f.Checkpoint()
 }
 
 func testSpec() Spec { return Spec{Rate: 100, NumAnts: 3, NumTx: 1, NumSub: 4} }
@@ -255,8 +273,8 @@ func TestSupervisorRestartRestoresFromCheckpoint(t *testing.T) {
 	var restoredMu sync.Mutex
 	restored := false
 	// Every clean push of the fake stream finalizes an estimate, as a
-	// completed hop does, so the first push refreshes the in-memory
-	// checkpoint the restart after the second one must restore from.
+	// completed hop does, so the first push pins the restart point the
+	// restart after the second one must restore from.
 	d.script = func(build, push int) error {
 		if build == 1 && push == 2 {
 			return errInjectedPanic

@@ -52,8 +52,9 @@ import (
 // would.
 //
 // Storage is structure-of-arrays and steady-state allocation-free. The
-// window's one full copy of the CSI is the raw rows Append receives,
-// kept by reference (not copied) until their slot is dropped. The
+// window's one full copy of the CSI is a RawRing: Append copies each
+// snapshot's rows into it (its own, or the one a core.Streamer shares with
+// it, see UseRaw), so no caller row is kept. The
 // normalized snapshots are per-(antenna, tx) re/im planes holding slots
 // [lo, end). Without a declared peak lo is the window head. With one (see
 // SetPeakWindow) the planes hold only the last reach + stride slots,
@@ -101,9 +102,10 @@ type Incremental struct {
 	ring       planeStore
 	head, lo   int
 	start, end int
-	// raw holds the window's rows as Append received them, slot-major:
-	// row (a, tx) of slot s at (s−start)·numAnt·numTx + a·numTx + tx.
-	raw  [][]complex128
+	// raw is the window's raw rows, copied in by Append: slot s of the
+	// window at the ring's absolute slot s (nil before the first Append
+	// unless UseRaw supplied it).
+	raw  *RawRing
 	mats map[PairSpec]*incMat
 	// maxLag is the largest self-TRRS lag asked.
 	maxLag int
@@ -273,6 +275,21 @@ func (inc *Incremental) SetHop(hop int64) { inc.hop = hop }
 // the windows seen.
 func (inc *Incremental) SetPeakWindow(peak, stride, slack int) {
 	inc.peak, inc.stride, inc.slack = peak, stride, slack
+	if inc.raw != nil {
+		inc.raw.SetPeak(peak)
+	}
+}
+
+// UseRaw makes r, which must be empty and shaped for this engine's
+// antennas and tx, the ring Append copies the window's rows into, so that
+// its owner reads the window from the same store. From then on the
+// engine's Append and DropFront are the only calls that move r's window;
+// r's flags and hold stay the owner's. Call it before the first Append.
+func (inc *Incremental) UseRaw(r *RawRing) {
+	r.SetPeak(inc.peak)
+	inc.raw = r
+	inc.start, inc.end = r.Start(), r.End()
+	inc.lo = inc.start
 }
 
 // planeLimit returns the most slots the planes hold and their capacity
@@ -303,14 +320,14 @@ func (inc *Incremental) W() int { return inc.w }
 // Rate returns the sample rate in Hz.
 func (inc *Incremental) Rate() float64 { return inc.rate }
 
-// Append ingests one snapshot (shape [ant][tx][tone]); the rows are
-// normalized into the SoA ring with exactly Engine's constructor
-// arithmetic, so later matrix queries match a batch engine built over the
-// same window. Append keeps the rows themselves (not the outer slices)
-// until their slot is dropped, to re-normalize slots the planes no longer
-// hold: the caller must not modify a row it has appended. The tone count
-// is learned from the first snapshot; every later snapshot must match it
-// (the SoA planes are uniform slabs).
+// Append ingests one snapshot (shape [ant][tx][tone]): its rows are
+// copied into the raw ring, where they stay until their slot is dropped
+// (to re-normalize slots the planes no longer hold), and normalized into
+// the SoA planes with exactly Engine's constructor arithmetic, so later
+// matrix queries match a batch engine built over the same window. The
+// engine keeps no reference to the snapshot. The tone count is learned
+// from the first snapshot (or is the shared ring's, see UseRaw); every
+// later snapshot must match it (the SoA planes are uniform slabs).
 func (inc *Incremental) Append(snapshot [][][]complex128) error {
 	if len(snapshot) != inc.numAnt {
 		return fmt.Errorf("trrs: incremental snapshot has %d antennas, want %d", len(snapshot), inc.numAnt)
@@ -322,7 +339,11 @@ func (inc *Incremental) Append(snapshot [][][]complex128) error {
 		}
 	}
 	if inc.tones < 0 {
-		inc.tones = len(snapshot[0][0])
+		if inc.raw != nil {
+			inc.tones = inc.raw.tones
+		} else {
+			inc.tones = len(snapshot[0][0])
+		}
 	}
 	for a := range snapshot {
 		for tx := 0; tx < inc.numTx; tx++ {
@@ -332,6 +353,11 @@ func (inc *Incremental) Append(snapshot [][][]complex128) error {
 			}
 		}
 	}
+	if inc.raw == nil {
+		inc.raw = NewRawRing(inc.numAnt, inc.numTx, inc.tones)
+		inc.raw.SetPeak(inc.peak)
+	}
+	inc.raw.Append(snapshot)
 	inc.full = nil
 	live, limit := inc.planeLimit()
 	// Keep the window, or at most live slots once this one is in.
@@ -344,27 +370,26 @@ func (inc *Incremental) Append(snapshot [][][]complex128) error {
 		inc.head = 0
 	}
 	o := (inc.head + n) * inc.tones
-	for a := range snapshot {
-		for tx, src := range snapshot[a] {
-			inc.ring.put(a, tx, o, src)
+	for a := 0; a < inc.numAnt; a++ {
+		for tx := 0; tx < inc.numTx; tx++ {
+			inc.ring.put(a, tx, o, inc.raw.Row(inc.end, a, tx))
 		}
-		inc.raw = append(inc.raw, snapshot[a]...)
 	}
 	inc.end++
 	return nil
 }
 
-// DropFront advances the window head by n slots (ring-buffer trim; the
-// slots' storage is reclaimed by a later Append's compaction, their raw
-// rows released at once). The leading W rows of every maintained matrix
+// DropFront advances the window head by n slots, in the planes and the
+// raw ring alike (ring-buffer trims: later Appends reuse the storage).
+// The leading W rows of every maintained matrix
 // lose their backward columns into the dropped slots, which the next
 // ExtendMatrix call clears.
 func (inc *Incremental) DropFront(n int) {
 	if n <= 0 {
 		return
 	}
-	if n > inc.NumSlots() {
-		n = inc.NumSlots()
+	if n = min(n, inc.NumSlots()); n == 0 {
+		return
 	}
 	inc.full = nil
 	inc.start += n
@@ -372,11 +397,7 @@ func (inc *Incremental) DropFront(n int) {
 		inc.head += inc.start - inc.lo
 		inc.lo = inc.start
 	}
-	// Move the kept rows to the front and clear the vacated tail, so the
-	// backing keeps no dropped row reachable.
-	m := copy(inc.raw, inc.raw[n*inc.numAnt*inc.numTx:])
-	clear(inc.raw[m:])
-	inc.raw = inc.raw[:m]
+	inc.raw.DropFront(n)
 }
 
 // fullPlanes returns planes holding the whole window, slot start + t at
@@ -387,13 +408,13 @@ func (inc *Incremental) DropFront(n int) {
 // planes are allocated afresh rather than kept or pooled.
 func (inc *Incremental) fullPlanes() planeStore {
 	if inc.full == nil {
-		n, per := inc.NumSlots(), inc.numAnt*inc.numTx
+		n := inc.NumSlots()
 		inc.full = newStore(inc.prec, inc.numAnt, inc.numTx, n*inc.tones)
 		inc.renorms++
 		for t := 0; t < n; t++ {
 			for a := 0; a < inc.numAnt; a++ {
 				for tx := 0; tx < inc.numTx; tx++ {
-					inc.full.put(a, tx, t*inc.tones, inc.raw[t*per+a*inc.numTx+tx])
+					inc.full.put(a, tx, t*inc.tones, inc.raw.Row(inc.start+t, a, tx))
 				}
 			}
 		}
