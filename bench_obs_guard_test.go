@@ -45,8 +45,9 @@ type obsBaseline struct {
 		NilNsPerSlot  float64 `json:"nil_ns_per_slot"`
 		LiveNsPerSlot float64 `json:"live_ns_per_slot"`
 		// NilOverheadFrac bounds the disabled-instrumentation share of a
-		// slot (opsPerSlotBudget nil bundles against the measured slot
-		// cost); LiveOverheadFrac is the measured live-registry slowdown.
+		// slot (one nil bundle per call site the slot executes, against
+		// the measured slot cost); LiveOverheadFrac is the measured
+		// live-registry slowdown.
 		NilOverheadFrac  float64 `json:"nil_overhead_frac"`
 		LiveOverheadFrac float64 `json:"live_overhead_frac"`
 		// QualityNsPerSlot / QualityOverheadFrac record the replay cost
@@ -60,11 +61,31 @@ type obsBaseline struct {
 
 const obsBaselineFile = "BENCH_obs.json"
 
-// opsPerSlotBudget is a deliberately generous ceiling on disabled
-// instrumentation call sites charged to one streamed slot (ingest counters
-// and spans plus the amortized per-hop stage spans and counters; the real
-// count is under a dozen).
-const opsPerSlotBudget = 64
+// disabledSitesPerSlot replays the fixture once with a live registry and
+// recorder and counts the instrumentation call sites a streamed slot
+// executes; the nil budgets charge one disabled bundle to each. It counts
+// every stage span (its Start and End, which one bundle times together),
+// every other trace event and histogram observation, and every counter
+// update, where an Add(n) counts n, so the count bounds the counter calls
+// from above. Gauge sets (three a hop) leave no count and are not charged.
+func disabledSitesPerSlot(s *csi.Series) float64 {
+	reg := obs.NewRegistry()
+	rec := trace.NewRecorder(0)
+	replaySlotCost(s, reg, nil, rec)
+	sites := rec.TotalEmitted()
+	for _, m := range reg.Snapshot() {
+		switch m.Type {
+		case "counter":
+			sites += uint64(m.Value)
+		case "histogram":
+			sites += m.Count
+		}
+	}
+	for _, k := range trace.Stages() {
+		sites -= reg.Timer(k.Metric(), "").Count() // counted as trace events
+	}
+	return float64(sites) / float64(s.NumSlots())
+}
 
 // obsGuardSeries rebuilds the baseline's deterministic random fixture.
 func obsGuardSeries(bl *obsBaseline) *csi.Series {
@@ -91,18 +112,18 @@ func obsGuardSeries(bl *obsBaseline) *csi.Series {
 }
 
 // nilOpCost measures one disabled instrumentation bundle: a nil-counter
-// increment, a nil-span start/end (no clock reads, no atomics), and the
+// increment, a nil stage start/end (no clock reads, no atomics), and the
 // nil estimator-quality calls the streamer and fusion hot paths now carry.
 func nilOpCost() time.Duration {
 	var c *obs.Counter
-	var h *obs.Histogram
+	var st *trace.Stage
 	var e *quality.Engine
 	var m *quality.Monitor
 	const n = 1 << 18
 	t0 := time.Now()
 	for i := 0; i < n; i++ {
 		c.Inc()
-		sp := obs.StartSpan(h)
+		sp := st.Start(-1, int64(i))
 		sp.End()
 		e.ObserveKappa(0.5)
 		e.ObserveOutcome(0.5, true)
@@ -191,12 +212,13 @@ func median(xs []float64) float64 {
 // the committed streaming fixture, disabled instrumentation (nil registry)
 // must stay invisible on the hot path. The uninstrumented code no longer
 // exists to diff against, so the bound is constructed: the measured cost
-// of a disabled instrumentation bundle times a generous per-slot call-site
-// budget must stay under 2% of the measured per-slot streaming cost. The
-// live-registry and quality-engine replays are additionally checked
-// against loose ceilings so switching them on can never silently become
-// catastrophic; all three replays share overheadRounds' interleaved
-// rounds. Run with -update-bench-obs to re-record BENCH_obs.json.
+// of a disabled instrumentation bundle times the call sites a slot
+// executes (disabledSitesPerSlot) must stay under 2% of the measured
+// per-slot streaming cost. The live-registry and quality-engine replays
+// are additionally checked against loose ceilings so switching them on
+// can never silently become catastrophic; all three replays share
+// overheadRounds' interleaved rounds. Run with -update-bench-obs to
+// re-record BENCH_obs.json.
 func TestObsOverheadGuard(t *testing.T) {
 	raw, err := os.ReadFile(obsBaselineFile)
 	if err != nil {
@@ -214,6 +236,7 @@ func TestObsOverheadGuard(t *testing.T) {
 	live := obs.NewRegistry()
 	qreg := obs.NewRegistry()
 	qual := quality.New(quality.Config{Obs: qreg})
+	sites := disabledSitesPerSlot(s)
 	perOp, nilSlot, ratios := overheadRounds(12, nilOpCost,
 		func() time.Duration { return replaySlotCost(s, nil, nil, nil) },
 		func() time.Duration { return replaySlotCost(s, live, nil, nil) },
@@ -221,11 +244,11 @@ func TestObsOverheadGuard(t *testing.T) {
 	liveSlot := time.Duration(ratios[0] * float64(nilSlot))
 	qualSlot := time.Duration(ratios[1] * float64(nilSlot))
 
-	nilFrac := float64(perOp) * opsPerSlotBudget / float64(nilSlot)
+	nilFrac := float64(perOp) * sites / float64(nilSlot)
 	liveFrac := ratios[0] - 1
 	qualFrac := ratios[1] - 1
-	t.Logf("cores=%d nil op=%v slot(nil)=%v slot(live)=%v slot(quality)=%v nil-budget overhead=%.3f%% live overhead=%.1f%% quality overhead=%.1f%%",
-		runtime.GOMAXPROCS(0), perOp, nilSlot, liveSlot, qualSlot, nilFrac*100, liveFrac*100, qualFrac*100)
+	t.Logf("cores=%d nil op=%v sites/slot=%.1f slot(nil)=%v slot(live)=%v slot(quality)=%v nil-budget overhead=%.3f%% live overhead=%.1f%% quality overhead=%.1f%%",
+		runtime.GOMAXPROCS(0), perOp, sites, nilSlot, liveSlot, qualSlot, nilFrac*100, liveFrac*100, qualFrac*100)
 
 	if nilFrac >= 0.02 {
 		t.Errorf("disabled instrumentation budget %.2f%% of a slot (>= 2%%): %v per op, %v per slot",

@@ -11,17 +11,18 @@ import (
 )
 
 // nilTraceOpCost measures one disabled tracing bundle: a nil-recorder
-// instant emit, a nil span start/end, and a nil flight-recorder offer —
+// instant emit, a nil stage start/end, and a nil flight-recorder offer —
 // the exact shapes the hot path calls when tracing is off. None of them
 // may read a clock or touch an atomic.
 func nilTraceOpCost() time.Duration {
 	var r *trace.Recorder
+	var st *trace.Stage
 	var f *trace.Flight
 	const n = 1 << 18
 	t0 := time.Now()
 	for i := 0; i < n; i++ {
-		r.Emit(trace.KindFrameIngest, -1, int64(i), 0, 0)
-		sp := r.Start(trace.KindIngest, -1, int64(i))
+		r.Emit(trace.KindIngest, -1, int64(i), 0, 0)
+		sp := st.Start(-1, int64(i))
 		sp.End()
 		f.Offer(trace.ReasonDegradedEstimates, -1, nil)
 	}
@@ -32,7 +33,7 @@ func nilTraceOpCost() time.Duration {
 // with the recorder disabled (nil), the tracing call sites threaded through
 // ingest, the TRRS engine and the per-hop pipeline must stay invisible on
 // the streaming hot path — the measured cost of a disabled tracing bundle
-// times the per-slot call-site budget must stay under 2% of the measured
+// times the call sites a slot executes must stay under 2% of the measured
 // per-slot streaming cost. A live recorder is additionally checked against
 // a loose ceiling (ring writes are a few atomics plus one clock read per
 // span, so enabling tracing must never dominate the pipeline arithmetic).
@@ -52,6 +53,7 @@ func TestTraceOverheadGuard(t *testing.T) {
 	}
 
 	s := obsGuardSeries(&bl)
+	sites := disabledSitesPerSlot(s)
 	rec := trace.NewRecorder(0)
 	// 36 rounds: the live ratio's median over 12 spread from -11% to +25%
 	// while other packages' tests and builds ran on the same two cores.
@@ -60,7 +62,7 @@ func TestTraceOverheadGuard(t *testing.T) {
 		func() time.Duration { return replaySlotCost(s, nil, nil, rec) })
 	liveSlot := time.Duration(ratios[0] * float64(nilSlot))
 
-	nilFrac := float64(perOp) * opsPerSlotBudget / float64(nilSlot)
+	nilFrac := float64(perOp) * sites / float64(nilSlot)
 	liveFrac := ratios[0] - 1
 	t.Logf("cores=%d nil trace op=%v slot(nil)=%v slot(live)=%v nil-budget overhead=%.3f%% live overhead=%.1f%% events=%d",
 		runtime.GOMAXPROCS(0), perOp, nilSlot, liveSlot, nilFrac*100, liveFrac*100, rec.TotalEmitted())

@@ -19,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"os"
@@ -48,32 +50,44 @@ import (
 )
 
 func main() {
-	apID := flag.Int("ap", 0, "AP location id (0-6, see Fig. 10)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	speed := flag.Float64("speed", 0.5, "cart speed, m/s")
-	fused := flag.Bool("fused", false, "fuse RIM distance with gyro heading + a fusion backend (Fig. 21) instead of pure RIM")
-	backendName := flag.String("backend", "particle", "fusion backend for -fused: particle (map-constrained filter) or eskf (error-state Kalman + ZUPT)")
-	lossFrac := flag.Float64("loss", 0, "inject Gilbert–Elliott bursty packet loss with this mean loss fraction")
-	deadAnt := flag.Int("dead-ant", -1, "antenna index with a dead RF chain from -dead-from seconds on (-1 = none)")
-	deadFrom := flag.Float64("dead-from", 2, "time at which -dead-ant fails, seconds")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz, /debug/pprof, /debug/rimtrace and /debug/postmortem on this address (e.g. :6060)")
-	debugLinger := flag.Duration("debug-linger", 0, "keep the debug server up this long after the run, for scraping (requires -debug-addr)")
-	traceOut := flag.String("trace-out", "", "write the run's causal trace as Chrome trace-event JSON (open in Perfetto or chrome://tracing)")
-	pmOut := flag.String("postmortem-out", "", "directory flight-recorder postmortem bundles are written to on degradation")
-	kernelName := flag.String("kernel", "", "TRRS kernel: vector (default), sequential (bit-exact oracle)")
-	precName := flag.String("precision", "", "TRRS plane precision: float64 (default, bit-exact), float32")
-	qualityOn := flag.Bool("quality", false, "attach an estimator-consistency monitor to the fusion backend and print its verdict (requires -fused)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is rimtrack's body: it parses args, runs the demo with its output
+// on stdout and diagnostics on stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rimtrack", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	apID := fs.Int("ap", 0, "AP location id (0-6, see Fig. 10)")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	speed := fs.Float64("speed", 0.5, "cart speed, m/s")
+	fused := fs.Bool("fused", false, "fuse RIM distance with gyro heading + a fusion backend (Fig. 21) instead of pure RIM")
+	backendName := fs.String("backend", "particle", "fusion backend for -fused: particle (map-constrained filter) or eskf (error-state Kalman + ZUPT)")
+	lossFrac := fs.Float64("loss", 0, "inject Gilbert–Elliott bursty packet loss with this mean loss fraction")
+	deadAnt := fs.Int("dead-ant", -1, "antenna index with a dead RF chain from -dead-from seconds on (-1 = none)")
+	deadFrom := fs.Float64("dead-from", 2, "time at which -dead-ant fails, seconds")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /healthz, /debug/pprof, /debug/rimtrace and /debug/postmortem on this address (e.g. :6060)")
+	debugLinger := fs.Duration("debug-linger", 0, "keep the debug server up this long after the run, for scraping (requires -debug-addr)")
+	traceOut := fs.String("trace-out", "", "write the run's causal trace as Chrome trace-event JSON (open in Perfetto or chrome://tracing)")
+	pmOut := fs.String("postmortem-out", "", "directory flight-recorder postmortem bundles are written to on degradation")
+	kernelName := fs.String("kernel", "", "TRRS kernel: vector (default), sequential (bit-exact oracle)")
+	precName := fs.String("precision", "", "TRRS plane precision: float64 (default, bit-exact), float32")
+	qualityOn := fs.Bool("quality", false, "attach an estimator-consistency monitor to the fusion backend and print its verdict (requires -fused)")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	kernel, err := trrs.ParseKernel(*kernelName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rimtrack:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "rimtrack:", err)
+		return 2
 	}
 	precision, err := trrs.ParsePrecision(*precName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rimtrack:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "rimtrack:", err)
+		return 2
 	}
 
 	// Observability is opt-in: without -debug-addr, -trace-out or
@@ -94,32 +108,26 @@ func main() {
 		})
 	}
 	if *debugAddr != "" {
-		obs.SetLogger(obs.NewTextLogger(os.Stderr, slog.LevelInfo))
+		obs.SetLogger(obs.NewTextLogger(stderr, slog.LevelInfo))
 		srv, addr, err := obs.StartDebugServer(*debugAddr, reg, health.snapshot,
 			obs.Route{Pattern: "/debug/rimtrace", Handler: trace.Handler(rec)},
 			obs.Route{Pattern: "/debug/postmortem", Handler: flight.Handler()},
 		)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rimtrack:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "rimtrack:", err)
+			return 1
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "rimtrack: debug server on http://%s (/metrics, /healthz, /debug/pprof, /debug/rimtrace, /debug/postmortem)\n", addr)
-		if *debugLinger > 0 {
-			defer func() {
-				fmt.Fprintf(os.Stderr, "rimtrack: run finished, debug server lingering %s\n", *debugLinger)
-				time.Sleep(*debugLinger)
-			}()
-		}
+		fmt.Fprintf(stderr, "rimtrack: debug server on http://%s (/metrics, /healthz, /debug/pprof, /debug/rimtrace, /debug/postmortem)\n", addr)
 	} else if *debugLinger > 0 {
-		fmt.Fprintln(os.Stderr, "rimtrack: warning: -debug-linger has no effect without -debug-addr; not lingering")
+		fmt.Fprintln(stderr, "rimtrack: warning: -debug-linger has no effect without -debug-addr; not lingering")
 	}
 
 	office := floorplan.NewOffice()
 	ap, err := office.AP(*apID)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rimtrack:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "rimtrack:", err)
+		return 2
 	}
 	area := office.OpenAreaCenter()
 	rfCfg := rf.FastConfig()
@@ -151,8 +159,8 @@ func main() {
 	}
 	fm, err := faultModel(*lossFrac, *deadAnt, *deadFrom, *seed, collected...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rimtrack:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "rimtrack:", err)
+		return 2
 	}
 	rcv := csi.RealisticReceiver(*seed)
 	rcv.Obs = reg
@@ -165,8 +173,8 @@ func main() {
 
 	series, err := csi.Collect(env, arr, tr, rcv).Process(true)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rimtrack:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "rimtrack:", err)
+		return 1
 	}
 	health.ingest(series)
 	cfg := experiments.CoreConfig(experiments.Fast, arr)
@@ -183,8 +191,8 @@ func main() {
 	if *fused {
 		backend, ok := fusion.ParseBackend(*backendName)
 		if !ok {
-			fmt.Fprintln(os.Stderr, "rimtrack: unknown -backend", *backendName)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "rimtrack: unknown -backend", *backendName)
+			return 2
 		}
 		mode = "RIM distance + gyro heading + particle filter"
 		if backend == fusion.BackendESKF {
@@ -192,8 +200,8 @@ func main() {
 		}
 		series, err = csi.Collect(env, arr3, tr, rcv).Process(true)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rimtrack:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "rimtrack:", err)
+			return 1
 		}
 		health.ingest(series)
 		cfg.Array = arr3 // the same operating point and flags, on the fused run's array
@@ -219,49 +227,49 @@ func main() {
 		res, err = tracking.PureRIM(series, cfg, geom.Pose{Pos: start}, tr, camCfg)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rimtrack:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "rimtrack:", err)
+		return 1
 	}
 
-	fmt.Printf("RIM indoor tracking demo — %s\n", mode)
-	fmt.Printf("AP #%d at (%.1f, %.1f) — %s to the experiment area\n",
+	fmt.Fprintf(stdout, "RIM indoor tracking demo — %s\n", mode)
+	fmt.Fprintf(stdout, "AP #%d at (%.1f, %.1f) — %s to the experiment area\n",
 		*apID, ap.Pos.X, ap.Pos.Y, losStr(env, area))
-	fmt.Printf("path length %.1f m (estimated %.1f m), median error %.2f m, P90 %.2f m\n",
+	fmt.Fprintf(stdout, "path length %.1f m (estimated %.1f m), median error %.2f m, P90 %.2f m\n",
 		res.TruthDistance, res.EstimatedDistance, res.MedianError, res.P90Error)
 	if res.Core != nil {
 		if df := res.Core.DegradedFraction(); df > 0 {
-			fmt.Printf("degraded slots: %.0f%% (packet loss / dead chains / analysis fallbacks)\n", df*100)
+			fmt.Fprintf(stdout, "degraded slots: %.0f%% (packet loss / dead chains / analysis fallbacks)\n", df*100)
 		}
 	}
-	fmt.Println()
-	fmt.Print(viz.TruthVsEstimate(91, 35, &office.Plan, res.Truth, res.Estimated,
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, viz.TruthVsEstimate(91, 35, &office.Plan, res.Truth, res.Estimated,
 		map[byte]geom.Vec2{'A': ap.Pos}))
 
 	if res.Core != nil {
-		fmt.Println("\nsegments:")
+		fmt.Fprintln(stdout, "\nsegments:")
 		for i, seg := range res.Core.Segments {
 			switch seg.Kind {
 			case core.MotionTranslate:
-				fmt.Printf("  %d: translate %.2f m heading %+.0f° (conf %.2f)\n",
+				fmt.Fprintf(stdout, "  %d: translate %.2f m heading %+.0f° (conf %.2f)\n",
 					i+1, seg.Distance, deg(seg.HeadingBody), seg.Confidence)
 			case core.MotionRotate:
-				fmt.Printf("  %d: rotate %+.0f°\n", i+1, deg(seg.Angle))
+				fmt.Fprintf(stdout, "  %d: rotate %+.0f°\n", i+1, deg(seg.Angle))
 			default:
-				fmt.Printf("  %d: unresolved movement\n", i+1)
+				fmt.Fprintf(stdout, "  %d: unresolved movement\n", i+1)
 			}
 		}
 	}
 
 	if *qualityOn && qualityEng == nil {
-		fmt.Fprintln(os.Stderr, "rimtrack: warning: -quality has no effect without -fused")
+		fmt.Fprintln(stderr, "rimtrack: warning: -quality has no effect without -fused")
 	}
 	if qualityEng != nil {
 		st, frac, n := qualityEng.Monitor("run").Summary()
-		fmt.Printf("\nestimator quality: %s (%d consistency samples, worst channel %.0f%% outside its chi-square band)\n",
+		fmt.Fprintf(stdout, "\nestimator quality: %s (%d consistency samples, worst channel %.0f%% outside its chi-square band)\n",
 			st, n, frac*100)
 		for _, ent := range qualityEng.Snapshot().Entities {
 			for _, ch := range ent.Channels {
-				fmt.Printf("  channel %-10s %-5s %5d samples, %.0f%% outside band\n",
+				fmt.Fprintf(stdout, "  channel %-10s %-5s %5d samples, %.0f%% outside band\n",
 					ch.Channel, ch.State, ch.Samples, ch.OutsideFrac*100)
 			}
 		}
@@ -270,24 +278,29 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rimtrack:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "rimtrack:", err)
+			return 1
 		}
 		werr := trace.WriteJSON(f, rec)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
-			fmt.Fprintln(os.Stderr, "rimtrack: writing trace:", werr)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "rimtrack: writing trace:", werr)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "rimtrack: wrote %d trace events to %s — open in Perfetto (ui.perfetto.dev) or chrome://tracing\n",
+		fmt.Fprintf(stderr, "rimtrack: wrote %d trace events to %s — open in Perfetto (ui.perfetto.dev) or chrome://tracing\n",
 			rec.TotalEmitted(), *traceOut)
 	}
 	if flight.Captures() > 0 && *pmOut != "" {
-		fmt.Fprintf(os.Stderr, "rimtrack: flight recorder captured %d postmortem bundle(s) in %s\n",
+		fmt.Fprintf(stderr, "rimtrack: flight recorder captured %d postmortem bundle(s) in %s\n",
 			flight.Captures(), *pmOut)
 	}
+	if *debugAddr != "" && *debugLinger > 0 {
+		fmt.Fprintf(stderr, "rimtrack: run finished, debug server lingering %s\n", *debugLinger)
+		time.Sleep(*debugLinger)
+	}
+	return 0
 }
 
 // healthState assembles the core.Health served on /healthz. The batch demo

@@ -103,6 +103,11 @@ type Config struct {
 	// of a pass become invalid at the arena's next Reset, which is fine:
 	// Result retains no matrices.
 	arena *trrs.MatrixArena
+	// po holds the pipeline's stages and counters. The streaming front end
+	// resolves them once per stream and threads them through here, so a
+	// hop takes no registry lock; nil (batch runs) resolves them per
+	// pipeline from Obs and Trace.
+	po *pipelineObs
 	// traceHop is the causal hop ID stamped on this pipeline's trace
 	// events: 0 for batch runs, ≥ 1 for the streaming front end's hops
 	// (core.Streamer threads it through before each re-analysis).
@@ -359,20 +364,17 @@ type Pipeline struct {
 	// interpolated (from the series' Missing mask); slots above
 	// degradedMissFrac are marked Estimate.Degraded.
 	missFrac []float64
-	// po holds the resolved observability handles (all nil when
-	// cfg.Obs is nil, making every use a no-op).
-	po pipelineObs
 }
 
-// pipelineObs bundles the batch pipeline's metric handles, resolved once
-// at construction so the processing path never touches the registry map.
+// pipelineObs bundles the pipeline's stages and counters, resolved before
+// the processing path runs so it never touches the registry map.
 type pipelineObs struct {
-	// buildH times the TRRS base-matrix build/extend during pipeline
-	// construction and derivedH the derived matrices built from them
+	// build times the TRRS base-matrix build/extend during pipeline
+	// construction and derived the derived matrices built from them
 	// (pair average + virtual massive) on the passes that need them;
-	// movementH the §4.1 movement-detection stage; alignH the alignment
+	// movement the §4.1 movement-detection stage; align the alignment
 	// tracking + reckoning of each analyzed segment.
-	buildH, derivedH, movementH, alignH *obs.Histogram
+	build, derived, movement, align *trace.Stage
 	// estimates/degraded count window slots analyzed by Process (the
 	// streamer re-analyzes overlapping windows, so for streams this is a
 	// work measure; finalized emissions are counted by rim_stream_*).
@@ -384,17 +386,12 @@ type pipelineObs struct {
 	zuptIntervals, zuptSlots *obs.Counter
 }
 
-func newPipelineObs(reg *obs.Registry) pipelineObs {
-	if reg == nil {
-		return pipelineObs{}
-	}
-	return pipelineObs{
-		buildH: reg.Timer("rim_trrs_build_seconds", "TRRS base-matrix build/extend latency per pipeline construction"),
-		derivedH: reg.Timer("rim_trrs_derived_seconds",
-			"derived-matrix (pair average + virtual massive) latency per pass that analyzes a movement segment"),
-		movementH: reg.Timer("rim_movement_seconds", "movement-detection stage latency per Process"),
-		alignH: reg.Timer("rim_align_seconds",
-			"alignment tracking + reckoning latency per analyzed movement segment (streams: those overlapping the hop's emit window)"),
+func newPipelineObs(reg *obs.Registry, rec *trace.Recorder) *pipelineObs {
+	return &pipelineObs{
+		build:     trace.NewStage(reg, rec, trace.KindBuild),
+		derived:   trace.NewStage(reg, rec, trace.KindDerived),
+		movement:  trace.NewStage(reg, rec, trace.KindMovement),
+		align:     trace.NewStage(reg, rec, trace.KindAlign),
 		estimates: reg.Counter("rim_estimates_total", "window slots analyzed by pipeline Process"),
 		degraded:  reg.Counter("rim_estimates_degraded_total", "analyzed window slots flagged degraded"),
 		segments: reg.Counter("rim_segments_total",
@@ -503,14 +500,14 @@ func newPipelineFromEngine(eng *trrs.Engine, base func(pairs []trrs.PairSpec) ([
 		return nil, fmt.Errorf("core: array has %d antennas but engine has %d",
 			cfg.Array.NumAntennas(), eng.NumAntennas())
 	}
-	p := &Pipeline{cfg: cfg, eng: eng, missFrac: missFrac, po: newPipelineObs(cfg.Obs)}
+	if cfg.po == nil {
+		cfg.po = newPipelineObs(cfg.Obs, cfg.Trace)
+	}
+	p := &Pipeline{cfg: cfg, eng: eng, missFrac: missFrac}
 	p.w = windowSlots(cfg.WindowSeconds, eng.Rate())
-	// The build histogram and the trrs_build trace span time the base
-	// matrices; the derived matrices built from them are timed by derive,
-	// on the passes that need them.
-	buildSpan := obs.StartSpan(p.po.buildH)
-	buildTrace := cfg.Trace.Start(trace.KindBuild, cfg.traceHop, -1)
-	defer buildTrace.End()
+	// The build stage times the base matrices; the derived matrices built
+	// from them are timed by derive, on the passes that need them.
+	build := cfg.po.build.Start(cfg.traceHop, -1)
 
 	// Base matrices are shared between translation groups and the
 	// rotation ring; collect the distinct pairs first so the source
@@ -521,17 +518,16 @@ func newPipelineFromEngine(eng *trrs.Engine, base func(pairs []trrs.PairSpec) ([
 	// derive them by the Hermitian reflection instead of recomputing.
 	p.groupDefs, p.ringPairs = pairGeometry(cfg.Array)
 	p.pairs = neededPairs(p.groupDefs, p.ringPairs, cfg.DisablePairAveraging)
+	var err error
 	if base == nil {
 		p.base = eng.BaseMatrices(p.pairs, p.w)
 	} else {
-		var err error
 		p.base, err = base(p.pairs)
-		if err != nil {
-			buildSpan.End()
-			return nil, err
-		}
 	}
-	buildSpan.End()
+	build.End()
+	if err != nil {
+		return nil, err
+	}
 	// Validate the derived matrices' inputs now, so a malformed base
 	// matrix fails construction rather than the pass that first needs it.
 	for _, g := range p.groupDefs {
@@ -586,8 +582,7 @@ func (p *Pipeline) derive() {
 		return
 	}
 	p.derived = true
-	span := obs.StartSpan(p.po.derivedH)
-	defer span.End()
+	defer p.cfg.po.derived.Start(p.cfg.traceHop, -1).End()
 	must := func(m *trrs.Matrix, err error) *trrs.Matrix {
 		if err != nil {
 			panic(fmt.Sprintf("core: derived matrix inputs validated at construction: %v", err))
@@ -627,13 +622,14 @@ func (p *Pipeline) Process() *Result {
 	slots := p.eng.NumSlots()
 	res := &Result{Rate: rate}
 	hop := p.cfg.traceHop
-	var hopTrace trace.Span
+	po := p.cfg.po
+	var batchHop trace.Timing
 	if hop == 0 {
-		// Batch runs have no Streamer emitting the hop span; the whole
-		// Process is the one "hop", covering every slot. The span is ended
-		// explicitly before any flight-recorder offer so a postmortem
+		// Batch runs have no Streamer timing the hop; the whole Process is
+		// the one "hop", covering every slot, traced but not metered. The
+		// span is ended before any flight-recorder offer so a postmortem
 		// bundle always contains the hop span it needs for lineage.
-		hopTrace = p.cfg.Trace.Start(trace.KindHop, 0, -1)
+		batchHop = trace.NewStage(nil, p.cfg.Trace, trace.KindHop).Start(0, -1)
 	}
 	// Deadline gate: every stage boundary below re-checks it, and a pass
 	// that runs out of budget finishes immediately with degraded
@@ -643,8 +639,7 @@ func (p *Pipeline) Process() *Result {
 	if p.cfg.hopExpired() {
 		res.DeadlineExceeded = true
 	} else {
-		movementSpan := obs.StartSpan(p.po.movementH)
-		movementTrace := p.cfg.Trace.Start(trace.KindMovement, hop, -1)
+		movement := po.movement.Start(hop, -1)
 		res.MovementIndicator, p.fastInd = align.MovementIndicators(p.eng, p.cfg.Movement)
 		moving = align.ThresholdWithHysteresis(res.MovementIndicator, p.cfg.Movement)
 		p.moving = moving
@@ -653,8 +648,7 @@ func (p *Pipeline) Process() *Result {
 		for t, v := range res.MovementIndicator {
 			p.movingSoft[t] = v < release
 		}
-		movementSpan.End()
-		movementTrace.End()
+		movement.End()
 		res.ZUPTs = p.extractZUPTs(res.MovementIndicator, release, int(zuptMinSeconds*rate))
 		p.emitZUPTs(res.ZUPTs, hop)
 	}
@@ -718,11 +712,9 @@ func (p *Pipeline) Process() *Result {
 				continue
 			}
 			p.derive()
-			alignSpan := obs.StartSpan(p.po.alignH)
-			alignTrace := p.cfg.Trace.Start(trace.KindAlign, hop, int64(seg[0]))
+			align := po.align.Start(hop, int64(seg[0]))
 			sr := p.processSegment(seg[0], seg[1], res)
-			alignSpan.End()
-			alignTrace.End()
+			align.End()
 			p.cfg.Trace.Emit(trace.KindSegment, hop, int64(sr.Start), int64(sr.End), int64(sr.Kind))
 			res.Segments = append(res.Segments, sr)
 			switch sr.Kind {
@@ -733,10 +725,10 @@ func (p *Pipeline) Process() *Result {
 			}
 		}
 	}
-	p.po.segments.Add(uint64(len(res.Segments)))
-	p.po.estimates.Add(uint64(len(res.Estimates)))
-	if p.po.degraded != nil || (hop == 0 && (p.cfg.Trace != nil || p.cfg.Flight != nil)) {
-		var deg uint64
+	po.segments.Add(uint64(len(res.Segments)))
+	po.estimates.Add(uint64(len(res.Estimates)))
+	var deg uint64
+	if po.degraded != nil || (hop == 0 && (p.cfg.Trace != nil || p.cfg.Flight != nil)) {
 		for i := range res.Estimates {
 			if res.Estimates[i].Degraded {
 				deg++
@@ -748,15 +740,11 @@ func (p *Pipeline) Process() *Result {
 				}
 			}
 		}
-		p.po.degraded.Add(deg)
-		if hop == 0 {
-			hopTrace.EndArgs(0, int64(slots))
-			if deg > 0 {
-				p.cfg.Flight.Offer(trace.ReasonDegradedEstimates, 0, nil)
-			}
-		}
-	} else if hop == 0 {
-		hopTrace.EndArgs(0, int64(slots))
+		po.degraded.Add(deg)
+	}
+	batchHop.EndArgs(0, int64(slots))
+	if hop == 0 && deg > 0 {
+		p.cfg.Flight.Offer(trace.ReasonDegradedEstimates, 0, nil)
 	}
 	return res
 }

@@ -25,7 +25,7 @@ var hopScratchPool sync.Pool
 // getHopScratch borrows a scratch from the shared pool (allocating on a
 // miss) and resets its arena, reclaiming every matrix the previous
 // borrower produced.
-func getHopScratch(ob streamObs) *hopScratch {
+func getHopScratch(ob *streamObs) *hopScratch {
 	ob.scratchGets.Inc()
 	s, _ := hopScratchPool.Get().(*hopScratch)
 	if s == nil {
@@ -40,7 +40,7 @@ func getHopScratch(ob streamObs) *hopScratch {
 // retained backing size into the rim_scratch_pool_bytes gauge (the pool
 // itself is GC-managed, so the gauge tracks the most recently returned
 // scratch — a per-hop watermark, not an exact pool total).
-func putHopScratch(s *hopScratch, ob streamObs) {
+func putHopScratch(s *hopScratch, ob *streamObs) {
 	s.arena.Reset()
 	ob.scratchBytes.Set(float64(s.arena.Bytes()))
 	hopScratchPool.Put(s)

@@ -233,10 +233,14 @@ func (st *Streamer) SetPerStreamObs(po PerStreamObs) {
 	}
 }
 
-// streamObs bundles the streamer's metric handles, resolved once in
-// NewStreamer so the per-packet path never touches the registry map. All
-// handles are nil (no-op) when StreamConfig.Core.Obs is nil.
+// streamObs bundles the streamer's stages and metric handles, resolved
+// once in NewStreamer so neither the per-packet path nor a hop touches the
+// registry map. All handles are nil (no-op) when StreamConfig.Core.Obs
+// (and, for the stages, Core.Trace) is nil.
 type streamObs struct {
+	ingest   *trace.Stage   // rim_ingest_seconds, trace kind ingest
+	hop      *trace.Stage   // rim_hop_seconds, trace kind hop
+	pipe     *pipelineObs   // every hop's pipeline stages and counters
 	frames   *obs.Counter   // rim_stream_frames_total
 	missing  *obs.Counter   // rim_stream_samples_missing_total
 	corrupt  *obs.Counter   // rim_stream_slots_corrupt_total
@@ -246,8 +250,6 @@ type streamObs struct {
 	fallback *obs.Counter   // rim_stream_fallback_hops_total
 	deadline *obs.Counter   // rim_hop_deadline_exceeded_total
 	dead     *obs.Gauge     // rim_stream_dead_antennas
-	ingestH  *obs.Histogram // rim_ingest_seconds
-	hopH     *obs.Histogram // rim_stream_hop_seconds
 	lagH     *obs.Histogram // rim_stream_lag_seconds
 	lagG     *obs.Gauge     // rim_stream_watermark_lag_seconds
 
@@ -257,11 +259,11 @@ type streamObs struct {
 	scratchBytes *obs.Gauge   // rim_scratch_pool_bytes
 }
 
-func newStreamObs(reg *obs.Registry) streamObs {
-	if reg == nil {
-		return streamObs{}
-	}
+func newStreamObs(reg *obs.Registry, rec *trace.Recorder) streamObs {
 	return streamObs{
+		ingest:   trace.NewStage(reg, rec, trace.KindIngest),
+		hop:      trace.NewStage(reg, rec, trace.KindHop),
+		pipe:     newPipelineObs(reg, rec),
 		frames:   reg.Counter("rim_stream_frames_total", "CSI snapshots ingested by the streamer"),
 		missing:  reg.Counter("rim_stream_samples_missing_total", "(antenna, slot) samples missing or rejected at ingest"),
 		corrupt:  reg.Counter("rim_stream_slots_corrupt_total", "snapshots with at least one NaN/garbage row rejected"),
@@ -271,8 +273,6 @@ func newStreamObs(reg *obs.Registry) streamObs {
 		fallback: reg.Counter("rim_stream_fallback_hops_total", "analysis hops run on a reduced sub-array"),
 		deadline: reg.Counter("rim_hop_deadline_exceeded_total", "analysis hops that exceeded their deadline and emitted degraded placeholders"),
 		dead:     reg.Gauge("rim_stream_dead_antennas", "antennas currently considered dead"),
-		ingestH:  reg.Timer("rim_ingest_seconds", "per-snapshot ingest (validate + commit) latency"),
-		hopH:     reg.Timer("rim_stream_hop_seconds", "sliding-window analysis latency per hop"),
 		lagH:     reg.Timer("rim_stream_lag_seconds", "ingest-to-emit latency of the newest slot finalized per hop"),
 		lagG:     reg.Gauge("rim_stream_watermark_lag_seconds", "end-to-end lag of the emit watermark behind ingest"),
 		scratchGets: reg.Counter("rim_scratch_pool_gets_total",
@@ -327,7 +327,7 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 		hopFactor: 1,
 	}
 	st.log = cfg.Core.logger()
-	st.ob = newStreamObs(cfg.Core.Obs)
+	st.ob = newStreamObs(cfg.Core.Obs, cfg.Core.Trace)
 	st.trc = cfg.Core.Trace
 	st.flight = cfg.Core.Flight
 	st.qual = cfg.Core.Quality
@@ -526,9 +526,8 @@ func (st *Streamer) PushMaskedCtx(ctx context.Context, snapshot [][][]complex128
 	}
 
 	// Phase 2: commit.
-	ingestSpan := obs.StartSpan(st.ob.ingestH)
 	slot := int64(st.samples) // absolute slot ID of this snapshot
-	ingestTrace := st.trc.Start(trace.KindIngest, -1, slot)
+	ingest := st.ob.ingest.Start(-1, slot)
 	st.samples++
 	st.ob.frames.Inc()
 	corruptFlag := int64(0)
@@ -579,9 +578,7 @@ func (st *Streamer) PushMaskedCtx(ctx context.Context, snapshot [][][]complex128
 		clear(rows[a])
 	}
 	st.updateDeadDetection(absent, snapshot)
-	ingestSpan.End()
-	ingestTrace.EndArgs(absentCnt, corruptFlag)
-	st.trc.Emit(trace.KindFrameIngest, -1, slot, absentCnt, corruptFlag)
+	ingest.EndArgs(absentCnt, corruptFlag)
 	if st.lagOn {
 		st.ingestNs = append(st.ingestNs, st.nowNs())
 	}
@@ -769,8 +766,6 @@ func (st *Streamer) aliveAntennas() []int {
 // deadline, if either is set); a hop that exceeds it emits degraded
 // placeholders for the unresolved slots instead of stalling the stream.
 func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error) {
-	hopSpan := obs.StartSpan(st.ob.hopH)
-	defer hopSpan.End()
 	n := st.bufLen()
 	// Hops are numbered from 1; hop 0 is the batch pipeline's scope. The
 	// hop span's args record the absolute slot window it analyzed, which
@@ -778,8 +773,7 @@ func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error)
 	st.hopSeq++
 	hop := st.hopSeq
 	winLo := int64(st.dropped)
-	hopTrace := st.trc.Start(trace.KindHop, hop, winLo)
-	defer hopTrace.EndArgs(winLo, winLo+int64(n))
+	defer st.ob.hop.Start(hop, winLo).EndArgs(winLo, winLo+int64(n))
 	upTo := n - st.guard
 	if flush {
 		upTo = n
@@ -971,9 +965,10 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 	// backings a previous hop — possibly of another session — built. The
 	// result retains none of them, so the scratch returns to the pool as
 	// soon as the analysis is done.
-	scr := getHopScratch(st.ob)
-	defer putHopScratch(scr, st.ob)
+	scr := getHopScratch(&st.ob)
+	defer putHopScratch(scr, &st.ob)
 	cfg.arena = &scr.arena
+	cfg.po = st.ob.pipe
 	if st.inc != nil {
 		st.inc.SetHop(hop)
 	}

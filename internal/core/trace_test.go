@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestStreamTraceLineage(t *testing.T) {
 	hopWin := map[int64][2]int64{}
 	for _, e := range events {
 		switch e.Kind {
-		case trace.KindFrameIngest:
+		case trace.KindIngest:
 			ingests++
 			if e.Hop != -1 {
 				t.Fatalf("ingest event tagged with hop %d, want -1 (pre-hop)", e.Hop)
@@ -106,7 +107,7 @@ func TestStreamTraceLineage(t *testing.T) {
 		}
 	}
 	if ingests != pushes {
-		t.Errorf("frame-ingest events = %d, want %d", ingests, pushes)
+		t.Errorf("ingest events = %d, want %d", ingests, pushes)
 	}
 	if hops == 0 || estimates == 0 || lags == 0 {
 		t.Fatalf("missing event kinds: %d hops, %d estimates, %d lags", hops, estimates, lags)
@@ -127,7 +128,7 @@ func TestStreamTraceLineage(t *testing.T) {
 			linHopSpan = true
 		case trace.KindEstimate:
 			linEst = true
-		case trace.KindFrameIngest, trace.KindIngest:
+		case trace.KindIngest:
 			linFrames = true
 			if e.Frame < win[0] || e.Frame >= win[1] {
 				t.Errorf("lineage frame %d outside hop %d window [%d,%d)",
@@ -281,5 +282,51 @@ func TestBatchTraceHopZero(t *testing.T) {
 	if movement == 0 || aligns == 0 || segments == 0 {
 		t.Errorf("missing stage events: %d movement, %d align, %d segment",
 			movement, aligns, segments)
+	}
+}
+
+// TestStageMetricsMatchTraceSpans streams a walk with a live registry and
+// recorder: every stage run feeds one duration to both sinks, so for each
+// stage in trace.Stages the histogram counts its kind's spans and sums
+// their durations. The stages and counters are resolved once, in
+// NewStreamer: a registry swapped into the stream's config afterwards
+// stays empty, because no hop looks a handle up.
+func TestStageMetricsMatchTraceSpans(t *testing.T) {
+	arr := array.NewPairArray(spacing)
+	s := daemonLoopSeries(t, arr, 1, false, 2, 3)
+	cfg := daemonStreamConfig(arr)
+	reg := obs.NewRegistry()
+	rec := trace.NewRecorder(1 << 16)
+	cfg.Core.Obs = reg
+	cfg.Core.Trace = rec
+	st, err := NewStreamer(cfg, s.Rate, s.NumAnts, s.NumTx, s.NumSub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := obs.NewRegistry()
+	st.cfg.Core.Obs = late
+	pushSeries(t, st, s, nil)
+	if rec.TotalEmitted() > uint64(rec.Cap()) {
+		t.Fatalf("%d events overflowed the %d-event ring", rec.TotalEmitted(), rec.Cap())
+	}
+	if m := late.Snapshot(); len(m) != 0 {
+		t.Errorf("hops resolved %d metrics from the stream's config, e.g. %s", len(m), m[0].Name)
+	}
+
+	spans := map[trace.Kind]uint64{}
+	durs := map[trace.Kind]int64{}
+	for _, e := range rec.Snapshot() {
+		spans[e.Kind]++
+		durs[e.Kind] += e.Dur
+	}
+	for _, k := range trace.Stages() {
+		h := reg.Timer(k.Metric(), "")
+		if h.Count() == 0 || h.Count() != spans[k] {
+			t.Errorf("%s: histogram counts %d runs, the trace %d %v spans", k.Metric(), h.Count(), spans[k], k)
+			continue
+		}
+		if want := float64(durs[k]) / 1e9; math.Abs(h.Sum()-want) > 1e-9*want {
+			t.Errorf("%s: histogram sums %.12g s, the %v spans %.12g s", k.Metric(), h.Sum(), k, want)
+		}
 	}
 }

@@ -108,7 +108,7 @@ func zuptSlotConfidence(ind, release float64) float64 {
 func (p *Pipeline) emitZUPTs(zupts []ZUPTInterval, hop int64) {
 	for _, z := range zupts {
 		p.cfg.Trace.Emit(trace.KindZUPT, hop, int64(z.Start), int64(z.End), int64(z.Confidence*1000))
-		p.po.zuptSlots.Add(uint64(z.End - z.Start))
+		p.cfg.po.zuptSlots.Add(uint64(z.End - z.Start))
 	}
-	p.po.zuptIntervals.Add(uint64(len(zupts)))
+	p.cfg.po.zuptIntervals.Add(uint64(len(zupts)))
 }

@@ -11,6 +11,7 @@ import (
 	"rim/internal/fusion"
 	"rim/internal/geom"
 	"rim/internal/imu"
+	"rim/internal/obs/trace"
 	"rim/internal/sigproc"
 	"rim/internal/traj"
 )
@@ -418,8 +419,8 @@ func TestPerfShape(t *testing.T) {
 	}
 	// The instrumented replay must record every pipeline stage, with sane
 	// (positive, ordered) percentiles.
-	if len(r.Stages) != len(stageHistograms) {
-		t.Fatalf("stages = %d, want %d: %+v", len(r.Stages), len(stageHistograms), r.Stages)
+	if len(r.Stages) != len(trace.Stages()) {
+		t.Fatalf("stages = %d, want %d: %+v", len(r.Stages), len(trace.Stages()), r.Stages)
 	}
 	for _, sl := range r.Stages {
 		if sl.Count == 0 || sl.P50 <= 0 || sl.P50 > sl.P90 || sl.P90 > sl.P99 {

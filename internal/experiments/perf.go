@@ -12,6 +12,7 @@ import (
 	"rim/internal/csi"
 	"rim/internal/geom"
 	"rim/internal/obs"
+	"rim/internal/obs/trace"
 	"rim/internal/traj"
 	"rim/internal/trrs"
 )
@@ -40,7 +41,7 @@ type PerfResult struct {
 
 // StageLatency summarizes one pipeline stage's latency histogram.
 type StageLatency struct {
-	// Stage is the metric name (e.g. "rim_stream_hop_seconds").
+	// Stage is the metric name (e.g. "rim_hop_seconds").
 	Stage string  `json:"stage"`
 	Count uint64  `json:"count"`
 	P50   float64 `json:"p50_seconds"`
@@ -166,18 +167,6 @@ func replayThroughput(s *csi.Series, cfg core.StreamConfig) float64 {
 	return float64(s.NumSlots()) / time.Since(t0).Seconds()
 }
 
-// stageHistograms names the latency histograms the pipeline records, in
-// pipeline order (ingest → TRRS build → derived matrices → movement →
-// alignment → whole hop).
-var stageHistograms = []string{
-	"rim_ingest_seconds",
-	"rim_trrs_build_seconds",
-	"rim_trrs_derived_seconds",
-	"rim_movement_seconds",
-	"rim_align_seconds",
-	"rim_stream_hop_seconds",
-}
-
 // stageLatencies replays the trace once more with a live registry attached
 // and extracts each stage's latency percentiles. The replay is separate
 // from the timed throughput run so instrumentation cost never pollutes
@@ -187,13 +176,13 @@ func stageLatencies(s *csi.Series, cfg core.StreamConfig) []StageLatency {
 	cfg.Core.Obs = reg
 	replayThroughput(s, cfg)
 	var out []StageLatency
-	for _, name := range stageHistograms {
-		h := reg.Histogram(name, "", nil)
+	for _, k := range trace.Stages() {
+		h := reg.Histogram(k.Metric(), "", nil)
 		if h.Count() == 0 {
 			continue
 		}
 		out = append(out, StageLatency{
-			Stage: name,
+			Stage: k.Metric(),
 			Count: h.Count(),
 			P50:   h.Quantile(0.50),
 			P90:   h.Quantile(0.90),

@@ -1,8 +1,9 @@
 // Package obs is RIM's dependency-free observability substrate: a metrics
 // registry of atomic counters, gauges and fixed-bucket latency histograms,
-// lightweight stage-span timers, structured logging helpers (log/slog),
-// and HTTP exposition in both expvar and Prometheus text format plus a
-// pprof-equipped debug mux (see http.go).
+// structured logging helpers (log/slog), and HTTP exposition in both
+// expvar and Prometheus text format plus a pprof-equipped debug mux (see
+// http.go). Pipeline stages are timed into the histograms by trace.Stage,
+// which feeds the same duration to the stage's trace lane.
 //
 // The package is built for hot paths: every metric handle is nil-safe, so
 // un-instrumented runs (a nil *Registry) pay only a nil check per
@@ -25,7 +26,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // validName is the Prometheus metric name charset.
@@ -342,30 +342,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return h.bounds[len(h.bounds)-1]
 	}
 	return math.NaN()
-}
-
-// Span is a started stage timer; End records the elapsed seconds into the
-// histogram. The zero Span (from a nil histogram) is a no-op and performs
-// no clock reads, so spans on disabled registries cost two nil checks.
-type Span struct {
-	h  *Histogram
-	t0 time.Time
-}
-
-// StartSpan begins timing into h (no-op Span when h is nil).
-func StartSpan(h *Histogram) Span {
-	if h == nil {
-		return Span{}
-	}
-	return Span{h: h, t0: time.Now()}
-}
-
-// End records the elapsed time. Safe to call on the zero Span.
-func (s Span) End() {
-	if s.h == nil {
-		return
-	}
-	s.h.Observe(time.Since(s.t0).Seconds())
 }
 
 // Registry is a named collection of metrics. The zero value is ready to

@@ -122,7 +122,7 @@ type Flight struct {
 	lastT    int64 // recorder time of the last accepted capture
 	captured int
 	// last is the latest capture without its events, which lastEvents
-	// holds packed (see packEvents) until Last unpacks them.
+	// holds packed (see Recorder.pack) until Last unpacks them.
 	last       *Postmortem
 	lastEvents []byte
 }
@@ -189,20 +189,20 @@ func (f *Flight) offer(reason string, hop int64, detail any) bool {
 		Hop:       hop,
 		Detail:    detail,
 		Metrics:   f.cfg.Registry.Snapshot(),
-		Events:    f.cfg.Recorder.Since(now - f.cfg.Lookback.Nanoseconds()),
 	}
-
-	kept := *pm
-	kept.Events = nil
-	packed := packEvents(pm.Events)
+	// The events go from the ring straight into their packed form; they
+	// are unpacked only for a bundle written to Dir.
+	packed, n := f.cfg.Recorder.pack(now - f.cfg.Lookback.Nanoseconds())
 	f.mu.Lock()
-	f.last, f.lastEvents = &kept, packed
+	f.last, f.lastEvents = pm, packed
 	f.mu.Unlock()
 
 	f.cfg.Log.Warn("flight recorder captured postmortem",
-		"reason", reason, "seq", seq, "hop", hop, "events", len(pm.Events))
+		"reason", reason, "seq", seq, "hop", hop, "events", n)
 	if f.cfg.Dir != "" {
-		f.write(pm)
+		full := *pm
+		full.Events = unpackEvents(packed)
+		f.write(&full)
 	}
 	return true
 }
@@ -261,27 +261,29 @@ func (f *Flight) Last() *Postmortem {
 	return &pm
 }
 
-// packEvents encodes events losslessly and compactly: their count, then
-// per event its kind byte and varints of its fields, Seq, Hop, Frame and
-// T as differences from the previous event's, which in a recorder
-// snapshot are small. A retained capture holds its events in this form.
-// A first pass sizes the encoding, so the capture allocates, and keeps,
-// exactly its bytes.
-func packEvents(evs []Event) []byte {
+// pack encodes the events walk(tns) yields losslessly and compactly, the
+// form a retained capture holds them in, and counts them: per event its
+// kind byte and varints of its fields, Seq, Hop, Frame and T as
+// differences from the previous event's, which are small. A first walk
+// sizes the encoding, so the capture allocates, and keeps, exactly its
+// bytes; a slot overwritten between the walks only makes append grow.
+func (r *Recorder) pack(tns int64) ([]byte, int) {
 	var scratch [8 * binary.MaxVarintLen64]byte
-	n := len(binary.AppendUvarint(scratch[:0], uint64(len(evs))))
+	end := r.next.Load()
+	size, n := 0, 0
 	var prev Event
-	for _, e := range evs {
-		n += len(appendEvent(scratch[:0], e, prev))
+	r.walk(tns, end, func(e Event) {
+		size += len(appendEvent(scratch[:0], e, prev))
 		prev = e
-	}
-	b := binary.AppendUvarint(make([]byte, 0, n), uint64(len(evs)))
+	})
+	b := make([]byte, 0, size)
 	prev = Event{}
-	for _, e := range evs {
+	r.walk(tns, end, func(e Event) {
 		b = appendEvent(b, e, prev)
 		prev = e
-	}
-	return b
+		n++
+	})
+	return b, n
 }
 
 // appendEvent appends e's encoding, relative to the event before it, to b.
@@ -296,12 +298,10 @@ func appendEvent(b []byte, e, prev Event) []byte {
 	return binary.AppendVarint(b, e.B)
 }
 
-// unpackEvents decodes what packEvents encoded (a non-nil slice, empty or
-// not, as a snapshot is).
+// unpackEvents decodes what pack encoded (a non-nil slice, empty or not,
+// as a snapshot is); an event takes at least 8 bytes.
 func unpackEvents(b []byte) []Event {
-	n, k := binary.Uvarint(b)
-	b = b[k:]
-	evs := make([]Event, n)
+	evs := make([]Event, 0, len(b)/8)
 	uv := func() uint64 {
 		v, k := binary.Uvarint(b)
 		b = b[k:]
@@ -312,16 +312,15 @@ func unpackEvents(b []byte) []Event {
 		b = b[k:]
 		return v
 	}
-	var prev Event
-	for i := range evs {
-		e := &evs[i]
-		e.Seq = prev.Seq + uv()
+	var e Event
+	for len(b) > 0 {
+		e.Seq += uv()
 		e.Kind, b = Kind(b[0]), b[1:]
-		e.Hop = prev.Hop + sv()
-		e.Frame = prev.Frame + sv()
-		e.T = prev.T + sv()
+		e.Hop += sv()
+		e.Frame += sv()
+		e.T += sv()
 		e.Dur, e.A, e.B = sv(), sv(), sv()
-		prev = *e
+		evs = append(evs, e)
 	}
 	return evs
 }

@@ -71,7 +71,8 @@ func TestFlightLastUnpacksLosslessly(t *testing.T) {
 // TestPackEventsEmpty keeps an empty capture an empty, non-nil list, which
 // serializes as [] rather than null.
 func TestPackEventsEmpty(t *testing.T) {
-	if evs := unpackEvents(packEvents([]Event{})); evs == nil || len(evs) != 0 {
+	b, _ := NewRecorder(16).pack(0)
+	if evs := unpackEvents(b); evs == nil || len(evs) != 0 {
 		t.Fatalf("unpacked %v, want an empty non-nil list", evs)
 	}
 }

@@ -45,10 +45,8 @@ func lane(k Kind) int {
 	switch k {
 	case KindFrameAcquired, KindPacketLost, KindFault:
 		return laneAcquire
-	case KindIngest, KindFrameIngest:
+	case KindIngest:
 		return laneIngest
-	case KindHop, KindBuild, KindMovement, KindAlign, KindSegment, KindZUPT:
-		return laneAnalysis
 	case KindEstimate:
 		return laneEmit
 	case KindLag:
@@ -59,7 +57,7 @@ func lane(k Kind) int {
 		return laneFusion
 	case KindTrigger:
 		return laneFlight
-	default:
+	default: // the hop, its stages and their decisions
 		return laneAnalysis
 	}
 }
@@ -118,7 +116,7 @@ func eventArgs(e Event) map[string]any {
 		if e.Frame >= 0 {
 			args["frame"] = e.Frame
 		}
-	case KindIngest, KindFrameIngest:
+	case KindIngest:
 		args["frame"], args["missing"], args["corrupt"] = e.Frame, e.A, e.B != 0
 	case KindHop:
 		args["slot_lo"], args["slot_hi"] = e.A, e.B

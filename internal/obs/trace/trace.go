@@ -15,6 +15,9 @@
 // events are overwritten (drop-oldest semantics — the recorder is a black
 // box of the recent past, not a lossless log).
 //
+// A Stage times one pipeline stage into both its latency histogram and
+// its trace lane, both named after the stage's Kind.
+//
 // Two consumers are built on the recorder: Chrome/Perfetto trace-event
 // JSON export (WriteJSON, served at /debug/rimtrace and dumped by the
 // -trace-out flag of rimtrack/rimsim) and the flight recorder (Flight),
@@ -27,6 +30,8 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+
+	"rim/internal/obs"
 )
 
 // Kind enumerates the typed events the pipeline records.
@@ -45,12 +50,10 @@ const (
 	// code (FaultLoss..FaultInterference), B = antenna or NIC index.
 	KindFault
 	// KindIngest is the span of one snapshot commit into the streamer
-	// (validate + substitute + dead detection). Frame = absolute slot.
+	// (validate + substitute + dead detection). Frame = absolute slot,
+	// A = antennas missing/rejected this slot, B = 1 when the slot carried
+	// a corrupt (NaN/garbage) row.
 	KindIngest
-	// KindFrameIngest marks one snapshot committed into the streamer.
-	// Frame = absolute slot, A = antennas missing/rejected this slot,
-	// B = 1 when the slot carried a corrupt (NaN/garbage) row.
-	KindFrameIngest
 	// KindHop is the span of one sliding-window analysis hop. Hop is the
 	// hop ID; A and B are the absolute slot range [A, B) the hop analyzed.
 	KindHop
@@ -100,38 +103,64 @@ const (
 	// internal/obs/quality). A = the monitor state ordinal (0 ok, 1 warn,
 	// 2 alert), B = the windowed fraction-outside-band in permille.
 	KindQuality
+	// KindDerived is the span of one pass's derived matrices (pair average
+	// + virtual massive), built before its first analyzed segment.
+	KindDerived
 
 	numKinds
 )
 
-var kindNames = [numKinds]string{
-	KindNone:          "none",
-	KindFrameAcquired: "frame_acquired",
-	KindPacketLost:    "packet_lost",
-	KindFault:         "fault",
-	KindIngest:        "ingest",
-	KindFrameIngest:   "frame_ingest",
-	KindHop:           "hop",
-	KindBuild:         "trrs_build",
-	KindMovement:      "movement",
-	KindAlign:         "align",
-	KindSegment:       "segment",
-	KindTRRSFill:      "trrs_fill",
-	KindTRRSExtend:    "trrs_extend",
-	KindFusionStep:    "fusion_step",
-	KindEstimate:      "estimate",
-	KindLag:           "lag",
-	KindTrigger:       "trigger",
-	KindZUPT:          "zupt",
-	KindQuality:       "quality",
+// kinds names every Kind, and a pipeline stage's kind the help text of its
+// latency histogram, rim_<name>_seconds: this one table names a stage in
+// /metrics, in the Perfetto lanes and in experiments.StageLatency.
+var kinds = [numKinds]struct{ name, stageHelp string }{
+	KindNone:          {name: "none"},
+	KindFrameAcquired: {name: "frame_acquired"},
+	KindPacketLost:    {name: "packet_lost"},
+	KindFault:         {name: "fault"},
+	KindIngest:        {"ingest", "per-snapshot ingest (validate + commit) latency"},
+	KindHop:           {"hop", "sliding-window analysis latency per hop"},
+	KindBuild:         {"trrs_build", "TRRS base-matrix build/extend latency per pipeline construction"},
+	KindMovement:      {"movement", "movement-detection stage latency per Process"},
+	KindAlign:         {"align", "alignment tracking + reckoning latency per analyzed movement segment (streams: those overlapping the hop's emit window)"},
+	KindSegment:       {name: "segment"},
+	KindTRRSFill:      {name: "trrs_fill"},
+	KindTRRSExtend:    {name: "trrs_extend"},
+	KindFusionStep:    {name: "fusion_step"},
+	KindEstimate:      {name: "estimate"},
+	KindLag:           {name: "lag"},
+	KindTrigger:       {name: "trigger"},
+	KindZUPT:          {name: "zupt"},
+	KindQuality:       {name: "quality"},
+	KindDerived:       {"trrs_derived", "derived-matrix (pair average + virtual massive) latency per pass that analyzes a movement segment"},
 }
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
+	if int(k) < len(kinds) && kinds[k].name != "" {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
+}
+
+// Metric returns the name of the latency histogram stage kind k feeds,
+// rim_<name>_seconds, or "" when k is no stage.
+func (k Kind) Metric() string {
+	if int(k) >= len(kinds) || kinds[k].stageHelp == "" {
+		return ""
+	}
+	return "rim_" + kinds[k].name + "_seconds"
+}
+
+// Stages returns the stage kinds, in kind order.
+func Stages() []Kind {
+	var out []Kind
+	for k := range kinds {
+		if kinds[k].stageHelp != "" {
+			out = append(out, Kind(k))
+		}
+	}
+	return out
 }
 
 // MarshalText encodes the kind as its name (JSON-friendly).
@@ -140,8 +169,8 @@ func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 // UnmarshalText decodes a kind name back into its ordinal.
 func (k *Kind) UnmarshalText(b []byte) error {
 	s := string(b)
-	for i, n := range kindNames {
-		if n == s {
+	for i, n := range kinds {
+		if n.name == s {
 			*k = Kind(i)
 			return nil
 		}
@@ -291,7 +320,7 @@ func (r *Recorder) emit(k Kind, hop, frame, a, b int64) {
 
 // EmitAt records one event with an explicit start time (nanoseconds since
 // the epoch) and duration (0 = instant). It is the primitive behind Emit
-// and Span; callers use it to emit spans whose start predates the call
+// and Stage; callers use it to emit spans whose start predates the call
 // (e.g. the ingest→emit lag span).
 func (r *Recorder) EmitAt(k Kind, hop, frame, a, b, tns, dur int64) {
 	if r == nil {
@@ -312,58 +341,80 @@ func (r *Recorder) EmitAt(k Kind, hop, frame, a, b, tns, dur int64) {
 	r.commit[i].Store(seq + 1)
 }
 
-// Span is a started duration event; End publishes it with the elapsed
-// time. The zero Span (from a nil recorder) is a no-op and performs no
-// clock reads.
-type Span struct {
-	r          *Recorder
-	k          Kind
-	hop, frame int64
-	t0         int64
+// Stage times one pipeline stage into the latency histogram named by its
+// kind's Metric and into the kind's trace lane: Start reads the clock
+// once, End once more, and the one duration feeds both. A nil *Stage is
+// valid everywhere and costs one nil check, no clock read.
+type Stage struct {
+	h     *obs.Histogram
+	r     *Recorder
+	k     Kind
+	epoch time.Time
 }
 
-// Start begins a span of the given kind (no-op Span on a nil recorder).
-// The nil check inlines into the caller.
-func (r *Recorder) Start(k Kind, hop, frame int64) Span {
-	if r == nil {
-		return Span{}
-	}
-	return r.start(k, hop, frame)
-}
-
-func (r *Recorder) start(k Kind, hop, frame int64) Span {
-	return Span{r: r, k: k, hop: hop, frame: frame, t0: r.Now()}
-}
-
-// End publishes the span with zero args. Safe on the zero Span.
-func (s Span) End() { s.EndArgs(0, 0) }
-
-// EndArgs publishes the span with kind-specific args. Safe on the zero
-// Span; its nil check inlines into the caller.
-func (s Span) EndArgs(a, b int64) {
-	if s.r != nil {
-		s.end(a, b)
-	}
-}
-
-func (s Span) end(a, b int64) {
-	s.r.EmitAt(s.k, s.hop, s.frame, a, b, s.t0, s.r.Now()-s.t0)
-}
-
-// Snapshot returns the committed events currently in the ring, oldest
-// first. Slots being overwritten during the scan are skipped (the ring's
-// drop-oldest semantics applied at read time). Nil recorders return nil.
-func (r *Recorder) Snapshot() []Event {
-	if r == nil {
+// NewStage resolves stage kind k's histogram from reg and pairs it with
+// recorder r; either may be nil. Both nil yield a nil Stage.
+func NewStage(reg *obs.Registry, r *Recorder, k Kind) *Stage {
+	if reg == nil && r == nil {
 		return nil
 	}
-	end := r.next.Load()
-	n := r.mask + 1
-	start := uint64(0)
-	if end > uint64(n) {
-		start = end - uint64(n)
+	s := &Stage{h: reg.Timer(k.Metric(), kinds[k].stageHelp), r: r, k: k, epoch: time.Now()}
+	if r != nil {
+		s.epoch = r.epoch // share the recorder's timeline
 	}
-	out := make([]Event, 0, end-start)
+	return s
+}
+
+// Timing is one started run of a Stage; End or EndArgs publishes it. The
+// zero Timing (from a nil Stage) is a no-op.
+type Timing struct {
+	s              *Stage
+	hop, frame, t0 int64
+}
+
+// Start begins timing one run of the stage, stamped with the causal hop
+// and frame its trace event carries. The nil check inlines into the
+// caller; start stays out of line (noinline) so that it can.
+func (s *Stage) Start(hop, frame int64) Timing {
+	if s == nil {
+		return Timing{}
+	}
+	return s.start(hop, frame)
+}
+
+//go:noinline
+func (s *Stage) start(hop, frame int64) Timing {
+	return Timing{s: s, hop: hop, frame: frame, t0: s.now()}
+}
+
+func (s *Stage) now() int64 { return time.Since(s.epoch).Nanoseconds() }
+
+// End publishes the run with zero trace args. Safe on the zero Timing.
+func (t Timing) End() { t.EndArgs(0, 0) }
+
+// EndArgs publishes the run with kind-specific trace args. Safe on the
+// zero Timing; its nil check inlines into the caller.
+func (t Timing) EndArgs(a, b int64) {
+	if t.s != nil {
+		t.end(a, b)
+	}
+}
+
+func (t Timing) end(a, b int64) {
+	dur := t.s.now() - t.t0
+	t.s.h.Observe(float64(dur) / 1e9)
+	t.s.r.EmitAt(t.s.k, t.hop, t.frame, a, b, t.t0, dur)
+}
+
+// walk calls fn with each committed event below sequence number end whose
+// end time (T + Dur) is at or after tns, oldest first. Slots overwritten
+// or mid-write are skipped (the ring's drop-oldest semantics applied at
+// read time).
+func (r *Recorder) walk(tns int64, end uint64, fn func(Event)) {
+	start := uint64(0)
+	if n := uint64(r.mask + 1); end > n {
+		start = end - n
+	}
 	for seq := start; seq < end; seq++ {
 		i := int(seq) & r.mask
 		if r.commit[i].Load() != seq+1 {
@@ -379,23 +430,23 @@ func (r *Recorder) Snapshot() []Event {
 			A:     r.a[i].Load(),
 			B:     r.b[i].Load(),
 		}
-		if r.commit[i].Load() != seq+1 {
-			continue // torn: overwritten while copying
+		if r.commit[i].Load() != seq+1 || ev.T+ev.Dur < tns {
+			continue // torn (overwritten while copying) or before tns
 		}
-		out = append(out, ev)
+		fn(ev)
 	}
-	return out
 }
 
-// Since returns the committed events whose end time (T + Dur) is at or
-// after tns, oldest first — the flight recorder's lookback filter.
-func (r *Recorder) Since(tns int64) []Event {
-	evs := r.Snapshot()
-	lo := 0
-	for lo < len(evs) && evs[lo].T+evs[lo].Dur < tns {
-		lo++
+// Snapshot returns the committed events currently in the ring, oldest
+// first. Nil recorders return nil.
+func (r *Recorder) Snapshot() []Event {
+	if r == nil {
+		return nil
 	}
-	return evs[lo:]
+	end := r.next.Load()
+	out := make([]Event, 0, min(end, uint64(r.mask+1)))
+	r.walk(math.MinInt64, end, func(e Event) { out = append(out, e) })
+	return out
 }
 
 // Lineage reconstructs the causal chain of one hop from a snapshot: every
@@ -433,8 +484,7 @@ func Lineage(events []Event, hop int64) []Event {
 		case e.Hop == hop:
 			out = append(out, e)
 		case e.Hop < 0 && e.Frame >= lo && e.Frame < hi &&
-			(e.Kind == KindFrameAcquired || e.Kind == KindPacketLost ||
-				e.Kind == KindFrameIngest || e.Kind == KindIngest):
+			(e.Kind == KindFrameAcquired || e.Kind == KindPacketLost || e.Kind == KindIngest):
 			out = append(out, e)
 		}
 	}

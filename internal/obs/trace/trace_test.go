@@ -23,7 +23,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 	r.Emit(KindFrameAcquired, -1, 7, 2, 0)
 	r.EmitAt(KindHop, 3, -1, 10, 20, 100, 50)
-	sp := r.Start(KindMovement, 3, -1)
+	sp := NewStage(nil, r, KindMovement).Start(3, -1)
 	sp.EndArgs(1, 2)
 
 	evs := r.Snapshot()
@@ -84,10 +84,14 @@ func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	r.Emit(KindFault, 0, 0, FaultLoss, 0)
 	r.EmitAt(KindHop, 0, 0, 0, 0, 1, 2)
-	sp := r.Start(KindBuild, 0, 0)
+	s := NewStage(nil, r, KindBuild)
+	if s != nil {
+		t.Error("a stage with neither registry nor recorder should be nil")
+	}
+	sp := s.Start(0, 0)
 	sp.End()
 	sp.EndArgs(1, 2)
-	if r.Snapshot() != nil || r.Since(0) != nil {
+	if r.Snapshot() != nil {
 		t.Error("nil recorder snapshot should be nil")
 	}
 	if r.Cap() != 0 || r.Now() != 0 || r.TotalEmitted() != 0 {
@@ -137,7 +141,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				v := int64(w*per + i)
-				r.Emit(KindFrameIngest, v, v, v, 0)
+				r.Emit(KindIngest, v, v, v, 0)
 			}
 		}(w)
 	}
@@ -202,7 +206,7 @@ func TestLineage(t *testing.T) {
 	// ingest for all.
 	for s := int64(0); s < 6; s++ {
 		r.Emit(KindFrameAcquired, -1, s, 0, 0)
-		r.Emit(KindFrameIngest, -1, s, 0, 0)
+		r.Emit(KindIngest, -1, s, 0, 0)
 	}
 	r.Emit(KindPacketLost, -1, 3, 1, 0)
 	// Hop 1 analyzed slots [0, 4); hop 2 analyzed [2, 6).
@@ -375,7 +379,7 @@ func TestFlightCaptureAndHandler(t *testing.T) {
 		t.Fatal("NewFlight returned nil with a live recorder")
 	}
 
-	r.Emit(KindFrameIngest, -1, 0, 1, 0)
+	r.Emit(KindIngest, -1, 0, 1, 0)
 	r.EmitAt(KindHop, 1, -1, 0, 1, r.Now(), 10)
 	r.Emit(KindEstimate, 1, 0, 1, 0)
 
@@ -401,7 +405,7 @@ func TestFlightCaptureAndHandler(t *testing.T) {
 	var haveIngest, haveEst, haveTrig bool
 	for _, e := range lin {
 		switch e.Kind {
-		case KindFrameIngest:
+		case KindIngest:
 			haveIngest = true
 		case KindEstimate:
 			haveEst = true
@@ -554,11 +558,59 @@ func TestSinceFilters(t *testing.T) {
 	r.EmitAt(KindEstimate, 0, 0, 0, 0, 100, 0)
 	r.EmitAt(KindEstimate, 1, 1, 0, 0, 200, 0)
 	r.EmitAt(KindHop, 2, -1, 0, 0, 150, 100) // ends at 250
-	evs := r.Since(220)
-	if len(evs) != 1 || evs[0].Kind != KindHop {
-		t.Fatalf("Since(220) = %+v, want just the hop span (ends 250)", evs)
+	b, n := r.pack(220)
+	if evs := unpackEvents(b); n != 1 || len(evs) != 1 || evs[0].Kind != KindHop {
+		t.Fatalf("pack(220) = %d events %+v, want just the hop span (ends 250)", n, evs)
 	}
-	if got := r.Since(math.MaxInt64); len(got) != 0 {
-		t.Errorf("Since(max) = %d events, want 0", len(got))
+	if b, n := r.pack(math.MaxInt64); n != 0 || len(b) != 0 {
+		t.Errorf("pack(max) = %d events in %d bytes, want none", n, len(b))
+	}
+}
+
+// TestStageRecords times one stage run into a live registry and recorder:
+// the histogram named by the kind's metric and the trace lane receive the
+// same duration.
+func TestStageRecords(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := NewRecorder(16)
+	sp := NewStage(reg, r, KindAlign).Start(4, 17)
+	time.Sleep(time.Millisecond)
+	sp.EndArgs(1, 2)
+	h := reg.Timer("rim_align_seconds", "")
+	if h.Count() != 1 {
+		t.Fatalf("stage count = %d, want 1", h.Count())
+	}
+	if h.Sum() < 0.0005 {
+		t.Errorf("stage sum = %v, want >= ~1ms", h.Sum())
+	}
+	evs := r.Snapshot()
+	if len(evs) != 1 {
+		t.Fatalf("recorded %d events, want 1", len(evs))
+	}
+	if e := evs[0]; e.Kind != KindAlign || e.Hop != 4 || e.Frame != 17 || e.A != 1 || e.B != 2 ||
+		float64(e.Dur)/1e9 != h.Sum() {
+		t.Errorf("span %+v disagrees with the histogram sum %v", e, h.Sum())
+	}
+}
+
+// TestStageTable pins the stage list: each stage's metric is
+// rim_<kind>_seconds, and no other kind names a metric.
+func TestStageTable(t *testing.T) {
+	want := map[Kind]string{
+		KindIngest:   "rim_ingest_seconds",
+		KindHop:      "rim_hop_seconds",
+		KindBuild:    "rim_trrs_build_seconds",
+		KindMovement: "rim_movement_seconds",
+		KindAlign:    "rim_align_seconds",
+		KindDerived:  "rim_trrs_derived_seconds",
+	}
+	stages := Stages()
+	if len(stages) != len(want) {
+		t.Fatalf("Stages() = %v, want the %d of %v", stages, len(want), want)
+	}
+	for k := KindNone; k < numKinds; k++ {
+		if got := k.Metric(); got != want[k] {
+			t.Errorf("%v.Metric() = %q, want %q", k, got, want[k])
+		}
 	}
 }
