@@ -32,9 +32,10 @@ var callerlessKeep = map[string]string{
 	"csi.Series.Dt":                 "tests observe a series' sample period through it",
 	"trrs.Matrix.Col":               "tests read matrix columns through it",
 	"obs/trace.Recorder.Cap":        "tests observe the ring capacity through it",
-	"trrs.Incremental.Capacity":     "tests observe the CSI ring's size through it",
+	"trrs.Incremental.HeldBytes":    "tests check that a session keeps no planes and no twin rings between hops",
 	"trrs.RawRing.Capacity":         "tests observe the window store's size through it",
-	"trrs.Incremental.Renormalized": "tests check that a steady-state hop reads nothing below the planes' head",
+	"trrs.Incremental.Renormalized": "tests check that a steady-state hop reads nothing below the steady reach",
+	"trrs.Incremental.Normalized":   "tests check that a steady-state hop normalizes at most reach + stride slots",
 	"obs.Family.Other":              "tests observe the overflow child's conservation through it",
 	"rf.Environment.Scatterers":     "tests observe the simulated multipath through it",
 }

@@ -591,7 +591,14 @@ func (p *Pipeline) derive() {
 	}
 	arena, v := p.cfg.arena, p.cfg.V
 	for _, g := range p.groupDefs {
-		avg := must(trrs.AverageMatricesInto(arena, p.groupBase(g)...))
+		// A one-pair group (the pair array's, a long diagonal, or any
+		// under DisablePairAveraging) skips the average: it would be a
+		// copy scaled by 1/1, the same bits.
+		ms := p.groupBase(g)
+		avg := ms[0]
+		if len(ms) > 1 {
+			avg = must(trrs.AverageMatricesInto(arena, ms...))
+		}
 		vm := must(trrs.VirtualMassiveInto(arena, avg, v))
 		p.groups = append(p.groups, groupMatrix{group: g, m: vm})
 	}

@@ -8,10 +8,13 @@ import (
 
 // hopScratch is the hop-lifetime scratch one sliding-window analysis
 // borrows: the matrix arena backing the pass's derived (averaged,
-// virtual-massive) matrices. One scratch serves one hop at a time;
+// virtual-massive) matrices and reflected reversed twins, and the plane
+// store its incremental engine normalizes the CSI it reads into (see
+// trrs.Incremental.SetPlanes). One scratch serves one hop at a time;
 // concurrent hops of different streams each borrow their own.
 type hopScratch struct {
-	arena trrs.MatrixArena
+	arena  trrs.MatrixArena
+	planes trrs.PlaneStore
 }
 
 // hopScratchPool shares hop scratch across every core.Streamer in the
@@ -42,6 +45,6 @@ func getHopScratch(ob *streamObs) *hopScratch {
 // scratch — a per-hop watermark, not an exact pool total).
 func putHopScratch(s *hopScratch, ob *streamObs) {
 	s.arena.Reset()
-	ob.scratchBytes.Set(float64(s.arena.Bytes()))
+	ob.scratchBytes.Set(float64(s.arena.Bytes() + s.planes.Bytes()))
 	hopScratchPool.Put(s)
 }

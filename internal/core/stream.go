@@ -120,10 +120,13 @@ type Streamer struct {
 	// allocates on the steady-state path.
 	slotRows [][][]complex128
 	remapHdr map[[2]int]*trrs.Matrix
-	// absPairs and baseMs are the reused absolute-pair and result
-	// scratch of analyzeAlive's batched ExtendMatrices pass.
-	absPairs []trrs.PairSpec
-	baseMs   []*trrs.Matrix
+	// absPairs, sweptPairs and baseMs are the reused scratch of
+	// analyzeAlive's batched ExtendMatrices pass: the requested pairs by
+	// absolute antenna index, those of them the engine sweeps (all but
+	// the reversed twins), and the result.
+	absPairs   []trrs.PairSpec
+	sweptPairs []trrs.PairSpec
+	baseMs     []*trrs.Matrix
 	// aliveScratch backs aliveAntennas' per-hop result; absent and
 	// liveScratch are the per-push antenna mask and live-power scratch of
 	// ingest and dead detection; zeroRow is the all-zero row every
@@ -381,9 +384,9 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 // declarePeak tells the window store and the incremental engine the
 // largest window the stream holds — the window a trim keeps (the span, or
 // three guards if more) plus one stretched hop — and the stretched hop
-// between two refreshes, with one plain hop of room. The store caps its
-// ring at the window, the engine sizes its pair-matrix rings by it and
-// caps its CSI planes by the hop and the refresh reach (see
+// between two refreshes. The store caps its ring at the window, the
+// engine sizes its pair-matrix rings by it, and the planes a hop's
+// refreshes normalize fit the refresh reach plus the hop (see
 // trrs.Incremental.SetPeakWindow). A restart point pinned right after a
 // hop's trim (see Pin) fits the same peak until the next hop.
 func (st *Streamer) declarePeak() {
@@ -391,7 +394,7 @@ func (st *Streamer) declarePeak() {
 	peak := max(st.span, 3*st.guard) + stride
 	st.raw.SetPeak(peak)
 	if st.inc != nil {
-		st.inc.SetPeakWindow(peak, stride, st.hop)
+		st.inc.SetPeakWindow(peak, stride)
 	}
 }
 
@@ -578,9 +581,14 @@ func (st *Streamer) PushMaskedCtx(ctx context.Context, snapshot [][][]complex128
 		clear(rows[a])
 	}
 	st.updateDeadDetection(absent, snapshot)
-	ingest.EndArgs(absentCnt, corruptFlag)
+	end := ingest.EndArgs(absentCnt, corruptFlag)
 	if st.lagOn {
-		st.ingestNs = append(st.ingestNs, st.nowNs())
+		// With a recorder the ingest span runs on nowNs's clock, so its
+		// end is the slot's ingest stamp; without one, read the clock.
+		if st.trc == nil {
+			end = st.nowNs()
+		}
+		st.ingestNs = append(st.ingestNs, end)
 	}
 
 	st.pending++
@@ -960,17 +968,20 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 	cfg.traceHop = hop
 	cfg.hopDeadline = dl
 	cfg.hopCtx = ctx
-	// Borrow hop-lifetime matrix scratch from the process-wide pool: the
-	// derived (averaged, virtual-massive) matrices of this pass reuse the
-	// backings a previous hop — possibly of another session — built. The
-	// result retains none of them, so the scratch returns to the pool as
-	// soon as the analysis is done.
+	// Borrow hop-lifetime scratch from the process-wide pool: the derived
+	// (averaged, virtual-massive) matrices and reflected twins of this
+	// pass, and the CSI planes its refreshes normalize, reuse the backings
+	// a previous hop — possibly of another session — built. The result
+	// retains none of them, so the engine gives the planes back and the
+	// scratch returns to the pool as soon as the analysis is done.
 	scr := getHopScratch(&st.ob)
 	defer putHopScratch(scr, &st.ob)
 	cfg.arena = &scr.arena
 	cfg.po = st.ob.pipe
 	if st.inc != nil {
 		st.inc.SetHop(hop)
+		st.inc.SetPlanes(&scr.planes)
+		defer st.inc.SetPlanes(nil)
 	}
 	if len(alive) < st.numAnts {
 		sub, err := cfg.Array.Subset(alive)
@@ -989,24 +1000,35 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 		return nil, err
 	}
 	// Base matrices come from the incrementally maintained per-pair state,
-	// keyed by absolute antenna index: every pair the hop requests is
-	// refreshed in one batched ExtendMatrices pass, so the stale rows of
-	// all pairs are filled block-major across pairs (each time block's
-	// planes read once). The pass runs inside the pipeline's build stage.
+	// keyed by absolute antenna index: every swept pair the hop requests
+	// is refreshed in one batched ExtendMatrices pass, so the stale rows
+	// of all pairs are filled block-major across pairs (each time block's
+	// planes read once). A reversed twin is not maintained: it is
+	// reflected in full from its source into the hop's arena, the bits a
+	// sweep would give. The pass runs inside the pipeline's build stage.
 	// Remap the identity so downstream consumers see the same local pair
 	// indices the recompute path yields.
 	base := func(pairs []trrs.PairSpec) ([]*trrs.Matrix, error) {
-		abs := st.absPairs[:0]
-		for _, pr := range pairs {
+		abs, swept := st.absPairs[:0], st.sweptPairs[:0]
+		for k, pr := range pairs {
 			abs = append(abs, trrs.PairSpec{I: alive[pr.I], J: alive[pr.J]})
+			if trrs.TwinSource(abs, k) < 0 {
+				swept = append(swept, abs[k])
+			}
 		}
-		st.absPairs = abs
-		ms, err := st.inc.ExtendMatrices(abs)
+		st.absPairs, st.sweptPairs = abs, swept
+		ms, err := st.inc.ExtendMatrices(swept)
 		if err != nil {
 			return nil, err
 		}
 		out := st.baseMs[:0]
-		for k, m := range ms {
+		for k := range pairs {
+			if src := trrs.TwinSource(abs, k); src >= 0 {
+				out = append(out, trrs.ReflectInto(cfg.arena, out[src]))
+				continue
+			}
+			m := ms[0]
+			ms = ms[1:]
 			i, j := pairs[k].I, pairs[k].J
 			if m.I != i || m.J != j {
 				// Remapped identity: reuse a cached header per local pair
@@ -1025,6 +1047,9 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 		st.baseMs = out
 		return out, nil
 	}
+	// The reflected twins in the base list live in the pooled arena: drop
+	// the list once the hop is done, so the session keeps none alive.
+	defer func() { clear(st.baseMs) }()
 	p, err := newPipelineFromEngine(eng, base, st.missFrac(alive), cfg)
 	if err != nil {
 		return nil, err

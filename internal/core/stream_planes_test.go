@@ -75,10 +75,10 @@ func pushSlot(t *testing.T, st *Streamer, s *csi.Series, ti int, dead map[int]bo
 // TestStreamerDeadAntennaBelowHeadEqualsSerial kills one antenna of the
 // daemon's hexagonal walker mid-stream and revives it later. The
 // sub-array fallback, and the full array after the revival, request
-// pairs that were never built or last refreshed hops ago, while the CSI
-// planes hold less than the window: those refreshes re-normalize slots
-// below the planes' head. After every hop each requested pair must match
-// BaseMatrixSerial over the window bit for bit.
+// pairs that were never built or last refreshed hops ago: those refreshes
+// read below the steady reach, into a one-off plane store. After every
+// hop each requested pair must match BaseMatrixSerial over the window bit
+// for bit.
 func TestStreamerDeadAntennaBelowHeadEqualsSerial(t *testing.T) {
 	arr := array.NewHexagonal(0.029)
 	s := daemonLoopSeries(t, arr, 3, false, 2, 3)
@@ -89,15 +89,17 @@ func TestStreamerDeadAntennaBelowHeadEqualsSerial(t *testing.T) {
 	const deadAnt, dieAt, reviveAt = 4, 250, 500
 	lastHop := map[trrs.PairSpec]int64{}
 	stale, fellBack := false, false
+	renorms := 0
 	for ti := 0; ti < s.NumSlots(); ti++ {
 		if _, hop := pushSlot(t, st, s, ti, map[int]bool{deadAnt: ti >= dieAt && ti < reviveAt}); !hop {
 			continue
 		}
+		below := st.inc.Renormalized() > renorms
 		requireWindowMatrices(t, st, fmt.Sprintf("hop %d", st.hopSeq))
+		renorms = st.inc.Renormalized() // the check's own reads included
 		fellBack = fellBack || st.dead[deadAnt]
 		for _, p := range st.absPairs {
-			if h, seen := lastHop[p]; (!seen && st.hopSeq > 1 || seen && h < st.hopSeq-1) &&
-				st.inc.Capacity() < st.bufLen() {
+			if h, seen := lastHop[p]; (!seen && st.hopSeq > 1 || seen && h < st.hopSeq-1) && below {
 				stale = true
 			}
 			lastHop[p] = st.hopSeq
@@ -107,16 +109,16 @@ func TestStreamerDeadAntennaBelowHeadEqualsSerial(t *testing.T) {
 		t.Fatal("the stream never fell back to the sub-array")
 	}
 	if !stale {
-		t.Fatal("no hop refreshed a late or stale pair while the planes held less than the window")
+		t.Fatal("no hop refreshed a late or stale pair below the steady reach")
 	}
 }
 
 // TestStreamerRestoreBelowHeadEqualsSerial restores a stream from a
-// checkpoint mid-walk. The replay leaves the CSI planes holding only the
-// window's tail, so the first hop after the restore builds every pair from
-// slots below the planes' head. Its matrices must match BaseMatrixSerial
-// over the window bit for bit, and the restored stream must emit the
-// uninterrupted stream's estimates exactly.
+// checkpoint mid-walk. The replay normalizes nothing, so the first hop
+// after the restore builds every pair from the whole window, below the
+// steady reach, in a one-off plane store. Its matrices must match
+// BaseMatrixSerial over the window bit for bit, and the restored stream
+// must emit the uninterrupted stream's estimates exactly.
 func TestStreamerRestoreBelowHeadEqualsSerial(t *testing.T) {
 	arr := array.NewHexagonal(0.029)
 	s := daemonLoopSeries(t, arr, 3, false, 1, 4)
@@ -133,9 +135,8 @@ func TestStreamerRestoreBelowHeadEqualsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.inc.Capacity() >= restored.bufLen() {
-		t.Fatalf("the replay left room for %d slots in the planes, not fewer than the %d-slot window",
-			restored.inc.Capacity(), restored.bufLen())
+	if planes, _ := restored.inc.HeldBytes(); planes != 0 {
+		t.Fatalf("the replay normalized into %d plane bytes before any hop", planes)
 	}
 	var want, got []Estimate
 	hops := 0
@@ -145,7 +146,9 @@ func TestStreamerRestoreBelowHeadEqualsSerial(t *testing.T) {
 		es, hop := pushSlot(t, restored, s, ti, nil)
 		got = append(got, es...)
 		if hop {
-			hops++
+			if hops++; hops == 1 && restored.inc.Renormalized() == 0 {
+				t.Fatal("the first hop after the restore did not read below the steady reach")
+			}
 			requireWindowMatrices(t, restored, fmt.Sprintf("restored hop %d", hops))
 		}
 	}

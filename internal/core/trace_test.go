@@ -330,3 +330,42 @@ func TestStageMetricsMatchTraceSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestIngestLagStampIsSpanEnd pins the ingest path's clock reads: with a
+// recorder attached, the ingest span runs on the lag path's clock, so each
+// buffered slot's ingest stamp is its ingest span's end (T + Dur), not a
+// third clock read.
+func TestIngestLagStampIsSpanEnd(t *testing.T) {
+	arr := array.NewPairArray(spacing)
+	s := daemonLoopSeries(t, arr, 1, false, 1, 3)
+	cfg := daemonStreamConfig(arr)
+	rec := trace.NewRecorder(1 << 16)
+	cfg.Core.Trace = rec
+	st, err := NewStreamer(cfg, s.Rate, s.NumAnts, s.NumTx, s.NumSub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := 0; ti < s.NumSlots(); ti++ {
+		pushSlot(t, st, s, ti, nil)
+	}
+	if rec.TotalEmitted() > uint64(rec.Cap()) {
+		t.Fatalf("%d events overflowed the %d-event ring", rec.TotalEmitted(), rec.Cap())
+	}
+	ends := map[int64]int64{}
+	for _, e := range rec.Snapshot() {
+		if e.Kind == trace.KindIngest {
+			ends[e.Frame] = e.T + e.Dur
+		}
+	}
+	if len(st.ingestNs) != st.bufLen() || st.dropped == 0 {
+		t.Fatalf("%d ingest stamps for a %d-slot window (%d slots trimmed)", len(st.ingestNs), st.bufLen(), st.dropped)
+	}
+	first := int64(st.samples - st.bufLen())
+	for i, stamp := range st.ingestNs {
+		end, ok := ends[first+int64(i)]
+		if !ok || stamp != end {
+			t.Fatalf("slot %d: ingest stamp %d ns, its ingest span ends at %d ns (span traced: %v)",
+				first+int64(i), stamp, end, ok)
+		}
+	}
+}

@@ -242,8 +242,12 @@ type Recorder struct {
 }
 
 // DefaultCapacity is the event capacity used when NewRecorder is given a
-// non-positive one: at a few dozen events per streamed slot-hop cycle it
-// holds minutes of history.
+// non-positive one. How much history it holds depends on the event rate
+// of everything sharing the recorder: one stream keeps minutes, but a
+// fleet of dozens of walkers at 100 Hz (one ingest event a frame, plus
+// each hop's spans and row events) wraps it in less than a flight
+// recorder's default 10 s lookback, so a fleet postmortem's history is
+// bounded by the ring, not by the lookback.
 const DefaultCapacity = 1 << 16
 
 // NewRecorder builds a recorder holding the most recent capacity events
@@ -392,18 +396,23 @@ func (s *Stage) now() int64 { return time.Since(s.epoch).Nanoseconds() }
 // End publishes the run with zero trace args. Safe on the zero Timing.
 func (t Timing) End() { t.EndArgs(0, 0) }
 
-// EndArgs publishes the run with kind-specific trace args. Safe on the
-// zero Timing; its nil check inlines into the caller.
-func (t Timing) EndArgs(a, b int64) {
+// EndArgs publishes the run with kind-specific trace args and returns its
+// end time, in nanoseconds since the stage's epoch (the recorder's, when
+// the stage has one: Recorder.Now's clock). Safe on the zero Timing,
+// which returns 0; its nil check inlines into the caller.
+func (t Timing) EndArgs(a, b int64) int64 {
 	if t.s != nil {
-		t.end(a, b)
+		return t.end(a, b)
 	}
+	return 0
 }
 
-func (t Timing) end(a, b int64) {
-	dur := t.s.now() - t.t0
+func (t Timing) end(a, b int64) int64 {
+	end := t.s.now()
+	dur := end - t.t0
 	t.s.h.Observe(float64(dur) / 1e9)
 	t.s.r.EmitAt(t.s.k, t.hop, t.frame, a, b, t.t0, dur)
+	return end
 }
 
 // walk calls fn with each committed event below sequence number end whose

@@ -11,6 +11,8 @@ import (
 	"runtime/pprof"
 	"testing"
 	"time"
+
+	"rim/internal/csi"
 )
 
 // mallocsAtTwoProcs runs f hops times with GOMAXPROCS 2 and returns the
@@ -127,8 +129,8 @@ func incrementalHopAllocFree(t *testing.T, prec Precision) {
 		}
 		refreshSelf(inc)
 	}
-	// Warm-up: size the matrix ring, the CSI ring's growth, and the
-	// stale-row scratch; run past one CSI ring compaction.
+	// Warm-up: size the matrix ring, the plane store and the stale-row
+	// scratch.
 	for n := 0; n < 12; n++ {
 		hopOnce()
 	}
@@ -270,13 +272,13 @@ func TestExtendMatricesBackingBytes(t *testing.T) {
 }
 
 // TestExtendMatricesRingsSizedOnce pins the declared-peak sizing of a
-// streamer-shaped warm-up: with SetPeakWindow(span + hop, hop, hop) each
-// of the daemon's 18 hexagonal pairs allocates its ring once, at span +
-// hop rows, on its first build, and keeps that backing while the window
-// grows hop by hop and then slides. The CSI ring stops at the refresh
-// reach (W here: no self-TRRS lag is asked) plus two hops. Raising the
-// peak to span + 2·hop (a doubled hop) regrows each ring once, to exactly
-// the new peak, and the CSI ring to W + 3·hop.
+// streamer-shaped warm-up: with SetPeakWindow(span + hop, hop) each of
+// the daemon's 18 hexagonal pairs allocates its ring once, at span + hop
+// rows, on its first build, and keeps that backing while the window grows
+// hop by hop and then slides. The engine's own plane store holds the
+// refresh reach (W here: no self-TRRS lag is asked) plus one hop. Raising
+// the peak to span + 2·hop (a doubled hop) regrows each ring once, to
+// exactly the new peak, and the plane store to W + 2·hop.
 func TestExtendMatricesRingsSizedOnce(t *testing.T) {
 	const w, span, hop = 30, 300, 50
 	rng := rand.New(rand.NewSource(12))
@@ -285,7 +287,7 @@ func TestExtendMatricesRingsSizedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc.SetPeakWindow(span+hop, hop, hop)
+	inc.SetPeakWindow(span+hop, hop)
 	pairs := []PairSpec{
 		{1, 0}, {3, 4}, {2, 0}, {3, 5}, {3, 0}, {4, 0}, {3, 1}, {5, 0}, {3, 2},
 		{2, 1}, {4, 5}, {4, 1}, {5, 1}, {4, 2}, {2, 5}, {0, 1}, {1, 2}, {2, 3},
@@ -329,21 +331,28 @@ func TestExtendMatricesRingsSizedOnce(t *testing.T) {
 		extend(hop)
 	}
 	check("warm-up", 1, span+hop)
-	if c := inc.Capacity(); c != w+2*hop {
-		t.Fatalf("CSI ring holds %d slots, want W + 2·hop = %d", c, w+2*hop)
+	if c := planeSlots(inc, s); c != w+hop {
+		t.Fatalf("plane store holds %d slots, want W + hop = %d", c, w+hop)
 	}
 
 	// As a streamer does, each hop trims the window back to the span
 	// first, then the doubled hop arrives.
-	inc.SetPeakWindow(span+2*hop, 2*hop, hop)
+	inc.SetPeakWindow(span+2*hop, 2*hop)
 	for h := 0; h < 4; h++ {
 		inc.DropFront(inc.NumSlots() - span)
 		extend(2 * hop)
 	}
 	check("doubled hop", 2, span+2*hop)
-	if c := inc.Capacity(); c != w+3*hop {
-		t.Fatalf("CSI ring holds %d slots after the raised peak, want W + 3·hop = %d", c, w+3*hop)
+	if c := planeSlots(inc, s); c != w+2*hop {
+		t.Fatalf("plane store holds %d slots after the raised peak, want W + 2·hop = %d", c, w+2*hop)
 	}
+}
+
+// planeSlots is how many slots of s's shape the float64 planes inc holds
+// have room for.
+func planeSlots(inc *Incremental, s *csi.Series) int {
+	planes, _ := inc.HeldBytes()
+	return planes / (s.NumAnts * s.NumTx * s.NumSub * 2 * 8)
 }
 
 // TestExtendMatricesAllocFree extends the zero-allocation contract to the
@@ -353,11 +362,21 @@ func TestExtendMatricesRingsSizedOnce(t *testing.T) {
 // no allocation, at GOMAXPROCS 1 and 2 alike, in both plane precisions.
 func TestExtendMatricesAllocFree(t *testing.T) {
 	for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
-		t.Run(prec.String(), func(t *testing.T) { extendMatricesAllocFree(t, prec) })
+		t.Run(prec.String(), func(t *testing.T) { extendMatricesAllocFree(t, prec, nil) })
 	}
 }
 
-func extendMatricesAllocFree(t *testing.T, prec Precision) {
+// TestExtendMatricesLentAllocFree is TestExtendMatricesAllocFree with the
+// planes in a lent store, lent before every hop and taken back after, as
+// a streamer lends its pooled hop scratch. The steady-state hop still
+// allocates nothing, and between hops the engine holds no plane bytes.
+func TestExtendMatricesLentAllocFree(t *testing.T) {
+	for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+		t.Run(prec.String(), func(t *testing.T) { extendMatricesAllocFree(t, prec, &PlaneStore{}) })
+	}
+}
+
+func extendMatricesAllocFree(t *testing.T, prec Precision, lend *PlaneStore) {
 	rng := rand.New(rand.NewSource(43))
 	s := randomSeries(rng, 3, 2, 30, 400)
 	const w, hop = 50, 50
@@ -366,6 +385,10 @@ func extendMatricesAllocFree(t *testing.T, prec Precision) {
 		t.Fatal(err)
 	}
 	pairs := []PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}, {I: 1, J: 0}}
+	if lend != nil {
+		// A lent store serves builds within the declared stride.
+		inc.SetPeakWindow(s.NumSlots()+hop, hop)
+	}
 
 	snaps := make([][][][]complex128, s.NumSlots())
 	for ti := range snaps {
@@ -376,9 +399,17 @@ func extendMatricesAllocFree(t *testing.T, prec Precision) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := inc.ExtendMatrices(pairs); err != nil {
-		t.Fatal(err)
+	refresh := func() {
+		if lend != nil {
+			inc.SetPlanes(lend)
+			defer inc.SetPlanes(nil)
+		}
+		if _, err := inc.ExtendMatrices(pairs); err != nil {
+			t.Fatal(err)
+		}
+		refreshSelf(inc)
 	}
+	refresh()
 
 	k := 0
 	hopOnce := func() {
@@ -389,13 +420,13 @@ func extendMatricesAllocFree(t *testing.T, prec Precision) {
 			k++
 		}
 		inc.DropFront(hop)
-		if _, err := inc.ExtendMatrices(pairs); err != nil {
-			t.Fatal(err)
-		}
-		refreshSelf(inc)
+		refresh()
 	}
 	for n := 0; n < 12; n++ {
 		hopOnce()
+	}
+	if planes, _ := inc.HeldBytes(); lend != nil && planes != 0 {
+		t.Fatalf("between hops the engine holds %d plane bytes, want none of the lent store's", planes)
 	}
 	if avg := testing.AllocsPerRun(20, hopOnce); avg != 0 {
 		t.Fatalf("steady-state batched hop allocates %.1f times per op, want 0", avg)

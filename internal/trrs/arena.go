@@ -168,6 +168,18 @@ func VirtualMassiveInto(a *MatrixArena, base *Matrix, v int) (*Matrix, error) {
 	return out, nil
 }
 
+// ReflectInto returns the reversed twin of src, the (J, I) base matrix,
+// allocated from the arena (nil arena = plain allocation): every entry is
+// reflected from src by the κ̄ reflection base_ji[t][l] = base_ij[t−l][−l]
+// (see reflectRow), so it holds the bits a sweep of the twin would.
+func ReflectInto(a *MatrixArena, src *Matrix) *Matrix {
+	out := a.matrix(src.J, src.I, src.W, len(src.Vals), src.Rate)
+	for t, row := range out.Vals {
+		reflectRow(row, src.Vals, src.W, t, 0, len(row))
+	}
+	return out
+}
+
 // AverageMatricesInto returns the element-wise mean of several equal-shape
 // matrices — the §4.2 augmentation that merges parallel isometric antenna
 // pairs, whose alignment delays are identical — allocated from the arena

@@ -194,13 +194,13 @@ var (
 // asserts that after every read the maintained matrices are bit-identical
 // to a serial batch engine of the same precision and kernel built over
 // exactly the current window — per-pair reads and batched reads with
-// reflected twins alike. The below-head runs cap the planes a few slots
-// past the refresh reach and add the pairs one read at a time, so reads
-// land below the planes' head — pairs first requested after the planes
-// were trimmed, stretches of appends longer than the cap, self-TRRS lags
-// beyond W — and must hold the same bits.
+// reflected twins alike. The below-head runs declare a short stride, lend
+// the planes a store for each read and add the pairs one read at a time,
+// so reads land below the steady reach — pairs first requested late,
+// stretches of appends longer than the stride, self-TRRS lags beyond W —
+// and must hold the same bits.
 func TestGoldenIncrementalEqualsSerial(t *testing.T) {
-	belowHead := incOpts{peak: 80, stride: 6, slack: 3, late: true, selfLags: []int{3, 15}}
+	belowHead := incOpts{peak: 80, stride: 6, lend: lendOtherShape, late: true, selfLags: []int{3, 15}}
 	for _, faulty := range []bool{false, true} {
 		s := walkSeries(t, faulty)
 		for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
@@ -221,10 +221,13 @@ func TestGoldenIncrementalEqualsSerial(t *testing.T) {
 
 // incOpts varies how runIncSchedule drives the engine.
 type incOpts struct {
-	// stride > 0 declares SetPeakWindow(peak, stride, slack), so the
-	// planes hold at most reach + stride slots and a read after a longer
-	// stretch of appends re-normalizes slots below their head.
-	peak, stride, slack int
+	// stride > 0 declares SetPeakWindow(peak, stride), so a lent store
+	// holds at most reach + stride slots and a read after a longer
+	// stretch of appends normalizes into a one-off store.
+	peak, stride int
+	// lend lends the engine a plane store for every read and takes it
+	// back after (see lendMode).
+	lend lendMode
 	// late makes the n-th read cover only the first n pairs of its list,
 	// so later pairs are first built after the planes were trimmed.
 	late bool
@@ -233,10 +236,54 @@ type incOpts struct {
 	selfLags []int
 }
 
+// lendMode selects whether runIncSchedule lends the planes a store, and
+// what dirties it between reads.
+type lendMode int
+
+const (
+	lendNone lendMode = iota
+	// lendOtherShape lends a store that, between reads, an engine of
+	// another shape (the same antennas and tx, half the tones, W = 4) and
+	// the same precision refreshes into, so the backing is reused with
+	// another layout.
+	lendOtherShape
+	// lendOtherPrec is lendOtherShape with the other engine in the other
+	// precision.
+	lendOtherPrec
+)
+
+// dirtier returns a function that lends ps to an engine for one refresh
+// of snapshots shaped like like's but with half the tones, leaving its
+// own values in the store.
+func dirtier(t *testing.T, ps *PlaneStore, prec Precision, like *csi.Series) func() {
+	t.Helper()
+	other, err := NewIncrementalPrecision(100, like.NumAnts, like.NumTx, 4, prec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.SetPeakWindow(64, 64)
+	s := randomSeries(rand.New(rand.NewSource(99)), like.NumAnts, like.NumTx, max(like.NumSub/2, 1), 50)
+	next := 0
+	return func() {
+		for n := 0; n < 7; n++ {
+			if err := other.Append(seriesSnapshot(s, next%s.NumSlots())); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		other.DropFront(other.NumSlots() - 30)
+		other.SetPlanes(ps)
+		if _, err := other.ExtendMatrices([]PairSpec{{I: 0, J: 1}, {I: 1, J: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		other.SetPlanes(nil)
+	}
+}
+
 // runIncSchedule runs steps on an Incremental over s and checks every
 // read against BaseMatrixSerial (and every self-TRRS read against
 // SelfSeries) on the window's batch engine. It returns how many reads
-// went below the planes' head.
+// went below the steady reach.
 func runIncSchedule(t *testing.T, s *csi.Series, w int, prec Precision, k Kernel, steps []incStep, pairs, batch []PairSpec, opts incOpts) int {
 	t.Helper()
 	inc, err := NewIncrementalPrecision(s.Rate, s.NumAnts, s.NumTx, w, prec)
@@ -245,7 +292,21 @@ func runIncSchedule(t *testing.T, s *csi.Series, w int, prec Precision, k Kernel
 	}
 	inc.SetKernel(k)
 	if opts.stride > 0 {
-		inc.SetPeakWindow(opts.peak, opts.stride, opts.slack)
+		inc.SetPeakWindow(opts.peak, opts.stride)
+	}
+	var lent *PlaneStore
+	var dirty func()
+	if opts.lend != lendNone {
+		lent = &PlaneStore{}
+		other := prec
+		if opts.lend == lendOtherPrec {
+			other = map[Precision]Precision{
+				PrecisionFloat64: PrecisionFloat32,
+				PrecisionFloat32: PrecisionFloat64,
+			}[prec]
+		}
+		dirty = dirtier(t, lent, other, s)
+		dirty()
 	}
 	start, next, reads, below := 0, 0, 0, 0
 	for si, step := range steps {
@@ -269,6 +330,10 @@ func runIncSchedule(t *testing.T, s *csi.Series, w int, prec Precision, k Kernel
 		}
 		if reads++; opts.late {
 			want = want[:min(reads, len(want))]
+		}
+		renorms := inc.Renormalized()
+		if lent != nil {
+			inc.SetPlanes(lent)
 		}
 		if step.query == queryPair {
 			for _, p := range want {
@@ -301,8 +366,12 @@ func runIncSchedule(t *testing.T, s *csi.Series, w int, prec Precision, k Kernel
 				}
 			}
 		}
-		if inc.full != nil {
+		if inc.Renormalized() > renorms {
 			below++
+		}
+		if lent != nil {
+			inc.SetPlanes(nil)
+			dirty()
 		}
 	}
 	return below
@@ -328,11 +397,12 @@ func requireSameSeries(t *testing.T, name string, want, got []float64) {
 // batch engine over the window. Each schedule byte is one step: bits 0–2
 // append that many slots times two, bits 3–5 drop that many slots times
 // three, bits 6–7 pick no read, a per-pair read or a batched read. The
-// reach byte moves reads below the planes' head, where the engine
-// re-normalizes slots from the raw rows: bit 0 declares a peak whose
-// stride (bits 1–3) and slack (bits 4–5) cap the planes, bit 6 adds the
-// pairs one read at a time, and bit 7 also checks self-TRRS series at a
-// lag inside and one beyond W.
+// reach byte moves reads below the steady reach, where the engine
+// normalizes into a one-off store: bit 0 declares a peak whose stride
+// (bits 1–3) caps a lent store, bits 4–5 pick the lendMode (3 lends
+// nothing), bit 6 adds the pairs one read at a time, and bit 7 also checks
+// self-TRRS series at a lag inside and one beyond W. A lent store is
+// dirtied between reads by an engine of another shape.
 func FuzzIncrementalRefresh(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(0), uint8(0), []byte{0x47, 0x87, 0x9a, 0x03, 0x02, 0xb9, 0x4c}, []byte{0x01, 0x10, 0x21, 0x12})
 	f.Add(int64(2), uint8(9), uint8(3), uint8(0), []byte{0x87, 0x87, 0xbf, 0x3f, 0x41, 0x80}, []byte{0x10, 0x01, 0x11, 0x20, 0x02})
@@ -358,8 +428,9 @@ func FuzzIncrementalRefresh(f *testing.F) {
 		}
 		var opts incOpts
 		if reachB&1 != 0 {
-			opts.peak, opts.stride, opts.slack = 40, 1+int(reachB>>1&7), int(reachB>>4&3)*2
+			opts.peak, opts.stride = 40, 1+int(reachB>>1&7)
 		}
+		opts.lend = lendMode(reachB>>4&3) % 3
 		opts.late = reachB&0x40 != 0
 		if reachB&0x80 != 0 {
 			opts.selfLags = []int{w/2 + 1, w + 3}

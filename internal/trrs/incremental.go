@@ -7,10 +7,10 @@ import (
 	"rim/internal/obs/trace"
 )
 
-// Incremental is the streaming counterpart of Engine: a ring of
-// unit-normalized CSI snapshots over a sliding window, plus per-pair base
-// matrices that are extended in place as slots arrive instead of being
-// recomputed from scratch every analysis hop.
+// Incremental is the streaming counterpart of Engine: the raw CSI
+// snapshots of a sliding window, plus per-pair base matrices that are
+// extended in place as slots arrive instead of being recomputed from
+// scratch every analysis hop.
 //
 // The window is a contiguous absolute slot range [start, end): Append
 // grows the tail by one slot, DropFront advances the head. ExtendMatrix
@@ -51,29 +51,26 @@ import (
 // Engine.SelfSeries returns the bits a batch engine over the same window
 // would.
 //
-// Storage is structure-of-arrays and steady-state allocation-free. The
-// window's one full copy of the CSI is a RawRing: Append copies each
-// snapshot's rows into it (its own, or the one a core.Streamer shares with
-// it, see UseRaw), so no caller row is kept. The
-// normalized snapshots are per-(antenna, tx) re/im planes holding slots
-// [lo, end). Without a declared peak lo is the window head. With one (see
-// SetPeakWindow) the planes hold only the last reach + stride slots,
-// reach = max(W, the largest self-TRRS lag asked): a steady-state
-// refresh reads no further back, since a pair's next rows start at its
-// end and sweep W back and a self-TRRS series pairs its next slot with
-// the one its lag back. A read below lo (a pair first built late, a
-// replay after a restore, an external view) re-normalizes the window from
-// the raw rows (see fullPlanes): the same arithmetic on the same rows, so
-// the same bits. Append normalizes into the planes' tail in place and,
-// when the tail reaches capacity, compacts the live region to the front
-// instead of growing. Each maintained pair matrix keeps its rows in one
-// ring of C rows, C the declared peak window (see SetPeakWindow) or
-// the largest window it has seen if that is more, with the row of
-// absolute slot r at ring row r mod C: a refresh re-points the row headers,
-// leaves carried rows where they are and recomputes the stale entries in
-// place, and the self-TRRS cache compacts each series in place, so once
-// the window geometry stabilizes no hop allocates or copies a row (pinned
-// at 0 mallocs per hop by the allocation tests and the bench guard).
+// Storage is structure-of-arrays and steady-state allocation-free. What
+// the engine carries from one refresh to the next is the raw rows, the
+// swept pair rows and the self-TRRS cache. The window's one full copy of
+// the CSI is a RawRing: Append copies each snapshot's rows into it (its
+// own, or the one a core.Streamer shares with it, see UseRaw), so no
+// caller row is kept, and normalizes nothing. The normalized snapshots,
+// per-(antenna, tx) re/im planes, are a pure function of the raw rows: a
+// refresh normalizes the slots it reads into a plane store (see
+// planesFrom), with the arithmetic a batch Engine runs on the same rows,
+// so the same bits. In steady state that is the refresh reach plus the
+// slots appended since the last refresh. The store is lent for the hop
+// (see SetPlanes) or, with no lender, the engine's own. Each maintained
+// pair matrix keeps its rows in one ring of C rows, C the declared peak
+// window (see SetPeakWindow) or the largest window it has seen if that is
+// more, with the row of absolute slot r at ring row r mod C: a refresh
+// re-points the row headers, leaves carried rows where they are and
+// recomputes the stale entries in place, and the self-TRRS cache compacts
+// each series in place, so once the window geometry stabilizes no hop
+// allocates or copies a row (pinned at 0 mallocs per hop by the
+// allocation tests and the bench guard).
 //
 // Refreshes run on the calling goroutine (the executor runs on an engine
 // view, which has one worker): a streaming session is the unit of
@@ -94,13 +91,10 @@ type Incremental struct {
 	// tones is the uniform per-snapshot vector length, learned from the
 	// first Append (-1 before).
 	tones int
-	// ring holds the SoA ring planes in the element type prec selects
-	// (conversion happens once, in Append): slots [lo, end) of the window
-	// [start, end) occupy [head·tones, (head+end−lo)·tones), and every
-	// slab's length is (head+end−lo)·tones.
-	prec       Precision
-	ring       planeStore
-	head, lo   int
+	// prec is the element type of the planes: a snapshot is converted to
+	// it once per build, when it is normalized.
+	prec Precision
+	// The window is the absolute slot range [start, end).
 	start, end int
 	// raw is the window's raw rows, copied in by Append: slot s of the
 	// window at the ring's absolute slot s (nil before the first Append
@@ -109,14 +103,24 @@ type Incremental struct {
 	mats map[PairSpec]*incMat
 	// maxLag is the largest self-TRRS lag asked.
 	maxLag int
-	// peak, stride and slack are what SetPeakWindow declared, in slots
-	// (0 until declared: size by the windows seen).
-	peak, stride, slack int
-	// full is the window re-normalized in full from raw for reads below
-	// lo, built on the first such read and dropped by the next Append or
-	// DropFront (nil between); renorms counts the times it was built.
-	full    planeStore
-	renorms int
+	// peak and stride are what SetPeakWindow declared, in slots (0 until
+	// declared: size by the windows seen).
+	peak, stride int
+
+	// pl holds the normalized planes of slots [plLo, plHi), slot s at
+	// offset (s−plLo)·tones, or is nil until a refresh builds them (see
+	// planesFrom). They live in the lent store, the engine's own, or a
+	// one-off store. plGen counts the builds and the drops, so a view can
+	// tell that its planes went stale, and mark is the window end at the
+	// last build.
+	pl               planeStore
+	plLo, plHi, mark int
+	plGen            int
+	lent             *PlaneStore
+	own              PlaneStore
+	// normalized counts the slots the builds normalized, renorms the
+	// builds that reached below the steady reach.
+	normalized, renorms int
 
 	// view is the cached full-array engine ExtendMatrix refreshes in
 	// place every call (EngineView allocates fresh ones for external
@@ -194,10 +198,10 @@ func NewIncremental(rate float64, numAnts, numTx, w int) (*Incremental, error) {
 	return NewIncrementalPrecision(rate, numAnts, numTx, w, PrecisionFloat64)
 }
 
-// NewIncrementalPrecision is NewIncremental with an explicit ring-plane
-// precision. PrecisionFloat32 converts snapshots to float32 once in
-// Append and runs every row fill through the float32 sweep kernels; see
-// Precision for the error budget.
+// NewIncrementalPrecision is NewIncremental with an explicit plane
+// precision. PrecisionFloat32 converts snapshots to float32 as it
+// normalizes them and runs every row fill through the float32 sweep
+// kernels; see Precision for the error budget.
 func NewIncrementalPrecision(rate float64, numAnts, numTx, w int, prec Precision) (*Incremental, error) {
 	if !ValidRate(rate) {
 		return nil, fmt.Errorf("trrs: incremental rate must be in (0, %g] Hz, got %v", MaxRate, rate)
@@ -214,13 +218,12 @@ func NewIncrementalPrecision(rate float64, numAnts, numTx, w int, prec Precision
 		numTx:  numTx,
 		w:      w,
 		prec:   prec,
-		ring:   newStore(prec, numAnts, numTx, 0),
 		tones:  -1,
 		mats:   map[PairSpec]*incMat{},
 	}, nil
 }
 
-// Precision returns the ring-plane precision.
+// Precision returns the plane precision.
 func (inc *Incremental) Precision() Precision { return inc.prec }
 
 // SetKernel selects the inner-product kernel used by matrix refreshes and
@@ -260,21 +263,16 @@ func (inc *Incremental) SetTrace(rec *trace.Recorder) { inc.trc = rec }
 func (inc *Incremental) SetHop(hop int64) { inc.hop = hop }
 
 // SetPeakWindow declares the largest window, in slots, the caller holds
-// before it drops slots from the front (peak), the most slots it appends
-// between two refreshes (stride), and the room the CSI planes keep ahead
-// of their live region (slack). Each pair matrix's ring is then allocated
-// at peak rows on its first build instead of regrowing hop by hop. The
-// planes hold the last reach + stride slots, reach = max(W, the largest
-// self-TRRS lag asked), which is all a refresh after at most stride
-// appends reads; a read further back re-normalizes (see fullPlanes). They
-// grow from a small first slab by doubling but stop at
-// reach + stride + slack slots, compacting from then on. A raised
-// declaration regrows each once, when the window next needs it; a lowered
-// one shrinks nothing. A window that outgrows the peak still fits: it is a
-// sizing hint, not a bound. Without a declaration everything is sized by
-// the windows seen.
-func (inc *Incremental) SetPeakWindow(peak, stride, slack int) {
-	inc.peak, inc.stride, inc.slack = peak, stride, slack
+// before it drops slots from the front (peak) and the most slots it
+// appends between two refreshes (stride). Each pair matrix's ring is then
+// allocated at peak rows on its first build instead of regrowing hop by
+// hop, and a refresh's planes fit the steady reach plus stride slots (see
+// planesFrom). A raised declaration regrows each ring once, when the
+// window next needs it; a lowered one shrinks nothing. A window that
+// outgrows the peak still fits: it is a sizing hint, not a bound. Without
+// a declaration everything is sized by the windows seen.
+func (inc *Incremental) SetPeakWindow(peak, stride int) {
+	inc.peak, inc.stride = peak, stride
 	if inc.raw != nil {
 		inc.raw.SetPeak(peak)
 	}
@@ -289,26 +287,91 @@ func (inc *Incremental) UseRaw(r *RawRing) {
 	r.SetPeak(inc.peak)
 	inc.raw = r
 	inc.start, inc.end = r.Start(), r.End()
-	inc.lo = inc.start
+	inc.mark = inc.start
 }
 
-// planeLimit returns the most slots the planes hold and their capacity
-// limit in slots (both 0 without a declared peak).
-func (inc *Incremental) planeLimit() (live, limit int) {
-	if inc.peak <= 0 {
-		return 0, 0
+// SetPlanes lends the engine ps as the store its refreshes normalize into,
+// until the next SetPlanes; nil takes the store back, and the engine then
+// normalizes into a store of its own. Either way the planes built so far
+// are dropped, and views re-point at their next read, so once a lender
+// takes its store back nothing of the engine's references it.
+func (inc *Incremental) SetPlanes(ps *PlaneStore) {
+	inc.lent = ps
+	inc.pl = nil
+	inc.plGen++
+	if inc.view != nil {
+		inc.view.planes.release()
 	}
-	live = max(inc.w, inc.maxLag) + max(inc.stride, 1)
-	return live, live + inc.slack
 }
 
-// Capacity returns how many slots the CSI planes have room for: the
-// slots they hold plus the free ones behind and ahead of them.
-func (inc *Incremental) Capacity() int {
-	if inc.tones <= 0 {
-		return 0
+// planesFrom makes the planes hold the window's slots from lo (clamped to
+// the window) to its end. Planes that already do are kept. Otherwise it
+// normalizes them from the raw rows with Engine's constructor arithmetic,
+// so they hold the bits a batch engine over the window would, and reaches
+// down to the steady reach as well: reach = max(W, the largest self-TRRS
+// lag asked) slots below the end of the last build. That is all a
+// steady-state refresh reads, since a built pair's next rows sweep back W
+// from its old end and a self-TRRS series pairs its next slot with the one
+// its lag back, so the refreshes of one hop share one build of reach plus
+// the appended slots. A build within the steady reach plus the declared
+// stride goes into the lent store. One reaching further (a pair first
+// built late, a replay after a restore, an external view's read) goes
+// into a one-off store that is dropped with the planes, so the lent store,
+// shared through its lender with other engines, stays at the steady size.
+// With nothing lent the engine's own store serves every build.
+func (inc *Incremental) planesFrom(lo int) {
+	lo = max(lo, inc.start)
+	if inc.pl != nil && inc.plLo <= lo && inc.plHi == inc.end {
+		return
 	}
-	return inc.ring.capacity() / inc.tones
+	reach := max(inc.w, inc.maxLag)
+	lo = max(min(lo, inc.mark-reach), inc.start)
+	tones := max(inc.tones, 0)
+	n, steady := inc.end-lo, reach+max(inc.stride, 1)
+	switch {
+	case inc.lent == nil:
+		inc.pl = inc.own.fit(inc.prec, inc.numAnt, inc.numTx, n*tones, steady*tones)
+	case n <= steady:
+		inc.pl = inc.lent.fit(inc.prec, inc.numAnt, inc.numTx, n*tones, steady*tones)
+	default:
+		inc.pl = newStore(inc.prec, inc.numAnt, inc.numTx, n*tones)
+	}
+	if inc.stride > 0 && n > steady {
+		inc.renorms++
+	}
+	for s := lo; s < inc.end; s++ {
+		for a := 0; a < inc.numAnt; a++ {
+			for tx := 0; tx < inc.numTx; tx++ {
+				inc.pl.put(a, tx, (s-lo)*tones, inc.raw.Row(s, a, tx))
+			}
+		}
+	}
+	inc.normalized += n
+	inc.plLo, inc.plHi, inc.mark = lo, inc.end, inc.end
+	inc.plGen++
+}
+
+// Normalized returns how many slots the refreshes have normalized from
+// the raw rows in all.
+func (inc *Incremental) Normalized() int { return inc.normalized }
+
+// Renormalized returns how many builds of the planes reached below the
+// steady reach plus the declared stride (see planesFrom).
+func (inc *Incremental) Renormalized() int { return inc.renorms }
+
+// HeldBytes reports the storage the engine keeps: the bytes of the
+// normalized planes it references (its own store, plus the current
+// planes while they are lent or one-off) and of its pair-matrix rings,
+// one per pair it maintains.
+func (inc *Incremental) HeldBytes() (planes, matrices int) {
+	planes = inc.own.Bytes()
+	if inc.pl != nil && inc.pl != inc.own.st {
+		planes += storeBytes(inc.pl, inc.prec)
+	}
+	for _, im := range inc.mats {
+		matrices += cap(im.ring) * 8
+	}
+	return planes, matrices
 }
 
 // NumSlots returns the current window length.
@@ -321,13 +384,11 @@ func (inc *Incremental) W() int { return inc.w }
 func (inc *Incremental) Rate() float64 { return inc.rate }
 
 // Append ingests one snapshot (shape [ant][tx][tone]): its rows are
-// copied into the raw ring, where they stay until their slot is dropped
-// (to re-normalize slots the planes no longer hold), and normalized into
-// the SoA planes with exactly Engine's constructor arithmetic, so later
-// matrix queries match a batch engine built over the same window. The
-// engine keeps no reference to the snapshot. The tone count is learned
-// from the first snapshot (or is the shared ring's, see UseRaw); every
-// later snapshot must match it (the SoA planes are uniform slabs).
+// copied into the raw ring, where they stay until their slot is dropped,
+// and are normalized by the refreshes that read them (see planesFrom).
+// The engine keeps no reference to the snapshot. The tone count is
+// learned from the first snapshot (or is the shared ring's, see UseRaw);
+// every later snapshot must match it (the SoA planes are uniform slabs).
 func (inc *Incremental) Append(snapshot [][][]complex128) error {
 	if len(snapshot) != inc.numAnt {
 		return fmt.Errorf("trrs: incremental snapshot has %d antennas, want %d", len(snapshot), inc.numAnt)
@@ -358,32 +419,14 @@ func (inc *Incremental) Append(snapshot [][][]complex128) error {
 		inc.raw.SetPeak(inc.peak)
 	}
 	inc.raw.Append(snapshot)
-	inc.full = nil
-	live, limit := inc.planeLimit()
-	// Keep the window, or at most live slots once this one is in.
-	if lo := inc.end + 1 - live; live > 0 && lo > inc.lo {
-		inc.head += lo - inc.lo
-		inc.lo = lo
-	}
-	n := inc.end - inc.lo
-	if inc.ring.addSlot(inc.head*inc.tones, (inc.head+n)*inc.tones, inc.tones, limit*inc.tones) {
-		inc.head = 0
-	}
-	o := (inc.head + n) * inc.tones
-	for a := 0; a < inc.numAnt; a++ {
-		for tx := 0; tx < inc.numTx; tx++ {
-			inc.ring.put(a, tx, o, inc.raw.Row(inc.end, a, tx))
-		}
-	}
 	inc.end++
 	return nil
 }
 
-// DropFront advances the window head by n slots, in the planes and the
-// raw ring alike (ring-buffer trims: later Appends reuse the storage).
-// The leading W rows of every maintained matrix
-// lose their backward columns into the dropped slots, which the next
-// ExtendMatrix call clears.
+// DropFront advances the window head by n slots (a ring-buffer trim of
+// the raw rows: later Appends reuse the storage). The leading W rows of
+// every maintained matrix lose their backward columns into the dropped
+// slots, which the next ExtendMatrix call clears.
 func (inc *Incremental) DropFront(n int) {
 	if n <= 0 {
 		return
@@ -391,54 +434,25 @@ func (inc *Incremental) DropFront(n int) {
 	if n = min(n, inc.NumSlots()); n == 0 {
 		return
 	}
-	inc.full = nil
 	inc.start += n
-	if inc.lo < inc.start {
-		inc.head += inc.start - inc.lo
-		inc.lo = inc.start
-	}
 	inc.raw.DropFront(n)
 }
 
-// fullPlanes returns planes holding the whole window, slot start + t at
-// offset t·tones, re-normalized from the raw rows — the arithmetic Append
-// ran on the same rows, so the same bits. The first call after an Append
-// or DropFront builds them; later calls reuse them until the next Append
-// or DropFront drops them. A steady-state hop never calls it, so these
-// planes are allocated afresh rather than kept or pooled.
-func (inc *Incremental) fullPlanes() planeStore {
-	if inc.full == nil {
-		n := inc.NumSlots()
-		inc.full = newStore(inc.prec, inc.numAnt, inc.numTx, n*inc.tones)
-		inc.renorms++
-		for t := 0; t < n; t++ {
-			for a := 0; a < inc.numAnt; a++ {
-				for tx := 0; tx < inc.numTx; tx++ {
-					inc.full.put(a, tx, t*inc.tones, inc.raw.Row(inc.start+t, a, tx))
-				}
-			}
-		}
-	}
-	return inc.full
-}
-
-// Renormalized returns how many times a read below the planes' head has
-// re-normalized the window from the raw rows (see fullPlanes).
-func (inc *Incremental) Renormalized() int { return inc.renorms }
-
-// coverView points a view of the current window at the full-window
-// planes, for a read below the planes' head (see Engine.cover).
-func (inc *Incremental) coverView(e *Engine) {
+// coverView points a view of the current window at planes holding its
+// slot t and every later one (see Engine.cover).
+func (inc *Incremental) coverView(e *Engine, t int) {
 	if e.srcStart != inc.start || e.slots != inc.NumSlots() {
-		panic("trrs: read below the plane head through a stale EngineView")
+		panic("trrs: read through a stale EngineView")
 	}
-	inc.fullPlanes().viewInto(e.planes, e.srcAnts, 0, e.slots*e.tones)
-	e.lo = 0
+	inc.planesFrom(inc.start + t)
+	inc.pl.viewInto(e.planes, e.srcAnts, 0, (inc.plHi-inc.plLo)*max(inc.tones, 0))
+	e.lo, e.gen = inc.plLo-inc.start, inc.plGen
 }
 
-// viewInto points e at the current window: plane slices covering its
-// slots [lo, end), plus the incremental engine's rate/shape/tuning. Views
-// are serial (one worker), like the incremental engine itself.
+// viewInto makes e a view of the current window: the incremental
+// engine's rate/shape/tuning, with planes it points at on its first read
+// (see coverView). Views are serial (one worker), like the incremental
+// engine itself.
 func (inc *Incremental) viewInto(e *Engine, ants []int) error {
 	for _, a := range ants {
 		if a < 0 || a >= inc.numAnt {
@@ -460,20 +474,18 @@ func (inc *Incremental) viewInto(e *Engine, ants []int) error {
 	e.trc = inc.trc
 	e.hop = inc.hop
 	e.src, e.srcAnts, e.srcStart = inc, ants, inc.start
-	e.lo = inc.lo - inc.start
-	inc.ring.viewInto(e.planes, ants, inc.head*tones, (inc.head+inc.end-inc.lo)*tones)
+	e.gen = -1
 	return nil
 }
 
 // EngineView returns a batch Engine aliasing the window's normalized
 // snapshots, restricted to the given antennas (nil means all, in order).
-// The view shares storage with the incremental engine (its first read
-// below the planes' head re-normalizes the window, see fullPlanes) and is
-// invalidated by the next Append/DropFront (an Append may compact the
-// ring under it); it exists so window-scoped consumers (movement
-// detection, self-TRRS) run on the incrementally maintained normalization
-// instead of renormalizing the window every hop, and its SelfSeries reads
-// the engine's self-TRRS cache.
+// The view reads the incremental engine's planes (its reads normalize the
+// slots they need, see planesFrom) and is invalidated by the next
+// Append/DropFront; it exists so window-scoped consumers (movement
+// detection, self-TRRS) share the refresh's normalization instead of
+// normalizing the window every hop, and its SelfSeries reads the engine's
+// self-TRRS cache.
 func (inc *Incremental) EngineView(ants []int) (*Engine, error) {
 	if ants == nil {
 		ants = make([]int, inc.numAnt)
@@ -483,7 +495,7 @@ func (inc *Incremental) EngineView(ants []int) (*Engine, error) {
 	} else {
 		ants = append([]int(nil), ants...)
 	}
-	e := &Engine{planes: inc.ring.shell(len(ants))}
+	e := &Engine{planes: newStore(inc.prec, len(ants), inc.numTx, 0)}
 	if err := inc.viewInto(e, ants); err != nil {
 		return nil, err
 	}
@@ -494,7 +506,7 @@ func (inc *Incremental) EngineView(ants []int) (*Engine, error) {
 // by ExtendMatrix, so the steady-state hop allocates nothing.
 func (inc *Incremental) fullView() *Engine {
 	if inc.view == nil {
-		inc.view = &Engine{planes: inc.ring.shell(inc.numAnt)}
+		inc.view = &Engine{planes: newStore(inc.prec, inc.numAnt, inc.numTx, 0)}
 		inc.viewAnts = make([]int, inc.numAnt)
 		for a := range inc.viewAnts {
 			inc.viewAnts[a] = a

@@ -49,6 +49,17 @@ func pairSource(pairs []PairSpec, k int) (src int, alias bool) {
 	return src, false
 }
 
+// TwinSource returns the index of the pair pairs[k] is reflected from
+// when it is a reversed twin (see pairSource), or -1 when it is swept or
+// aliases an identical earlier pair. A caller that keeps only swept
+// matrices builds a twin with ReflectInto from the matrix at that index.
+func TwinSource(pairs []PairSpec, k int) int {
+	if src, alias := pairSource(pairs, k); !alias {
+		return src
+	}
+	return -1
+}
+
 // batchItem is one unit of build work: columns [c0, c1) of rows [t0, t1)
 // of m, swept by the kernel or, when src is set, reflected from src.
 type batchItem struct {

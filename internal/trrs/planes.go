@@ -27,23 +27,17 @@ type planeStore interface {
 	// tx (sigproc.DotSqSweepSoA).
 	baseRow(band []float64, i, j, oi, oj, tones int)
 	sweepRow(band []float64, i, j, oi, oj, tones int)
-	// addSlot appends one slot of tones values to every plane of a ring
-	// whose live region is [lo, hi): in place when capacity allows, else
-	// by compacting the live region to the front, else by growing. Growth
-	// doubles the live region or the capacity, whichever is more, but
-	// stops at limit values when limit holds the region plus the slot
-	// (limit 0: no cap), and a ring below a raised limit grows toward it
-	// at its next move instead of compacting. It reports whether the live
-	// region moved to offset 0.
-	addSlot(lo, hi, tones, limit int) (moved bool)
-	// capacity is the number of values each slab holds.
-	capacity() int
+	// values is the slabs' total capacity, in values.
+	values() int
+	// fits reports whether the store has the given antenna and tx counts
+	// and slabs of at least size values.
+	fits(numAnts, numTx, size int) bool
 	// viewInto points dst (same element type) at offsets [lo, hi) of the
 	// given antennas' planes.
 	viewInto(dst planeStore, ants []int, lo, hi int)
-	// shell allocates an empty store of the same element type for
-	// numAnts antennas, for viewInto to fill.
-	shell(numAnts int) planeStore
+	// release drops every slab reference a view holds, so the view keeps
+	// no store alive.
+	release()
 }
 
 // newStore allocates planes of the given precision, each slab holding
@@ -66,10 +60,6 @@ func newPlanes[T sigproc.Float](numAnts, numTx, size int) *planes[T] {
 		}
 	}
 	return p
-}
-
-func (p *planes[T]) shell(numAnts int) planeStore {
-	return newPlanes[T](numAnts, len(p.re[0]), 0)
 }
 
 func (p *planes[T]) put(a, tx, o int, src []complex128) {
@@ -114,46 +104,26 @@ func (p *planes[T]) sweepRow(band []float64, i, j, oi, oj, tones int) {
 	}
 }
 
-func (p *planes[T]) addSlot(lo, hi, tones, limit int) bool {
-	c := cap(p.re[0][0])
-	moved := c < hi+tones
-	// Compact when the live region plus the new slot fits and the ring has
-	// reached its limit, else grow to 2× the live region or the capacity
-	// (a live region trimmed far below the capacity must not shrink the
-	// ring), capped at the limit, so steady sliding settles into the
-	// extend/compact cycle and never grows again.
-	n := hi - lo + tones
-	size := 0
-	if moved && (lo == 0 || n > c || c < limit) {
-		size = 2 * max(n, c)
-		if limit >= n {
-			size = min(size, limit)
-		}
-	}
+func (p *planes[T]) values() int {
+	n := 0
 	for a := range p.re {
 		for tx := range p.re[a] {
-			p.re[a][tx] = appendSlot(p.re[a][tx], lo, hi, tones, moved, size)
-			p.im[a][tx] = appendSlot(p.im[a][tx], lo, hi, tones, moved, size)
+			n += cap(p.re[a][tx]) + cap(p.im[a][tx])
 		}
 	}
-	return moved
+	return n
 }
 
-func (p *planes[T]) capacity() int { return cap(p.re[0][0]) }
+func (p *planes[T]) fits(numAnts, numTx, size int) bool {
+	return len(p.re) == numAnts && numAnts > 0 && len(p.re[0]) == numTx && numTx > 0 &&
+		len(p.re[0][0]) >= size
+}
 
-// appendSlot extends one ring slab by a slot, moving the live region into
-// a fresh slab of size values when size > 0 (see addSlot).
-func appendSlot[T sigproc.Float](s []T, lo, hi, tones int, moved bool, size int) []T {
-	if !moved {
-		return s[:hi+tones]
+func (p *planes[T]) release() {
+	for a := range p.re {
+		clear(p.re[a])
+		clear(p.im[a])
 	}
-	n := hi - lo
-	dst := s[:n]
-	if size > 0 {
-		dst = make([]T, n, size)
-	}
-	copy(dst, s[lo:hi])
-	return dst[:n+tones]
 }
 
 func (p *planes[T]) viewInto(dst planeStore, ants []int, lo, hi int) {
@@ -164,4 +134,48 @@ func (p *planes[T]) viewInto(dst planeStore, ants []int, lo, hi int) {
 			v.im[k][tx] = p.im[a][tx][lo:hi]
 		}
 	}
+}
+
+// PlaneStore is a reusable backing for the normalized CSI planes an
+// Incremental reads during its refreshes. A caller that runs many engines
+// one hop at a time (core keeps one per pooled hop scratch) lends it to
+// the engine of the hop at hand with SetPlanes and takes it back after:
+// the planes are a pure function of the raw rows, so each refresh
+// re-normalizes what it reads and nothing of a lent store outlives the
+// hop. The zero value is empty; the store takes the shape and precision
+// of whichever engine uses it, reallocating on a change. A PlaneStore is
+// not goroutine-safe; it serves one engine at a time.
+type PlaneStore struct {
+	st   planeStore
+	prec Precision
+}
+
+// fit returns the store's planes for the given precision and shape with
+// room for size values per slab, reallocating them at alloc values (at
+// least size) when they do not fit.
+func (p *PlaneStore) fit(prec Precision, numAnts, numTx, size, alloc int) planeStore {
+	if p.st == nil || p.prec != prec || !p.st.fits(numAnts, numTx, size) {
+		p.st, p.prec = newStore(prec, numAnts, numTx, max(size, alloc)), prec
+	}
+	return p.st
+}
+
+// Bytes reports the store's backing size, for the scratch-pool gauge.
+func (p *PlaneStore) Bytes() int {
+	if p == nil {
+		return 0
+	}
+	return storeBytes(p.st, p.prec)
+}
+
+// storeBytes is the backing size of planes of the given precision (0 for
+// none).
+func storeBytes(st planeStore, prec Precision) int {
+	if st == nil {
+		return 0
+	}
+	if prec == PrecisionFloat32 {
+		return st.values() * 4
+	}
+	return st.values() * 8
 }

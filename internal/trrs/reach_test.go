@@ -22,36 +22,16 @@ var (
 	paperPoint = streamPoint{name: "paper", w: 100, span: 600, hop: 100, tones: 114, tx: 3, lags: []int{10, 50}}
 )
 
-// planeBytes is the storage the engine's CSI planes hold.
-func planeBytes(inc *Incremental) int {
-	switch p := inc.ring.(type) {
-	case *planes[float64]:
-		return slabBytes(p.re, 8) + slabBytes(p.im, 8)
-	case *planes[float32]:
-		return slabBytes(p.re, 4) + slabBytes(p.im, 4)
-	}
-	panic("unknown plane type")
-}
-
-func slabBytes[T any](s [][][]T, size int) int {
-	n := 0
-	for _, a := range s {
-		for _, slab := range a {
-			n += cap(slab) * size
-		}
-	}
-	return n
-}
-
-// TestPlaneRingBytes pins the CSI planes of a streamer-shaped run after
+// TestPlaneStoreBytes pins the planes of a streamer-shaped run after
 // warm-up, the way TestExtendMatricesBackingBytes pins the pair rings: the
-// window grows hop by hop to span + hop and then slides, each hop
-// refreshing a pair, its reversed twin and the self-TRRS series at the
-// movement lags. The planes must hold at most reach + 2·hop slots (reach
-// = max(W, lags): the slots the next refresh reads, one hop of new slots
-// and one of room), far below the window, and no steady-state hop may
-// read below their head.
-func TestPlaneRingBytes(t *testing.T) {
+// window grows hop by hop to span + hop and then slides, and each hop,
+// with a store lent for it and taken back after, refreshes a pair, its
+// reversed twin and the self-TRRS series at the movement lags. The lent
+// store holds exactly reach + hop slots (reach = max(W, lags): the slots
+// the refresh reads), far below the window, no steady-state hop
+// normalizes more or reads below the steady reach, and between hops the
+// engine holds no plane bytes at all.
+func TestPlaneStoreBytes(t *testing.T) {
 	for _, pt := range []streamPoint{fastPoint, paperPoint} {
 		t.Run(pt.name, func(t *testing.T) {
 			const ants = 3
@@ -61,7 +41,8 @@ func TestPlaneRingBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc.SetPeakWindow(pt.span+pt.hop, pt.hop, pt.hop)
+			inc.SetPeakWindow(pt.span+pt.hop, pt.hop)
+			var lent PlaneStore
 			pairs := []PairSpec{{0, 1}, {2, 0}, {1, 0}}
 			k := 0
 			hop := func() {
@@ -71,6 +52,8 @@ func TestPlaneRingBytes(t *testing.T) {
 					}
 					k++
 				}
+				inc.SetPlanes(&lent)
+				defer inc.SetPlanes(nil)
 				if _, err := inc.ExtendMatrices(pairs); err != nil {
 					t.Fatal(err)
 				}
@@ -83,21 +66,26 @@ func TestPlaneRingBytes(t *testing.T) {
 			for inc.NumSlots() < pt.span+pt.hop {
 				hop()
 			}
+			reach := max(pt.w, pt.lags[len(pt.lags)-1])
+			renorms := inc.Renormalized()
 			for h := 0; h < 6; h++ {
 				inc.DropFront(pt.hop)
+				n := inc.Normalized()
 				hop()
-				if inc.full != nil {
-					t.Fatalf("steady-state hop %d read below the planes' head", h)
+				if got := inc.Normalized() - n; got != reach+pt.hop {
+					t.Fatalf("steady-state hop %d normalized %d slots, want reach + hop = %d", h, got, reach+pt.hop)
 				}
 			}
-			reach := max(pt.w, pt.lags[len(pt.lags)-1])
-			limit := (reach + 2*pt.hop) * pt.tones * ants * pt.tx * 2 * 8
-			if got := planeBytes(inc); got > limit {
-				t.Fatalf("planes hold %d bytes, want at most %d ((reach %d + 2·hop %d) slots)",
-					got, limit, reach, pt.hop)
+			if n := inc.Renormalized() - renorms; n != 0 {
+				t.Fatalf("%d steady-state hops read below the steady reach", n)
 			}
-			if c := inc.Capacity(); c >= inc.NumSlots() {
-				t.Fatalf("planes have room for %d slots, not fewer than the %d-slot window", c, inc.NumSlots())
+			want := (reach + pt.hop) * pt.tones * ants * pt.tx * 2 * 8
+			if got := lent.Bytes(); got != want {
+				t.Fatalf("lent store holds %d bytes, want %d ((reach %d + hop %d) slots)",
+					got, want, reach, pt.hop)
+			}
+			if planes, _ := inc.HeldBytes(); planes != 0 {
+				t.Fatalf("between hops the engine holds %d plane bytes, want 0", planes)
 			}
 		})
 	}
@@ -105,11 +93,12 @@ func TestPlaneRingBytes(t *testing.T) {
 
 // TestIncrementalReplayEqualsSerial rebuilds an engine the way a
 // checkpoint restore does — a declared peak, then a whole window appended
-// with no refresh between — so the planes hold only the window's tail and
-// the first refresh of every pair and self-TRRS series re-normalizes the
-// rest from the raw rows. That refresh and the hops after it must be
-// bit-identical to the window's batch engine, and only the first may read
-// below the planes' head.
+// with no refresh between — so the first refresh of every pair and
+// self-TRRS series reads the whole window, below the steady reach. That
+// refresh and the hops after it, each with a store lent for it, must be
+// bit-identical to the window's batch engine, only the first may read
+// below the steady reach, and it must do so in a one-off store: the lent
+// store never grows past reach + hop slots.
 func TestIncrementalReplayEqualsSerial(t *testing.T) {
 	const w, span, hop = 12, 90, 15
 	s := walkSeries(t, true)
@@ -121,15 +110,16 @@ func TestIncrementalReplayEqualsSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			inc.SetKernel(KernelVector)
-			inc.SetPeakWindow(span+hop, hop, hop)
+			inc.SetPeakWindow(span+hop, hop)
+			var lent PlaneStore
 			next := 0
 			for ; next < span; next++ {
 				if err := inc.Append(seriesSnapshot(s, next)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if inc.lo == inc.start {
-				t.Fatal("the replay left the planes holding the whole window")
+			if planes, _ := inc.HeldBytes(); planes != 0 {
+				t.Fatalf("the replay normalized into %d plane bytes before any refresh", planes)
 			}
 			for h := 0; next+hop <= s.NumSlots() && h < 4; h++ {
 				if h > 0 {
@@ -140,6 +130,8 @@ func TestIncrementalReplayEqualsSerial(t *testing.T) {
 					}
 					inc.DropFront(hop)
 				}
+				renorms := inc.Renormalized()
+				inc.SetPlanes(&lent)
 				got, err := inc.ExtendMatrices(pairs)
 				if err != nil {
 					t.Fatal(err)
@@ -157,10 +149,61 @@ func TestIncrementalReplayEqualsSerial(t *testing.T) {
 					requireSameSeries(t, fmt.Sprintf("hop %d self %d", h, a),
 						oracle.SelfSeries(a, 5, 4), view.SelfSeries(a, 5, 4))
 				}
-				if below := inc.full != nil; below != (h == 0) {
-					t.Fatalf("hop %d: read below the planes' head = %v, want %v", h, below, h == 0)
+				inc.SetPlanes(nil)
+				if below := inc.Renormalized() > renorms; below != (h == 0) {
+					t.Fatalf("hop %d: read below the steady reach = %v, want %v", h, below, h == 0)
+				}
+				size := 8
+				if prec == PrecisionFloat32 {
+					size = 4
+				}
+				if b, limit := lent.Bytes(), (w+hop)*s.NumSub*s.NumAnts*s.NumTx*2*size; b > limit {
+					t.Fatalf("hop %d: the lent store holds %d bytes, more than (W + hop) slots' %d", h, b, limit)
 				}
 			}
 		})
 	}
+}
+
+// TestLentStoreDirtiedBetweenHops lends one store to an engine, then to an
+// engine with the same antennas and tx but fewer tones, whose refresh
+// overwrites the backing with another layout, then back to the first.
+// With no slot appended since its last refresh, the first engine's next
+// reads (a pair first built now, which reads the whole window, and its
+// self-TRRS series) must still be bit-identical to the window's batch
+// engine: planes built in a lent store do not outlive the loan.
+func TestLentStoreDirtiedBetweenHops(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	s := randomSeries(rng, 3, 2, 8, 40)
+	inc, err := NewIncremental(s.Rate, s.NumAnts, s.NumTx, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc.SetPeakWindow(64, 64)
+	var lent PlaneStore
+	dirty := dirtier(t, &lent, PrecisionFloat64, s)
+	for ti := 0; ti < s.NumSlots(); ti++ {
+		if err := inc.Append(seriesSnapshot(s, ti)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inc.SetPlanes(&lent)
+	if _, err := inc.ExtendMatrix(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	inc.SetPlanes(nil)
+	dirty()
+	inc.SetPlanes(&lent)
+	defer inc.SetPlanes(nil)
+	got, err := inc.ExtendMatrix(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := windowEngineOf(s, 0, s.NumSlots(), PrecisionFloat64, KernelSequential)
+	requireIdentical(t, "pair (2,1)", oracle.BaseMatrixSerial(2, 1, 5), got)
+	view, err := inc.EngineView(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameSeries(t, "self 2", oracle.SelfSeries(2, 3, 1), view.SelfSeries(2, 3, 1))
 }

@@ -91,11 +91,13 @@ type Engine struct {
 	// planes holds the unit-norm CSI, slot t at [(t−lo)*tones,
 	// (t−lo+1)*tones) of each (antenna, tx) slab, in the element type
 	// prec selects (converted once at ingest, never per query). lo is 0
-	// except on a view of an Incremental whose planes start past its
-	// window head; a read below lo re-points the view first (see cover).
-	planes planeStore
-	lo     int
-	prec   Precision
+	// except on a view of an Incremental, whose planes hold the slots its
+	// refreshes read; gen is the build of the Incremental's planes the
+	// view points at. A read below lo or after a rebuild re-points the
+	// view first (see cover).
+	planes  planeStore
+	lo, gen int
+	prec    Precision
 	// kernel selects the inner-product kernel (see Kernel).
 	kernel Kernel
 	// par is the worker count of BaseMatrix/BaseMatrices: 0 (every
@@ -231,11 +233,12 @@ func (e *Engine) Base(i, j, ti, tj int) float64 {
 }
 
 // cover makes the planes hold slot t. Only a view of an Incremental can
-// miss it; the view is then pointed at the window re-normalized in full
-// (see Incremental.fullPlanes), which holds the same bits.
+// miss it, or hold planes its source has since rebuilt or dropped; the
+// view is then pointed at planes the source normalizes from the raw rows
+// (see Incremental.planesFrom), which hold the same bits.
 func (e *Engine) cover(t int) {
-	if t < e.lo {
-		e.src.coverView(e)
+	if e.src != nil && (t < e.lo || e.gen != e.src.plGen) {
+		e.src.coverView(e, t)
 	}
 }
 
