@@ -50,14 +50,11 @@ type benchBaseline struct {
 	} `json:"kernels"`
 	// Batch compares building the three distinct pairs {(0,1), (0,2),
 	// (1,2)} per-pair (three serial single-pair builds, the pre-batching
-	// shape) against one cross-pair batched BaseMatrices pass, all on one
-	// core: batched_ns_op isolates the block-major layout effect with the
-	// sequential kernel, batched_vec_ns_op is the full fast path.
+	// shape) against one BaseMatrices pass with the vector kernel, the
+	// full fast path, all on one core.
 	Batch struct {
 		PerPairNsOp    float64 `json:"per_pair_ns_op"`
-		BatchedNsOp    float64 `json:"batched_ns_op"`
 		BatchedVecNsOp float64 `json:"batched_vec_ns_op"`
-		LayoutSpeedup  float64 `json:"layout_speedup"`
 		Speedup        float64 `json:"speedup"`
 	} `json:"batch"`
 	// Precision compares one serial build on float64 planes (vector
@@ -269,7 +266,7 @@ func guardHop(tb testing.TB, s *csi.Series, w int) func() {
 // benchNote documents the committed baseline's machine and the honest
 // reading of each section: the vector kernel and float32 planes are the
 // real levers.
-const benchNote = "Recorded on a 1-core CI container (Intel Xeon ~2.1 GHz AVX2+FMA, go1.24); on 1 core the worker pool degenerates to the serial loop so the parallel speedup is ~1x. kernels compares one serial build: AoS []complex128 reference vs the SoA default (bit-exact) vs the vector (lag-sweep AVX2) kernel; the vector kernel must hold >=1.5x. batch builds the three distinct pairs {(0,1),(0,2),(1,2)} per-pair vs one cross-pair batched pass on one core: layout_speedup isolates the block-major schedule with the sequential kernel (floor 0.9x), speedup is the batched+vector fast path (floor 1.25x). precision is one serial build on float32 planes vs float64 (both vector-shaped), floor 1.3x with max element error <= 1e-5. symmetric is the Hermitian-reflection dedup of {(0,2),(2,0),(1,1)} on one core (floor 1.5x). hop is one steady-state incremental hop (append W, drop W, refresh), which always runs serially, and must stay at 0 allocs/op. TestBenchGuard re-measures all ratios live (vector/batch/precision floors apply only where sigproc.VecSupported and outside -race). Regenerate with: go test -run TestBenchGuard -update-bench ."
+const benchNote = "Recorded on a 1-core CI container (Intel Xeon ~2.1 GHz AVX2+FMA, go1.24); on 1 core the worker pool degenerates to the serial loop so the parallel speedup is ~1x. kernels compares one serial build: AoS []complex128 reference vs the SoA default (bit-exact) vs the vector (lag-sweep AVX2) kernel; the vector kernel must hold >=1.5x. batch builds the three distinct pairs {(0,1),(0,2),(1,2)} per-pair vs one BaseMatrices pass on one core: speedup is the batched+vector fast path (floor 1.25x). precision is one serial build on float32 planes vs float64 (both vector-shaped), floor 1.3x with max element error <= 1e-5. symmetric is the Hermitian-reflection dedup of {(0,2),(2,0),(1,1)} on one core (floor 1.5x). hop is one steady-state incremental hop (append W, drop W, refresh), which always runs serially, and must stay at 0 allocs/op. TestBenchGuard re-measures all ratios live (vector/batch/precision floors apply only where sigproc.VecSupported and outside -race). Regenerate with: go test -run TestBenchGuard -update-bench ."
 
 // TestBenchGuard is the benchmark regression guard of the TRRS engine. On
 // the committed Fast-scale fixture it measures, live:
@@ -277,8 +274,8 @@ const benchNote = "Recorded on a 1-core CI container (Intel Xeon ~2.1 GHz AVX2+F
 //   - parallel vs serial BaseMatrix (the pool must not lose to one core),
 //   - the SoA kernel vs the seed's AoS arithmetic (no regression),
 //   - the opt-in vector kernel at ≥1.5x where AVX2 is available,
-//   - the cross-pair batched bulk build vs per-pair serial builds
-//     (layout floor 0.9x; with the vector kernel ≥1.25x),
+//   - the vector-kernel bulk build of three pairs vs per-pair serial
+//     builds (≥1.25x),
 //   - float32 planes vs float64 (≥1.3x, max element error ≤1e-5),
 //   - the Hermitian-dedup build of a symmetric pair set vs three naive
 //     serial builds (must hold the recorded ≥1.5x on a single core),
@@ -370,29 +367,19 @@ func TestBenchGuard(t *testing.T) {
 	// until the hop section.
 	runtime.GOMAXPROCS(1)
 
-	// Cross-pair batched build (one core, three distinct pairs): layout
-	// effect alone (sequential kernel), then the full vector fast path.
+	// Bulk build of three distinct pairs on one core, vector kernel,
+	// against three per-pair serial builds.
 	bulkPairs := []trrs.PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}}
 	perPairF := func() {
 		for _, p := range bulkPairs {
 			sinkM = e.BaseMatrixSerial(p.I, p.J, w)
 		}
 	}
-	layoutSpeedup, perPair, batched := guardRatio(reps, perPairF,
-		func() { sinkMs = e.BaseMatrices(bulkPairs, w) })
 	eBat := trrs.NewEngine(s)
 	eBat.SetKernel(trrs.KernelVector)
-	batchSpeedup, perPairVec, batchedVec := guardRatio(reps, perPairF,
+	batchSpeedup, perPair, batchedVec := guardRatio(reps, perPairF,
 		func() { sinkMs = eBat.BaseMatrices(bulkPairs, w) })
-	if perPairVec < perPair {
-		perPair = perPairVec
-	}
-	t.Logf("batch: per_pair=%v batched=%v batched_vec=%v layout=%.2fx speedup=%.2fx",
-		perPair, batched, batchedVec, layoutSpeedup, batchSpeedup)
-	if !raceEnabled && layoutSpeedup < 0.9 {
-		t.Errorf("batched schedule (sequential kernel) at %.2fx of per-pair builds, floor 0.9x (per-pair %v, batched %v)",
-			layoutSpeedup, perPair, batched)
-	}
+	t.Logf("batch: per_pair=%v batched_vec=%v speedup=%.2fx", perPair, batchedVec, batchSpeedup)
 	if !raceEnabled && sigproc.VecSupported() && batchSpeedup < 1.25 {
 		t.Errorf("batched+vector build speedup %.2fx below the 1.25x floor (per-pair %v, batched %v)",
 			batchSpeedup, perPair, batchedVec)
@@ -492,9 +479,7 @@ func TestBenchGuard(t *testing.T) {
 		bl.Kernels.SoASpeedup = soaSpeedup
 		bl.Kernels.VectorSpeedup = vecSpeedup
 		bl.Batch.PerPairNsOp = float64(perPair.Nanoseconds())
-		bl.Batch.BatchedNsOp = float64(batched.Nanoseconds())
 		bl.Batch.BatchedVecNsOp = float64(batchedVec.Nanoseconds())
-		bl.Batch.LayoutSpeedup = layoutSpeedup
 		bl.Batch.Speedup = batchSpeedup
 		bl.Precision.F64NsOp = float64(f64t.Nanoseconds())
 		bl.Precision.F32NsOp = float64(f32.Nanoseconds())
@@ -535,7 +520,7 @@ func TestBenchBaselineFixtureShape(t *testing.T) {
 	if bl.Kernels.AoSNsOp <= 0 || bl.Kernels.SoANsOp <= 0 || bl.Kernels.VectorNsOp <= 0 {
 		t.Errorf("kernel rows must be recorded: %+v", bl.Kernels)
 	}
-	if bl.Batch.PerPairNsOp <= 0 || bl.Batch.BatchedNsOp <= 0 || bl.Batch.BatchedVecNsOp <= 0 {
+	if bl.Batch.PerPairNsOp <= 0 || bl.Batch.BatchedVecNsOp <= 0 {
 		t.Errorf("batch rows must be recorded: %+v", bl.Batch)
 	}
 	if bl.Batch.Speedup < 1.25 {

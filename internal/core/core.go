@@ -461,9 +461,9 @@ func pairGeometry(arr *array.Array) ([]array.ParallelGroup, []array.Pair) {
 // neededPairs collects the distinct base-matrix pairs the pipeline will
 // request for the given geometry, deduplicated in request order: every
 // pair of every parallel group (first pair only under
-// DisablePairAveraging) plus the rotation ring. Both the batch bulk
-// build and the streaming pre-warm use it, so the batched schedule
-// covers exactly the pairs the per-pair lookups will ask for.
+// DisablePairAveraging) plus the rotation ring. The batch bulk build and
+// the streaming refresh both take this list, so the one build pass covers
+// exactly the pairs the per-pair lookups will ask for.
 func neededPairs(groups []array.ParallelGroup, ring []array.Pair, disablePairAveraging bool) []trrs.PairSpec {
 	var pairs []trrs.PairSpec
 	seen := map[[2]int]bool{}
@@ -511,9 +511,8 @@ func newPipelineFromEngine(eng *trrs.Engine, base func(pairs []trrs.PairSpec) ([
 
 	// Base matrices are shared between translation groups and the
 	// rotation ring; collect the distinct pairs first so the source
-	// computes each exactly once, in one cross-pair batched pass (every
-	// time block's CSI planes are read once and feed all pairs sharing
-	// it — see trrs.BaseMatrices and Incremental.ExtendMatrices).
+	// computes each exactly once, in one pass that sweeps each pair in
+	// time order (see trrs.BaseMatrices and Incremental.ExtendMatrices).
 	// Reversed pairs and self-pairs need no handling here: the engines
 	// derive them by the Hermitian reflection instead of recomputing.
 	p.groupDefs, p.ringPairs = pairGeometry(cfg.Array)

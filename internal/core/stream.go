@@ -120,13 +120,11 @@ type Streamer struct {
 	// allocates on the steady-state path.
 	slotRows [][][]complex128
 	remapHdr map[[2]int]*trrs.Matrix
-	// absPairs, sweptPairs and baseMs are the reused scratch of
-	// analyzeAlive's batched ExtendMatrices pass: the requested pairs by
-	// absolute antenna index, those of them the engine sweeps (all but
-	// the reversed twins), and the result.
-	absPairs   []trrs.PairSpec
-	sweptPairs []trrs.PairSpec
-	baseMs     []*trrs.Matrix
+	// absPairs and baseMs are the reused scratch of analyzeAlive's
+	// ExtendMatrices pass: the requested pairs by absolute antenna index,
+	// and the result.
+	absPairs []trrs.PairSpec
+	baseMs   []*trrs.Matrix
 	// aliveScratch backs aliveAntennas' per-hop result; absent and
 	// liveScratch are the per-push antenna mask and live-power scratch of
 	// ingest and dead detection; zeroRow is the all-zero row every
@@ -283,7 +281,7 @@ func newStreamObs(reg *obs.Registry, rec *trace.Recorder) streamObs {
 		scratchNews: reg.Counter("rim_scratch_pool_news_total",
 			"hop-scratch borrows that had to allocate a fresh scratch (pool miss)"),
 		scratchBytes: reg.Gauge("rim_scratch_pool_bytes",
-			"backing bytes held by the hop scratch most recently returned to the pool"),
+			"backing bytes held by the hop scratch most recently returned to the pool: its plane store and its matrix arena, one slab per matrix of the largest hop it served"),
 	}
 }
 
@@ -972,16 +970,16 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 	// (averaged, virtual-massive) matrices and reflected twins of this
 	// pass, and the CSI planes its refreshes normalize, reuse the backings
 	// a previous hop — possibly of another session — built. The result
-	// retains none of them, so the engine gives the planes back and the
-	// scratch returns to the pool as soon as the analysis is done.
+	// retains none of them, so the engine gives the scratch back and it
+	// returns to the pool as soon as the analysis is done.
 	scr := getHopScratch(&st.ob)
 	defer putHopScratch(scr, &st.ob)
-	cfg.arena = &scr.arena
+	cfg.arena = &scr.Arena
 	cfg.po = st.ob.pipe
 	if st.inc != nil {
 		st.inc.SetHop(hop)
-		st.inc.SetPlanes(&scr.planes)
-		defer st.inc.SetPlanes(nil)
+		st.inc.Lend(scr)
+		defer st.inc.Lend(nil)
 	}
 	if len(alive) < st.numAnts {
 		sub, err := cfg.Array.Subset(alive)
@@ -1000,35 +998,23 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 		return nil, err
 	}
 	// Base matrices come from the incrementally maintained per-pair state,
-	// keyed by absolute antenna index: every swept pair the hop requests
-	// is refreshed in one batched ExtendMatrices pass, so the stale rows
-	// of all pairs are filled block-major across pairs (each time block's
-	// planes read once). A reversed twin is not maintained: it is
-	// reflected in full from its source into the hop's arena, the bits a
-	// sweep would give. The pass runs inside the pipeline's build stage.
-	// Remap the identity so downstream consumers see the same local pair
-	// indices the recompute path yields.
+	// keyed by absolute antenna index: the hop's pairs are refreshed in
+	// one ExtendMatrices pass, inside the pipeline's build stage, which
+	// reflects the reversed twins into the lent scratch's arena. Remap the
+	// identity so downstream consumers see the same local pair indices
+	// the recompute path yields.
 	base := func(pairs []trrs.PairSpec) ([]*trrs.Matrix, error) {
-		abs, swept := st.absPairs[:0], st.sweptPairs[:0]
-		for k, pr := range pairs {
+		abs := st.absPairs[:0]
+		for _, pr := range pairs {
 			abs = append(abs, trrs.PairSpec{I: alive[pr.I], J: alive[pr.J]})
-			if trrs.TwinSource(abs, k) < 0 {
-				swept = append(swept, abs[k])
-			}
 		}
-		st.absPairs, st.sweptPairs = abs, swept
-		ms, err := st.inc.ExtendMatrices(swept)
+		st.absPairs = abs
+		ms, err := st.inc.ExtendMatrices(abs)
 		if err != nil {
 			return nil, err
 		}
 		out := st.baseMs[:0]
-		for k := range pairs {
-			if src := trrs.TwinSource(abs, k); src >= 0 {
-				out = append(out, trrs.ReflectInto(cfg.arena, out[src]))
-				continue
-			}
-			m := ms[0]
-			ms = ms[1:]
+		for k, m := range ms {
 			i, j := pairs[k].I, pairs[k].J
 			if m.I != i || m.J != j {
 				// Remapped identity: reuse a cached header per local pair
@@ -1047,9 +1033,15 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 		st.baseMs = out
 		return out, nil
 	}
-	// The reflected twins in the base list live in the pooled arena: drop
-	// the list once the hop is done, so the session keeps none alive.
-	defer func() { clear(st.baseMs) }()
+	// The reflected twins live in the pooled arena: once the hop is done,
+	// drop every reference to them, the base list's and a remapped
+	// header's, so the session keeps none alive.
+	defer func() {
+		clear(st.baseMs)
+		for _, hdr := range st.remapHdr {
+			hdr.Vals = nil
+		}
+	}()
 	p, err := newPipelineFromEngine(eng, base, st.missFrac(alive), cfg)
 	if err != nil {
 		return nil, err

@@ -78,7 +78,8 @@ func pushSlot(t *testing.T, st *Streamer, s *csi.Series, ti int, dead map[int]bo
 // pairs that were never built or last refreshed hops ago: those refreshes
 // read below the steady reach, into a one-off plane store. After every
 // hop each requested pair must match BaseMatrixSerial over the window bit
-// for bit.
+// for bit, and no remapped pair header may still point at a matrix, since
+// a reflected twin's lives in the pooled hop scratch.
 func TestStreamerDeadAntennaBelowHeadEqualsSerial(t *testing.T) {
 	arr := array.NewHexagonal(0.029)
 	s := daemonLoopSeries(t, arr, 3, false, 2, 3)
@@ -94,6 +95,11 @@ func TestStreamerDeadAntennaBelowHeadEqualsSerial(t *testing.T) {
 		if _, hop := pushSlot(t, st, s, ti, map[int]bool{deadAnt: ti >= dieAt && ti < reviveAt}); !hop {
 			continue
 		}
+		for k, hdr := range st.remapHdr {
+			if hdr.Vals != nil {
+				t.Fatalf("after hop %d the remapped header of pair %v still holds its rows", st.hopSeq, k)
+			}
+		}
 		below := st.inc.Renormalized() > renorms
 		requireWindowMatrices(t, st, fmt.Sprintf("hop %d", st.hopSeq))
 		renorms = st.inc.Renormalized() // the check's own reads included
@@ -105,7 +111,7 @@ func TestStreamerDeadAntennaBelowHeadEqualsSerial(t *testing.T) {
 			lastHop[p] = st.hopSeq
 		}
 	}
-	if !fellBack {
+	if !fellBack || len(st.remapHdr) == 0 {
 		t.Fatal("the stream never fell back to the sub-array")
 	}
 	if !stale {

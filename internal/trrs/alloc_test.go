@@ -222,9 +222,10 @@ func TestExtendMatrixReusesBacking(t *testing.T) {
 // TestExtendMatricesBackingBytes pins the matrix memory of the daemon's
 // hexagonal walker: 6 antennas, the 18 pairs the pipeline requests (three
 // reversed twins among them), W = 30 and a window that peaks at span +
-// hop = 350 slots. Every pair that owns storage holds exactly one backing
-// of maxSlots rows of 2W+1 lags, grown to the largest window seen and
-// never by doubling.
+// hop = 350 slots. The 15 swept pairs each hold exactly one backing of
+// maxSlots rows of 2W+1 lags, grown to the largest window seen and never
+// by doubling; the three twins hold no ring, only the engine's own arena
+// of one reflected twin each at the current window.
 func TestExtendMatricesBackingBytes(t *testing.T) {
 	const w, span, hop = 30, 300, 50
 	rng := rand.New(rand.NewSource(11))
@@ -258,22 +259,32 @@ func TestExtendMatricesBackingBytes(t *testing.T) {
 		inc.DropFront(hop)
 		extend()
 	}
-	if len(inc.mats) != len(pairs) {
-		t.Fatalf("%d maintained pairs, want %d", len(inc.mats), len(pairs))
+	const swept, twins = 15, 3
+	if len(inc.mats) != swept {
+		t.Fatalf("%d maintained pairs, want the %d swept ones", len(inc.mats), swept)
 	}
 	held := 0
-	for _, im := range inc.mats {
+	for key, im := range inc.mats {
+		if _, twin := inc.mats[PairSpec{I: key.J, J: key.I}]; twin && key.I != key.J {
+			t.Fatalf("pair %v and its reversed twin both keep a ring", key)
+		}
 		held += cap(im.ring) * 8
 	}
-	if want := len(pairs) * (span + hop) * (2*w + 1) * 8; held != want {
-		t.Fatalf("matrix backings hold %d bytes, want %d (one %d-row backing per pair)",
+	if want := swept * (span + hop) * (2*w + 1) * 8; held != want {
+		t.Fatalf("matrix backings hold %d bytes, want %d (one %d-row backing per swept pair)",
 			held, want, span+hop)
+	}
+	_, matrices := inc.HeldBytes()
+	if want := held + twins*(span+hop)*(2*w+1)*8; matrices != want {
+		t.Fatalf("the engine holds %d matrix bytes, want %d (the rings and %d reflected twins of %d rows)",
+			matrices, want, twins, span+hop)
 	}
 }
 
 // TestExtendMatricesRingsSizedOnce pins the declared-peak sizing of a
 // streamer-shaped warm-up: with SetPeakWindow(span + hop, hop) each of
-// the daemon's 18 hexagonal pairs allocates its ring once, at span + hop
+// the 15 swept pairs among the daemon's 18 hexagonal pairs (the three
+// reversed twins keep no ring) allocates its ring once, at span + hop
 // rows, on its first build, and keeps that backing while the window grows
 // hop by hop and then slides. The engine's own plane store holds the
 // refresh reach (W here: no self-TRRS lag is asked) plus one hop. Raising
@@ -314,6 +325,9 @@ func TestExtendMatricesRingsSizedOnce(t *testing.T) {
 	}
 	check := func(stage string, allocs, rows int) {
 		t.Helper()
+		if len(inc.mats) != 15 {
+			t.Fatalf("%s: %d pairs keep a ring, want the 15 swept ones", stage, len(inc.mats))
+		}
 		for key, im := range inc.mats {
 			if n := len(backings[im]); n != allocs {
 				t.Fatalf("%s: pair %v allocated %d ring backings, want %d", stage, key, n, allocs)
@@ -372,11 +386,11 @@ func TestExtendMatricesAllocFree(t *testing.T) {
 // allocates nothing, and between hops the engine holds no plane bytes.
 func TestExtendMatricesLentAllocFree(t *testing.T) {
 	for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
-		t.Run(prec.String(), func(t *testing.T) { extendMatricesAllocFree(t, prec, &PlaneStore{}) })
+		t.Run(prec.String(), func(t *testing.T) { extendMatricesAllocFree(t, prec, &Scratch{}) })
 	}
 }
 
-func extendMatricesAllocFree(t *testing.T, prec Precision, lend *PlaneStore) {
+func extendMatricesAllocFree(t *testing.T, prec Precision, lend *Scratch) {
 	rng := rand.New(rand.NewSource(43))
 	s := randomSeries(rng, 3, 2, 30, 400)
 	const w, hop = 50, 50
@@ -401,8 +415,8 @@ func extendMatricesAllocFree(t *testing.T, prec Precision, lend *PlaneStore) {
 	}
 	refresh := func() {
 		if lend != nil {
-			inc.SetPlanes(lend)
-			defer inc.SetPlanes(nil)
+			inc.Lend(lend)
+			defer inc.Lend(nil)
 		}
 		if _, err := inc.ExtendMatrices(pairs); err != nil {
 			t.Fatal(err)

@@ -6,11 +6,13 @@ import (
 	"rim/internal/sigproc"
 )
 
-// MatrixArena recycles the flat backings of derived matrices — the
-// virtual-massive and pair-averaged matrices a streaming hop builds and
-// discards every 500 ms. A hop takes an arena (core keeps them in a
-// sync.Pool shared across streamers), Resets it, and routes its
-// VirtualMassiveInto/AverageMatricesInto calls through it; matrices
+// MatrixArena recycles the flat backings of the matrices a streaming hop
+// builds and discards every 500 ms: the reversed twins its refresh
+// reflects and the virtual-massive and pair-averaged matrices derived
+// from them. A hop takes an arena (core keeps them in a sync.Pool shared
+// across streamers), Resets it, lends it to its incremental engine (see
+// Incremental.Lend) and routes its VirtualMassiveInto/AverageMatricesInto
+// calls through it; matrices
 // produced since the Reset stay valid until the next Reset, which
 // reclaims all of them at once. The zero value is ready to use. An arena
 // is not goroutine-safe; it serves one hop at a time.
@@ -53,38 +55,37 @@ func (a *MatrixArena) Bytes() int {
 	return n
 }
 
-// matrix returns a slots×(2w+1) matrix backed by a recycled slab when one
-// is large enough (hop geometry is uniform, so after warm-up every
-// request hits), else by a fresh allocation that joins the arena. The
-// returned values are NOT zeroed; every caller fully overwrites them. A
-// nil arena degenerates to plain allocation.
+// matrix returns a slots×(2w+1) matrix backed by a free slab: one large
+// enough if there is one, else a too-small one regrown to fit, and a new
+// slab only when none is free. So the arena holds as many slabs as one
+// hop takes at once, each at the size of the largest matrix it has
+// served, not a slab of every size a warm-up asked for; hop geometry is
+// uniform, so after warm-up every request fits. The returned values are
+// NOT zeroed; every caller fully overwrites them. A nil arena
+// degenerates to plain allocation.
 func (a *MatrixArena) matrix(i, j, w, slots int, rate float64) *Matrix {
-	width := 2*w + 1
 	if a == nil {
-		m := &Matrix{I: i, J: j, W: w, Rate: rate}
-		m.Vals = make([][]float64, slots)
-		flat := make([]float64, slots*width)
-		for t := 0; t < slots; t++ {
-			m.Vals[t] = flat[t*width : (t+1)*width]
-		}
-		return m
+		return newMatrix(i, j, w, slots, rate)
 	}
+	width := 2*w + 1
 	var slab *arenaSlab
-	for k := len(a.free) - 1; k >= 0; k-- {
-		s := a.free[k]
-		if cap(s.flat) >= slots*width && cap(s.rows) >= slots {
-			last := len(a.free) - 1
-			a.free[k] = a.free[last]
-			a.free = a.free[:last]
-			slab = s
-			break
+	if n := len(a.free); n == 0 {
+		slab = &arenaSlab{}
+	} else {
+		// The last free slab that fits, else the first, regrown below.
+		k := n - 1
+		for k > 0 && (cap(a.free[k].flat) < slots*width || cap(a.free[k].rows) < slots) {
+			k--
 		}
+		slab = a.free[k]
+		a.free[k] = a.free[n-1]
+		a.free = a.free[:n-1]
 	}
-	if slab == nil {
-		slab = &arenaSlab{
-			flat: make([]float64, slots*width),
-			rows: make([][]float64, slots),
-		}
+	if cap(slab.flat) < slots*width {
+		slab.flat = make([]float64, slots*width)
+	}
+	if cap(slab.rows) < slots {
+		slab.rows = make([][]float64, slots)
 	}
 	a.used = append(a.used, slab)
 	flat := slab.flat[:slots*width]
@@ -95,6 +96,17 @@ func (a *MatrixArena) matrix(i, j, w, slots int, rate float64) *Matrix {
 	slab.flat, slab.rows = flat, rows
 	slab.hdr = Matrix{I: i, J: j, W: w, Rate: rate, Vals: rows}
 	return &slab.hdr
+}
+
+// newMatrix allocates a slots×(2w+1) matrix with flat backing.
+func newMatrix(i, j, w, slots int, rate float64) *Matrix {
+	m := &Matrix{I: i, J: j, W: w, Rate: rate, Vals: make([][]float64, slots)}
+	width := 2*w + 1
+	flat := make([]float64, slots*width)
+	for t := range m.Vals {
+		m.Vals[t] = flat[t*width : (t+1)*width]
+	}
+	return m
 }
 
 // CheckVirtualMassive returns the error VirtualMassive would return for
@@ -166,18 +178,6 @@ func VirtualMassiveInto(a *MatrixArena, base *Matrix, v int) (*Matrix, error) {
 	// is safe.
 	sigproc.BoxFilterColumns(out.Vals, base.Vals, v/2)
 	return out, nil
-}
-
-// ReflectInto returns the reversed twin of src, the (J, I) base matrix,
-// allocated from the arena (nil arena = plain allocation): every entry is
-// reflected from src by the κ̄ reflection base_ji[t][l] = base_ij[t−l][−l]
-// (see reflectRow), so it holds the bits a sweep of the twin would.
-func ReflectInto(a *MatrixArena, src *Matrix) *Matrix {
-	out := a.matrix(src.J, src.I, src.W, len(src.Vals), src.Rate)
-	for t, row := range out.Vals {
-		reflectRow(row, src.Vals, src.W, t, 0, len(row))
-	}
-	return out
 }
 
 // AverageMatricesInto returns the element-wise mean of several equal-shape

@@ -11,10 +11,10 @@ import (
 	"rim/internal/obs/trace"
 )
 
-// Tests for the cross-pair batched build, the opt-in vector-shaped
-// kernels, and float32 plane mode. The contracts, in order of strictness:
-// the batched schedule is a pure reordering (bit-exact, pinned here and
-// by the golden suites); the vector kernel agrees with the sequential
+// Tests for the multi-pair build, the opt-in vector-shaped kernels, and
+// float32 plane mode. The contracts, in order of strictness: one pass
+// over many pairs equals per-pair builds (bit-exact, pinned here and by
+// the golden suites); the vector kernel agrees with the sequential
 // kernel to 1e-12 relative; float32 planes agree with float64
 // to 1e-5 relative at matrix level, with matched argmax lags on
 // non-degenerate rows.
@@ -297,8 +297,9 @@ func TestExtendMatricesMatchesPerPair(t *testing.T) {
 // per pair, the h new rows are filled in full, the trailing W rows sweep
 // only their forward columns onto the new slots and the leading W rows
 // only clear their columns into the dropped ones, so 2W + h rows are
-// stale and T − 2W − h are reused. A reversed twin is reflected, so it
-// counts as stale and reused like its source but fills no row.
+// stale and T − 2W − h are reused. A reversed twin is not maintained: it
+// is reflected in full from its source, so it counts in none of them and
+// emits no trrs_extend event.
 func TestExtendRowCounters(t *testing.T) {
 	const tSlots, w, h = 100, 10, 20
 	rng := rand.New(rand.NewSource(5))
@@ -332,8 +333,8 @@ func TestExtendRowCounters(t *testing.T) {
 	const stale = 2*w + h
 	for name, want := range map[string]uint64{
 		"rim_trrs_rows_filled_total": h,
-		"rim_trrs_rows_stale_total":  2 * stale,
-		"rim_trrs_rows_reused_total": 2 * (tSlots - stale),
+		"rim_trrs_rows_stale_total":  stale,
+		"rim_trrs_rows_reused_total": tSlots - stale,
 	} {
 		if got := reg.Counter(name, "").Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
@@ -351,8 +352,8 @@ func TestExtendRowCounters(t *testing.T) {
 			filled += e.A
 		}
 	}
-	if extends != 2 || filled != h {
-		t.Errorf("%d trrs_extend events filling %d rows, want 2 filling %d", extends, filled, h)
+	if extends != 1 || filled != h {
+		t.Errorf("%d trrs_extend events filling %d rows, want 1 filling %d", extends, filled, h)
 	}
 }
 

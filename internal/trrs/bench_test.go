@@ -186,7 +186,7 @@ func BenchmarkTRRSMatrixFloat32(b *testing.B) {
 }
 
 // bulkPairs is the three-distinct-pair workload of a linear array, with
-// no symmetry shortcuts — the cross-pair batching benchmark set.
+// no symmetry shortcuts — the multi-pair build benchmark set.
 var bulkPairs = []PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}}
 
 // BenchmarkTRRSMatricesPerPair is the pre-batching build shape: each pair
@@ -204,21 +204,9 @@ func BenchmarkTRRSMatricesPerPair(b *testing.B) {
 	}
 }
 
-// BenchmarkTRRSMatricesBatched is the same three pairs through the
-// cross-pair batched schedule (sequential kernel, one core) — isolates
-// the layout/ordering effect from the kernel change.
-func BenchmarkTRRSMatricesBatched(b *testing.B) {
-	s, w := benchFixture(b)
-	e := NewEngine(s)
-	e.par = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkMatrices = e.BaseMatrices(bulkPairs, w)
-	}
-}
-
-// BenchmarkTRRSMatricesBatchedVector is the batched build with the vector
-// kernel — the new fast path for bulk construction.
+// BenchmarkTRRSMatricesBatchedVector is the same three pairs through one
+// BaseMatrices build with the vector kernel (one core), the fast path for
+// bulk construction.
 func BenchmarkTRRSMatricesBatchedVector(b *testing.B) {
 	s, w := benchFixture(b)
 	e := NewEngine(s)
@@ -230,8 +218,8 @@ func BenchmarkTRRSMatricesBatchedVector(b *testing.B) {
 	}
 }
 
-// BenchmarkTRRSMatricesBatchedFloat32 is the batched build on float32
-// planes.
+// BenchmarkTRRSMatricesBatchedFloat32 is one BaseMatrices build of the
+// three pairs on float32 planes.
 func BenchmarkTRRSMatricesBatchedFloat32(b *testing.B) {
 	s, w := benchFixture(b)
 	e := NewEnginePrecision(s, PrecisionFloat32)
@@ -243,8 +231,8 @@ func BenchmarkTRRSMatricesBatchedFloat32(b *testing.B) {
 }
 
 // BenchmarkTRRSIncrementalHopBatched is the steady-state hop refreshing
-// all three pairs through the batched ExtendMatrices (serial, zero
-// allocs — see TestExtendMatricesAllocFree).
+// all three pairs through one ExtendMatrices call (serial, zero allocs —
+// see TestExtendMatricesAllocFree).
 func BenchmarkTRRSIncrementalHopBatched(b *testing.B) {
 	s, w := benchFixture(b)
 	const hop = 50

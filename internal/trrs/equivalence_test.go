@@ -154,10 +154,13 @@ const (
 	queryBatch                 // one ExtendMatrices call, reversed twins included
 )
 
-// incStep is one step of an append/drop schedule.
+// incStep is one step of an append/drop schedule. withhold keeps a lent
+// scratch back for the step's read (see incOpts.lend), so it runs on the
+// engine's own plane store and arena.
 type incStep struct {
 	app, drop int
 	query     incQuery
+	withhold  bool
 }
 
 // goldenSteps is the schedule TestGoldenIncrementalEqualsSerial runs with
@@ -225,8 +228,8 @@ type incOpts struct {
 	// holds at most reach + stride slots and a read after a longer
 	// stretch of appends normalizes into a one-off store.
 	peak, stride int
-	// lend lends the engine a plane store for every read and takes it
-	// back after (see lendMode).
+	// lend lends the engine a scratch (plane store and arena) for every
+	// read not withheld and takes it back after (see lendMode).
 	lend lendMode
 	// late makes the n-th read cover only the first n pairs of its list,
 	// so later pairs are first built after the planes were trimmed.
@@ -236,15 +239,15 @@ type incOpts struct {
 	selfLags []int
 }
 
-// lendMode selects whether runIncSchedule lends the planes a store, and
+// lendMode selects whether runIncSchedule lends the engine a scratch, and
 // what dirties it between reads.
 type lendMode int
 
 const (
 	lendNone lendMode = iota
-	// lendOtherShape lends a store that, between reads, an engine of
+	// lendOtherShape lends a scratch that, between reads, an engine of
 	// another shape (the same antennas and tx, half the tones, W = 4) and
-	// the same precision refreshes into, so the backing is reused with
+	// the same precision refreshes into, so the backings are reused with
 	// another layout.
 	lendOtherShape
 	// lendOtherPrec is lendOtherShape with the other engine in the other
@@ -254,8 +257,8 @@ const (
 
 // dirtier returns a function that lends ps to an engine for one refresh
 // of snapshots shaped like like's but with half the tones, leaving its
-// own values in the store.
-func dirtier(t *testing.T, ps *PlaneStore, prec Precision, like *csi.Series) func() {
+// own values in the plane store and a reflected twin in the arena.
+func dirtier(t *testing.T, ps *Scratch, prec Precision, like *csi.Series) func() {
 	t.Helper()
 	other, err := NewIncrementalPrecision(100, like.NumAnts, like.NumTx, 4, prec)
 	if err != nil {
@@ -272,11 +275,11 @@ func dirtier(t *testing.T, ps *PlaneStore, prec Precision, like *csi.Series) fun
 			next++
 		}
 		other.DropFront(other.NumSlots() - 30)
-		other.SetPlanes(ps)
-		if _, err := other.ExtendMatrices([]PairSpec{{I: 0, J: 1}, {I: 1, J: 1}}); err != nil {
+		other.Lend(ps)
+		if _, err := other.ExtendMatrices([]PairSpec{{I: 0, J: 1}, {I: 1, J: 1}, {I: 1, J: 0}}); err != nil {
 			t.Fatal(err)
 		}
-		other.SetPlanes(nil)
+		other.Lend(nil)
 	}
 }
 
@@ -294,10 +297,10 @@ func runIncSchedule(t *testing.T, s *csi.Series, w int, prec Precision, k Kernel
 	if opts.stride > 0 {
 		inc.SetPeakWindow(opts.peak, opts.stride)
 	}
-	var lent *PlaneStore
+	var lent *Scratch
 	var dirty func()
 	if opts.lend != lendNone {
-		lent = &PlaneStore{}
+		lent = &Scratch{}
 		other := prec
 		if opts.lend == lendOtherPrec {
 			other = map[Precision]Precision{
@@ -332,8 +335,9 @@ func runIncSchedule(t *testing.T, s *csi.Series, w int, prec Precision, k Kernel
 			want = want[:min(reads, len(want))]
 		}
 		renorms := inc.Renormalized()
-		if lent != nil {
-			inc.SetPlanes(lent)
+		lend := lent != nil && !step.withhold
+		if lend {
+			inc.Lend(lent)
 		}
 		if step.query == queryPair {
 			for _, p := range want {
@@ -369,8 +373,10 @@ func runIncSchedule(t *testing.T, s *csi.Series, w int, prec Precision, k Kernel
 		if inc.Renormalized() > renorms {
 			below++
 		}
+		if lend {
+			inc.Lend(nil)
+		}
 		if lent != nil {
-			inc.SetPlanes(nil)
 			dirty()
 		}
 	}
@@ -401,16 +407,20 @@ func requireSameSeries(t *testing.T, name string, want, got []float64) {
 // normalizes into a one-off store: bit 0 declares a peak whose stride
 // (bits 1–3) caps a lent store, bits 4–5 pick the lendMode (3 lends
 // nothing), bit 6 adds the pairs one read at a time, and bit 7 also checks
-// self-TRRS series at a lag inside and one beyond W. A lent store is
-// dirtied between reads by an engine of another shape.
+// self-TRRS series at a lag inside and one beyond W. A lent scratch is
+// dirtied between reads by an engine of another shape, and bit n of
+// withheld keeps it back at step n, so that read runs on the engine's own
+// plane store and arena.
 func FuzzIncrementalRefresh(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(0), uint8(0), []byte{0x47, 0x87, 0x9a, 0x03, 0x02, 0xb9, 0x4c}, []byte{0x01, 0x10, 0x21, 0x12})
-	f.Add(int64(2), uint8(9), uint8(3), uint8(0), []byte{0x87, 0x87, 0xbf, 0x3f, 0x41, 0x80}, []byte{0x10, 0x01, 0x11, 0x20, 0x02})
-	f.Add(int64(3), uint8(1), uint8(1), uint8(0), []byte{0x45, 0x1d, 0x92, 0x80, 0x7f, 0x86}, []byte{0x12, 0x21, 0x12})
-	f.Add(int64(4), uint8(0), uint8(2), uint8(0), []byte{0x81, 0x89, 0x49, 0x08, 0x88}, []byte{0x00, 0x22})
-	f.Add(int64(5), uint8(6), uint8(1), uint8(0xc3), []byte{0x87, 0x86, 0x07, 0x8f, 0x47, 0x8a, 0x87}, []byte{0x01, 0x12, 0x20, 0x10})
-	f.Add(int64(6), uint8(11), uint8(2), uint8(0x40), []byte{0x87, 0x47, 0x06, 0x9f, 0x87, 0x4b}, []byte{0x21, 0x02, 0x11, 0x01})
-	f.Fuzz(func(t *testing.T, seed int64, wB, modeB, reachB uint8, sched, pairBytes []byte) {
+	f.Add(int64(1), uint8(4), uint8(0), uint8(0), uint32(0), []byte{0x47, 0x87, 0x9a, 0x03, 0x02, 0xb9, 0x4c}, []byte{0x01, 0x10, 0x21, 0x12})
+	f.Add(int64(2), uint8(9), uint8(3), uint8(0), uint32(0), []byte{0x87, 0x87, 0xbf, 0x3f, 0x41, 0x80}, []byte{0x10, 0x01, 0x11, 0x20, 0x02})
+	f.Add(int64(3), uint8(1), uint8(1), uint8(0), uint32(0), []byte{0x45, 0x1d, 0x92, 0x80, 0x7f, 0x86}, []byte{0x12, 0x21, 0x12})
+	f.Add(int64(4), uint8(0), uint8(2), uint8(0), uint32(0), []byte{0x81, 0x89, 0x49, 0x08, 0x88}, []byte{0x00, 0x22})
+	f.Add(int64(5), uint8(6), uint8(1), uint8(0xc3), uint32(0), []byte{0x87, 0x86, 0x07, 0x8f, 0x47, 0x8a, 0x87}, []byte{0x01, 0x12, 0x20, 0x10})
+	f.Add(int64(6), uint8(11), uint8(2), uint8(0x40), uint32(0), []byte{0x87, 0x47, 0x06, 0x9f, 0x87, 0x4b}, []byte{0x21, 0x02, 0x11, 0x01})
+	f.Add(int64(7), uint8(7), uint8(0), uint8(0x13), uint32(0x2d), []byte{0x87, 0x86, 0x8f, 0x8a, 0x47, 0x87, 0x86}, []byte{0x01, 0x10, 0x02, 0x12, 0x21})
+	f.Add(int64(8), uint8(5), uint8(3), uint8(0xa0), uint32(0x16), []byte{0x81, 0x89, 0x47, 0x8b, 0x07, 0x87}, []byte{0x21, 0x12, 0x00, 0x10, 0x01})
+	f.Fuzz(func(t *testing.T, seed int64, wB, modeB, reachB uint8, withheld uint32, sched, pairBytes []byte) {
 		if len(sched) == 0 || len(sched) > 24 || len(pairBytes) == 0 || len(pairBytes) > 8 {
 			t.Skip()
 		}
@@ -424,7 +434,8 @@ func FuzzIncrementalRefresh(f *testing.F) {
 		}
 		steps := make([]incStep, len(sched))
 		for n, b := range sched {
-			steps[n] = incStep{app: 2 * int(b&7), drop: 3 * int(b>>3&7), query: incQuery(b>>6) % 3}
+			steps[n] = incStep{app: 2 * int(b&7), drop: 3 * int(b>>3&7), query: incQuery(b>>6) % 3,
+				withhold: withheld>>n&1 != 0}
 		}
 		var opts incOpts
 		if reachB&1 != 0 {

@@ -36,12 +36,13 @@ import (
 // is bit-for-bit identical to Engine.BaseMatrixSerial over a series
 // holding exactly the window's snapshots.
 //
-// ExtendMatrices also sweeps only one pair of each reversed twin
+// ExtendMatrices maintains only one pair of each reversed twin
 // {(i,j), (j,i)} in its list (the first listed, by the rule BaseMatrices
-// follows, see pairSource) and derives the other's changed entries by the
-// exact κ̄ reflection base_ji[t][l] = base_ij[t−l][−l] (see reflectRow).
-// Both express their work as batchItem lists and run them through the
-// same executor, Engine.run.
+// follows, see pairSource): the other is reflected in full from the
+// refreshed source by the exact κ̄ reflection base_ji[t][l] =
+// base_ij[t−l][−l] (see reflect) into a hop-lifetime arena, so no twin
+// keeps storage between refreshes. Both builds list each swept pair's
+// work in time order and run it through the same executor, Engine.run.
 //
 // Engine views also serve movement detection from a self-TRRS cache: the
 // raw self-TRRS κ̄(a@r, a@r−lag) of each (antenna, lag) a view was asked
@@ -62,7 +63,7 @@ import (
 // planesFrom), with the arithmetic a batch Engine runs on the same rows,
 // so the same bits. In steady state that is the refresh reach plus the
 // slots appended since the last refresh. The store is lent for the hop
-// (see SetPlanes) or, with no lender, the engine's own. Each maintained
+// (see Lend) or, with no lender, the engine's own. Each maintained
 // pair matrix keeps its rows in one ring of C rows, C the declared peak
 // window (see SetPeakWindow) or the largest window it has seen if that is
 // more, with the row of absolute slot r at ring row r mod C: a refresh
@@ -109,15 +110,16 @@ type Incremental struct {
 
 	// pl holds the normalized planes of slots [plLo, plHi), slot s at
 	// offset (s−plLo)·tones, or is nil until a refresh builds them (see
-	// planesFrom). They live in the lent store, the engine's own, or a
-	// one-off store. plGen counts the builds and the drops, so a view can
-	// tell that its planes went stale, and mark is the window end at the
-	// last build.
+	// planesFrom). They live in the lent scratch's store, the engine's
+	// own, or a one-off store. plGen counts the builds and the drops, so a
+	// view can tell that its planes went stale, and mark is the window end
+	// at the last build. Reversed twins are reflected into the lent
+	// scratch's arena, or the engine's own.
 	pl               planeStore
 	plLo, plHi, mark int
 	plGen            int
-	lent             *PlaneStore
-	own              PlaneStore
+	lent             *Scratch
+	own              Scratch
 	// normalized counts the slots the builds normalized, renorms the
 	// builds that reached below the steady reach.
 	normalized, renorms int
@@ -130,14 +132,9 @@ type Incremental struct {
 
 	// Refresh scratch, reused across hops so refreshes stay
 	// allocation-free in steady state: the matrices ExtendMatrices
-	// returns, the pair-major stale work list with per-pair segment
-	// offsets, the row-major interleaved fill order, and the reversed
-	// twins' stale entries, reflected once the fill is done.
-	batchOut   []*Matrix
-	batchWork  []batchItem
-	batchSeg   []int
-	batchOrder []batchItem
-	batchTwin  []batchItem
+	// returns and its stale work list.
+	batchOut  []*Matrix
+	batchWork []batchItem
 	// onePair is ExtendMatrix's reused one-pair list.
 	onePair [1]PairSpec
 
@@ -290,15 +287,33 @@ func (inc *Incremental) UseRaw(r *RawRing) {
 	inc.mark = inc.start
 }
 
-// SetPlanes lends the engine ps as the store its refreshes normalize into,
-// until the next SetPlanes; nil takes the store back, and the engine then
-// normalizes into a store of its own. Either way the planes built so far
-// are dropped, and views re-point at their next read, so once a lender
-// takes its store back nothing of the engine's references it.
-func (inc *Incremental) SetPlanes(ps *PlaneStore) {
-	inc.lent = ps
+// Scratch is the hop-lifetime storage a caller lends an Incremental (see
+// Lend): the plane store its refreshes normalize the CSI they read into,
+// and the arena ExtendMatrices reflects reversed twins into, which the
+// caller may go on to fill with the matrices it derives (see
+// VirtualMassiveInto). The zero value is ready to use. A Scratch serves
+// one engine at a time.
+type Scratch struct {
+	Planes PlaneStore
+	Arena  MatrixArena
+}
+
+// Lend lends the engine s until the next Lend, resetting s's arena:
+// refreshes normalize into s.Planes and reflect reversed twins into
+// s.Arena, where they stay until the lender resets it. nil takes the
+// scratch back, and the engine then uses a scratch of its own, whose
+// arena each ExtendMatrices resets. Either way the planes built so far
+// are dropped, views re-point at their next read, and the engine forgets
+// the matrices it last returned, so once a lender takes its scratch back
+// nothing of the engine's references it.
+func (inc *Incremental) Lend(s *Scratch) {
+	if s != nil {
+		s.Arena.Reset()
+	}
+	inc.lent = s
 	inc.pl = nil
 	inc.plGen++
+	clear(inc.batchOut)
 	if inc.view != nil {
 		inc.view.planes.release()
 	}
@@ -330,9 +345,9 @@ func (inc *Incremental) planesFrom(lo int) {
 	n, steady := inc.end-lo, reach+max(inc.stride, 1)
 	switch {
 	case inc.lent == nil:
-		inc.pl = inc.own.fit(inc.prec, inc.numAnt, inc.numTx, n*tones, steady*tones)
+		inc.pl = inc.own.Planes.fit(inc.prec, inc.numAnt, inc.numTx, n*tones, steady*tones)
 	case n <= steady:
-		inc.pl = inc.lent.fit(inc.prec, inc.numAnt, inc.numTx, n*tones, steady*tones)
+		inc.pl = inc.lent.Planes.fit(inc.prec, inc.numAnt, inc.numTx, n*tones, steady*tones)
 	default:
 		inc.pl = newStore(inc.prec, inc.numAnt, inc.numTx, n*tones)
 	}
@@ -361,13 +376,15 @@ func (inc *Incremental) Renormalized() int { return inc.renorms }
 
 // HeldBytes reports the storage the engine keeps: the bytes of the
 // normalized planes it references (its own store, plus the current
-// planes while they are lent or one-off) and of its pair-matrix rings,
-// one per pair it maintains.
+// planes while they are lent or one-off) and of its matrices: one
+// pair-matrix ring per pair it maintains, plus its own arena of
+// reflected twins.
 func (inc *Incremental) HeldBytes() (planes, matrices int) {
-	planes = inc.own.Bytes()
-	if inc.pl != nil && inc.pl != inc.own.st {
+	planes = inc.own.Planes.Bytes()
+	if inc.pl != nil && inc.pl != inc.own.Planes.st {
 		planes += storeBytes(inc.pl, inc.prec)
 	}
+	matrices = inc.own.Arena.Bytes()
 	for _, im := range inc.mats {
 		matrices += cap(im.ring) * 8
 	}
@@ -523,7 +540,9 @@ func (inc *Incremental) fullView() *Engine {
 // the current window: ExtendMatrices of the one pair. Antenna indices are
 // absolute. Rows of the returned matrix are owned by the engine: callers
 // must not modify them, and the matrix is overwritten by the pair's next
-// refresh (see the type comment on storage reuse).
+// refresh (see the type comment on storage reuse). Like any
+// ExtendMatrices call, it ends the twins an earlier call reflected into
+// the engine's own arena.
 func (inc *Incremental) ExtendMatrix(i, j int) (*Matrix, error) {
 	inc.onePair[0] = PairSpec{I: i, J: j}
 	ms, err := inc.ExtendMatrices(inc.onePair[:])
@@ -550,10 +569,9 @@ func (inc *Incremental) matFor(i, j int) *incMat {
 // is larger), clears the backward columns that fell off the
 // head, appends one work item per new row (all columns) and per carried
 // row with forward columns onto newly appended slots (those columns only)
-// to work, commits the reuse/stale accounting, and returns the matrix
-// with its work items NOT yet computed. The items carry src, so a reversed
-// twin's items are reflected from src instead of swept (see Engine.run).
-func (inc *Incremental) carry(im *incMat, i, j int, src *Matrix, work []batchItem) (*Matrix, []batchItem) {
+// to work, commits the reuse/stale accounting, and returns work. The
+// matrix, im.hdr, holds its new rows only once the items are swept.
+func (inc *Incremental) carry(im *incMat, i, j int, work []batchItem) []batchItem {
 	tSlots := inc.NumSlots()
 	w := inc.w
 	width := 2*w + 1
@@ -581,7 +599,7 @@ func (inc *Incremental) carry(im *incMat, i, j int, src *Matrix, work []batchIte
 			p = 0
 		}
 		if r >= kept {
-			work = append(work, batchItem{m: m, src: src, t0: t, t1: t + 1, c1: width})
+			work = append(work, batchItem{m: m, t0: t, t1: t + 1, c1: width})
 			nStale++
 			continue
 		}
@@ -597,7 +615,7 @@ func (inc *Incremental) carry(im *incMat, i, j int, src *Matrix, work []batchIte
 			clear(row[z0:z1])
 		}
 		if f0 < f1 {
-			work = append(work, batchItem{m: m, src: src, t0: t, t1: t + 1, c0: f0, c1: f1})
+			work = append(work, batchItem{m: m, t0: t, t1: t + 1, c0: f0, c1: f1})
 		}
 		if z0 < z1 || f0 < f1 {
 			nStale++
@@ -612,7 +630,7 @@ func (inc *Incremental) carry(im *incMat, i, j int, src *Matrix, work []batchIte
 			int64(tSlots-nStale), int64(nStale))
 	}
 	im.built, im.start, im.end = true, inc.start, inc.end
-	return m, work
+	return work
 }
 
 // grow resizes the pair's ring to exactly c rows (the window outgrows it
@@ -630,15 +648,13 @@ func (im *incMat) grow(c, width, lo, hi int) {
 }
 
 // ExtendMatrices advances every listed pair's matrix to the current window
-// in one build: the stale entries of all pairs are interleaved row-major
-// across pairs, so consecutive sweeps read the same slot range of the CSI
-// planes and each freshly appended time block is read once and feeds every
-// pair sharing it (in steady state every pair is stale on exactly the same
-// rows and columns, making the interleave a perfect block-major walk). As
-// in BaseMatrices (see pairSource), a pair whose reverse is listed earlier
-// is not swept: its stale entries are reflected from the earlier pair's
-// refreshed matrix (bit-for-bit exact; see reflectRow), and a duplicate
-// pair shares its first occurrence's matrix. A pair whose matrix is
+// in one build: each stale pair's entries are swept row by row in time
+// order, pair after pair (see Engine.run). As in BaseMatrices (see
+// pairSource), a pair whose reverse is listed earlier is not maintained:
+// it is reflected in full from the earlier pair's refreshed matrix
+// (bit-for-bit exact; see reflect) into the lent scratch's arena, or the
+// engine's own, which this call resets (see Lend). A duplicate pair
+// shares its first occurrence's matrix, and a pair whose matrix is
 // already current is returned as is. Every pair is validated before any
 // state changes, so an error leaves every matrix as it was. The result
 // slice and the matrices obey ExtendMatrix's ownership rules (valid until
@@ -650,37 +666,38 @@ func (inc *Incremental) ExtendMatrices(pairs []PairSpec) ([]*Matrix, error) {
 			return nil, fmt.Errorf("trrs: ExtendMatrices pair (%d,%d) out of range [0,%d)", p.I, p.J, inc.numAnt)
 		}
 	}
+	arena := &inc.own.Arena
+	if inc.lent != nil {
+		arena = &inc.lent.Arena
+	} else {
+		arena.Reset()
+	}
 	out := inc.batchOut[:0]
-	work, twins := inc.batchWork[:0], inc.batchTwin[:0]
-	seg := append(inc.batchSeg[:0], 0)
+	work := inc.batchWork[:0]
 	touched := 0
 	for k, p := range pairs {
-		src, alias := pairSource(pairs, k)
-		if alias {
-			out = append(out, out[src])
+		if src, alias := pairSource(pairs, k); alias || src >= 0 {
+			out = append(out, nil) // filled in once the sources are swept
 			continue
 		}
 		im := inc.matFor(p.I, p.J)
-		if im.built && im.start == inc.start && im.end == inc.end {
-			out = append(out, &im.hdr)
-			continue
+		if !im.built || im.start != inc.start || im.end != inc.end {
+			touched++
+			work = inc.carry(im, p.I, p.J, work)
 		}
-		touched++
-		var m *Matrix
-		if src >= 0 {
-			m, twins = inc.carry(im, p.I, p.J, out[src], twins)
-		} else {
-			m, work = inc.carry(im, p.I, p.J, nil, work)
-			seg = append(seg, len(work))
-		}
-		out = append(out, m)
+		out = append(out, &im.hdr)
 	}
-	order := inc.batchOrder[:0]
 	if touched > 0 {
-		order = interleave(order, work, seg)
-		inc.fullView().run(order, twins, touched)
+		inc.fullView().run(work, touched)
 	}
-	inc.batchOut, inc.batchWork, inc.batchSeg, inc.batchOrder, inc.batchTwin = out, work, seg, order, twins
+	for k := range pairs {
+		if src, alias := pairSource(pairs, k); alias {
+			out[k] = out[src]
+		} else if src >= 0 {
+			out[k] = reflectInto(arena, out[src])
+		}
+	}
+	inc.batchOut, inc.batchWork = out, work
 	return out, nil
 }
 

@@ -138,8 +138,9 @@ func (p *planes[T]) viewInto(dst planeStore, ants []int, lo, hi int) {
 
 // PlaneStore is a reusable backing for the normalized CSI planes an
 // Incremental reads during its refreshes. A caller that runs many engines
-// one hop at a time (core keeps one per pooled hop scratch) lends it to
-// the engine of the hop at hand with SetPlanes and takes it back after:
+// one hop at a time (core keeps one per pooled hop scratch) lends it, as
+// part of a Scratch, to the engine of the hop at hand with
+// Incremental.Lend and takes it back after:
 // the planes are a pure function of the raw rows, so each refresh
 // re-normalizes what it reads and nothing of a lent store outlives the
 // hop. The zero value is empty; the store takes the shape and precision

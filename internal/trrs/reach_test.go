@@ -42,7 +42,7 @@ func TestPlaneStoreBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			inc.SetPeakWindow(pt.span+pt.hop, pt.hop)
-			var lent PlaneStore
+			var lent Scratch
 			pairs := []PairSpec{{0, 1}, {2, 0}, {1, 0}}
 			k := 0
 			hop := func() {
@@ -52,8 +52,8 @@ func TestPlaneStoreBytes(t *testing.T) {
 					}
 					k++
 				}
-				inc.SetPlanes(&lent)
-				defer inc.SetPlanes(nil)
+				inc.Lend(&lent)
+				defer inc.Lend(nil)
 				if _, err := inc.ExtendMatrices(pairs); err != nil {
 					t.Fatal(err)
 				}
@@ -80,7 +80,7 @@ func TestPlaneStoreBytes(t *testing.T) {
 				t.Fatalf("%d steady-state hops read below the steady reach", n)
 			}
 			want := (reach + pt.hop) * pt.tones * ants * pt.tx * 2 * 8
-			if got := lent.Bytes(); got != want {
+			if got := lent.Planes.Bytes(); got != want {
 				t.Fatalf("lent store holds %d bytes, want %d ((reach %d + hop %d) slots)",
 					got, want, reach, pt.hop)
 			}
@@ -111,7 +111,7 @@ func TestIncrementalReplayEqualsSerial(t *testing.T) {
 			}
 			inc.SetKernel(KernelVector)
 			inc.SetPeakWindow(span+hop, hop)
-			var lent PlaneStore
+			var lent Scratch
 			next := 0
 			for ; next < span; next++ {
 				if err := inc.Append(seriesSnapshot(s, next)); err != nil {
@@ -131,7 +131,7 @@ func TestIncrementalReplayEqualsSerial(t *testing.T) {
 					inc.DropFront(hop)
 				}
 				renorms := inc.Renormalized()
-				inc.SetPlanes(&lent)
+				inc.Lend(&lent)
 				got, err := inc.ExtendMatrices(pairs)
 				if err != nil {
 					t.Fatal(err)
@@ -149,7 +149,7 @@ func TestIncrementalReplayEqualsSerial(t *testing.T) {
 					requireSameSeries(t, fmt.Sprintf("hop %d self %d", h, a),
 						oracle.SelfSeries(a, 5, 4), view.SelfSeries(a, 5, 4))
 				}
-				inc.SetPlanes(nil)
+				inc.Lend(nil)
 				if below := inc.Renormalized() > renorms; below != (h == 0) {
 					t.Fatalf("hop %d: read below the steady reach = %v, want %v", h, below, h == 0)
 				}
@@ -157,7 +157,7 @@ func TestIncrementalReplayEqualsSerial(t *testing.T) {
 				if prec == PrecisionFloat32 {
 					size = 4
 				}
-				if b, limit := lent.Bytes(), (w+hop)*s.NumSub*s.NumAnts*s.NumTx*2*size; b > limit {
+				if b, limit := lent.Planes.Bytes(), (w+hop)*s.NumSub*s.NumAnts*s.NumTx*2*size; b > limit {
 					t.Fatalf("hop %d: the lent store holds %d bytes, more than (W + hop) slots' %d", h, b, limit)
 				}
 			}
@@ -180,21 +180,21 @@ func TestLentStoreDirtiedBetweenHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc.SetPeakWindow(64, 64)
-	var lent PlaneStore
+	var lent Scratch
 	dirty := dirtier(t, &lent, PrecisionFloat64, s)
 	for ti := 0; ti < s.NumSlots(); ti++ {
 		if err := inc.Append(seriesSnapshot(s, ti)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	inc.SetPlanes(&lent)
+	inc.Lend(&lent)
 	if _, err := inc.ExtendMatrix(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	inc.SetPlanes(nil)
+	inc.Lend(nil)
 	dirty()
-	inc.SetPlanes(&lent)
-	defer inc.SetPlanes(nil)
+	inc.Lend(&lent)
+	defer inc.Lend(nil)
 	got, err := inc.ExtendMatrix(2, 1)
 	if err != nil {
 		t.Fatal(err)

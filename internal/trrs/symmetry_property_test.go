@@ -92,22 +92,38 @@ func TestSelfPairLagSymmetryProperty(t *testing.T) {
 }
 
 // TestBaseMatricesDedupAliasing: exact duplicates in one request share one
-// matrix; mixed requests (duplicates + reversals + self-pairs) all come
-// back bitwise-correct in the requested order.
+// matrix, a duplicate of a reversed twin included; mixed requests
+// (duplicates + reversals + self-pairs) all come back bitwise-correct in
+// the requested order, from a batch build and from an incremental
+// refresh alike.
 func TestBaseMatricesDedupAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	s := randomSeries(rng, 3, 2, 16, 60)
 	e := NewEngine(s)
 	const w = 9
-	pairs := []PairSpec{{0, 1}, {1, 0}, {0, 1}, {2, 2}, {1, 2}, {2, 1}, {2, 2}}
-	ms := e.BaseMatrices(pairs, w)
-	if ms[0] != ms[2] || ms[3] != ms[6] {
-		t.Fatal("exact duplicate pairs must alias one matrix")
+	pairs := []PairSpec{{0, 1}, {1, 0}, {0, 1}, {2, 2}, {1, 2}, {2, 1}, {2, 2}, {2, 1}}
+	inc, err := NewIncremental(s.Rate, s.NumAnts, s.NumTx, w)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k, p := range pairs {
-		if ms[k].I != p.I || ms[k].J != p.J {
-			t.Fatalf("pair %d: identity (%d,%d), want (%d,%d)", k, ms[k].I, ms[k].J, p.I, p.J)
+	for ti := 0; ti < s.NumSlots(); ti++ {
+		if err := inc.Append(seriesSnapshot(s, ti)); err != nil {
+			t.Fatal(err)
 		}
-		requireIdentical(t, "mixed", e.BaseMatrixSerial(p.I, p.J, w), ms[k])
+	}
+	extended, err := inc.ExtendMatrices(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ms := range map[string][]*Matrix{"batch": e.BaseMatrices(pairs, w), "incremental": extended} {
+		if ms[0] != ms[2] || ms[3] != ms[6] || ms[5] != ms[7] {
+			t.Fatalf("%s: exact duplicate pairs must alias one matrix", name)
+		}
+		for k, p := range pairs {
+			if ms[k].I != p.I || ms[k].J != p.J {
+				t.Fatalf("%s pair %d: identity (%d,%d), want (%d,%d)", name, k, ms[k].I, ms[k].J, p.I, p.J)
+			}
+			requireIdentical(t, name, e.BaseMatrixSerial(p.I, p.J, w), ms[k])
+		}
 	}
 }

@@ -312,7 +312,7 @@ func (e *Engine) fillCols(row []float64, i, j, w, t, cFrom, cTo int) {
 // symmetry-deduplicated paths are tested against; no pipeline setting
 // selects it (one worker still runs BaseMatrices' work list).
 func (e *Engine) BaseMatrixSerial(i, j, w int) *Matrix {
-	m := e.newFlatMatrix(i, j, w)
+	m := newMatrix(i, j, w, e.slots, e.rate)
 	for t, row := range m.Vals {
 		e.fillCols(row, i, j, w, t, 0, len(row))
 	}
