@@ -83,6 +83,15 @@ type benchBaseline struct {
 		NsOp     float64 `json:"ns_op"`
 		AllocsOp float64 `json:"allocs_op"`
 	} `json:"hop"`
+	// Derived is one hexagonal hop's derived matrices at the daemon's
+	// point (see derivedHop): the three-pass build (twins and pair
+	// averages as matrices of their own, then the box filter in three row
+	// passes) against one trrs.Scratch.Derive pass per matrix.
+	Derived struct {
+		ThreePassNsOp float64 `json:"three_pass_ns_op"`
+		OnePassNsOp   float64 `json:"one_pass_ns_op"`
+		Speedup       float64 `json:"speedup"`
+	} `json:"derived"`
 	Note string `json:"note"`
 }
 
@@ -266,7 +275,7 @@ func guardHop(tb testing.TB, s *csi.Series, w int) func() {
 // benchNote documents the committed baseline's machine and the honest
 // reading of each section: the vector kernel and float32 planes are the
 // real levers.
-const benchNote = "Recorded on a 1-core CI container (Intel Xeon ~2.1 GHz AVX2+FMA, go1.24); on 1 core the worker pool degenerates to the serial loop so the parallel speedup is ~1x. kernels compares one serial build: AoS []complex128 reference vs the SoA default (bit-exact) vs the vector (lag-sweep AVX2) kernel; the vector kernel must hold >=1.5x. batch builds the three distinct pairs {(0,1),(0,2),(1,2)} per-pair vs one BaseMatrices pass on one core: speedup is the batched+vector fast path (floor 1.25x). precision is one serial build on float32 planes vs float64 (both vector-shaped), floor 1.3x with max element error <= 1e-5. symmetric is the Hermitian-reflection dedup of {(0,2),(2,0),(1,1)} on one core (floor 1.5x). hop is one steady-state incremental hop (append W, drop W, refresh), which always runs serially, and must stay at 0 allocs/op. TestBenchGuard re-measures all ratios live (vector/batch/precision floors apply only where sigproc.VecSupported and outside -race). Regenerate with: go test -run TestBenchGuard -update-bench ."
+const benchNote = "Recorded on a 1-core CI container (Intel Xeon ~2.1 GHz AVX2+FMA, go1.24); on 1 core the worker pool degenerates to the serial loop so the parallel speedup is ~1x. kernels compares one serial build: AoS []complex128 reference vs the SoA default (bit-exact) vs the vector (lag-sweep AVX2) kernel; the vector kernel must hold >=1.5x. batch builds the three distinct pairs {(0,1),(0,2),(1,2)} per-pair vs one BaseMatrices pass on one core: speedup is the batched+vector fast path (floor 1.25x). precision is one serial build on float32 planes vs float64 (both vector-shaped), floor 1.3x with max element error <= 1e-5. symmetric is the Hermitian-reflection dedup of {(0,2),(2,0),(1,1)} on one core (floor 1.5x). hop is one steady-state incremental hop (append W, drop W, refresh), which always runs serially, and must stay at 0 allocs/op. derived is one hexagonal hop's derived matrices at the daemon's point (random 350x61 base matrices, V = 30: 6 pair averages, 3 reversed twins, 15 virtual-massive matrices) built the three-pass way against one trrs.Scratch.Derive pass per matrix, on one core (floor 2x where sigproc.VecSupported); its row was recorded on a 2-vCPU Xeon (2.1 GHz, AVX2, go1.24), the others on the 1-core container. TestBenchGuard re-measures all ratios live (vector/batch/precision floors apply only where sigproc.VecSupported and outside -race). Regenerate with: go test -run TestBenchGuard -update-bench ."
 
 // TestBenchGuard is the benchmark regression guard of the TRRS engine. On
 // the committed Fast-scale fixture it measures, live:
@@ -279,6 +288,8 @@ const benchNote = "Recorded on a 1-core CI container (Intel Xeon ~2.1 GHz AVX2+F
 //   - float32 planes vs float64 (≥1.3x, max element error ≤1e-5),
 //   - the Hermitian-dedup build of a symmetric pair set vs three naive
 //     serial builds (must hold the recorded ≥1.5x on a single core),
+//   - one hexagonal hop's derived matrices, one pass per matrix against
+//     the three-pass build (≥2x where AVX2 is available),
 //   - one steady-state incremental hop, which must not allocate
 //     (skipped under the race detector, whose instrumentation allocates).
 //
@@ -421,6 +432,17 @@ func TestBenchGuard(t *testing.T) {
 			f32Speedup, f64t, f32)
 	}
 
+	// Derived matrices of one hexagonal hop, on one core like the hop
+	// that builds them.
+	dh := newDerivedHop(t)
+	derivedSpeedup, threePass, onePass := guardRatio(reps,
+		func() { dh.threePass() }, func() { dh.onePass() })
+	t.Logf("derived: three_pass=%v one_pass=%v speedup=%.2fx", threePass, onePass, derivedSpeedup)
+	if !raceEnabled && sigproc.VecSupported() && derivedSpeedup < 2 {
+		t.Errorf("one-pass derive speedup %.2fx below the 2x floor (three-pass %v, one-pass %v)",
+			derivedSpeedup, threePass, onePass)
+	}
+
 	// benchstat-style before/after summary of the headline comparisons.
 	for _, row := range []struct {
 		name     string
@@ -429,6 +451,7 @@ func TestBenchGuard(t *testing.T) {
 		{"BaseMatrix/sequential→vector", sequential, vector},
 		{"BaseMatrices/per-pair→batched-vec", perPair, batchedVec},
 		{"BaseMatrix/f64→f32", f64t, f32},
+		{"Derived/three-pass→one-pass", threePass, onePass},
 	} {
 		t.Logf("benchstat: %-36s %12v → %12v   %+.1f%%",
 			row.name, row.old.Round(time.Microsecond), row.new.Round(time.Microsecond),
@@ -489,6 +512,9 @@ func TestBenchGuard(t *testing.T) {
 		bl.Symmetric.NaiveNsOp = float64(naive.Nanoseconds())
 		bl.Symmetric.DedupNsOp = float64(dedup.Nanoseconds())
 		bl.Symmetric.Speedup = symSpeedup
+		bl.Derived.ThreePassNsOp = float64(threePass.Nanoseconds())
+		bl.Derived.OnePassNsOp = float64(onePass.Nanoseconds())
+		bl.Derived.Speedup = derivedSpeedup
 		bl.Hop.NsOp = float64(hopNs.Nanoseconds())
 		bl.Hop.AllocsOp = hopAllocs
 		out, err := json.MarshalIndent(&bl, "", "  ")
@@ -534,6 +560,12 @@ func TestBenchBaselineFixtureShape(t *testing.T) {
 	}
 	if bl.Symmetric.Speedup < 1.5 {
 		t.Errorf("recorded symmetric speedup %.2fx below the promised 1.5x", bl.Symmetric.Speedup)
+	}
+	if bl.Derived.ThreePassNsOp <= 0 || bl.Derived.OnePassNsOp <= 0 {
+		t.Errorf("derived rows must be recorded: %+v", bl.Derived)
+	}
+	if bl.Derived.Speedup < 2 {
+		t.Errorf("recorded one-pass derive speedup %.2fx below the promised 2x", bl.Derived.Speedup)
 	}
 	if bl.Hop.NsOp <= 0 {
 		t.Errorf("hop timing must be recorded: %+v", bl.Hop)

@@ -2,6 +2,8 @@ package align
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"rim/internal/array"
@@ -270,5 +272,40 @@ func TestTrackHelpers(t *testing.T) {
 	single := &Track{Lags: []int{3}}
 	if single.Smoothness() != 0 {
 		t.Error("single-point smoothness != 0")
+	}
+}
+
+// TestTrackScratchReuseMatchesFresh tracks random matrices of several
+// widths and segment lengths through one reused scratch, dirtied by every
+// earlier call, and wants each track identical to a fresh TrackPeaks.
+func TestTrackScratchReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s TrackScratch
+	for trial := 0; trial < 60; trial++ {
+		w := []int{0, 1, 7, 30}[trial%4]
+		slots := 1 + rng.Intn(90)
+		m := &trrs.Matrix{W: w, Rate: 100, Vals: make([][]float64, slots)}
+		for ti := range m.Vals {
+			m.Vals[ti] = make([]float64, 2*w+1)
+			for c := range m.Vals[ti] {
+				m.Vals[ti][c] = rng.Float64()
+			}
+		}
+		start := rng.Intn(slots)
+		end := start + rng.Intn(slots-start+1)
+		got := s.TrackPeaks(m, start, end, DefaultTrackConfig())
+		want := TrackPeaks(m, start, end, DefaultTrackConfig())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (W=%d, [%d, %d)): reused scratch tracked %+v, fresh %+v", trial, w, start, end, got, want)
+		}
+	}
+	// A warmed scratch saves the DP's two allocations of every call (the
+	// back-pointer table and the score rows).
+	m := syntheticMatrix(30, make([]int, 150), 1, 0.1)
+	s.TrackPeaks(m, 0, 150, DefaultTrackConfig())
+	fresh := testing.AllocsPerRun(10, func() { TrackPeaks(m, 0, 150, DefaultTrackConfig()) })
+	reused := testing.AllocsPerRun(10, func() { s.TrackPeaks(m, 0, 150, DefaultTrackConfig()) })
+	if fresh-reused != 2 {
+		t.Fatalf("a reused scratch allocates %.0f times per track, a fresh call %.0f: want the 2 DP buffers fewer", reused, fresh)
 	}
 }

@@ -98,6 +98,21 @@ func (tr *Track) MedianAbsLag() float64 {
 // TRRS values minus the per-slot jump costs between consecutive slots,
 // then traces it back and median-smooths it.
 func TrackPeaks(m *trrs.Matrix, start, end int, cfg TrackConfig) *Track {
+	return (*TrackScratch)(nil).TrackPeaks(m, start, end, cfg)
+}
+
+// TrackScratch is the dynamic program's working storage, reused across
+// TrackPeaks calls: the back-pointer table (one int32 per slot and lag,
+// ~36 KB for a 150-slot segment at W = 30) and the three score rows. The
+// zero value is ready to use; a scratch serves one call at a time.
+type TrackScratch struct {
+	back  []int32
+	score []float64
+}
+
+// TrackPeaks is the package's TrackPeaks with its working storage taken
+// from s (a nil s allocates it). The returned Track owns its slices.
+func (s *TrackScratch) TrackPeaks(m *trrs.Matrix, start, end int, cfg TrackConfig) *Track {
 	if start < 0 {
 		start = 0
 	}
@@ -110,12 +125,10 @@ func TrackPeaks(m *trrs.Matrix, start, end int, cfg TrackConfig) *Track {
 	width := 2*m.W + 1
 	n := end - start
 	// score[c] is the best path score ending at column c of the current
-	// slot; back[t*width+c] is the predecessor column (row 0 unused). All
-	// scratch is allocated once per call, not per slot.
-	score := make([]float64, width)
-	next := make([]float64, width)
-	bestFrom := make([]float64, width)
-	back := make([]int32, n*width)
+	// slot; back[t*width+c] is the predecessor column (row 0 unused). The
+	// DP overwrites every entry it reads, so reused storage needs no
+	// clearing.
+	score, next, bestFrom, back := s.rows(width, n)
 	copy(score, m.Vals[start])
 	costUnit := cfg.JumpCost // positive penalty per slot of lag jump
 	if costUnit <= 0 {
@@ -191,6 +204,22 @@ func TrackPeaks(m *trrs.Matrix, start, end int, cfg TrackConfig) *Track {
 		I: m.I, J: m.J, Start: start, End: end,
 		Lags: lags, Refined: refined, Vals: vals, Score: bestS,
 	}
+}
+
+// rows returns the DP's three score rows of width entries and its
+// back-pointer table of n·width, from s when s is not nil.
+func (s *TrackScratch) rows(width, n int) (score, next, bestFrom []float64, back []int32) {
+	if s == nil {
+		s = &TrackScratch{}
+	}
+	if cap(s.score) < 3*width {
+		s.score = make([]float64, 3*width)
+	}
+	if cap(s.back) < n*width {
+		s.back = make([]int32, n*width)
+	}
+	f := s.score[:3*width]
+	return f[:width], f[width : 2*width], f[2*width:], s.back[:n*width]
 }
 
 // refineLag interpolates the TRRS peak position around integer lag.

@@ -95,14 +95,15 @@ type Config struct {
 	// finalized moving estimates. nil — the default — disables the
 	// telemetry at one nil check per hop.
 	Quality *quality.Engine
-	// arena, when non-nil, supplies recycled backings for the derived
-	// (averaged, virtual-massive) matrices of one analysis pass. The
-	// streaming front end threads a pooled arena through here so the
-	// steady-state hop reuses hop-lifetime scratch instead of allocating
+	// scratch, when non-nil, supplies recycled backings for the derived
+	// (virtual-massive) matrices of one analysis pass and the row ring
+	// they are filtered through (see trrs.Scratch.Derive). The streaming
+	// front end threads its pooled hop scratch through here so the
+	// steady-state hop reuses hop-lifetime storage instead of allocating
 	// it; nil (batch runs) falls back to plain allocation. The matrices
 	// of a pass become invalid at the arena's next Reset, which is fine:
 	// Result retains no matrices.
-	arena *trrs.MatrixArena
+	scratch *trrs.Scratch
 	// po holds the pipeline's stages and counters. The streaming front end
 	// resolves them once per stream and threads them through here, so a
 	// hop takes no registry lock; nil (batch runs) resolves them per
@@ -348,6 +349,9 @@ type Pipeline struct {
 	derived bool
 	groups  []groupMatrix
 	ring    []groupMatrix
+	// track is the peak tracker's working storage, reused by every track
+	// the pass runs (the DP back-pointer table and score rows).
+	track align.TrackScratch
 	// moving is the per-slot movement flag of the last Process call;
 	// movingSoft is the permissive variant (indicator below the release
 	// level) used to gate per-slot speed: a slot must look genuinely
@@ -459,16 +463,18 @@ func pairGeometry(arr *array.Array) ([]array.ParallelGroup, []array.Pair) {
 }
 
 // neededPairs collects the distinct base-matrix pairs the pipeline will
-// request for the given geometry, deduplicated in request order: every
-// pair of every parallel group (first pair only under
-// DisablePairAveraging) plus the rotation ring. The batch bulk build and
-// the streaming refresh both take this list, so the one build pass covers
-// exactly the pairs the per-pair lookups will ask for.
+// request for the given geometry, in request order: every pair of every
+// parallel group (first pair only under DisablePairAveraging) plus the
+// rotation ring. A pair whose reverse is already listed is left out: its
+// derived matrix reads the reverse's rows through the κ̄ reflection (see
+// input), so no reversed twin is built. The batch bulk build and the
+// streaming refresh both take this list, so the one build pass covers
+// exactly the matrices the derived ones read.
 func neededPairs(groups []array.ParallelGroup, ring []array.Pair, disablePairAveraging bool) []trrs.PairSpec {
 	var pairs []trrs.PairSpec
 	seen := map[[2]int]bool{}
 	addPair := func(i, j int) {
-		if !seen[[2]int{i, j}] {
+		if !seen[[2]int{i, j}] && !seen[[2]int{j, i}] {
 			seen[[2]int{i, j}] = true
 			pairs = append(pairs, trrs.PairSpec{I: i, J: j})
 		}
@@ -513,8 +519,8 @@ func newPipelineFromEngine(eng *trrs.Engine, base func(pairs []trrs.PairSpec) ([
 	// rotation ring; collect the distinct pairs first so the source
 	// computes each exactly once, in one pass that sweeps each pair in
 	// time order (see trrs.BaseMatrices and Incremental.ExtendMatrices).
-	// Reversed pairs and self-pairs need no handling here: the engines
-	// derive them by the Hermitian reflection instead of recomputing.
+	// A reversed twin is not listed (see neededPairs), and a self-pair's
+	// negative lags are reflected by the engines.
 	p.groupDefs, p.ringPairs = pairGeometry(cfg.Array)
 	p.pairs = neededPairs(p.groupDefs, p.ringPairs, cfg.DisablePairAveraging)
 	var err error
@@ -529,87 +535,87 @@ func newPipelineFromEngine(eng *trrs.Engine, base func(pairs []trrs.PairSpec) ([
 	}
 	// Validate the derived matrices' inputs now, so a malformed base
 	// matrix fails construction rather than the pass that first needs it.
+	var ins []trrs.Input
 	for _, g := range p.groupDefs {
-		ms := p.groupBase(g)
-		if err := trrs.CheckAverageMatrices(ms...); err != nil {
-			return nil, fmt.Errorf("core: group matrices: %w", err)
-		}
-		if err := trrs.CheckVirtualMassive(ms[0]); err != nil {
+		if err := trrs.CheckDerive(p.groupInputs(g, ins[:0])); err != nil {
 			return nil, fmt.Errorf("core: group matrices: %w", err)
 		}
 	}
 	for _, pr := range p.ringPairs {
-		if err := trrs.CheckVirtualMassive(p.baseFor(pr.I, pr.J)); err != nil {
+		if err := trrs.CheckDerive(append(ins[:0], p.input(pr))); err != nil {
 			return nil, fmt.Errorf("core: ring matrices: %w", err)
 		}
 	}
 	return p, nil
 }
 
-// baseFor returns the base matrix of pair (i, j), or nil.
-func (p *Pipeline) baseFor(i, j int) *trrs.Matrix {
-	for k, pr := range p.pairs {
-		if pr.I == i && pr.J == j {
-			return p.base[k]
+// input returns how the derived matrices read pair pr's base matrix: its
+// own, or the listed reverse's through the κ̄ reflection (see
+// neededPairs). A pair with neither is a nil input, which CheckDerive
+// reports.
+func (p *Pipeline) input(pr array.Pair) trrs.Input {
+	for k, q := range p.pairs {
+		if q.I == pr.I && q.J == pr.J {
+			return trrs.Input{M: p.base[k]}
 		}
 	}
-	return nil
+	for k, q := range p.pairs {
+		if q.I == pr.J && q.J == pr.I {
+			return trrs.Input{M: p.base[k], Twin: true}
+		}
+	}
+	return trrs.Input{}
 }
 
-// groupBase returns the base matrices group g averages: every pair, or the
-// first one only under DisablePairAveraging.
-func (p *Pipeline) groupBase(g array.ParallelGroup) []*trrs.Matrix {
-	ms := make([]*trrs.Matrix, 0, len(g.Pairs))
+// groupInputs appends to ins the inputs group g averages: every pair, or
+// the first one only under DisablePairAveraging.
+func (p *Pipeline) groupInputs(g array.ParallelGroup, ins []trrs.Input) []trrs.Input {
 	for _, pr := range g.Pairs {
-		ms = append(ms, p.baseFor(pr.I, pr.J))
+		ins = append(ins, p.input(pr))
 		if p.cfg.DisablePairAveraging {
 			break
 		}
 	}
-	return ms
+	return ins
 }
 
 // derive builds the derived alignment matrices once per pipeline: each
-// parallel group's pair average through the virtual-massive box filter,
-// and each ring pair's virtual-massive matrix. Process calls it before the
+// parallel group's virtual-massive matrix of its pair average, and each
+// ring pair's virtual-massive matrix, one trrs.Scratch.Derive pass per
+// matrix (the average and a twin's reflection are made row by row inside
+// the filter, not as matrices of their own). Process calls it before the
 // first segment it analyzes, so a pass that analyzes no segment never
 // builds them; the group accessors call it too. Batch and stream share
 // this one path. The inputs were validated at construction, so the
-// builders cannot fail here.
+// builder cannot fail here.
 func (p *Pipeline) derive() {
 	if p.derived {
 		return
 	}
 	p.derived = true
 	defer p.cfg.po.derived.Start(p.cfg.traceHop, -1).End()
-	must := func(m *trrs.Matrix, err error) *trrs.Matrix {
+	scr, v := p.cfg.scratch, p.cfg.V
+	var ins []trrs.Input
+	build := func(ins []trrs.Input) *trrs.Matrix {
+		m, err := scr.Derive(ins, v)
 		if err != nil {
 			panic(fmt.Sprintf("core: derived matrix inputs validated at construction: %v", err))
 		}
 		return m
 	}
-	arena, v := p.cfg.arena, p.cfg.V
 	for _, g := range p.groupDefs {
-		// A one-pair group (the pair array's, a long diagonal, or any
-		// under DisablePairAveraging) skips the average: it would be a
-		// copy scaled by 1/1, the same bits.
-		ms := p.groupBase(g)
-		avg := ms[0]
-		if len(ms) > 1 {
-			avg = must(trrs.AverageMatricesInto(arena, ms...))
-		}
-		vm := must(trrs.VirtualMassiveInto(arena, avg, v))
-		p.groups = append(p.groups, groupMatrix{group: g, m: vm})
+		ins = p.groupInputs(g, ins[:0])
+		p.groups = append(p.groups, groupMatrix{group: g, m: build(ins)})
 	}
 	for _, pr := range p.ringPairs {
-		vm := must(trrs.VirtualMassiveInto(arena, p.baseFor(pr.I, pr.J), v))
+		ins = append(ins[:0], p.input(pr))
 		p.ring = append(p.ring, groupMatrix{
 			group: array.ParallelGroup{
 				Pairs:      []array.Pair{pr},
 				Direction:  p.cfg.Array.Direction(pr),
 				Separation: p.cfg.Array.Separation(pr),
 			},
-			m: vm,
+			m: build(ins),
 		})
 	}
 }

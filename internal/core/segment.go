@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"rim/internal/align"
 	"rim/internal/geom"
@@ -41,17 +42,32 @@ func (p *Pipeline) tryRotation(start, end int, res *Result) (bool, SegmentResult
 	// adjacent ring elements: a regular m-ring subtends 2π/m per element,
 	// so arc = 2πr/m (π/3·Δd for the hexagon, §4.4).
 	arc := 2 * math.Pi * r / float64(len(p.ring))
+	// Nothing is written to res before the consistency test, so every
+	// early exit below returns exactly what the full test would.
+	//
+	// Lag consistency is judged on the settled region only, from each
+	// passing pair's median lag there. Those lags do not depend on the
+	// full tracks, so take them for every ring pair first: when no set of
+	// at least need pairs could agree on one lag, the test fails whatever
+	// passes the post-check, and the full tracks are not run (on a
+	// translation every ring pair passes it, so they would all run).
+	need := rotationMinRingFrac * float64(len(p.ring))
+	settled := start + (end-start)/4 // skip the blind first quarter
+	settledLags := make([]float64, len(p.ring))
+	for k, gm := range p.ring {
+		settledLags[k] = p.track.TrackPeaks(gm.m, settled, end, align.DefaultTrackConfig()).MedianLag()
+	}
+	if !ringCanAgree(settledLags, need) {
+		return false, SegmentResult{}
+	}
 	// At most the pairs passing the post-check can agree on one lag, so
 	// the test fails as soon as too few can still pass: stop tracking
-	// then, and run the settled-region probes only once enough have
-	// passed. Nothing is written to res before the consistency test, so
-	// the early exits return exactly what the full test would.
-	need := rotationMinRingFrac * float64(len(p.ring))
+	// then.
 	var confs []float64
 	tracks := make([]*align.Track, 0, len(p.ring))
 	ringIdx := make([]int, 0, len(p.ring))
 	for k, gm := range p.ring {
-		tr := align.TrackPeaks(gm.m, start, end, align.DefaultTrackConfig())
+		tr := p.track.TrackPeaks(gm.m, start, end, align.DefaultTrackConfig())
 		if conf := align.PostCheck(tr, align.DefaultPostCheckConfig()); conf != 0 {
 			tracks = append(tracks, tr)
 			ringIdx = append(ringIdx, k)
@@ -64,18 +80,16 @@ func (p *Pipeline) tryRotation(start, end int, res *Result) (bool, SegmentResult
 	if len(tracks) == 0 {
 		return false, SegmentResult{}
 	}
-	// Judge lag consistency on the settled region only.
-	settled := start + (end-start)/4 // skip the blind first quarter
 	medLags := make([]float64, len(tracks))
 	for i, k := range ringIdx {
-		medLags[i] = align.TrackPeaks(p.ring[k].m, settled, end, align.DefaultTrackConfig()).MedianLag()
+		medLags[i] = settledLags[k]
 	}
 	gmed := sigproc.Median(medLags)
 	if math.Abs(gmed) < 2 {
 		return false, SegmentResult{}
 	}
 	consistent := 0
-	tol := math.Max(3, 0.3*math.Abs(gmed))
+	tol := lagTolerance(gmed)
 	keep := tracks[:0]
 	var confSum float64
 	for i, tr := range tracks {
@@ -149,6 +163,50 @@ func (p *Pipeline) tryRotation(start, end int, res *Result) (bool, SegmentResult
 	}
 }
 
+// lagTolerance is how far a ring pair's settled median lag may lie from
+// the ring's median lag gmed and still agree with it.
+func lagTolerance(gmed float64) float64 { return math.Max(3, 0.3*math.Abs(gmed)) }
+
+// ringCanAgree reports whether some set S of at least need of the ring
+// pairs (by index into lags, their settled median lags) could pass the
+// rotation test's consistency check: |median of S| ≥ 2 and at least need
+// of S within lagTolerance of it. tryRotation's check runs on the pairs
+// passing the post-check, which must be at least need of them, so when no
+// S passes, neither does it. Rings of more than 16 pairs are not
+// enumerated and always could.
+func ringCanAgree(lags []float64, need float64) bool {
+	m := len(lags)
+	if m > 16 {
+		return true
+	}
+	sub := make([]float64, 0, m)
+	for mask := 1; mask < 1<<m; mask++ {
+		if float64(bits.OnesCount(uint(mask))) < need {
+			continue
+		}
+		sub = sub[:0]
+		for k, l := range lags {
+			if mask&(1<<k) != 0 {
+				sub = append(sub, l)
+			}
+		}
+		gmed := sigproc.Median(sub)
+		if math.Abs(gmed) < 2 {
+			continue
+		}
+		consistent := 0
+		for _, l := range sub {
+			if math.Abs(l-gmed) <= lagTolerance(gmed) {
+				consistent++
+			}
+		}
+		if float64(consistent) >= need {
+			return true
+		}
+	}
+	return false
+}
+
 // candidate is one pair group's tracked alignment over a window.
 type candidate struct {
 	gm    groupMatrix
@@ -164,7 +222,7 @@ func (p *Pipeline) chooseCandidates(w0, w1 int) map[int]*candidate {
 		if _, ok := align.PreDetect(gm.m, w0, w1, align.DefaultPreDetectConfig()); !ok {
 			continue
 		}
-		tr := align.TrackPeaks(gm.m, w0, w1, align.DefaultTrackConfig())
+		tr := p.track.TrackPeaks(gm.m, w0, w1, align.DefaultTrackConfig())
 		conf := align.PostCheck(tr, align.DefaultPostCheckConfig())
 		if conf == 0 {
 			continue
@@ -260,7 +318,7 @@ func (p *Pipeline) translate(start, end int, res *Result) SegmentResult {
 			// pre-detection in this window, a solid tracked path counts.
 			dc, ok := win.cands[domGroup]
 			if !ok {
-				tr := align.TrackPeaks(p.groups[domGroup].m, w0, w1, align.DefaultTrackConfig())
+				tr := p.track.TrackPeaks(p.groups[domGroup].m, w0, w1, align.DefaultTrackConfig())
 				if conf := align.PostCheck(tr, align.DefaultPostCheckConfig()); conf > 0 {
 					dc, ok = &candidate{gm: p.groups[domGroup], track: tr, conf: conf}, true
 				}

@@ -967,14 +967,14 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 	cfg.hopDeadline = dl
 	cfg.hopCtx = ctx
 	// Borrow hop-lifetime scratch from the process-wide pool: the derived
-	// (averaged, virtual-massive) matrices and reflected twins of this
-	// pass, and the CSI planes its refreshes normalize, reuse the backings
-	// a previous hop — possibly of another session — built. The result
-	// retains none of them, so the engine gives the scratch back and it
-	// returns to the pool as soon as the analysis is done.
+	// (virtual-massive) matrices of this pass and the row ring they are
+	// filtered through, and the CSI planes its refreshes normalize, reuse
+	// the backings a previous hop — possibly of another session — built.
+	// The result retains none of them, so the engine gives the scratch
+	// back and it returns to the pool as soon as the analysis is done.
 	scr := getHopScratch(&st.ob)
 	defer putHopScratch(scr, &st.ob)
-	cfg.arena = &scr.Arena
+	cfg.scratch = scr
 	cfg.po = st.ob.pipe
 	if st.inc != nil {
 		st.inc.SetHop(hop)
@@ -999,10 +999,10 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 	}
 	// Base matrices come from the incrementally maintained per-pair state,
 	// keyed by absolute antenna index: the hop's pairs are refreshed in
-	// one ExtendMatrices pass, inside the pipeline's build stage, which
-	// reflects the reversed twins into the lent scratch's arena. Remap the
-	// identity so downstream consumers see the same local pair indices
-	// the recompute path yields.
+	// one ExtendMatrices pass, inside the pipeline's build stage. The list
+	// holds no reversed twin (see neededPairs): the derived matrices read
+	// a twin's rows from its source. Remap the identity so downstream
+	// consumers see the same local pair indices the recompute path yields.
 	base := func(pairs []trrs.PairSpec) ([]*trrs.Matrix, error) {
 		abs := st.absPairs[:0]
 		for _, pr := range pairs {
@@ -1033,9 +1033,10 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 		st.baseMs = out
 		return out, nil
 	}
-	// The reflected twins live in the pooled arena: once the hop is done,
-	// drop every reference to them, the base list's and a remapped
-	// header's, so the session keeps none alive.
+	// Once the hop is done, drop every reference to its matrices, the
+	// base list's and a remapped header's, so the session keeps none
+	// alive: a twin ExtendMatrices was asked for would live in the pooled
+	// arena.
 	defer func() {
 		clear(st.baseMs)
 		for _, hdr := range st.remapHdr {

@@ -309,25 +309,27 @@ func parseFrame(p []byte) (*Msg, error) {
 	if !anyMissing {
 		m.Missing = nil
 	}
-	p = p[bm:]
 	m.Snap = make([][][]complex128, ants)
 	// One backing array holds every row. A frame still costs 6 + ants
 	// allocations (8 for a pair frame): the read header, the Msg, its ID,
 	// the missing flags, the antenna slice, one tx slice per antenna and
 	// the rows.
 	flat := make([]complex128, ants*tx*tones)
+	// The tones are decoded in one indexed pass over the 16 bytes per
+	// value the length check above guarantees. Each value is one
+	// fixed-size array, so its two reads need no bounds check of their
+	// own.
+	p = p[bm:]
+	for k := range flat {
+		v := (*[16]byte)(p[16*k:])
+		flat[k] = complex(math.Float64frombits(binary.LittleEndian.Uint64(v[:8])),
+			math.Float64frombits(binary.LittleEndian.Uint64(v[8:])))
+	}
 	for a := 0; a < ants; a++ {
 		m.Snap[a] = make([][]complex128, tx)
 		for t := 0; t < tx; t++ {
-			row := flat[:tones:tones]
+			m.Snap[a][t] = flat[:tones:tones]
 			flat = flat[tones:]
-			for k := 0; k < tones; k++ {
-				re := math.Float64frombits(binary.LittleEndian.Uint64(p))
-				im := math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
-				p = p[16:]
-				row[k] = complex(re, im)
-			}
-			m.Snap[a][t] = row
 		}
 	}
 	return m, nil

@@ -87,57 +87,3 @@ func searchFloat(s []float64, v float64, bound int) int {
 	}
 	return lo
 }
-
-// BoxFilterColumns smooths a T x L matrix along the first (time) axis with a
-// centered window of half-width half, writing the result into dst (same
-// shape). It is the moving-average factorization of the virtual-massive-
-// antenna TRRS (Eq. 4): averaging base TRRS values over V consecutive
-// samples equals a box filter with half = V/2.
-//
-// dst and src may not alias. Rows are []float64 of equal length L.
-func BoxFilterColumns(dst, src [][]float64, half int) {
-	t := len(src)
-	if t == 0 {
-		return
-	}
-	l := len(src[0])
-	if half <= 0 {
-		for i := range src {
-			copy(dst[i], src[i])
-		}
-		return
-	}
-	// Running column sums.
-	sums := make([]float64, l)
-	count := 0
-	// Initialize window [0, half].
-	for i := 0; i <= half && i < t; i++ {
-		for j := 0; j < l; j++ {
-			sums[j] += src[i][j]
-		}
-		count++
-	}
-	for i := 0; i < t; i++ {
-		inv := 1 / float64(count)
-		for j := 0; j < l; j++ {
-			dst[i][j] = sums[j] * inv
-		}
-		// Slide: add row i+half+1, remove row i-half.
-		add := i + half + 1
-		if add < t {
-			row := src[add]
-			for j := 0; j < l; j++ {
-				sums[j] += row[j]
-			}
-			count++
-		}
-		rem := i - half
-		if rem >= 0 {
-			row := src[rem]
-			for j := 0; j < l; j++ {
-				sums[j] -= row[j]
-			}
-			count--
-		}
-	}
-}

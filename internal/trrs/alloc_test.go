@@ -449,3 +449,25 @@ func extendMatricesAllocFree(t *testing.T, prec Precision, lend *Scratch) {
 		t.Fatalf("20 steady-state batched hops at GOMAXPROCS 2 malloc %d times, want 0", n)
 	}
 }
+
+// TestDeriveLentAllocFree wants the derives of a hop through a warmed
+// scratch to allocate nothing: the matrices come from its arena and the
+// ring from its row buffer. It derives a lone pair, a lone reversed twin
+// and a pair average holding a twin.
+func TestDeriveLentAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	ins := deriveCase(rng, []bool{false, true}, 30, 350, false)
+	var scr Scratch
+	run := func() {
+		scr.Arena.Reset()
+		for _, in := range [][]Input{ins[:1], ins[1:], ins} {
+			if _, err := scr.Derive(in, 30); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("a lent derive allocates %.1f times, want 0", allocs)
+	}
+}

@@ -7,15 +7,16 @@ import (
 )
 
 // MatrixArena recycles the flat backings of the matrices a streaming hop
-// builds and discards every 500 ms: the reversed twins its refresh
-// reflects and the virtual-massive and pair-averaged matrices derived
-// from them. A hop takes an arena (core keeps them in a sync.Pool shared
-// across streamers), Resets it, lends it to its incremental engine (see
-// Incremental.Lend) and routes its VirtualMassiveInto/AverageMatricesInto
-// calls through it; matrices
-// produced since the Reset stay valid until the next Reset, which
-// reclaims all of them at once. The zero value is ready to use. An arena
-// is not goroutine-safe; it serves one hop at a time.
+// builds and discards every 500 ms: the virtual-massive matrices it
+// derives (see Scratch.Derive; a hop's pair averages and reversed twins
+// are made row by row, with no matrix of their own), and any reversed
+// twin a caller lists to ExtendMatrices. A hop takes the arena of a
+// Scratch (core keeps them in a sync.Pool shared across streamers),
+// Resets it and lends the scratch to its incremental engine (see
+// Incremental.Lend); matrices produced since the Reset stay valid until
+// the next Reset, which reclaims all of them at once. The zero value is
+// ready to use. An arena is not goroutine-safe; it serves one hop at a
+// time.
 type MatrixArena struct {
 	free []*arenaSlab
 	used []*arenaSlab
@@ -109,59 +110,32 @@ func newMatrix(i, j, w, slots int, rate float64) *Matrix {
 	return m
 }
 
-// CheckVirtualMassive returns the error VirtualMassive would return for
-// base — nil, a negative window or a row that is not 2W+1 wide — without
-// computing anything, so a caller can validate shapes up front and build
-// the matrix later.
-func CheckVirtualMassive(base *Matrix) error {
-	if base == nil {
-		return fmt.Errorf("trrs: VirtualMassive of nil matrix")
+// checkInput checks input k of a derived matrix (or of an average)
+// against input 0, first: it must not be nil, must have a non-negative
+// window and rows 2W+1 wide, and must agree with first on W, Rate and
+// slot count, or the filter and the average would misindex (or average
+// physically incomparable lags).
+func checkInput(k int, m, first *Matrix) error {
+	switch {
+	case m == nil || first == nil:
+		return fmt.Errorf("trrs: derived-matrix input %d is nil", k)
+	case m.W < 0:
+		return fmt.Errorf("trrs: derived-matrix input %d has negative window W=%d", k, m.W)
+	case m.W != first.W:
+		return fmt.Errorf("trrs: derived-matrix window mismatch: input %d has W=%d, input 0 has W=%d",
+			k, m.W, first.W)
+	case m.Rate != first.Rate:
+		return fmt.Errorf("trrs: derived-matrix rate mismatch: input %d has %v Hz, input 0 has %v Hz",
+			k, m.Rate, first.Rate)
+	case len(m.Vals) != len(first.Vals):
+		return fmt.Errorf("trrs: derived-matrix slot-count mismatch: input %d has %d slots, input 0 has %d",
+			k, len(m.Vals), len(first.Vals))
 	}
-	if base.W < 0 {
-		return fmt.Errorf("trrs: VirtualMassive matrix has negative window W=%d", base.W)
-	}
-	width := 2*base.W + 1
-	for t, row := range base.Vals {
+	width := 2*m.W + 1
+	for t, row := range m.Vals {
 		if len(row) != width {
-			return fmt.Errorf("trrs: VirtualMassive matrix row %d has %d columns, want 2W+1 = %d",
-				t, len(row), width)
-		}
-	}
-	return nil
-}
-
-// CheckAverageMatrices returns the error AverageMatricesInto would return
-// for ms — no input, a nil input, or inputs that disagree on W, Rate, slot
-// count or row width — without computing the average.
-func CheckAverageMatrices(ms ...*Matrix) error {
-	if len(ms) == 0 {
-		return fmt.Errorf("trrs: AverageMatrices of no matrices")
-	}
-	first := ms[0]
-	if first == nil {
-		return fmt.Errorf("trrs: AverageMatrices input 0 is nil")
-	}
-	slots := len(first.Vals)
-	width := 2*first.W + 1
-	for k, m := range ms {
-		switch {
-		case m == nil:
-			return fmt.Errorf("trrs: AverageMatrices input %d is nil", k)
-		case m.W != first.W:
-			return fmt.Errorf("trrs: AverageMatrices window mismatch: input %d has W=%d, input 0 has W=%d",
-				k, m.W, first.W)
-		case m.Rate != first.Rate:
-			return fmt.Errorf("trrs: AverageMatrices rate mismatch: input %d has %v Hz, input 0 has %v Hz",
-				k, m.Rate, first.Rate)
-		case len(m.Vals) != slots:
-			return fmt.Errorf("trrs: AverageMatrices slot-count mismatch: input %d has %d slots, input 0 has %d",
-				k, len(m.Vals), slots)
-		}
-		for t, row := range m.Vals {
-			if len(row) != width {
-				return fmt.Errorf("trrs: AverageMatrices input %d row %d has %d columns, want 2W+1 = %d",
-					k, t, len(row), width)
-			}
+			return fmt.Errorf("trrs: derived-matrix input %d row %d has %d columns, want 2W+1 = %d",
+				k, t, len(row), width)
 		}
 	}
 	return nil
@@ -170,7 +144,7 @@ func CheckAverageMatrices(ms ...*Matrix) error {
 // VirtualMassiveInto is VirtualMassive allocating the result from the
 // arena (nil arena = plain allocation, exactly VirtualMassive).
 func VirtualMassiveInto(a *MatrixArena, base *Matrix, v int) (*Matrix, error) {
-	if err := CheckVirtualMassive(base); err != nil {
+	if err := checkInput(0, base, base); err != nil {
 		return nil, err
 	}
 	out := a.matrix(base.I, base.J, base.W, len(base.Vals), base.Rate)
@@ -186,30 +160,156 @@ func VirtualMassiveInto(a *MatrixArena, base *Matrix, v int) (*Matrix, error) {
 // (nil arena = plain allocation). The result borrows the identity of the
 // first matrix. Matrices that disagree on W, Rate or slot count would
 // silently misindex (or average physically incomparable lags), so any
-// mismatch is reported as an error; an empty input is an error too.
+// mismatch is reported as an error; an empty input is an error too. It is
+// Derive's average with V = 1, where the filter copies each averaged row.
 func AverageMatricesInto(a *MatrixArena, ms ...*Matrix) (*Matrix, error) {
-	if err := CheckAverageMatrices(ms...); err != nil {
+	ins := make([]Input, len(ms))
+	for k, m := range ms {
+		ins[k] = Input{M: m}
+	}
+	return derive(a, nil, ins, 1)
+}
+
+// Input is one base matrix a derived matrix reads: M as stored or, with
+// Twin set, the reversed twin of M, the (M.J, M.I) base matrix, read row
+// by row through the κ̄ reflection (see reflectRow) without being built.
+type Input struct {
+	M    *Matrix
+	Twin bool
+}
+
+// CheckDerive returns the error Derive would return for ins — no input,
+// a nil input, a negative window, inputs that disagree on W, Rate or slot
+// count, or a row that is not 2W+1 wide — without building anything.
+func CheckDerive(ins []Input) error {
+	if len(ins) == 0 {
+		return fmt.Errorf("trrs: Derive of no matrices")
+	}
+	for k, in := range ins {
+		if err := checkInput(k, in.M, ins[0].M); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Derive returns the virtual-massive matrix (Eq. 4, V virtual antennas) of
+// the element-wise mean of ins: a parallel group's §4.2 pair average, or
+// with one input that input's matrix. It borrows the identity of the
+// first input (reversed for a twin) and comes from the scratch's arena
+// (a nil Scratch allocates).
+//
+// It is one pass per output row (see sigproc.BoxFilterRows): an input
+// row is made when it enters the filter window, into a ring of
+// 2·⌊V/2⌋+2 rows of the scratch (one more, as a lone twin makes two rows
+// at a time), and subtracted from that same ring row when it leaves.
+// Making a row is a copy of the first input's row, or its reflection for
+// a twin, plus each other input's row, times 1/n when there are n > 1
+// inputs; a lone input that is not a twin is read in place. No averaged
+// or reflected matrix is built, and the output holds the bits of the
+// three-pass build: each twin reflected into a matrix, the average into
+// another, then the box filter in three row passes.
+func (s *Scratch) Derive(ins []Input, v int) (*Matrix, error) {
+	if s == nil {
+		return derive(nil, nil, ins, v)
+	}
+	return derive(&s.Arena, &s.rows, ins, v)
+}
+
+// derive is Derive with the output from arena and the ring from buf (nil
+// arena or buf: fresh allocations).
+func derive(arena *MatrixArena, buf *[]float64, ins []Input, v int) (*Matrix, error) {
+	if err := CheckDerive(ins); err != nil {
 		return nil, err
 	}
-	first := ms[0]
-	slots := len(first.Vals)
-	width := 2*first.W + 1
-	out := a.matrix(first.I, first.J, first.W, slots, first.Rate)
-	inv := 1 / float64(len(ms))
-	for t := 0; t < slots; t++ {
-		row := out.Vals[t]
-		// The backing may be recycled and dirty: initialize by copy of the
-		// first input, then accumulate the rest.
-		copy(row, ms[0].Vals[t])
-		for _, m := range ms[1:] {
-			src := m.Vals[t]
-			for c := 0; c < width; c++ {
-				row[c] += src[c]
+	first := ins[0]
+	i, j := first.M.I, first.M.J
+	if first.Twin {
+		i, j = j, i
+	}
+	slots, width := len(first.M.Vals), 2*first.M.W+1
+	out := arena.matrix(i, j, first.M.W, slots, first.M.Rate)
+	half := v / 2
+	if len(ins) == 1 && !first.Twin {
+		src := first.M.Vals
+		sigproc.BoxFilterRows(out.Vals, floats(buf, width), half, func(r int) []float64 { return src[r] })
+		return out, nil
+	}
+	// The ring holds the window's 2·half+2 rows, plus one: a lone twin
+	// makes its rows two at a time (see reflectPair).
+	n := min(2*max(half, 0)+3, slots)
+	rows := floats(buf, (n+2)*width)
+	sums, twin, ring := rows[:width], rows[width:2*width], rows[2*width:]
+	inv := 1 / float64(len(ins))
+	// With two inputs MeanRow scales their sum by 1/2; with more, the rest
+	// are added first and the sum is scaled once all are in.
+	pairScale := 1.0
+	if len(ins) == 2 {
+		pairScale = inv
+	}
+	// made is the last row made and slot its ring row; next moves them
+	// on to the next row and returns its ring row.
+	made, slot := -1, -1
+	next := func() []float64 {
+		made++
+		if slot++; slot == n {
+			slot = 0
+		}
+		return ring[slot*width : (slot+1)*width]
+	}
+	sigproc.BoxFilterRows(out.Vals, sums, half, func(r int) []float64 {
+		if r <= made { // a row made earlier, less than n rows ago
+			k := slot - (made - r)
+			if k < 0 {
+				k += n
+			}
+			return ring[k*width : (k+1)*width]
+		}
+		// Rows are asked for in order, so r is made+1; with one input the
+		// input is a twin (a lone pair is read in place above).
+		row := next()
+		if len(ins) == 1 {
+			if r+1 < slots {
+				reflectPair(row, next(), first.M, r)
+			} else {
+				reflectRow(row, first.M, r)
+			}
+			return row
+		}
+		a := row
+		if first.Twin {
+			reflectRow(row, first.M, r)
+		} else {
+			a = first.M.Vals[r]
+		}
+		for k, in := range ins[1:] {
+			b := in.M.Vals[r]
+			if in.Twin {
+				reflectRow(twin, in.M, r)
+				b = twin
+			}
+			if k == 0 {
+				sigproc.MeanRow(row, a, b, pairScale)
+			} else {
+				sigproc.AddRow(row, b)
 			}
 		}
-		for c := 0; c < width; c++ {
-			row[c] *= inv
+		if len(ins) > 2 {
+			sigproc.ScaleRow(row, inv)
 		}
-	}
+		return row
+	})
 	return out, nil
+}
+
+// floats returns n floats of *buf, growing it if it is shorter, or a
+// fresh slice for a nil buf. Their contents are undefined.
+func floats(buf *[]float64, n int) []float64 {
+	if buf == nil {
+		return make([]float64, n)
+	}
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	return (*buf)[:n]
 }

@@ -289,13 +289,19 @@ func (inc *Incremental) UseRaw(r *RawRing) {
 
 // Scratch is the hop-lifetime storage a caller lends an Incremental (see
 // Lend): the plane store its refreshes normalize the CSI they read into,
-// and the arena ExtendMatrices reflects reversed twins into, which the
-// caller may go on to fill with the matrices it derives (see
-// VirtualMassiveInto). The zero value is ready to use. A Scratch serves
-// one engine at a time.
+// and the arena ExtendMatrices reflects the reversed twins it is asked
+// for into, which the caller goes on to fill with the matrices it derives
+// (see Derive), plus the row ring Derive filters through. The zero value
+// is ready to use. A Scratch serves one engine at a time.
 type Scratch struct {
 	Planes PlaneStore
 	Arena  MatrixArena
+	rows   []float64
+}
+
+// Bytes reports the backing the scratch holds: planes, arena and ring.
+func (s *Scratch) Bytes() int {
+	return s.Planes.Bytes() + s.Arena.Bytes() + cap(s.rows)*8
 }
 
 // Lend lends the engine s until the next Lend, resetting s's arena:

@@ -116,20 +116,55 @@ func (e *Engine) sweep(it batchItem) {
 }
 
 // reflect derives columns [0, c1) of every row of m from src by the κ̄
-// reflection base[t][l] = base_src[t−l][−l] (column 2w−c holds lag −l).
-// Entries whose source slot t−l falls outside the series get the same
-// zero fillCols would have written. A reversed twin passes c1 = 2w+1; a
+// reflection (see reflectRow). A reversed twin passes c1 = 2w+1; a
 // self-pair's negative lags pass its own matrix as src with c1 = w: they
 // read only columns > w.
 func reflect(m, src *Matrix, c1 int) {
-	w := m.W
 	for t, row := range m.Vals {
-		for c := 0; c < c1; c++ {
-			if srcT := t - (c - w); srcT >= 0 && srcT < len(src.Vals) { // t − l
-				row[c] = src.Vals[srcT][2*w-c]
-			} else {
-				row[c] = 0
-			}
+		reflectRow(row[:c1], src, t)
+	}
+}
+
+// reflectRow writes columns [0, len(row)) of row t of src's reversed twin
+// by the κ̄ reflection base[t][l] = base_src[t−l][−l] (column 2w−c holds
+// lag −l). Entries whose source slot t−l falls outside the series get
+// the +0 fillCols would have written. Scratch.Derive reads a twin's rows
+// through it, so no twin matrix is built.
+func reflectRow(row []float64, src *Matrix, t int) {
+	w := src.W
+	// Column c reads slot t−(c−w), inside [0, len(src.Vals)) for c in
+	// [cLo, cHi).
+	cLo := min(max(t+w-len(src.Vals)+1, 0), len(row))
+	cHi := max(min(t+w+1, len(row)), cLo)
+	clear(row[:cLo])
+	clear(row[cHi:])
+	// rows[k] is slot t+w−c for c = cHi−1−k.
+	rows := src.Vals[t+w-cHi+1 : t+w-cLo+1]
+	for k, r := range rows {
+		c := cHi - 1 - k
+		row[c] = r[2*w-c]
+	}
+}
+
+// reflectPair writes rows t (row0) and t+1 (row1) of src's reversed
+// twin, as two reflectRow calls would. Away from the edges it reads each
+// source row once for both: row t's column c and row t+1's column c+1
+// both come from slot t+w−c, at its adjacent columns 2w−c and 2w−c−1.
+func reflectPair(row0, row1 []float64, src *Matrix, t int) {
+	w := src.W
+	if t < w || t+w+1 >= len(src.Vals) {
+		reflectRow(row0, src, t)
+		reflectRow(row1, src, t+1)
+		return
+	}
+	row1[0] = src.Vals[t+w+1][2*w]
+	// rows[k] is slot t−w+k, read by row0's column 2w−k.
+	rows := src.Vals[t-w : t+w+1]
+	for k, r := range rows {
+		c := 2*w - k
+		row0[c] = r[k]
+		if k > 0 {
+			row1[c+1] = r[k-1]
 		}
 	}
 }
